@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
-
-#include "common/env.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -18,10 +15,6 @@ namespace {
 // Z rows kept hot in L1 per stripe: kBlockQ * r_len floats. 64 rows of a
 // 64-wide operand is 16 KB, half a typical L1d.
 constexpr int64_t kBlockQ = 64;
-
-// Below this many multiply-adds the std::thread spawn costs more than the
-// kernel itself.
-constexpr int64_t kMinFlopsPerThread = 1 << 20;
 
 #ifdef TSPN_KERNELS_AVX2
 
@@ -160,14 +153,21 @@ inline float DotRow(const float* y, const float* z, int64_t r_len) {
 
 #endif  // TSPN_KERNELS_AVX2
 
-/// The single-threaded kernel over a [p_begin, p_end) row range of C.
-void DotProductGemmRange(const float* y, const float* z, float* c,
-                         int64_t p_begin, int64_t p_end, int64_t q_rows,
-                         int64_t r_len, bool accumulate) {
+}  // namespace
+
+int NumThreads() { return 1; }
+
+void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
+                    int64_t q_rows, int64_t r_len, bool accumulate) {
+  if (p_rows <= 0 || q_rows <= 0) return;
+  if (r_len <= 0) {
+    if (!accumulate) std::fill(c, c + p_rows * q_rows, 0.0f);
+    return;
+  }
   for (int64_t qb = 0; qb < q_rows; qb += kBlockQ) {
     const int64_t qe = std::min(qb + kBlockQ, q_rows);
-    int64_t p = p_begin;
-    for (; p + 4 <= p_end; p += 4) {
+    int64_t p = 0;
+    for (; p + 4 <= p_rows; p += 4) {
       const float* y0 = y + p * r_len;
       const float* y1 = y0 + r_len;
       const float* y2 = y1 + r_len;
@@ -201,7 +201,7 @@ void DotProductGemmRange(const float* y, const float* z, float* c,
         }
       }
     }
-    for (; p < p_end; ++p) {
+    for (; p < p_rows; ++p) {
       const float* yp = y + p * r_len;
       for (int64_t q = qb; q < qe; ++q) {
         float s = DotRow(yp, z + q * r_len, r_len);
@@ -214,44 +214,6 @@ void DotProductGemmRange(const float* y, const float* z, float* c,
       }
     }
   }
-}
-
-}  // namespace
-
-int NumThreads() {
-  static int threads = static_cast<int>(
-      std::clamp<int64_t>(common::EnvInt("TSPN_NUM_THREADS", 1), 1, 64));
-  return threads;
-}
-
-void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
-                    int64_t q_rows, int64_t r_len, bool accumulate) {
-  if (p_rows <= 0 || q_rows <= 0) return;
-  if (r_len <= 0) {
-    if (!accumulate) std::fill(c, c + p_rows * q_rows, 0.0f);
-    return;
-  }
-  const int64_t flops = p_rows * q_rows * r_len;
-  int threads = NumThreads();
-  if (threads > 1) {
-    threads = static_cast<int>(std::min<int64_t>(
-        threads, std::max<int64_t>(1, flops / kMinFlopsPerThread)));
-  }
-  if (threads <= 1) {
-    DotProductGemmRange(y, z, c, 0, p_rows, q_rows, r_len, accumulate);
-    return;
-  }
-  // Row-parallel split; chunks rounded to the 4-row tile so only the last
-  // worker runs tail rows.
-  const int64_t chunk = ((p_rows + threads - 1) / threads + 3) / 4 * 4;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int64_t begin = 0; begin < p_rows; begin += chunk) {
-    const int64_t end = std::min(begin + chunk, p_rows);
-    workers.emplace_back(DotProductGemmRange, y, z, c, begin, end, q_rows,
-                         r_len, accumulate);
-  }
-  for (std::thread& t : workers) t.join();
 }
 
 void QuantizeRowsInt8(const float* src, int64_t rows, int64_t cols,
@@ -309,27 +271,6 @@ inline int32_t Int8DotImpl(const int8_t* y, const int8_t* z, int64_t r_len) {
 
 #endif  // TSPN_KERNELS_AVX2
 
-/// Single-threaded int8 scoring kernel over a [p_begin, p_end) row range.
-/// Blocking over q keeps the active Z code rows in L1, mirroring the fp32
-/// kernel; because the accumulation is exact integer math, the blocking has
-/// no effect on the result.
-void Int8ScoreGemmRange(const int8_t* y, const float* y_scales, const int8_t* z,
-                        const float* z_scales, float* c, int64_t p_begin,
-                        int64_t p_end, int64_t q_rows, int64_t r_len) {
-  for (int64_t qb = 0; qb < q_rows; qb += kBlockQ) {
-    const int64_t qe = std::min(qb + kBlockQ, q_rows);
-    for (int64_t p = p_begin; p < p_end; ++p) {
-      const int8_t* yp = y + p * r_len;
-      const float sy = y_scales[p];
-      float* dst = c + p * q_rows;
-      for (int64_t q = qb; q < qe; ++q) {
-        const int32_t acc = Int8DotImpl(yp, z + q * r_len, r_len);
-        dst[q] = static_cast<float>(acc) * (sy * z_scales[q]);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 int32_t Int8Dot(const int8_t* y, const int8_t* z, int64_t r_len) {
@@ -344,25 +285,21 @@ void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
     std::fill(c, c + p_rows * q_rows, 0.0f);
     return;
   }
-  const int64_t flops = p_rows * q_rows * r_len;
-  int threads = NumThreads();
-  if (threads > 1) {
-    threads = static_cast<int>(std::min<int64_t>(
-        threads, std::max<int64_t>(1, flops / kMinFlopsPerThread)));
+  // Blocking over q keeps the active Z code rows in L1, mirroring the fp32
+  // kernel; because the accumulation is exact integer math, the blocking
+  // has no effect on the result.
+  for (int64_t qb = 0; qb < q_rows; qb += kBlockQ) {
+    const int64_t qe = std::min(qb + kBlockQ, q_rows);
+    for (int64_t p = 0; p < p_rows; ++p) {
+      const int8_t* yp = y + p * r_len;
+      const float sy = y_scales[p];
+      float* dst = c + p * q_rows;
+      for (int64_t q = qb; q < qe; ++q) {
+        const int32_t acc = Int8DotImpl(yp, z + q * r_len, r_len);
+        dst[q] = static_cast<float>(acc) * (sy * z_scales[q]);
+      }
+    }
   }
-  if (threads <= 1) {
-    Int8ScoreGemmRange(y, y_scales, z, z_scales, c, 0, p_rows, q_rows, r_len);
-    return;
-  }
-  const int64_t chunk = (p_rows + threads - 1) / threads;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int64_t begin = 0; begin < p_rows; begin += chunk) {
-    const int64_t end = std::min(begin + chunk, p_rows);
-    workers.emplace_back(Int8ScoreGemmRange, y, y_scales, z, z_scales, c,
-                         begin, end, q_rows, r_len);
-  }
-  for (std::thread& t : workers) t.join();
 }
 
 namespace {

@@ -6,9 +6,10 @@
 
 namespace tspn::nn::kernels {
 
-/// Number of worker threads for the row-parallel GEMM split. Controlled by
-/// TSPN_NUM_THREADS (default 1 = single-threaded, clamped to [1, 64]); read
-/// once per process.
+/// Threads one kernel call runs on: always 1. Every kernel runs on its
+/// calling thread; serving parallelism comes from the InferenceEngine
+/// workers, the one pool that owns the cores. Kept for callers that report
+/// the kernel thread count.
 int NumThreads();
 
 /// The one matrix kernel behind MatMul forward and both backward passes:
@@ -22,9 +23,7 @@ int NumThreads();
 /// products. Blocking over q keeps the active Z rows in L1.
 ///
 /// With `accumulate` false C is overwritten, otherwise the products are
-/// added into C (the gradient-accumulation mode). When TSPN_NUM_THREADS > 1
-/// and the product is large enough, rows of C are split across std::thread
-/// workers.
+/// added into C (the gradient-accumulation mode).
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate);
 
@@ -50,9 +49,8 @@ int32_t Int8Dot(const int8_t* y, const int8_t* z, int64_t r_len);
 ///
 /// with Yq [p_rows, r_len] and Zq [q_rows, r_len] int8 codes from
 /// QuantizeRowsInt8. The integer accumulation is exact, so — unlike the fp32
-/// kernel — the result is independent of blocking, vectorization and thread
-/// count; a single Int8Dot per element reproduces it bitwise. Row-parallel
-/// across TSPN_NUM_THREADS like DotProductGemm.
+/// kernel — the result is independent of blocking and vectorization; a
+/// single Int8Dot per element reproduces it bitwise.
 void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
                    const float* z_scales, float* c, int64_t p_rows,
                    int64_t q_rows, int64_t r_len);

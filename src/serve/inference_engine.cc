@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -270,8 +271,8 @@ void InferenceEngine::WorkerLoop() {
   // Batch scratch lives for the worker's whole life: its vectors' heap
   // capacity is reused across every batch this worker serves.
   WorkerScratch scratch;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) {
       if (stopping_) return;
@@ -293,6 +294,14 @@ void InferenceEngine::WorkerLoop() {
         break;
       }
     }
+    // Fair share: claim ceil(queued / free workers), capped at max_batch,
+    // so idle workers split the queue instead of one serving all of it
+    // while the rest wait. This worker counts itself among the free ones.
+    const int64_t free_workers = options_.num_threads - busy_workers_;
+    const int64_t share = std::min<int64_t>(
+        options_.max_batch,
+        (static_cast<int64_t>(queue_.size()) + free_workers - 1) /
+            free_workers);
     // Form the batch from the queue head (highest priority, earliest
     // deadline first). Entries whose deadline already passed are set aside
     // instead of taking a batch slot — the slot goes to work that can
@@ -301,7 +310,7 @@ void InferenceEngine::WorkerLoop() {
     scratch.batch.clear();
     scratch.expired.clear();
     while (!queue_.empty() &&
-           static_cast<int64_t>(scratch.batch.size()) < options_.max_batch) {
+           static_cast<int64_t>(scratch.batch.size()) < share) {
       auto it = queue_.begin();
       Request entry = std::move(it->second);
       queue_.erase(it);
@@ -311,7 +320,11 @@ void InferenceEngine::WorkerLoop() {
         scratch.batch.push_back(std::move(entry));
       }
     }
+    ++busy_workers_;
+    const bool leftover = !queue_.empty();
     lock.unlock();
+    // The rest of the queue is the next free worker's share.
+    if (leftover) not_empty_.notify_one();
     not_full_.notify_all();
     if (!scratch.expired.empty()) {
       expired_in_queue_.fetch_add(
@@ -323,6 +336,8 @@ void InferenceEngine::WorkerLoop() {
       scratch.expired.clear();
     }
     ServeBatch(scratch);
+    lock.lock();
+    --busy_workers_;
   }
 }
 
@@ -349,6 +364,13 @@ void InferenceEngine::ServeBatch(WorkerScratch& scratch) {
     results = model_.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
   } catch (...) {
     error = std::current_exception();
+  }
+  // A short (or long) result vector cannot be matched to the batch; fail
+  // the batch like a throwing model rather than read past its end.
+  if (error == nullptr && results.size() != batch.size()) {
+    error = std::make_exception_ptr(std::runtime_error(
+        "model returned " + std::to_string(results.size()) +
+        " responses for a batch of " + std::to_string(batch.size())));
   }
   const auto done = Clock::now();
   // Record the batch in the stats BEFORE fulfilling any promise: a client

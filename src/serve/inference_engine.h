@@ -74,14 +74,23 @@ struct EngineStats {
 /// Multi-threaded batching inference front-end over any NextPoiModel: a
 /// bounded deadline/priority-aware admission queue, a pool of worker
 /// threads, and time/size-based request coalescing. A worker that pops a
-/// request keeps collecting until the batch reaches `max_batch`, the
+/// request keeps collecting until the queue holds `max_batch` requests, the
 /// next-to-serve request has waited `coalesce_window_us`, or waiting any
 /// longer would run the tightest queued deadline out of serving time
 /// (deadline-aware batch formation: the window is capped at that deadline
-/// minus the rolling p95 batch service time), then serves the whole batch
-/// with one RecommendBatch() call — with TSPN-RA that turns the
-/// queue's concurrent single queries into shared GEMMs against the cached
-/// tile/POI matrices.
+/// minus the rolling p95 batch service time), then serves its batch with
+/// one RecommendBatch() call — with TSPN-RA that turns the queue's
+/// concurrent single queries into shared GEMMs against the cached tile/POI
+/// matrices.
+///
+/// Fair-share batch formation: a closing worker claims only its share of
+/// the queue, min(max_batch, ceil(queued / free workers)), where free
+/// workers are the pool minus those serving a batch, and wakes one more
+/// worker when requests remain. Idle workers thus split a backlog and run
+/// it in parallel instead of one serving all of it while the others wait;
+/// `max_batch` is a cap, reached only when the backlog fills every free
+/// worker's batch. A single worker's share is the whole queue, up to
+/// `max_batch`.
 ///
 /// Admission control (docs/serving.md "Admission control"): the queue is
 /// ordered by (priority desc, deadline asc, arrival) — earliest-deadline-
@@ -102,7 +111,7 @@ struct EngineStats {
 /// then truncated" anymore — the pre-v2 scheme, which per-request
 /// constraints made unsound (a truncated shared ranking cannot fill a
 /// filtered request's top_n). Compatibility grouping is therefore
-/// unnecessary; batches stay maximal.
+/// unnecessary: any share of the queue head is a servable batch.
 ///
 /// The model must be trained (or checkpoint-loaded) before submissions
 /// start and must honour the NextPoiModel concurrency contract
@@ -257,6 +266,9 @@ class InferenceEngine {
   Queue queue_;
   uint64_t next_seq_ = 0;
   bool stopping_ = false;
+  /// Workers between claiming a batch and finishing it; the fair share
+  /// divides the queue among the other num_threads - busy_workers_.
+  int busy_workers_ = 0;
 
   /// Latency percentiles come from a bounded ring of the most recent
   /// samples, so a long-lived engine's stats memory stays constant.

@@ -5,11 +5,14 @@
 
 #include "serve/inference_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -603,6 +606,127 @@ TEST(InferenceEngineAdmissionTest, InfeasibleDeadlineRefusedAtSubmit) {
   EXPECT_EQ(stats.shed_deadline, 1);
   EXPECT_EQ(stats.rejected, 1);
   EXPECT_EQ(stats.completed, 2);
+}
+
+// --- Batch result contract and fair-share batch formation -------------------
+
+/// A model that answers every batch with one response too few: the engine
+/// must fail that batch's requests instead of reading past the results.
+class ShortBatchModel : public eval::NextPoiModel {
+ public:
+  std::string name() const override { return "ShortBatch"; }
+  void Train(const eval::TrainOptions&) override {}
+
+ protected:
+  eval::RecommendResponse RecommendImpl(
+      const eval::RecommendRequest&) const override {
+    return {};
+  }
+  std::vector<eval::RecommendResponse> RecommendBatchImpl(
+      common::Span<eval::RecommendRequest> requests) const override {
+    return std::vector<eval::RecommendResponse>(requests.size() - 1);
+  }
+};
+
+TEST(InferenceEngineErrorTest, ShortBatchResultFailsTheBatchNotTheEngine) {
+  ShortBatchModel model;
+  EngineOptions options = AdmissionOptions(16, 8);
+  options.coalesce_window_us = 200000;  // both submissions share one batch
+  InferenceEngine engine(model, options);
+  auto first = engine.Submit(TrivialRequest());
+  auto second = engine.Submit(TrivialRequest());
+  EXPECT_THROW(first.get(), std::runtime_error);
+  EXPECT_THROW(second.get(), std::runtime_error);
+  // The worker survived: a later batch is served (and failed) as well.
+  EXPECT_THROW(engine.Submit(TrivialRequest()).get(), std::runtime_error);
+  const EngineStats stats = engine.GetStats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.completed, 3);
+}
+
+/// Records every batch it serves (requests tagged by top_n) and holds each
+/// one until a second batch is in flight, or a bounded timeout passes, so a
+/// test can see whether two workers served at once.
+class OverlapModel : public eval::NextPoiModel {
+ public:
+  std::string name() const override { return "Overlap"; }
+  void Train(const eval::TrainOptions&) override {}
+
+  std::vector<std::vector<int64_t>> batches() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batches_;
+  }
+  int max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return max_in_flight_;
+  }
+
+ protected:
+  eval::RecommendResponse RecommendImpl(
+      const eval::RecommendRequest&) const override {
+    return {};
+  }
+  std::vector<eval::RecommendResponse> RecommendBatchImpl(
+      common::Span<eval::RecommendRequest> requests) const override {
+    std::vector<int64_t> tags;
+    for (const eval::RecommendRequest& request : requests) {
+      tags.push_back(request.top_n);
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    batches_.push_back(tags);
+    max_in_flight_ = std::max(max_in_flight_, ++in_flight_);
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(5),
+                 [&] { return max_in_flight_ >= 2; });
+    --in_flight_;
+    return std::vector<eval::RecommendResponse>(requests.size());
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable std::vector<std::vector<int64_t>> batches_;
+  mutable int in_flight_ = 0;
+  mutable int max_in_flight_ = 0;
+};
+
+TEST(InferenceEngineFairShareTest, IdleWorkersSplitTheQueuedBatch) {
+  OverlapModel model;
+  EngineOptions options;
+  options.num_threads = 2;
+  options.max_queue_depth = 64;
+  options.max_batch = 32;
+  options.coalesce_window_us = 300000;  // all 8 are queued before it closes
+  InferenceEngine engine(model, options);
+
+  // Four bulk requests (tags 1-4), then four interactive ones (tags 5-8)
+  // whose deadlines run backwards, so the queue head is 8, 7, 6, 5.
+  AdmissionClass bulk;
+  bulk.priority = Priority::kBulk;
+  std::vector<std::future<eval::RecommendResponse>> futures;
+  for (int64_t tag = 1; tag <= 8; ++tag) {
+    eval::RecommendRequest request = TrivialRequest();
+    request.top_n = tag;
+    AdmissionClass admission = bulk;
+    if (tag > 4) {
+      admission = AdmissionClass{};
+      admission.deadline_ms = 60000 - tag * 1000;
+    }
+    futures.push_back(engine.Submit(request, admission));
+  }
+  for (auto& future : futures) future.get();
+
+  // Two free workers, eight queued: each claims ceil(8 / 2) = 4, and the
+  // two batches run at the same time.
+  EXPECT_EQ(model.max_in_flight(), 2);
+  std::vector<std::vector<int64_t>> batches = model.batches();
+  ASSERT_EQ(batches.size(), 2u);
+  // Claims come from the queue head: one batch is the four head requests
+  // in queue order (the first claim), the other is what was left.
+  std::sort(batches.begin(), batches.end(),
+            [](const auto& a, const auto& b) { return a.front() > b.front(); });
+  EXPECT_EQ(batches[0], (std::vector<int64_t>{8, 7, 6, 5}));
+  EXPECT_EQ(batches[1], (std::vector<int64_t>{1, 2, 3, 4}));
 }
 
 }  // namespace
