@@ -1,15 +1,12 @@
 // Reproduces Table V: memory cost, training time and inference time of the
 // main models on the two urban datasets. Also writes
-// BENCH_table5_efficiency.json with per-model ms/query, plus a before/after
-// pair for TSPN-RA inference (cached top-k screen vs the seed's per-query
-// gather + full sort, toggled via TSPN_DISABLE_INFERENCE_CACHE), plus a
-// throughput mode: QPS and p50/p95 latency of the serial per-query loop vs
-// RecommendBatch at several batch sizes vs the serve::InferenceEngine
-// worker pool with request coalescing.
+// BENCH_table5_efficiency.json with per-model ms/query, plus warm TSPN-RA
+// inference ms/query, plus a throughput mode: QPS and p50/p95 latency of
+// the serial per-query loop vs RecommendBatch at several batch sizes vs the
+// serve::InferenceEngine worker pool with request coalescing.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <unistd.h>
 
@@ -43,65 +40,24 @@ void AddJson(bench::JsonReporter& reporter, const std::string& dataset_name,
                  static_cast<double>(r.peak_train_bytes) / (1 << 20)}});
 }
 
-struct InferenceAb {
-  double cached_ms = 0.0;    // warm, min-of-kPasses, caches on
-  double uncached_ms = 0.0;  // warm, min-of-kPasses, caches off
-  double Speedup() const {
-    return cached_ms > 0.0 ? uncached_ms / cached_ms : 0.0;
+/// Times warm inference passes over the test split and returns ms/query.
+/// Assumes the model is trained and one eval pass has already run (so
+/// history graphs etc. are warm); takes the fastest of kPasses so the
+/// figure isn't drowned by scheduler noise.
+double MeasureWarmInference(const core::TspnRa& tspn,
+                            const data::CityDataset& dataset,
+                            const bench::BenchSettings& settings,
+                            int64_t eval_count) {
+  constexpr int kPasses = 3;
+  double best = 0.0;
+  for (int p = 0; p < kPasses; ++p) {
+    common::Stopwatch watch;
+    eval::EvaluateModel(tspn, dataset, data::Split::kTest, settings.eval_samples,
+                        settings.seed);
+    const double seconds = watch.ElapsedSeconds();
+    if (p == 0 || seconds < best) best = seconds;
   }
-};
-
-/// Times warm inference passes over the test split with the leaf/POI caches
-/// on and off. Assumes the model is trained and one eval pass has already
-/// run (so history graphs etc. are warm); takes the fastest of kPasses per
-/// mode so the delta isn't drowned by scheduler noise.
-InferenceAb MeasureInferenceAb(const core::TspnRa& tspn,
-                               const data::CityDataset& dataset,
-                               const bench::BenchSettings& settings,
-                               int64_t eval_count) {
-  constexpr int kPasses = 3;
-  auto timed_pass = [&] {
-    common::Stopwatch watch;
-    eval::EvaluateModel(tspn, dataset, data::Split::kTest, settings.eval_samples,
-                        settings.seed);
-    return watch.ElapsedSeconds();
-  };
-  double cached = timed_pass();
-  for (int p = 1; p < kPasses; ++p) cached = std::min(cached, timed_pass());
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  double uncached = timed_pass();
-  for (int p = 1; p < kPasses; ++p) uncached = std::min(uncached, timed_pass());
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
-  const double denom = std::max<double>(1, static_cast<double>(eval_count));
-  return {cached * 1000.0 / denom, uncached * 1000.0 / denom};
-}
-
-/// Times warm evaluation passes with fp32 scoring vs int8 screen + fp32
-/// rescue (TSPN_QUANT_SCORING=1). The first quant pass pays the one-time
-/// cache rebuild and gate replay; min-of-kPasses discards it. Returned as
-/// {cached = int8, uncached = fp32} so Speedup() reads fp32/int8.
-InferenceAb MeasureQuantAb(const core::TspnRa& tspn,
-                           const data::CityDataset& dataset,
-                           const bench::BenchSettings& settings,
-                           int64_t eval_count) {
-  constexpr int kPasses = 3;
-  auto timed_pass = [&] {
-    common::Stopwatch watch;
-    eval::EvaluateModel(tspn, dataset, data::Split::kTest, settings.eval_samples,
-                        settings.seed);
-    return watch.ElapsedSeconds();
-  };
-  double fp32 = timed_pass();
-  for (int p = 1; p < kPasses; ++p) fp32 = std::min(fp32, timed_pass());
-  setenv("TSPN_QUANT_SCORING", "1", 1);
-  double quant = timed_pass();
-  for (int p = 1; p < kPasses; ++p) quant = std::min(quant, timed_pass());
-  const bool admitted = tspn.QuantScoringActive();
-  unsetenv("TSPN_QUANT_SCORING");
-  std::printf("  [quant] int8 scoring gate %s\n",
-              admitted ? "admitted" : "REJECTED (fp32 fallback served)");
-  const double denom = std::max<double>(1, static_cast<double>(eval_count));
-  return {quant * 1000.0 / denom, fp32 * 1000.0 / denom};
+  return best * 1000.0 / std::max<double>(1, static_cast<double>(eval_count));
 }
 
 void RunEfficiency(const std::string& title,
@@ -117,8 +73,8 @@ void RunEfficiency(const std::string& title,
   {
     // TSPN-RA's table row is measured exactly like the baselines below
     // (MeasureEfficiency: train, then one cold evaluation pass) so the
-    // cross-model comparison stays apples-to-apples. The cached-vs-uncached
-    // A/B runs afterwards on warm passes and only feeds the JSON entry.
+    // cross-model comparison stays apples-to-apples. The warm-pass figure
+    // runs afterwards and only feeds the JSON entry.
     core::TspnRa tspn(dataset, bench::MakeTspnConfig(*dataset, settings));
     nn::ResetMemoryStats();
     common::Stopwatch train_watch;
@@ -137,13 +93,11 @@ void RunEfficiency(const std::string& title,
                   eval::FormatMinSec(r.infer_seconds), MsString(r.MsPerQuery())});
     AddJson(reporter, title, r);
 
-    InferenceAb ab = MeasureInferenceAb(tspn, *dataset, settings, r.eval_samples);
-    reporter.Add("TSPN-RA-inference/" + title,
-                 {{"ms_per_query", ab.cached_ms},
-                  {"ms_per_query_before", ab.uncached_ms},
-                  {"speedup", ab.Speedup()}});
-    std::printf("  [TSPN-RA] warm inference %s ms/query cached vs %s uncached\n",
-                MsString(ab.cached_ms).c_str(), MsString(ab.uncached_ms).c_str());
+    const double warm_ms =
+        MeasureWarmInference(tspn, *dataset, settings, r.eval_samples);
+    reporter.Add("TSPN-RA-inference/" + title, {{"ms_per_query", warm_ms}});
+    std::printf("  [TSPN-RA] warm inference %s ms/query\n",
+                MsString(warm_ms).c_str());
   }
   for (const std::string& name : models) {
     auto factory = [&]() -> std::unique_ptr<eval::NextPoiModel> {
@@ -279,7 +233,7 @@ void MeasureConstrained(const core::TspnRa& tspn,
     request.constraints.exclude_visited = true;
     requests.push_back(request);
   }
-  // Fastest of kPasses, like MeasureInferenceAb: at smoke scale the whole
+  // Fastest of kPasses, like MeasureWarmInference: at smoke scale the whole
   // pass is a few tens of ms, well inside scheduler-noise territory.
   constexpr size_t kBatch = 32;
   constexpr int kPasses = 3;
@@ -326,29 +280,13 @@ void RunThroughput(const core::TspnRa& tspn,
       top_n);
   ThroughputResult serial = MeasureSerial(tspn, samples, top_n);
   ReportThroughput(reporter, "serial", serial, serial.qps);
-  ThroughputResult batch32;
   for (size_t batch_size : {size_t{8}, size_t{32}}) {
     ThroughputResult batched =
         MeasureBatched(tspn, samples, top_n, batch_size);
-    if (batch_size == 32) batch32 = batched;
     char mode[32];
     std::snprintf(mode, sizeof(mode), "batch%zu", batch_size);
     ReportThroughput(reporter, mode, batched, serial.qps);
   }
-  // Encoder A/B at the same batch size: the packed one-GEMM-shaped forward
-  // vs the seed's per-sample encoder loop (results are bitwise identical;
-  // TSPN_DISABLE_BATCHED_ENCODER=1 keeps the old loop alive for exactly
-  // this comparison). The qps delta isolates what end-to-end encoder
-  // batching is worth.
-  setenv("TSPN_DISABLE_BATCHED_ENCODER", "1", 1);
-  ThroughputResult serial_encoder = MeasureBatched(tspn, samples, top_n, 32);
-  unsetenv("TSPN_DISABLE_BATCHED_ENCODER");
-  ReportThroughput(reporter, "batch32-serial-encoder", serial_encoder,
-                   serial.qps);
-  std::printf("  [throughput] batched encoder is %.2fx the per-sample "
-              "encoder at batch 32\n",
-              serial_encoder.qps > 0.0 ? batch32.qps / serial_encoder.qps
-                                       : 0.0);
   ThroughputResult engine = MeasureEngine(tspn, samples, top_n);
   ReportThroughput(reporter, "engine", engine, serial.qps);
   MeasureConstrained(tspn, dataset, samples, top_n, reporter);
@@ -357,9 +295,7 @@ void RunThroughput(const core::TspnRa& tspn,
 /// Production-leaning configuration where stage-1 screening dominates: a
 /// fine fixed-grid partition (~9.2k candidate tiles vs ~100 quad-tree
 /// leaves) and no history-graph module, so the per-query cost is mostly the
-/// screen itself. Here the gather + normalize + full sort of the pre-cache
-/// path is a first-order cost and the cached-vs-uncached delta sits well
-/// above timer noise.
+/// screen itself.
 void RunScreenStress(std::shared_ptr<data::CityDataset> dataset,
                      const bench::BenchSettings& settings,
                      bench::JsonReporter& reporter) {
@@ -374,38 +310,21 @@ void RunScreenStress(std::shared_ptr<data::CityDataset> dataset,
   options.epochs = 1;
   tspn.Train(options);
 
-  // Warm-up pass, then the shared warm A/B measurement.
+  // Warm-up pass, then the shared warm measurement.
   eval::RankingMetrics metrics = eval::EvaluateModel(
       tspn, *dataset, data::Split::kTest, settings.eval_samples, settings.seed);
-  InferenceAb ab = MeasureInferenceAb(tspn, *dataset, settings, metrics.count());
+  const double warm_ms =
+      MeasureWarmInference(tspn, *dataset, settings, metrics.count());
 
   char stress_name[64];
   std::snprintf(stress_name, sizeof(stress_name),
                 "TSPN-RA-inference/ScreenStress(%dx%d-grid)",
                 config.grid_cells_per_side, config.grid_cells_per_side);
-  reporter.Add(stress_name, {{"ms_per_query", ab.cached_ms},
-                             {"ms_per_query_before", ab.uncached_ms},
-                             {"speedup", ab.Speedup()}});
+  reporter.Add(stress_name, {{"ms_per_query", warm_ms}});
   std::printf("\n== Screen stress (%lld grid tiles) ==\n",
               static_cast<long long>(tspn.NumCandidateTiles()));
-  std::printf("  [TSPN-RA] warm inference %s ms/query cached vs %s uncached "
-              "(%.2fx)\n",
-              MsString(ab.cached_ms).c_str(), MsString(ab.uncached_ms).c_str(),
-              ab.Speedup());
-
-  // int8-vs-fp32 scoring on the same model: with ~9.2k candidate tiles the
-  // stage-1 screen is one [1 x tiles] scoring pass per query, exactly what
-  // the int8 GEMM quarters the memory traffic of. Same top-k, same scores
-  // (fp32 rescue); only the ms/query moves.
-  InferenceAb quant = MeasureQuantAb(tspn, *dataset, settings, metrics.count());
-  reporter.Add("TSPN-RA-quant/ScreenStress",
-               {{"ms_per_query", quant.cached_ms},
-                {"ms_per_query_before", quant.uncached_ms},
-                {"speedup", quant.Speedup()}});
-  std::printf("  [TSPN-RA] warm inference %s ms/query int8 vs %s fp32 "
-              "(%.2fx)\n",
-              MsString(quant.cached_ms).c_str(),
-              MsString(quant.uncached_ms).c_str(), quant.Speedup());
+  std::printf("  [TSPN-RA] warm inference %s ms/query\n",
+              MsString(warm_ms).c_str());
 
   // Throughput mode reuses the trained stress model: with ~9.2k candidate
   // tiles the per-query cost is dominated by exactly the stages that batch

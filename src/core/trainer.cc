@@ -49,7 +49,7 @@ void TspnRa::Train(const eval::TrainOptions& options) {
     }
   }
   net_->SetTraining(false);
-  cache_state_.store(0);  // inference caches must be rebuilt from new weights
+  caches_built_.store(false);  // inference caches must be rebuilt from new weights
 }
 
 int64_t TspnRa::TrainOnline(common::Span<const eval::OnlineSample> samples,
@@ -92,7 +92,7 @@ int64_t TspnRa::TrainOnline(common::Span<const eval::OnlineSample> samples,
     ++online_->steps;
   }
   net_->SetTraining(false);
-  cache_state_.store(0);  // inference caches must be rebuilt from new weights
+  caches_built_.store(false);  // inference caches must be rebuilt from new weights
   return total;
 }
 

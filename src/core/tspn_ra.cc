@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "core/tspn_ra_internal.h"
 #include "eval/constraints.h"
 #include "nn/kernels.h"
@@ -34,48 +33,6 @@ std::vector<int64_t> TopKIndices(const float* scores, int64_t n, int64_t k) {
   order.resize(static_cast<size_t>(k));
   std::sort(order.begin(), order.end(), better);
   return order;
-}
-
-/// When set, inference recomputes the leaf gather per query and ranks with a
-/// full sort (the pre-cache behavior). Kept as an A/B switch for the Table V
-/// efficiency bench.
-bool InferenceCacheDisabled() {
-  return common::EnvInt("TSPN_DISABLE_INFERENCE_CACHE", 0) != 0;
-}
-
-/// When set, RecommendBatch runs the sequence encoders one sample at a time
-/// (the pre-packing behavior). Kept as an A/B switch for the batched-encoder
-/// throughput bench row.
-bool BatchedEncoderDisabled() {
-  return common::EnvInt("TSPN_DISABLE_BATCHED_ENCODER", 0) != 0;
-}
-
-/// Requests int8 scoring GEMMs against quantized leaf/POI caches. Subject to
-/// the build-time top-k parity gate (see BuildQuantCachesLocked); read at
-/// cache-build time like the cache switch above.
-bool QuantScoringRequested() {
-  return common::EnvInt("TSPN_QUANT_SCORING", 0) != 0;
-}
-
-/// How many held-out samples the quant parity gate replays. Covers every
-/// sample the parity tests and typical eval slices draw from while keeping
-/// the one-time gate cost bounded on big deployments.
-constexpr size_t kQuantGateProbes = 128;
-
-/// Sound upper bound on |fp32_dot - dequantized_int8_dot| for one
-/// (query, cache-row) pair. Writing each vector as x = s*q + e with
-/// |e_i| <= s/2 (symmetric round-to-nearest):
-///
-///   |err| <= sy*sz*((L1y + L1z)/2 + dm/4)
-///
-/// where L1 is the code L1 norm. Inflated slightly to also absorb the float
-/// rounding of the dequant multiplies and of this bound arithmetic itself —
-/// a looser bound only rescues a few more rows in fp32, never miscounts.
-inline float QuantPairEps(float sy, float l1y, float sz, float l1z,
-                          int64_t dm) {
-  return sy * sz * (0.5f * (l1y + l1z) + 0.25f * static_cast<float>(dm)) *
-             1.0001f +
-         1e-6f;
 }
 
 }  // namespace
@@ -157,14 +114,6 @@ nn::Tensor TspnRa::TileCosinesFrom(const nn::Tensor& et,
   std::vector<int64_t> leaf_rows(leaf_tile_ids_.begin(), leaf_tile_ids_.end());
   nn::Tensor leaf_embeddings = nn::EmbeddingGather(et, leaf_rows);
   return nn::MatVec(leaf_embeddings, nn::L2Normalize(h_tile));
-}
-
-nn::Tensor TspnRa::InferenceLeafCosines(const nn::Tensor& h_tile) const {
-  if (!leaf_et_cache_.defined()) {
-    // Cache disabled (or not yet built): per-query gather, as the seed did.
-    return TileCosinesFrom(et_cache_, h_tile);
-  }
-  return nn::MatVec(leaf_et_cache_, nn::L2Normalize(h_tile));
 }
 
 int64_t TspnRa::CandidateTileOfPoi(int64_t poi_id) const {
@@ -525,276 +474,35 @@ nn::Tensor TspnRa::LossFromFeatures(const Features& f, const nn::Tensor& et,
 }
 
 void TspnRa::EnsureInferenceCaches() const {
-  const bool cache_leaf = !InferenceCacheDisabled();
-  const bool want_quant = cache_leaf && QuantScoringRequested();
-  const int want = cache_leaf ? (want_quant ? 3 : 1) : 2;
   // Double-checked build so concurrent Recommend calls from the serving
   // workers are safe: the fast path is one acquire load, the build runs once
-  // under the mutex, and the release store publishes the cache tensors.
-  if (cache_state_.load(std::memory_order_acquire) == want) return;
+  // under the mutex, and the release store publishes the cache tensors. An
+  // atomic flag instead of a std::once_flag because Train() and LoadWeights()
+  // re-dirty the caches; a once_flag cannot be re-armed.
+  if (caches_built_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (cache_state_.load(std::memory_order_relaxed) == want) return;
+  if (caches_built_.load(std::memory_order_relaxed)) return;
   // Inference is always deterministic: dropout off regardless of whether the
   // model was ever trained.
   net_->SetTraining(false);
   nn::NoGradGuard guard;
   et_cache_ = ComputeTileEmbeddings();
-  if (cache_leaf) {
-    // Gather + normalize the leaf-tile matrix once so every query is a single
-    // MatVec against it, instead of re-running EmbeddingGather + L2Normalize.
-    std::vector<int64_t> leaf_rows(leaf_tile_ids_.begin(), leaf_tile_ids_.end());
-    leaf_et_cache_ =
-        nn::L2Normalize(nn::EmbeddingGather(et_cache_, leaf_rows));
-    // Same for the POI side: encode + normalize every POI once; per-query
-    // stage-2 scoring then just gathers candidate rows. Row i is bitwise
-    // identical to L2Normalize(Encode({i}, ...)), so results don't change.
-    const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
-    std::vector<int64_t> all_pois(static_cast<size_t>(num_pois));
-    std::vector<int64_t> all_cats(static_cast<size_t>(num_pois));
-    for (int64_t i = 0; i < num_pois; ++i) {
-      all_pois[static_cast<size_t>(i)] = i;
-      all_cats[static_cast<size_t>(i)] = dataset_->poi(i).category;
-    }
-    poi_et_cache_ =
-        nn::L2Normalize(net_->poi_encoder.Encode(all_pois, all_cats));
-  } else {
-    leaf_et_cache_ = nn::Tensor();
-    poi_et_cache_ = nn::Tensor();
+  // Gather + normalize the leaf-tile matrix once so every query is a single
+  // MatVec against it, instead of re-running EmbeddingGather + L2Normalize.
+  std::vector<int64_t> leaf_rows(leaf_tile_ids_.begin(), leaf_tile_ids_.end());
+  leaf_et_cache_ = nn::L2Normalize(nn::EmbeddingGather(et_cache_, leaf_rows));
+  // Same for the POI side: encode + normalize every POI once; per-query
+  // stage-2 scoring then just gathers candidate rows. Row i is bitwise
+  // identical to L2Normalize(Encode({i}, ...)), so results don't change.
+  const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
+  std::vector<int64_t> all_pois(static_cast<size_t>(num_pois));
+  std::vector<int64_t> all_cats(static_cast<size_t>(num_pois));
+  for (int64_t i = 0; i < num_pois; ++i) {
+    all_pois[static_cast<size_t>(i)] = i;
+    all_cats[static_cast<size_t>(i)] = dataset_->poi(i).category;
   }
-  if (want_quant) {
-    // The gate decides whether int8 may actually serve; a false verdict
-    // leaves the fp32 tensors in charge (graceful fallback) while the mode
-    // tag still records that quant was *requested*, so the build is not
-    // retried on every call.
-    quant_scoring_ = BuildQuantCachesLocked();
-  } else {
-    quant_scoring_ = false;
-  }
-  if (!quant_scoring_) {
-    leaf_q_codes_.clear();
-    leaf_q_scales_.clear();
-    leaf_q_l1_.clear();
-    poi_q_codes_.clear();
-    poi_q_scales_.clear();
-    poi_q_l1_.clear();
-  }
-  cache_state_.store(want, std::memory_order_release);
-}
-
-TspnRa::QuantRow TspnRa::QuantizeQueryRow(const float* row, int64_t dm) {
-  QuantRow q;
-  q.codes.resize(static_cast<size_t>(dm));
-  nn::kernels::QuantizeRowsInt8(row, 1, dm, q.codes.data(), &q.scale);
-  float l1 = 0.0f;
-  for (int64_t i = 0; i < dm; ++i) {
-    l1 += std::abs(static_cast<float>(q.codes[static_cast<size_t>(i)]));
-  }
-  q.l1 = l1;
-  return q;
-}
-
-void TspnRa::ExactTileHybrid(const float* ht_row, const QuantRow& q, int64_t k,
-                             float* tile_scores) const {
-  const int64_t num_tiles = static_cast<int64_t>(leaf_tile_ids_.size());
-  const int64_t dm = config_.dm;
-  if (num_tiles == 0 || k <= 0) return;
-  k = std::min(k, num_tiles);
-  std::vector<float> eps(static_cast<size_t>(num_tiles));
-  std::vector<float> lb(static_cast<size_t>(num_tiles));
-  for (int64_t j = 0; j < num_tiles; ++j) {
-    const size_t js = static_cast<size_t>(j);
-    eps[js] = QuantPairEps(q.scale, q.l1, leaf_q_scales_[js], leaf_q_l1_[js], dm);
-    lb[js] = tile_scores[j] - eps[js];
-  }
-  std::vector<float> tmp(lb);
-  std::nth_element(tmp.begin(), tmp.begin() + (k - 1), tmp.end(),
-                   std::greater<float>());
-  const float kth_lb = tmp[static_cast<size_t>(k - 1)];
-  // Every tile whose upper bound reaches the k-th lower bound could be in the
-  // true fp32 top-k; rescore it exactly. The 1x1 GEMM call runs the same
-  // DotRow reduction as the full fp32 GEMM/MatVec, so rescored values are
-  // bitwise the fp32 ones.
-  for (int64_t j = 0; j < num_tiles; ++j) {
-    const size_t js = static_cast<size_t>(j);
-    if (tile_scores[j] + eps[js] >= kth_lb) {
-      nn::kernels::DotProductGemm(ht_row, leaf_et_cache_.data() + j * dm,
-                                  tile_scores + j, 1, 1, dm,
-                                  /*accumulate=*/false);
-    }
-  }
-}
-
-void TspnRa::QuantFusedScores(const float* hp_row, const QuantRow& q,
-                              const std::vector<int64_t>& candidates,
-                              const float* pc_q_row, const float* tc,
-                              float gamma, int64_t top_n,
-                              float* scores) const {
-  const int64_t dm = config_.dm;
-  const size_t n = candidates.size();
-  if (n == 0) return;
-  std::vector<float> eps(n);
-  std::vector<float> lb(n);
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t pid = candidates[i];
-    const size_t ps = static_cast<size_t>(pid);
-    float pc;
-    if (pc_q_row != nullptr) {
-      pc = pc_q_row[pid];
-    } else {
-      // Exact integer accumulation: bitwise-identical to the batched
-      // Int8ScoreGemm element, blocking and threading notwithstanding.
-      const int32_t acc = nn::kernels::Int8Dot(
-          q.codes.data(), poi_q_codes_.data() + pid * dm, dm);
-      pc = static_cast<float>(acc) * (q.scale * poi_q_scales_[ps]);
-    }
-    eps[i] = QuantPairEps(q.scale, q.l1, poi_q_scales_[ps], poi_q_l1_[ps], dm);
-    scores[i] = tc != nullptr ? pc + gamma * tc[CandidateTileOfPoi(pid)] : pc;
-    lb[i] = scores[i] - eps[i];
-  }
-  const size_t k = static_cast<size_t>(
-      std::min<int64_t>(top_n, static_cast<int64_t>(n)));
-  if (k == 0) return;
-  std::vector<float> tmp(lb);
-  std::nth_element(tmp.begin(), tmp.begin() + (k - 1), tmp.end(),
-                   std::greater<float>());
-  const float kth_lb = tmp[k - 1];
-  for (size_t i = 0; i < n; ++i) {
-    if (scores[i] + eps[i] >= kth_lb) {
-      const int64_t pid = candidates[i];
-      float pc_exact = 0.0f;
-      nn::kernels::DotProductGemm(hp_row, poi_et_cache_.data() + pid * dm,
-                                  &pc_exact, 1, 1, dm, /*accumulate=*/false);
-      // Mirrors the fp32 fused expression exactly (same operation order), so
-      // rescued scores are bitwise the fp32 path's.
-      scores[i] = tc != nullptr
-                      ? pc_exact + gamma * tc[CandidateTileOfPoi(pid)]
-                      : pc_exact;
-    }
-  }
-}
-
-bool TspnRa::BuildQuantCachesLocked() const {
-  const int64_t dm = config_.dm;
-  const int64_t num_tiles = leaf_et_cache_.dim(0);
-  const int64_t num_pois = poi_et_cache_.dim(0);
-  leaf_q_codes_.resize(static_cast<size_t>(num_tiles * dm));
-  leaf_q_scales_.resize(static_cast<size_t>(num_tiles));
-  leaf_q_l1_.resize(static_cast<size_t>(num_tiles));
-  poi_q_codes_.resize(static_cast<size_t>(num_pois * dm));
-  poi_q_scales_.resize(static_cast<size_t>(num_pois));
-  poi_q_l1_.resize(static_cast<size_t>(num_pois));
-  nn::kernels::QuantizeRowsInt8(leaf_et_cache_.data(), num_tiles, dm,
-                                leaf_q_codes_.data(), leaf_q_scales_.data());
-  nn::kernels::QuantizeRowsInt8(poi_et_cache_.data(), num_pois, dm,
-                                poi_q_codes_.data(), poi_q_scales_.data());
-  auto code_l1 = [dm](const int8_t* codes, int64_t row) {
-    float l1 = 0.0f;
-    for (int64_t i = 0; i < dm; ++i) {
-      l1 += std::abs(static_cast<float>(codes[row * dm + i]));
-    }
-    return l1;
-  };
-  for (int64_t j = 0; j < num_tiles; ++j) {
-    leaf_q_l1_[static_cast<size_t>(j)] = code_l1(leaf_q_codes_.data(), j);
-  }
-  for (int64_t j = 0; j < num_pois; ++j) {
-    poi_q_l1_[static_cast<size_t>(j)] = code_l1(poi_q_codes_.data(), j);
-  }
-
-  // Parity gate: replay held-out samples through the default unconstrained
-  // query pipeline with both backends and require identical top-n POI id
-  // sets. The int8 screen + fp32 rescue (ExactTileHybrid/QuantFusedScores)
-  // makes the quant path bitwise-equal to fp32 by construction, so a
-  // mismatch here means an implementation or error-bound bug — in which
-  // case the safe answer is the fp32 fallback, not a maybe-wrong fast path.
-  std::vector<data::SampleRef> probes = dataset_->Samples(data::Split::kTest);
-  if (probes.empty()) probes = dataset_->Samples(data::Split::kTrain);
-  if (probes.size() > kQuantGateProbes) probes.resize(kQuantGateProbes);
-  if (probes.empty()) return true;  // nothing to probe against (or to serve)
-  const int64_t p_rows = static_cast<int64_t>(probes.size());
-
-  std::vector<Features> features;
-  features.reserve(probes.size());
-  for (const data::SampleRef& sample : probes) {
-    features.push_back(ExtractFeatures(sample));
-  }
-  BatchForwardOut fwd = ForwardBatch(features, et_cache_);
-  nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
-  nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
-
-  std::vector<float> tc_f;
-  if (config_.use_two_step) {
-    tc_f.resize(static_cast<size_t>(p_rows * num_tiles));
-    nn::kernels::DotProductGemm(ht.data(), leaf_et_cache_.data(), tc_f.data(),
-                                p_rows, num_tiles, dm, /*accumulate=*/false);
-  }
-  std::vector<float> pc_f(static_cast<size_t>(p_rows * num_pois));
-  nn::kernels::DotProductGemm(hp.data(), poi_et_cache_.data(), pc_f.data(),
-                              p_rows, num_pois, dm, /*accumulate=*/false);
-
-  const float gamma = net_->tile_prior_weight.at(0);
-  const int64_t top_n = eval::RecommendRequest().top_n;
-  const int64_t k0 = std::min<int64_t>(config_.top_k_tiles, num_tiles);
-  auto id_set = [&](const std::vector<int64_t>& candidates,
-                    const float* fused) {
-    std::vector<int64_t> order = TopKIndices(
-        fused, static_cast<int64_t>(candidates.size()), top_n);
-    std::vector<int64_t> ids;
-    ids.reserve(order.size());
-    for (int64_t idx : order) ids.push_back(candidates[static_cast<size_t>(idx)]);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  std::vector<int64_t> all_pois;
-  if (!config_.use_two_step) all_pois = AllAllowedPois(nullptr);
-  for (int64_t p = 0; p < p_rows; ++p) {
-    const float* ht_row = ht.data() + p * dm;
-    const float* hp_row = hp.data() + p * dm;
-    const float* pf = pc_f.data() + p * num_pois;
-    QuantRow qp = QuantizeQueryRow(hp_row, dm);
-    std::vector<int64_t> cand_f, cand_q;
-    std::vector<float> tq_row;
-    const float* tf = nullptr;
-    if (config_.use_two_step) {
-      tf = tc_f.data() + p * num_tiles;
-      cand_f = GatherAllowedCandidates(tf, config_.top_k_tiles, 1, nullptr, 0,
-                                       nullptr);
-      // Quant replica of the serving stage 1: int8 row, hybrid refinement,
-      // full-fp32 redo if the screen widened past the exact prefix.
-      QuantRow qt = QuantizeQueryRow(ht_row, dm);
-      tq_row.resize(static_cast<size_t>(num_tiles));
-      nn::kernels::Int8ScoreGemm(qt.codes.data(), &qt.scale,
-                                 leaf_q_codes_.data(), leaf_q_scales_.data(),
-                                 tq_row.data(), 1, num_tiles, dm);
-      ExactTileHybrid(ht_row, qt, k0, tq_row.data());
-      int64_t screened = 0;
-      cand_q = GatherAllowedCandidates(tq_row.data(), config_.top_k_tiles, 1,
-                                       nullptr, 0, &screened);
-      if (screened > k0) {
-        std::copy(tf, tf + num_tiles, tq_row.data());
-        cand_q = GatherAllowedCandidates(tq_row.data(), config_.top_k_tiles, 1,
-                                         nullptr, 0, &screened);
-      }
-    } else {
-      cand_f = all_pois;
-      cand_q = all_pois;
-    }
-    std::vector<float> fused_f(cand_f.size());
-    for (size_t i = 0; i < cand_f.size(); ++i) {
-      fused_f[i] = tf != nullptr
-                       ? pf[cand_f[i]] + gamma * tc_f[static_cast<size_t>(
-                             p * num_tiles + CandidateTileOfPoi(cand_f[i]))]
-                       : pf[cand_f[i]];
-    }
-    std::vector<float> fused_q(cand_q.size());
-    QuantFusedScores(hp_row, qp, cand_q, nullptr,
-                     tf != nullptr ? tq_row.data() : nullptr, gamma, top_n,
-                     fused_q.data());
-    if (id_set(cand_f, fused_f.data()) != id_set(cand_q, fused_q.data())) {
-      return false;
-    }
-  }
-  return true;
+  poi_et_cache_ = nn::L2Normalize(net_->poi_encoder.Encode(all_pois, all_cats));
+  caches_built_.store(true, std::memory_order_release);
 }
 
 std::vector<int64_t> TspnRa::RankTiles(const data::SampleRef& sample) const {
@@ -810,7 +518,8 @@ std::vector<int64_t> TspnRa::RankTilesTopK(const data::SampleRef& sample,
   common::Rng rng(config_.seed ^ 0xD00DULL);
   Features f = ExtractFeatures(sample);
   ForwardOut fwd = Forward(f, et_cache_, rng);
-  nn::Tensor cos_tiles = InferenceLeafCosines(fwd.h_tile);
+  nn::Tensor cos_tiles =
+      nn::MatVec(leaf_et_cache_, nn::L2Normalize(fwd.h_tile));
   return TopKIndices(cos_tiles.data(),
                      static_cast<int64_t>(leaf_tile_ids_.size()), k);
 }
@@ -924,13 +633,6 @@ eval::RecommendResponse TspnRa::ScoredRecommend(
   common::Rng rng(config_.seed ^ 0xD00DULL);
   Features f = ExtractFeatures(request.sample);
   ForwardOut fwd = Forward(f, et_cache_, rng);
-  // Gate-approved int8 scoring (TSPN_QUANT_SCORING): int8 screen + fp32
-  // rescue of the rows inside the quantization-error band, which makes the
-  // returned response bitwise-identical to the fp32 path (see
-  // ExactTileHybrid / QuantFusedScores).
-  const bool quant = quant_scoring_;
-  const int64_t dm = config_.dm;
-  const float gamma = net_->tile_prior_weight.at(0);
 
   std::unique_ptr<eval::ConstraintEvaluator> filter =
       eval::MakeConstraintFilter(*dataset_, request);
@@ -938,82 +640,32 @@ eval::RecommendResponse TspnRa::ScoredRecommend(
   eval::RecommendResponse response;
   std::vector<int64_t> candidates;
   nn::Tensor cos_tiles;
-  std::vector<float> tile_scores_q;
-  const float* tc = nullptr;
   if (config_.use_two_step) {
     response.stages_used = 2;
     const int64_t required = filter != nullptr ? request.top_n : 1;
-    if (quant) {
-      const int64_t num_tiles = static_cast<int64_t>(leaf_tile_ids_.size());
-      nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
-      QuantRow qt = QuantizeQueryRow(ht.data(), dm);
-      tile_scores_q.resize(static_cast<size_t>(num_tiles));
-      nn::kernels::Int8ScoreGemm(qt.codes.data(), &qt.scale,
-                                 leaf_q_codes_.data(), leaf_q_scales_.data(),
-                                 tile_scores_q.data(), 1, num_tiles, dm);
-      const int64_t tile_cap =
-          request.max_tiles_screened > 0
-              ? std::min<int64_t>(request.max_tiles_screened, num_tiles)
-              : num_tiles;
-      const int64_t k0 = std::min<int64_t>(top_k, tile_cap);
-      ExactTileHybrid(ht.data(), qt, k0, tile_scores_q.data());
-      tc = tile_scores_q.data();
-      candidates = GatherAllowedCandidates(tc, top_k, required, filter.get(),
-                                           request.max_tiles_screened,
-                                           &response.tiles_screened);
-      if (response.tiles_screened > k0) {
-        // Constraint widening walked past the exact top-k0 prefix, where the
-        // hybrid array's order is only approximate. Redo the screen on full
-        // fp32 cosines (rare: only starved constrained queries get here).
-        nn::kernels::DotProductGemm(ht.data(), leaf_et_cache_.data(),
-                                    tile_scores_q.data(), 1, num_tiles, dm,
-                                    /*accumulate=*/false);
-        candidates = GatherAllowedCandidates(tc, top_k, required, filter.get(),
-                                             request.max_tiles_screened,
-                                             &response.tiles_screened);
-      }
-    } else {
-      cos_tiles = InferenceLeafCosines(fwd.h_tile);
-      tc = cos_tiles.data();
-      candidates = GatherAllowedCandidates(tc, top_k, required, filter.get(),
-                                           request.max_tiles_screened,
-                                           &response.tiles_screened);
-    }
+    cos_tiles = nn::MatVec(leaf_et_cache_, nn::L2Normalize(fwd.h_tile));
+    candidates = GatherAllowedCandidates(cos_tiles.data(), top_k, required,
+                                         filter.get(),
+                                         request.max_tiles_screened,
+                                         &response.tiles_screened);
   } else {
     response.stages_used = 1;
     candidates = AllAllowedPois(filter.get());
   }
   if (candidates.empty()) return response;
 
-  std::vector<float> scores(candidates.size());
-  if (quant) {
-    nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
-    QuantRow qp = QuantizeQueryRow(hp.data(), dm);
-    QuantFusedScores(hp.data(), qp, candidates, nullptr,
-                     config_.use_two_step ? tc : nullptr, gamma, request.top_n,
-                     scores.data());
-  } else {
-    nn::Tensor cand_embeddings;
-    if (poi_et_cache_.defined()) {
-      cand_embeddings = nn::EmbeddingGather(poi_et_cache_, candidates);
-    } else {
-      std::vector<int64_t> cats;
-      cats.reserve(candidates.size());
-      for (int64_t pid : candidates) cats.push_back(dataset_->poi(pid).category);
-      cand_embeddings =
-          nn::L2Normalize(net_->poi_encoder.Encode(candidates, cats));
-    }
-    nn::Tensor cos_pois =
-        nn::MatVec(cand_embeddings, nn::L2Normalize(fwd.h_poi));
-    const float* pc = cos_pois.data();
-    if (config_.use_two_step) {
-      // Same hierarchical score fusion as training: stage-1 tile cosine as a
-      // gamma-weighted prior on each candidate.
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        scores[i] = pc[i] + gamma * tc[CandidateTileOfPoi(candidates[i])];
-      }
-    } else {
-      std::copy_n(pc, candidates.size(), scores.data());
+  nn::Tensor cos_pois =
+      nn::MatVec(nn::EmbeddingGather(poi_et_cache_, candidates),
+                 nn::L2Normalize(fwd.h_poi));
+  const float* pc = cos_pois.data();
+  std::vector<float> scores(pc, pc + candidates.size());
+  if (config_.use_two_step) {
+    // Same hierarchical score fusion as training: stage-1 tile cosine as a
+    // gamma-weighted prior on each candidate.
+    const float gamma = net_->tile_prior_weight.at(0);
+    const float* tc = cos_tiles.data();
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      scores[i] = pc[i] + gamma * tc[CandidateTileOfPoi(candidates[i])];
     }
   }
 
@@ -1036,34 +688,11 @@ eval::RecommendResponse TspnRa::RecommendImpl(
   return ScoredRecommend(request, config_.top_k_tiles);
 }
 
-void TspnRa::EncodeQueriesSerial(common::Span<eval::RecommendRequest> requests,
-                                 float* h_tiles, float* h_pois) const {
-  // A/B reference path (TSPN_DISABLE_BATCHED_ENCODER=1): the seed's
-  // per-query encoder loop, kept so the batched forward's speedup and parity
-  // stay measurable in production builds.
-  nn::NoGradGuard guard;
-  common::Rng rng(config_.seed ^ 0xD00DULL);
-  const int64_t dm = config_.dm;
-  for (size_t b = 0; b < requests.size(); ++b) {
-    Features f = ExtractFeatures(requests[b].sample);
-    ForwardOut fwd = Forward(f, et_cache_, rng);
-    nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
-    nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
-    std::copy_n(ht.data(), dm, h_tiles + static_cast<int64_t>(b) * dm);
-    std::copy_n(hp.data(), dm, h_pois + static_cast<int64_t>(b) * dm);
-  }
-}
-
 std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
     common::Span<eval::RecommendRequest> requests) const {
   const int64_t batch = static_cast<int64_t>(requests.size());
   if (batch == 0) return {};
   EnsureInferenceCaches();
-  if (!leaf_et_cache_.defined() || !poi_et_cache_.defined()) {
-    // Cache-disabled A/B mode keeps the seed's per-query gather path; defer
-    // to the serial fallback rather than duplicating it here.
-    return eval::NextPoiModel::RecommendBatchImpl(requests);
-  }
   nn::NoGradGuard guard;
   const int64_t dm = config_.dm;
   const int64_t num_tiles = static_cast<int64_t>(leaf_tile_ids_.size());
@@ -1076,74 +705,32 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
   // (inside ForwardBatch). Every packed op computes rows independently with
   // the serial accumulation order, so the [batch, dm] outputs here are
   // bitwise-identical to B serial Forward() calls.
-  std::vector<float> h_tiles(static_cast<size_t>(batch * dm));
-  std::vector<float> h_pois(static_cast<size_t>(batch * dm));
-  if (BatchedEncoderDisabled()) {
-    EncodeQueriesSerial(requests, h_tiles.data(), h_pois.data());
-  } else {
-    std::vector<Features> features;
-    features.reserve(static_cast<size_t>(batch));
-    for (const eval::RecommendRequest& request : requests) {
-      features.push_back(ExtractFeatures(request.sample));
-    }
-    BatchForwardOut fwd = ForwardBatch(features, et_cache_);
-    nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
-    nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
-    std::copy_n(ht.data(), batch * dm, h_tiles.data());
-    std::copy_n(hp.data(), batch * dm, h_pois.data());
+  std::vector<Features> features;
+  features.reserve(static_cast<size_t>(batch));
+  for (const eval::RecommendRequest& request : requests) {
+    features.push_back(ExtractFeatures(request.sample));
   }
+  BatchForwardOut fwd = ForwardBatch(features, et_cache_);
+  nn::Tensor h_tiles = nn::L2Normalize(fwd.h_tile);
+  nn::Tensor h_pois = nn::L2Normalize(fwd.h_poi);
 
   // Then score all queries against the cached normalized tile and POI
-  // matrices with one GEMM per prediction stage — int8 when the quant gate
-  // admitted the checkpoint, fp32 otherwise. Per-element math matches the
-  // per-query path (identical accumulation order in the fp32 kernel; exact
-  // integer accumulation plus the same fp32 rescue in int8 mode), so the
-  // per-request results below are bitwise-reproducible against
-  // RecommendImpl() — constraints and top_n apply per request, after the
-  // shared GEMMs.
-  const bool quant = quant_scoring_;
-  std::vector<QuantRow> qt_rows, qp_rows;
-  std::vector<int8_t> hq;
-  std::vector<float> hs;
-  if (quant) {
-    hq.resize(static_cast<size_t>(batch * dm));
-    hs.resize(static_cast<size_t>(batch));
-  }
+  // matrices with one GEMM per prediction stage. The kernel reduces every
+  // element in the same order whatever the batch size, the same order as the
+  // per-query MatVec, so the per-request results below are
+  // bitwise-reproducible against RecommendImpl() — constraints and top_n
+  // apply per request, after the shared GEMMs.
   std::vector<float> cos_tiles;
   if (config_.use_two_step) {
     cos_tiles.resize(static_cast<size_t>(batch * num_tiles));
-    if (quant) {
-      qt_rows.reserve(static_cast<size_t>(batch));
-      for (int64_t b = 0; b < batch; ++b) {
-        qt_rows.push_back(QuantizeQueryRow(h_tiles.data() + b * dm, dm));
-        std::copy_n(qt_rows.back().codes.data(), dm, hq.data() + b * dm);
-        hs[static_cast<size_t>(b)] = qt_rows.back().scale;
-      }
-      nn::kernels::Int8ScoreGemm(hq.data(), hs.data(), leaf_q_codes_.data(),
-                                 leaf_q_scales_.data(), cos_tiles.data(), batch,
-                                 num_tiles, dm);
-    } else {
-      nn::kernels::DotProductGemm(h_tiles.data(), leaf_et_cache_.data(),
-                                  cos_tiles.data(), batch, num_tiles, dm,
-                                  /*accumulate=*/false);
-    }
-  }
-  std::vector<float> cos_pois(static_cast<size_t>(batch * num_pois));
-  if (quant) {
-    qp_rows.reserve(static_cast<size_t>(batch));
-    for (int64_t b = 0; b < batch; ++b) {
-      qp_rows.push_back(QuantizeQueryRow(h_pois.data() + b * dm, dm));
-      std::copy_n(qp_rows.back().codes.data(), dm, hq.data() + b * dm);
-      hs[static_cast<size_t>(b)] = qp_rows.back().scale;
-    }
-    nn::kernels::Int8ScoreGemm(hq.data(), hs.data(), poi_q_codes_.data(),
-                               poi_q_scales_.data(), cos_pois.data(), batch,
-                               num_pois, dm);
-  } else {
-    nn::kernels::DotProductGemm(h_pois.data(), poi_et_cache_.data(),
-                                cos_pois.data(), batch, num_pois, dm,
+    nn::kernels::DotProductGemm(h_tiles.data(), leaf_et_cache_.data(),
+                                cos_tiles.data(), batch, num_tiles, dm,
                                 /*accumulate=*/false);
   }
+  std::vector<float> cos_pois(static_cast<size_t>(batch * num_pois));
+  nn::kernels::DotProductGemm(h_pois.data(), poi_et_cache_.data(),
+                              cos_pois.data(), batch, num_pois, dm,
+                              /*accumulate=*/false);
 
   const float gamma = net_->tile_prior_weight.at(0);
   std::vector<eval::RecommendResponse> responses(static_cast<size_t>(batch));
@@ -1153,39 +740,15 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
     std::unique_ptr<eval::ConstraintEvaluator> filter =
         eval::MakeConstraintFilter(*dataset_, request);
     std::vector<int64_t> candidates;
-    float* tc =
+    const float* tc =
         cos_tiles.empty() ? nullptr : cos_tiles.data() + b * num_tiles;
     if (config_.use_two_step) {
       response.stages_used = 2;
       const int64_t required = filter != nullptr ? request.top_n : 1;
-      if (quant) {
-        const int64_t tile_cap =
-            request.max_tiles_screened > 0
-                ? std::min<int64_t>(request.max_tiles_screened, num_tiles)
-                : num_tiles;
-        const int64_t k0 = std::min<int64_t>(config_.top_k_tiles, tile_cap);
-        ExactTileHybrid(h_tiles.data() + b * dm,
-                        qt_rows[static_cast<size_t>(b)], k0, tc);
-        candidates = GatherAllowedCandidates(tc, config_.top_k_tiles, required,
-                                             filter.get(),
-                                             request.max_tiles_screened,
-                                             &response.tiles_screened);
-        if (response.tiles_screened > k0) {
-          // Widened past the exact prefix: redo this row on full fp32
-          // cosines, exactly as the serial path does.
-          nn::kernels::DotProductGemm(h_tiles.data() + b * dm,
-                                      leaf_et_cache_.data(), tc, 1, num_tiles,
-                                      dm, /*accumulate=*/false);
-          candidates = GatherAllowedCandidates(
-              tc, config_.top_k_tiles, required, filter.get(),
-              request.max_tiles_screened, &response.tiles_screened);
-        }
-      } else {
-        candidates = GatherAllowedCandidates(tc, config_.top_k_tiles, required,
-                                             filter.get(),
-                                             request.max_tiles_screened,
-                                             &response.tiles_screened);
-      }
+      candidates = GatherAllowedCandidates(tc, config_.top_k_tiles, required,
+                                           filter.get(),
+                                           request.max_tiles_screened,
+                                           &response.tiles_screened);
     } else {
       response.stages_used = 1;
       candidates = AllAllowedPois(filter.get());
@@ -1194,19 +757,11 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
 
     const float* pc = cos_pois.data() + b * num_pois;
     std::vector<float> fused(candidates.size());
-    if (quant) {
-      QuantFusedScores(h_pois.data() + b * dm, qp_rows[static_cast<size_t>(b)],
-                       candidates, pc, config_.use_two_step ? tc : nullptr,
-                       gamma, request.top_n, fused.data());
-    } else if (config_.use_two_step) {
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        fused[i] = pc[candidates[i]] +
-                   gamma * tc[CandidateTileOfPoi(candidates[i])];
-      }
-    } else {
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        fused[i] = pc[candidates[i]];
-      }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      fused[i] = tc != nullptr
+                     ? pc[candidates[i]] +
+                           gamma * tc[CandidateTileOfPoi(candidates[i])]
+                     : pc[candidates[i]];
     }
     FillRankedItems(candidates, fused.data(), request.top_n, &response);
   }
@@ -1225,7 +780,7 @@ void TspnRa::SaveWeights(const std::string& path) const {
 bool TspnRa::LoadWeights(const std::string& path) {
   std::vector<nn::Tensor> params = net_->Parameters();
   if (!nn::LoadParametersFromFile(params, path)) return false;
-  cache_state_.store(0);  // ET must be recomputed from the loaded weights
+  caches_built_.store(false);  // ET must be recomputed from the loaded weights
   return true;
 }
 
@@ -1238,7 +793,7 @@ bool TspnRa::LoadState(std::istream& in) {
   // inference caches built from them) untouched.
   std::vector<nn::Tensor> params = net_->Parameters();
   if (!nn::LoadParametersAtomic(params, in)) return false;
-  cache_state_.store(0);  // ET must be recomputed from the loaded weights
+  caches_built_.store(false);  // ET must be recomputed from the loaded weights
   return true;
 }
 

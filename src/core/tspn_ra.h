@@ -83,16 +83,6 @@ class TspnRa : public eval::NextPoiModel {
   const TspnRaConfig& config() const { return config_; }
   int64_t ParameterCount() const;
 
-  /// Whether int8 scoring is live: TSPN_QUANT_SCORING was set at cache-build
-  /// time AND the quantized caches passed the top-k parity gate against the
-  /// fp32 path on test-split probes. False means fp32 scoring — either the
-  /// knob is off or the gate tripped the fallback. Builds the caches if
-  /// needed.
-  bool QuantScoringActive() const {
-    EnsureInferenceCaches();
-    return quant_scoring_;
-  }
-
   /// All trainable parameters (for serialization).
   std::vector<nn::Tensor> Parameters() const;
 
@@ -113,13 +103,10 @@ class TspnRa : public eval::NextPoiModel {
   /// Batch-first inference, end to end: ForwardBatch() runs the sequence
   /// encoders for the whole batch as one packed forward (GEMM-shaped), the
   /// fused [batch, dm] outputs are scored against the cached normalized
-  /// leaf-tile and POI matrices with one GEMM per stage (fp32, or int8 when
-  /// quant scoring is active), and constraint filtering / top-k selection
-  /// run per request. Requests may differ in top_n and constraints;
-  /// per-request results are bitwise identical to RecommendImpl().
-  /// TSPN_DISABLE_BATCHED_ENCODER=1 restores the per-sample encoder loop
-  /// (A/B switch for the throughput bench); falls back to the serial loop
-  /// entirely when TSPN_DISABLE_INFERENCE_CACHE is set.
+  /// leaf-tile and POI matrices with one GEMM per stage, and constraint
+  /// filtering / top-k selection run per request. Requests may differ in
+  /// top_n and constraints; per-request results are bitwise identical to
+  /// RecommendImpl().
   std::vector<eval::RecommendResponse> RecommendBatchImpl(
       common::Span<eval::RecommendRequest> requests) const override;
 
@@ -183,12 +170,6 @@ class TspnRa : public eval::NextPoiModel {
   BatchForwardOut ForwardBatch(const std::vector<Features>& features,
                                const nn::Tensor& et) const;
 
-  /// Seed-style per-query encoder loop writing L2-normalized fused outputs
-  /// into row-major [batch, dm] buffers. A/B reference for ForwardBatch
-  /// (TSPN_DISABLE_BATCHED_ENCODER=1); bitwise-identical rows by contract.
-  void EncodeQueriesSerial(common::Span<eval::RecommendRequest> requests,
-                           float* h_tiles, float* h_pois) const;
-
   /// Per-sample training loss (Eq. 8): beta * loss_tile + loss_poi.
   nn::Tensor SampleLoss(const data::SampleRef& sample, const nn::Tensor& et,
                         common::Rng& rng) const;
@@ -239,12 +220,8 @@ class TspnRa : public eval::NextPoiModel {
 
   /// Cosines between h_tile and every candidate tile's ET row ([num_tiles]).
   /// Training path: gathers from the autograd-tracked `et` every call.
+  /// Inference scores against the cached leaf_et_cache_ instead.
   nn::Tensor TileCosinesFrom(const nn::Tensor& et, const nn::Tensor& h_tile) const;
-
-  /// Inference path: cosines against the cached, pre-normalized leaf-tile
-  /// matrix (EnsureInferenceCaches must have run). Falls back to the
-  /// per-query gather when TSPN_DISABLE_INFERENCE_CACHE is set.
-  nn::Tensor InferenceLeafCosines(const nn::Tensor& h_tile) const;
 
   /// Dense candidate-tile index containing a POI.
   int64_t CandidateTileOfPoi(int64_t poi_id) const;
@@ -285,67 +262,10 @@ class TspnRa : public eval::NextPoiModel {
   mutable nn::Tensor et_cache_;       // inference-time ET
   mutable nn::Tensor leaf_et_cache_;  // gathered + L2-normalized leaf rows
   mutable nn::Tensor poi_et_cache_;   // all POI embeddings, L2-normalized
-  // int8 scoring caches (TSPN_QUANT_SCORING): symmetric per-row quantized
-  // codes, scales and code L1 norms (for the rigorous quantization-error
-  // bound, see QuantFusedScores) of the two matrices above, and whether the
-  // quantized path survived the build-time top-k parity gate (false = fp32
-  // fallback). Built under cache_mutex_ and published by the cache_state_
-  // release store like the fp32 tensors.
-  mutable std::vector<int8_t> leaf_q_codes_;
-  mutable std::vector<float> leaf_q_scales_;
-  mutable std::vector<float> leaf_q_l1_;
-  mutable std::vector<int8_t> poi_q_codes_;
-  mutable std::vector<float> poi_q_scales_;
-  mutable std::vector<float> poi_q_l1_;
-  mutable bool quant_scoring_ = false;
-  /// Which mode the caches are built for: 0 = dirty/unbuilt, 1 = built with
-  /// the leaf/POI matrices, 2 = built without (cache-disabled A/B mode),
-  /// 3 = built with the leaf/POI matrices plus the int8 variant requested
-  /// (quant_scoring_ records whether the parity gate actually admitted it).
-  /// An atomic mode tag instead of a std::once_flag because Train() and
-  /// LoadWeights() re-dirty the caches and the A/B env switches can change
-  /// the requested mode between calls; a once_flag cannot be re-armed.
-  mutable std::atomic<int> cache_state_{0};
-
-  /// Builds the int8 caches from the fp32 ones and runs the parity gate
-  /// (top-k sets on test-split probes). Returns whether int8 scoring may
-  /// serve. Caller holds cache_mutex_; leaf/POI fp32 caches must be built.
-  bool BuildQuantCachesLocked() const;
-
-  /// A query row's int8 form: codes, scale, and code L1 norm (the query-side
-  /// inputs of the quantization-error bound).
-  struct QuantRow {
-    std::vector<int8_t> codes;
-    float scale = 0.0f;
-    float l1 = 0.0f;
-  };
-  static QuantRow QuantizeQueryRow(const float* row, int64_t dm);
-
-  /// int8 screen + fp32 rescue for the stage-1 tile scores. On entry
-  /// `tile_scores` holds the dequantized int8 cosines of all
-  /// leaf_tile_ids_.size() tiles for the normalized query row `ht_row`;
-  /// on exit every tile that can reach the true fp32 top-`k` (by the sound
-  /// per-pair quantization-error bound) carries its exact fp32 cosine, so a
-  /// (score desc, index asc) top-`k` selection over the array returns the
-  /// fp32 top-`k` prefix bitwise — set AND order. Tiles outside the rescue
-  /// band keep their int8 approximation (provably below the k-th true
-  /// score, so they cannot reach the prefix).
-  void ExactTileHybrid(const float* ht_row, const QuantRow& q, int64_t k,
-                       float* tile_scores) const;
-
-  /// Quant stage-2: fused candidate scores pc + gamma*tc with pc from the
-  /// int8 POI cache, refined so that every candidate that can reach the
-  /// true fp32 top-`top_n` carries its exact fp32 fused score. `pc_q_row`
-  /// optionally supplies precomputed dequantized int8 scores for ALL POIs
-  /// (the batched Int8ScoreGemm row); when null the per-candidate Int8Dot
-  /// produces bitwise-identical values (exact integer accumulation).
-  /// `tc` must hold exact fp32 values at every candidate's tile (nullptr
-  /// when two-step fusion is off). The resulting top-`top_n` of `scores`
-  /// (FillRankedItems order) is bitwise the fp32 path's.
-  void QuantFusedScores(const float* hp_row, const QuantRow& q,
-                        const std::vector<int64_t>& candidates,
-                        const float* pc_q_row, const float* tc, float gamma,
-                        int64_t top_n, float* scores) const;
+  /// Whether the three caches above match the current weights. Train(),
+  /// TrainOnline() and the weight loaders clear it; EnsureInferenceCaches()
+  /// rebuilds and sets it.
+  mutable std::atomic<bool> caches_built_{false};
 };
 
 }  // namespace tspn::core

@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "spatial/grid_index.h"
 
 namespace tspn::eval {
@@ -126,11 +125,6 @@ class FenceCache {
     return it->second;
   }
 
-  void CountMiss() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-  }
-
   FenceCacheStats Stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return {hits_, misses_};
@@ -215,15 +209,9 @@ ConstraintEvaluator::ConstraintEvaluator(const data::CityDataset& dataset,
   }
 
   if (constraints.geo_radius_km > 0.0) {
-    if (common::EnvInt("TSPN_DISABLE_FENCE_CACHE", 0) != 0) {
-      fence_ = CompileFence(dataset.profile().bbox, constraints.geo_center,
-                            constraints.geo_radius_km);
-      FenceCache::Global().CountMiss();
-    } else {
-      fence_ = FenceCache::Global().Get(dataset.profile().bbox,
-                                        constraints.geo_center,
-                                        constraints.geo_radius_km);
-    }
+    fence_ = FenceCache::Global().Get(dataset.profile().bbox,
+                                      constraints.geo_center,
+                                      constraints.geo_radius_km);
   }
 }
 

@@ -28,8 +28,6 @@ struct FenceClassification;
 /// recurring fence — e.g. one fixed city-center fence across millions of
 /// queries — classifies its grid once and every later evaluator reuses the
 /// shared immutable classification (see FenceClassificationCacheStats).
-/// TSPN_DISABLE_FENCE_CACHE=1 restores per-request compilation (A/B +
-/// parity testing).
 ///
 /// The referenced dataset and constraints must outlive the evaluator.
 class ConstraintEvaluator {
@@ -85,7 +83,7 @@ class ConstraintEvaluator {
 /// Hit/miss counters of the process-wide fence-classification cache.
 struct FenceCacheStats {
   int64_t hits = 0;
-  int64_t misses = 0;  ///< compilations (cache disabled counts here too)
+  int64_t misses = 0;  ///< compilations
 };
 
 FenceCacheStats FenceClassificationCacheStats();

@@ -1,6 +1,7 @@
 #ifndef TSPN_EVAL_RECOMMEND_H_
 #define TSPN_EVAL_RECOMMEND_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,13 @@ struct CandidateConstraints {
   bool Active() const {
     return geo_radius_km > 0.0 || !allowed_categories.empty() ||
            !blocked_categories.empty() || exclude_visited || open_at >= 0;
+  }
+
+  /// Whether the fence fields are finite. Request validators reject a NaN
+  /// or infinite center or radius: such a fence has no meaningful extent.
+  bool FenceFinite() const {
+    return std::isfinite(geo_center.lat) && std::isfinite(geo_center.lon) &&
+           std::isfinite(geo_radius_km);
   }
 };
 

@@ -1,7 +1,6 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -211,92 +210,6 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
         } else {
           *dst = s;
         }
-      }
-    }
-  }
-}
-
-void QuantizeRowsInt8(const float* src, int64_t rows, int64_t cols,
-                      int8_t* codes, float* scales) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* x = src + r * cols;
-    int8_t* q = codes + r * cols;
-    float max_abs = 0.0f;
-    for (int64_t c = 0; c < cols; ++c) max_abs = std::max(max_abs, std::fabs(x[c]));
-    if (max_abs == 0.0f) {
-      scales[r] = 0.0f;
-      std::fill(q, q + cols, static_cast<int8_t>(0));
-      continue;
-    }
-    const float scale = max_abs / 127.0f;
-    scales[r] = scale;
-    for (int64_t c = 0; c < cols; ++c) {
-      long v = std::lround(x[c] / scale);
-      q[c] = static_cast<int8_t>(std::clamp<long>(v, -127, 127));
-    }
-  }
-}
-
-namespace {
-
-#ifdef TSPN_KERNELS_AVX2
-
-inline int32_t Int8DotImpl(const int8_t* y, const int8_t* z, int64_t r_len) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t r = 0;
-  for (; r + 16 <= r_len; r += 16) {
-    __m256i y16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + r)));
-    __m256i z16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(z + r)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(y16, z16));
-  }
-  __m128i lo = _mm256_castsi256_si128(acc);
-  __m128i hi = _mm256_extracti128_si256(acc, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_hadd_epi32(lo, lo);
-  lo = _mm_hadd_epi32(lo, lo);
-  int32_t s = _mm_cvtsi128_si32(lo);
-  for (; r < r_len; ++r) s += static_cast<int32_t>(y[r]) * z[r];
-  return s;
-}
-
-#else  // portable fallback
-
-inline int32_t Int8DotImpl(const int8_t* y, const int8_t* z, int64_t r_len) {
-  int32_t s = 0;
-  for (int64_t r = 0; r < r_len; ++r) s += static_cast<int32_t>(y[r]) * z[r];
-  return s;
-}
-
-#endif  // TSPN_KERNELS_AVX2
-
-}  // namespace
-
-int32_t Int8Dot(const int8_t* y, const int8_t* z, int64_t r_len) {
-  return Int8DotImpl(y, z, r_len);
-}
-
-void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
-                   const float* z_scales, float* c, int64_t p_rows,
-                   int64_t q_rows, int64_t r_len) {
-  if (p_rows <= 0 || q_rows <= 0) return;
-  if (r_len <= 0) {
-    std::fill(c, c + p_rows * q_rows, 0.0f);
-    return;
-  }
-  // Blocking over q keeps the active Z code rows in L1, mirroring the fp32
-  // kernel; because the accumulation is exact integer math, the blocking
-  // has no effect on the result.
-  for (int64_t qb = 0; qb < q_rows; qb += kBlockQ) {
-    const int64_t qe = std::min(qb + kBlockQ, q_rows);
-    for (int64_t p = 0; p < p_rows; ++p) {
-      const int8_t* yp = y + p * r_len;
-      const float sy = y_scales[p];
-      float* dst = c + p * q_rows;
-      for (int64_t q = qb; q < qe; ++q) {
-        const int32_t acc = Int8DotImpl(yp, z + q * r_len, r_len);
-        dst[q] = static_cast<float>(acc) * (sy * z_scales[q]);
       }
     }
   }

@@ -24,6 +24,10 @@ int NumThreads();
 ///
 /// With `accumulate` false C is overwritten, otherwise the products are
 /// added into C (the gradient-accumulation mode).
+///
+/// Rows are independent: each output row is bitwise what a 1-row call on
+/// that Y row gives, whatever p_rows is. Batched inference relies on this
+/// to match the per-query path exactly.
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate);
 
@@ -31,29 +35,6 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
 /// O(rows*cols); used to feed DotProductGemm operands that are needed
 /// column-major (B in the forward pass, A and dOut in the dB pass).
 std::vector<float> TransposeCopy(const float* src, int64_t rows, int64_t cols);
-
-/// Symmetric per-row int8 quantization: codes[i, :] = round(src[i, :] / s_i)
-/// with s_i = max|src[i, :]| / 127 written to scales[i]. An all-zero row gets
-/// scale 0 and all-zero codes. `codes` holds rows*cols int8, `scales` rows
-/// floats. Round-half-away-from-zero, so the mapping is deterministic and
-/// the codes stay in [-127, 127].
-void QuantizeRowsInt8(const float* src, int64_t rows, int64_t cols,
-                      int8_t* codes, float* scales);
-
-/// Exact int8 dot product: sum_r y[r] * z[r] accumulated in int32.
-int32_t Int8Dot(const int8_t* y, const int8_t* z, int64_t r_len);
-
-/// The int8 scoring GEMM behind TSPN_QUANT_SCORING:
-///
-///   C[p, q] = float(sum_r Yq[p, r] * Zq[q, r]) * (y_scales[p] * z_scales[q])
-///
-/// with Yq [p_rows, r_len] and Zq [q_rows, r_len] int8 codes from
-/// QuantizeRowsInt8. The integer accumulation is exact, so — unlike the fp32
-/// kernel — the result is independent of blocking and vectorization; a
-/// single Int8Dot per element reproduces it bitwise.
-void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
-                   const float* z_scales, float* c, int64_t p_rows,
-                   int64_t q_rows, int64_t r_len);
 
 /// Transpose into a reusable per-thread scratch buffer instead of a fresh
 /// heap allocation: at the small sizes that dominate this model (64-128) the

@@ -86,8 +86,6 @@ PlannerOptions PlannerOptions::FromEnv() {
   options.mcts_exploration = std::clamp(
       common::EnvDouble("TSPN_PLAN_MCTS_EXPLORATION", options.mcts_exploration),
       0.0, 1e6);
-  options.serial_reference =
-      common::EnvInt("TSPN_PLAN_SERIAL_REFERENCE", 0) != 0;
   return options;
 }
 
@@ -289,6 +287,9 @@ bool ItineraryPlanner::Validate(const ItineraryRequest& request,
   }
   if (request.mode != SearchMode::kBeam && request.mode != SearchMode::kMcts) {
     return fail("unknown search mode");
+  }
+  if (!request.constraints.FenceFinite()) {
+    return fail("geo_center and geo_radius_km must be finite");
   }
   const auto& users = dataset.users();
   if (request.start.user < 0 ||

@@ -110,8 +110,10 @@ using BatchScoreFn = std::function<std::vector<eval::RecommendResponse>(
 ///                               stop's leaf; 0 disables           (0)
 ///   TSPN_PLAN_MCTS_ITERS        UCT iterations in kMcts mode       (128)
 ///   TSPN_PLAN_MCTS_EXPLORATION  UCT exploration constant           (1.4)
-///   TSPN_PLAN_SERIAL_REFERENCE  1 = score expansions one query at a
-///                               time (the parity reference path)   (0)
+///
+/// `serial_reference` has no environment override: it scores expansions
+/// one query at a time, the parity reference that tests and the demo set
+/// in code.
 struct PlannerOptions {
   int32_t beam_width = 4;
   int32_t candidates_per_expansion = 8;

@@ -55,6 +55,9 @@ void SetError(std::string* error, const std::string& message) {
 std::string ValidateRequest(const data::CityDataset& dataset,
                             const eval::RecommendRequest& request) {
   if (request.top_n < 0) return "top_n must be non-negative";
+  if (!request.constraints.FenceFinite()) {
+    return "geo_center and geo_radius_km must be finite";
+  }
   const auto& users = dataset.users();
   if (request.sample.user < 0 ||
       static_cast<size_t>(request.sample.user) >= users.size()) {

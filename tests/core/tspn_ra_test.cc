@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -77,28 +78,6 @@ TEST_F(TspnRaTest, RankTilesTopKMatchesFullSortPrefix) {
   }
 }
 
-TEST_F(TspnRaTest, CachedInferenceMatchesUncachedPath) {
-  // The cached leaf-matrix + partial-sort inference path must recommend
-  // exactly what the per-query gather + full-sort path (the seed behavior,
-  // kept behind TSPN_DISABLE_INFERENCE_CACHE) recommends.
-  TspnRa model(dataset_, TinyConfig());
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_FALSE(samples.empty());
-  const size_t count = std::min<size_t>(4, samples.size());
-  std::vector<std::vector<int64_t>> cached_recs, cached_tiles;
-  for (size_t s = 0; s < count; ++s) {
-    cached_recs.push_back(model.RecommendWithK(samples[s], 10, 3));
-    cached_tiles.push_back(model.RankTiles(samples[s]));
-  }
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  for (size_t s = 0; s < count; ++s) {
-    EXPECT_EQ(model.RecommendWithK(samples[s], 10, 3), cached_recs[s])
-        << "sample " << s;
-    EXPECT_EQ(model.RankTiles(samples[s]), cached_tiles[s]) << "sample " << s;
-  }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
-}
-
 TEST_F(TspnRaTest, RecommendBatchMatchesSingleQuery) {
   // The batched GEMM path must return exactly what per-query Recommend
   // returns, for every query in the batch, at several batch sizes (including
@@ -151,21 +130,6 @@ TEST_F(TspnRaTest, RecommendBatchParityAfterTrainingAndOnAblations) {
       EXPECT_EQ(batched[i], model.Recommend(query[i], 10)) << "query " << i;
     }
   }
-}
-
-TEST_F(TspnRaTest, RecommendBatchFallsBackWhenCacheDisabled) {
-  TspnRa model(dataset_, TinyConfig());
-  auto samples = dataset_->Samples(data::Split::kTest);
-  std::vector<data::SampleRef> query(samples.begin(),
-                                     samples.begin() +
-                                         std::min<size_t>(3, samples.size()));
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  std::vector<std::vector<int64_t>> batched =
-      model.RecommendBatch(common::Span<data::SampleRef>(query), 10);
-  for (size_t i = 0; i < query.size(); ++i) {
-    EXPECT_EQ(batched[i], model.Recommend(query[i], 10)) << "query " << i;
-  }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
 }
 
 TEST_F(TspnRaTest, BatchedEvaluationMatchesSerialEvaluation) {
@@ -343,11 +307,9 @@ TEST_F(TspnRaTest, LoadWeightsRejectsMismatchedArchitecture) {
   EXPECT_FALSE(b.LoadWeights(path));
 }
 
-TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
-  // The v2 scored response must rank exactly as the v1 id list on both the
-  // cached and the cache-disabled inference paths; scores agree across the
-  // two paths to float precision (the cached leaf matrix is re-normalized,
-  // an identity up to ulps on the already-unit-norm ET rows).
+TEST_F(TspnRaTest, ScoredV2MatchesV1Ranking) {
+  // The v2 scored response must rank exactly as the v1 id list, with
+  // descending scores and valid tile indices.
   TspnRa model(dataset_, TinyConfig());
   eval::TrainOptions options;
   options.epochs = 1;
@@ -356,7 +318,6 @@ TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
   const size_t count = std::min<size_t>(4, samples.size());
-  std::vector<eval::RecommendResponse> cached;
   for (size_t s = 0; s < count; ++s) {
     eval::RecommendRequest request;
     request.sample = samples[s];
@@ -372,207 +333,63 @@ TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
       EXPECT_GE(item.tile_index, 0);
       EXPECT_LT(item.tile_index, model.NumCandidateTiles());
     }
-    cached.push_back(std::move(response));
   }
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  for (size_t s = 0; s < count; ++s) {
-    eval::RecommendRequest request;
-    request.sample = samples[s];
-    request.top_n = 10;
-    eval::RecommendResponse uncached = model.Recommend(request);
-    ASSERT_EQ(uncached.items.size(), cached[s].items.size()) << "sample " << s;
-    for (size_t i = 0; i < uncached.items.size(); ++i) {
-      EXPECT_EQ(uncached.items[i].poi_id, cached[s].items[i].poi_id)
-          << "sample " << s << " rank " << i;
-      EXPECT_NEAR(uncached.items[i].score, cached[s].items[i].score, 1e-5)
-          << "sample " << s << " rank " << i;
-    }
-  }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
 }
 
 TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
-  // The batched GEMM path must reproduce per-query scores bitwise — same
-  // accumulation order in the kernel — for plain and constrained requests
-  // alike, at several batch sizes.
-  TspnRa model(dataset_, TinyConfig());
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 24;
-  model.Train(options);
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_GE(samples.size(), 2u);
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{9}}) {
-    std::vector<eval::RecommendRequest> requests(batch);
-    for (size_t i = 0; i < batch; ++i) {
-      requests[i].sample = samples[i % samples.size()];
-      requests[i].top_n = 5 + static_cast<int64_t>(i % 3) * 5;  // mixed top_n
-      if (i % 2 == 1) {
-        requests[i].constraints.geo_center = dataset_->profile().bbox.Center();
-        requests[i].constraints.geo_radius_km = 5.0;
-        requests[i].constraints.exclude_visited = true;
-      }
-    }
-    std::vector<eval::RecommendResponse> batched =
-        model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
-    ASSERT_EQ(batched.size(), batch);
-    for (size_t i = 0; i < batch; ++i) {
-      eval::RecommendResponse single = model.Recommend(requests[i]);
-      ASSERT_EQ(batched[i].items.size(), single.items.size())
-          << "batch=" << batch << " query " << i;
-      EXPECT_EQ(batched[i].tiles_screened, single.tiles_screened);
-      for (size_t r = 0; r < single.items.size(); ++r) {
-        EXPECT_EQ(batched[i].items[r].poi_id, single.items[r].poi_id)
-            << "batch=" << batch << " query " << i << " rank " << r;
-        EXPECT_EQ(batched[i].items[r].score, single.items[r].score)
-            << "batch=" << batch << " query " << i << " rank " << r;
-        EXPECT_EQ(batched[i].items[r].tile_index, single.items[r].tile_index);
-      }
-    }
-  }
-}
-
-TEST_F(TspnRaTest, BatchedEncoderBitwiseMatchesPerSampleEncoderAb) {
-  // The packed one-GEMM encoder forward must reproduce the per-sample
-  // encoder loop (TSPN_DISABLE_BATCHED_ENCODER=1, the seed behavior)
-  // bitwise: same POI ids AND same float scores, across batch sizes
-  // straddling the GEMM tile boundary, on fresh and trained weights, and
-  // with the two-step screen ablated.
+  // The batched path (packed encoder forward + one scoring GEMM per stage)
+  // must reproduce per-query scores bitwise, for plain and constrained
+  // requests alike, at batch sizes straddling the 4-row GEMM tile, on fresh
+  // and trained weights, and with the two-step screen ablated.
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 24;
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_GE(samples.size(), 2u);
-  std::vector<TspnRaConfig> configs;
-  configs.push_back(TinyConfig());
-  {
-    TspnRaConfig c = TinyConfig();
-    c.use_two_step = false;
-    configs.push_back(c);
-  }
+  TspnRaConfig one_step = TinyConfig();
+  one_step.use_two_step = false;
   for (bool trained : {false, true}) {
-    for (const TspnRaConfig& config : configs) {
+    for (const TspnRaConfig& config : {TinyConfig(), one_step}) {
       TspnRa model(dataset_, config);
       if (trained) model.Train(options);
-      for (size_t batch : {size_t{1}, size_t{4}, size_t{7}}) {
+      for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
+                           size_t{9}}) {
         std::vector<eval::RecommendRequest> requests(batch);
         for (size_t i = 0; i < batch; ++i) {
           requests[i].sample = samples[i % samples.size()];
+          requests[i].top_n = 5 + static_cast<int64_t>(i % 3) * 5;  // mixed
+          if (i % 2 == 1) {
+            requests[i].constraints.geo_center =
+                dataset_->profile().bbox.Center();
+            requests[i].constraints.geo_radius_km = 5.0;
+            requests[i].constraints.exclude_visited = true;
+          }
         }
-        std::vector<eval::RecommendResponse> packed =
-            model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
-        setenv("TSPN_DISABLE_BATCHED_ENCODER", "1", 1);
-        std::vector<eval::RecommendResponse> serial =
-            model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
-        unsetenv("TSPN_DISABLE_BATCHED_ENCODER");
-        ASSERT_EQ(packed.size(), serial.size());
+        std::vector<eval::RecommendResponse> batched = model.RecommendBatch(
+            common::Span<eval::RecommendRequest>(requests));
+        ASSERT_EQ(batched.size(), batch);
         for (size_t i = 0; i < batch; ++i) {
-          ASSERT_EQ(packed[i].items.size(), serial[i].items.size())
-              << "trained=" << trained << " batch=" << batch << " query " << i;
-          for (size_t r = 0; r < packed[i].items.size(); ++r) {
-            EXPECT_EQ(packed[i].items[r].poi_id, serial[i].items[r].poi_id)
-                << "trained=" << trained << " batch=" << batch << " query "
-                << i << " rank " << r;
-            EXPECT_EQ(packed[i].items[r].score, serial[i].items[r].score)
-                << "trained=" << trained << " batch=" << batch << " query "
-                << i << " rank " << r;
+          eval::RecommendResponse single = model.Recommend(requests[i]);
+          const std::string where =
+              "trained=" + std::to_string(trained) +
+              " two_step=" + std::to_string(config.use_two_step) +
+              " batch=" + std::to_string(batch) + " query " +
+              std::to_string(i);
+          ASSERT_EQ(batched[i].items.size(), single.items.size()) << where;
+          EXPECT_EQ(batched[i].stages_used, single.stages_used) << where;
+          EXPECT_EQ(batched[i].tiles_screened, single.tiles_screened) << where;
+          for (size_t r = 0; r < single.items.size(); ++r) {
+            EXPECT_EQ(batched[i].items[r].poi_id, single.items[r].poi_id)
+                << where << " rank " << r;
+            EXPECT_EQ(batched[i].items[r].score, single.items[r].score)
+                << where << " rank " << r;
+            EXPECT_EQ(batched[i].items[r].tile_index,
+                      single.items[r].tile_index)
+                << where << " rank " << r;
           }
         }
       }
     }
-  }
-}
-
-TEST_F(TspnRaTest, QuantScoringPreservesTopKExactly) {
-  // TSPN_QUANT_SCORING=1 must not change the recommended top-k on the seed
-  // dataset — and with the int8-screen + fp32-rescue design the guarantee
-  // is bitwise: same POI ids, same scores, same order. The build-time
-  // parity gate replays the first 128 test-split samples (a superset of
-  // the queries below) and must admit int8 on this checkpoint; a rejection
-  // would mean the error-bound rescue has a bug.
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 24;
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_GE(samples.size(), 2u);
-  const size_t count = std::min<size_t>(12, samples.size());
-  for (bool trained : {false, true}) {
-    TspnRa fp32_model(dataset_, TinyConfig());
-    TspnRa quant_model(dataset_, TinyConfig());
-    if (trained) {
-      fp32_model.Train(options);
-      quant_model.Train(options);
-    }
-    std::vector<eval::RecommendRequest> requests(count);
-    for (size_t i = 0; i < count; ++i) requests[i].sample = samples[i];
-    std::vector<eval::RecommendResponse> fp32_batch = fp32_model.RecommendBatch(
-        common::Span<eval::RecommendRequest>(requests));
-    setenv("TSPN_QUANT_SCORING", "1", 1);
-    std::vector<eval::RecommendResponse> quant_batch =
-        quant_model.RecommendBatch(
-            common::Span<eval::RecommendRequest>(requests));
-    EXPECT_TRUE(quant_model.QuantScoringActive())
-        << "the parity gate must admit int8 on the seed checkpoint";
-    for (size_t i = 0; i < count; ++i) {
-      // Serial and batched quant scoring share exact integer accumulation
-      // and the same fp32 rescue: the single-query path must return the
-      // very same items.
-      eval::RecommendResponse single = quant_model.Recommend(requests[i]);
-      ASSERT_EQ(single.items.size(), quant_batch[i].items.size());
-      for (size_t r = 0; r < single.items.size(); ++r) {
-        EXPECT_EQ(single.items[r].poi_id, quant_batch[i].items[r].poi_id);
-        EXPECT_EQ(single.items[r].score, quant_batch[i].items[r].score);
-      }
-      // And against fp32 the response is bitwise-identical: every candidate
-      // that can reach the top-n is rescored in fp32, the rest provably
-      // cannot displace it.
-      ASSERT_EQ(fp32_batch[i].items.size(), quant_batch[i].items.size())
-          << "trained=" << trained << " query " << i;
-      for (size_t r = 0; r < fp32_batch[i].items.size(); ++r) {
-        EXPECT_EQ(fp32_batch[i].items[r].poi_id, quant_batch[i].items[r].poi_id)
-            << "trained=" << trained << " query " << i << " rank " << r;
-        EXPECT_EQ(fp32_batch[i].items[r].score, quant_batch[i].items[r].score)
-            << "trained=" << trained << " query " << i << " rank " << r;
-      }
-    }
-    unsetenv("TSPN_QUANT_SCORING");
-  }
-}
-
-TEST_F(TspnRaTest, QuantScoringInactiveWithoutKnobAndOnAblation) {
-  // Without TSPN_QUANT_SCORING the caches stay fp32-only and
-  // QuantScoringActive() reports it; with the knob, constrained and
-  // no-two-step queries keep returning fp32-identical responses too (the
-  // widening redo and the tc=nullptr fusion paths).
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_FALSE(samples.empty());
-  TspnRa model(dataset_, TinyConfig());
-  model.Recommend(samples[0], 10);  // builds fp32 caches
-  EXPECT_FALSE(model.QuantScoringActive());
-
-  TspnRaConfig one_step = TinyConfig();
-  one_step.use_two_step = false;
-  for (const TspnRaConfig& config : {TinyConfig(), one_step}) {
-    TspnRa fp32_model(dataset_, config);
-    setenv("TSPN_QUANT_SCORING", "1", 1);
-    TspnRa quant_model(dataset_, config);
-    for (size_t s = 0; s < std::min<size_t>(4, samples.size()); ++s) {
-      eval::RecommendRequest request;
-      request.sample = samples[s];
-      request.constraints.geo_center = dataset_->profile().bbox.Center();
-      request.constraints.geo_radius_km = 4.0;
-      request.constraints.exclude_visited = true;
-      eval::RecommendResponse quant = quant_model.Recommend(request);
-      unsetenv("TSPN_QUANT_SCORING");
-      eval::RecommendResponse fp32 = fp32_model.Recommend(request);
-      setenv("TSPN_QUANT_SCORING", "1", 1);
-      ASSERT_EQ(quant.items.size(), fp32.items.size()) << "sample " << s;
-      for (size_t r = 0; r < quant.items.size(); ++r) {
-        EXPECT_EQ(quant.items[r].poi_id, fp32.items[r].poi_id);
-        EXPECT_EQ(quant.items[r].score, fp32.items[r].score);
-      }
-    }
-    unsetenv("TSPN_QUANT_SCORING");
   }
 }
 

@@ -1,11 +1,10 @@
 // Fence-classification cache tests: a recurring geo fence must be compiled
 // once and shared (hits counted), cached and fresh evaluations must agree
-// on every POI, and full model rankings must be bit-identical with the
-// cache on vs off (TSPN_DISABLE_FENCE_CACHE).
+// on every POI, and full model rankings must be bit-identical whether the
+// fence was compiled for the request or read from the cache. A fresh
+// compilation is forced by clearing the cache first.
 
 #include "eval/constraints.h"
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -21,10 +20,7 @@ class ConstraintsCacheTest : public ::testing::Test {
     dataset_ = data::CityDataset::Generate(data::CityProfile::TestTiny());
   }
   void SetUp() override { ClearFenceClassificationCache(); }
-  void TearDown() override {
-    unsetenv("TSPN_DISABLE_FENCE_CACHE");
-    ClearFenceClassificationCache();
-  }
+  void TearDown() override { ClearFenceClassificationCache(); }
 
   static CandidateConstraints Fence(double radius_km) {
     CandidateConstraints c;
@@ -70,14 +66,14 @@ TEST_F(ConstraintsCacheTest, CachedAndFreshEvaluationAgreeOnEveryPoi) {
   for (double radius_km : {0.8, 2.0, 5.0}) {
     const CandidateConstraints fence = Fence(radius_km);
 
-    // Fresh compilation (cache bypassed).
-    setenv("TSPN_DISABLE_FENCE_CACHE", "1", 1);
+    // Fresh compilation: the cache is empty, so this evaluator compiles.
+    ClearFenceClassificationCache();
     ConstraintEvaluator fresh(*dataset_, fence, sample);
+    ASSERT_EQ(FenceClassificationCacheStats().misses, 1);
 
-    // Cached: first evaluator compiles into the cache, second reads it.
-    unsetenv("TSPN_DISABLE_FENCE_CACHE");
-    ConstraintEvaluator warmup(*dataset_, fence, sample);
+    // Cached: the next evaluator reads what the first one compiled.
     ConstraintEvaluator cached(*dataset_, fence, sample);
+    ASSERT_EQ(FenceClassificationCacheStats().hits, 1);
 
     for (int64_t poi = 0; poi < static_cast<int64_t>(dataset_->pois().size());
          ++poi) {
@@ -111,9 +107,9 @@ TEST_F(ConstraintsCacheTest, ModelRankingsAreBitIdenticalCachedVsFresh) {
     request.constraints = Fence(2.5);
     request.constraints.exclude_visited = (i % 2 == 1);
 
-    setenv("TSPN_DISABLE_FENCE_CACHE", "1", 1);
+    ClearFenceClassificationCache();
     const RecommendResponse fresh = model.Recommend(request);
-    unsetenv("TSPN_DISABLE_FENCE_CACHE");
+    ASSERT_EQ(FenceClassificationCacheStats().hits, 0) << "sample " << i;
     const RecommendResponse cached = model.Recommend(request);
     const RecommendResponse cached_again = model.Recommend(request);
 

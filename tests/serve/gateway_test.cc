@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -409,6 +410,64 @@ TEST_F(GatewayTest, ServeFrameRoundTripsTheWireProtocol) {
                 gateway.ServeFrame(EncodeRecommendRequest("wire", request)),
                 &response),
             DecodeStatus::kOk);
+}
+
+TEST_F(GatewayTest, NonFiniteFenceGetsInvalidRequestFrame) {
+  // The codec accepts any double for the fence fields; a NaN center or an
+  // infinite radius must come back as a typed invalid-request error frame
+  // instead of reaching the fence compiler, and the endpoint keeps serving.
+  Gateway gateway;
+  std::string error;
+  ASSERT_TRUE(gateway.Deploy("wire", TspnConfig(), &error)) << error;
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  eval::RecommendRequest request;
+  request.sample = dataset_->Samples(data::Split::kTest).at(0);
+  request.top_n = 5;
+  request.constraints.geo_center = dataset_->profile().bbox.Center();
+  request.constraints.geo_radius_km = 3.0;
+
+  std::vector<eval::CandidateConstraints> bad_fences(4, request.constraints);
+  bad_fences[0].geo_center.lat = nan;
+  bad_fences[1].geo_center.lon = nan;
+  bad_fences[2].geo_radius_km = inf;
+  bad_fences[3].geo_radius_km = nan;
+  for (size_t i = 0; i < bad_fences.size(); ++i) {
+    eval::RecommendRequest bad = request;
+    bad.constraints = bad_fences[i];
+    std::string message;
+    ErrorCode code = ErrorCode::kGeneric;
+    // A v2 frame, so the error reply carries its code.
+    ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(EncodeRecommendRequest(
+                                   "wire", bad, AdmissionClass{})),
+                               &message, &code),
+              DecodeStatus::kOk)
+        << "fence " << i;
+    EXPECT_EQ(code, ErrorCode::kInvalidRequest) << "fence " << i;
+    EXPECT_NE(message.find("finite"), std::string::npos) << message;
+  }
+
+  // Itineraries carry the same constraints and the same check.
+  plan::ItineraryRequest itinerary;
+  itinerary.start = request.sample;
+  itinerary.constraints = bad_fences[2];
+  std::string message;
+  ErrorCode code = ErrorCode::kGeneric;
+  ASSERT_EQ(DecodeErrorFrame(
+                gateway.ServeFrame(EncodeItineraryRequest("wire", itinerary)),
+                &message, &code),
+            DecodeStatus::kOk);
+  EXPECT_EQ(code, ErrorCode::kInvalidRequest);
+  EXPECT_NE(message.find("finite"), std::string::npos) << message;
+
+  // The endpoint survived, and a finite fence still serves.
+  eval::RecommendResponse response;
+  ASSERT_EQ(DecodeRecommendResponse(
+                gateway.ServeFrame(EncodeRecommendRequest("wire", request)),
+                &response),
+            DecodeStatus::kOk);
+  ExpectBitIdentical(response, reference_->Recommend(request));
 }
 
 TEST_F(GatewayTest, LifecycleRacesSubmittersWithoutCrashOrHang) {
