@@ -1,10 +1,10 @@
 // Itinerary-mode demo and tier-1 smoke: constrained k-stop trip planning
-// served end to end over the v4 wire protocol.
+// served end to end over the TSWP wire protocol.
 //
 //   1. A tiny synthetic city is generated and a TSPN-RA checkpoint is
 //      trained (or restored from a previous run).
 //   2. The gateway deploys endpoint "city"; every itinerary request is
-//      encoded as a version-4 kItineraryRequest frame and served through
+//      encoded as a kItineraryRequest frame and served through
 //      Gateway::ServeFrame — the same bytes a cluster router would
 //      forward to a shard.
 //   3. Each decoded plan is re-checked *independently* of the planner:
@@ -208,7 +208,7 @@ int main() {
     return 1;
   }
 
-  std::printf("planning %d itineraries over the v4 wire...\n", 8);
+  std::printf("planning %d itineraries over the wire...\n", 8);
   int plans_checked = 0;
   for (int i = 0; i < 8; ++i) {
     plan::ItineraryRequest request;
@@ -224,7 +224,7 @@ int main() {
       request.start_time = 1700000000 + 7200 * i;
     }
 
-    // The wire path: encode v4, serve, decode.
+    // The wire path: encode, serve, decode.
     const std::vector<uint8_t> frame =
         serve::EncodeItineraryRequest("city", request);
     const std::vector<uint8_t> reply = gateway.ServeFrame(frame);

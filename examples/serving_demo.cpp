@@ -23,7 +23,7 @@
 //
 // `--storm` runs the overload smoke instead: a deliberately narrow
 // deployment takes several times its queue capacity in pipelined
-// mixed-priority v2 frames, and the process exits non-zero on any hung
+// mixed-priority frames, and the process exits non-zero on any hung
 // reply, malformed shed frame, or counter mismatch.
 //
 // Knobs (docs/operations.md): TSPN_SERVE_THREADS, TSPN_SERVE_QUEUE_DEPTH,
@@ -87,7 +87,7 @@ serve::DeployStatus AwaitSettled(const serve::Gateway& gateway,
 
 /// `--storm`: the overload smoke. A deliberately narrow deployment (one
 /// worker, tiny queue, slow coalescing drain) takes several times its
-/// queue capacity in pipelined mixed-priority v2 frames over TCP. Exits
+/// queue capacity in pipelined mixed-priority frames over TCP. Exits
 /// non-zero on any hung reply, malformed shed frame, or a client/server
 /// counter mismatch — the graceful-degradation contract, checked end to
 /// end (docs/operations.md "Overload runbook").
@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
                 server.options().io_threads);
   }
 
-  // 3. Wire traffic: each client encodes requests with the versioned codec.
+  // 3. Wire traffic: each client encodes requests with the TSWP codec.
   // The harbor clients add a geo fence to show constrained frames.
   const std::vector<data::SampleRef> uptown_samples =
       uptown->Samples(data::Split::kTest);

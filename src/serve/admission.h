@@ -10,11 +10,11 @@ namespace tspn::serve {
 /// Request priority classes, ordered: a higher value is served first and may
 /// evict queued work of a strictly lower class under overload. The wire
 /// encoding (serve/codec.h) carries the raw uint8 value, so the numeric
-/// assignments are part of the v2 wire contract and must never be reordered.
+/// assignments are part of the wire contract and must never be reordered.
 enum class Priority : uint8_t {
   kBackground = 0,  ///< best-effort (backfills, cache warmers)
   kBulk = 1,        ///< throughput-oriented batch traffic
-  kInteractive = 2, ///< user-facing; the default for v1 frames and callers
+  kInteractive = 2, ///< user-facing; the default for callers
 };
 
 /// Highest valid Priority value; anything above it is malformed on the wire.
@@ -23,9 +23,9 @@ inline constexpr uint8_t kMaxPriority = 2;
 /// Human-readable class name ("kInteractive", ...), for logs and errors.
 const char* PriorityName(Priority priority);
 
-/// Per-request admission parameters, carried by v2 request frames and by the
-/// class-aware submit overloads. The defaults reproduce v1 behavior exactly:
-/// interactive class, no deadline.
+/// Per-request admission parameters, carried by every request frame and by
+/// the class-aware submit overloads. The defaults are the interactive class
+/// with no deadline.
 struct AdmissionClass {
   /// Relative completion budget in milliseconds, measured from submit.
   /// 0 disables the deadline (the engine may still impose

@@ -18,14 +18,6 @@ int64_t ElapsedMs(Clock::time_point since) {
       .count();
 }
 
-/// Encodes an error at the requester's wire version: v2+ requesters get the
-/// typed code; v1 requesters get the message-only layout they can decode.
-std::vector<uint8_t> ErrorAt(uint32_t wire_version, const std::string& message,
-                             ErrorCode code) {
-  if (wire_version >= 2) return EncodeErrorFrame(message, code);
-  return EncodeErrorFrame(message);
-}
-
 }  // namespace
 
 std::string RoutingKey(const std::string& endpoint, int32_t user) {
@@ -210,15 +202,14 @@ std::vector<uint8_t> ShardRouter::Route(const std::vector<uint8_t>& frame) {
     return EncodeStatsResponse(rollup);
   }
   if (type == FrameType::kItineraryRequest) {
-    // v4 itinerary queries route exactly like recommendations: same
+    // Itinerary queries route exactly like recommendations: same
     // (endpoint, user) key — a user's plans land on the shard that holds
     // their cache — same rate limit, same breaker/failover walk. No
     // deadline to rewrite, so the frame always forwards verbatim.
     std::string endpoint;
     plan::ItineraryRequest request;
-    uint32_t wire_version = kWireVersion;
     const DecodeStatus status =
-        DecodeItineraryRequest(frame, &endpoint, &request, &wire_version);
+        DecodeItineraryRequest(frame, &endpoint, &request);
     if (status != DecodeStatus::kOk) {
       router_errors_.fetch_add(1);
       return EncodeErrorFrame(std::string("itinerary frame rejected: ") +
@@ -229,13 +220,12 @@ std::vector<uint8_t> ShardRouter::Route(const std::vector<uint8_t>& frame) {
     if (!BucketFor(endpoint).TryAcquire()) {
       rate_limited_.fetch_add(1);
       router_errors_.fetch_add(1);
-      return ErrorAt(wire_version, "rate limited: endpoint '" + endpoint + "'",
-                     ErrorCode::kRateLimited);
+      return EncodeErrorFrame("rate limited: endpoint '" + endpoint + "'",
+                              ErrorCode::kRateLimited);
     }
     return ForwardWithFailover(frame, endpoint,
                                RoutingKey(endpoint, request.start.user),
-                               wire_version, /*deadline_ms=*/0,
-                               /*rewrite=*/nullptr);
+                               /*deadline_ms=*/0, /*rewrite=*/nullptr);
   }
 
   if (type != FrameType::kRequest) {
@@ -247,9 +237,8 @@ std::vector<uint8_t> ShardRouter::Route(const std::vector<uint8_t>& frame) {
   std::string endpoint;
   eval::RecommendRequest request;
   AdmissionClass admission;
-  uint32_t wire_version = 1;
-  const DecodeStatus status = DecodeRecommendRequest(
-      frame, &endpoint, &request, &admission, &wire_version);
+  const DecodeStatus status =
+      DecodeRecommendRequest(frame, &endpoint, &request, &admission);
   if (status != DecodeStatus::kOk) {
     router_errors_.fetch_add(1);
     return EncodeErrorFrame(std::string("request frame rejected: ") +
@@ -262,21 +251,20 @@ std::vector<uint8_t> ShardRouter::Route(const std::vector<uint8_t>& frame) {
   if (!BucketFor(endpoint).TryAcquire()) {
     rate_limited_.fetch_add(1);
     router_errors_.fetch_add(1);
-    return ErrorAt(wire_version, "rate limited: endpoint '" + endpoint + "'",
-                   ErrorCode::kRateLimited);
+    return EncodeErrorFrame("rate limited: endpoint '" + endpoint + "'",
+                            ErrorCode::kRateLimited);
   }
 
-  return RouteRequest(frame, endpoint, request, admission, wire_version);
+  return RouteRequest(frame, endpoint, request, admission);
 }
 
 std::vector<uint8_t> ShardRouter::RouteRequest(
     const std::vector<uint8_t>& frame, const std::string& endpoint,
-    const eval::RecommendRequest& request, const AdmissionClass& admission,
-    uint32_t wire_version) {
+    const eval::RecommendRequest& request, const AdmissionClass& admission) {
   // Key on (endpoint, user): every request of a user hits the same shard,
   // keeping its inference cache hot there.
   const std::string key = RoutingKey(endpoint, request.sample.user);
-  const bool has_deadline = wire_version >= 2 && admission.deadline_ms > 0;
+  const bool has_deadline = admission.deadline_ms > 0;
   std::function<std::vector<uint8_t>(int64_t)> rewrite;
   if (has_deadline) {
     // A deadline must be rewritten to the REMAINING budget so the shard
@@ -287,21 +275,21 @@ std::vector<uint8_t> ShardRouter::RouteRequest(
       return EncodeRecommendRequest(endpoint, request, forwarded);
     };
   }
-  return ForwardWithFailover(frame, endpoint, key, wire_version,
+  return ForwardWithFailover(frame, endpoint, key,
                              has_deadline ? admission.deadline_ms : 0, rewrite);
 }
 
 std::vector<uint8_t> ShardRouter::ForwardWithFailover(
     const std::vector<uint8_t>& frame, const std::string& endpoint,
-    const std::string& key, uint32_t wire_version, int64_t deadline_ms,
+    const std::string& key, int64_t deadline_ms,
     const std::function<std::vector<uint8_t>(int64_t)>& rewrite) {
   const std::vector<std::string> replicas =
       ring_.ShardsFor(key, ReplicationFor(endpoint));
   if (replicas.empty()) {
     shard_unavailable_.fetch_add(1);
     router_errors_.fetch_add(1);
-    return ErrorAt(wire_version, "no shards configured",
-                   ErrorCode::kShardUnavailable);
+    return EncodeErrorFrame("no shards configured",
+                            ErrorCode::kShardUnavailable);
   }
 
   const Clock::time_point start = Clock::now();
@@ -318,9 +306,8 @@ std::vector<uint8_t> ShardRouter::ForwardWithFailover(
       if (remaining <= 0) {
         deadline_exhausted_.fetch_add(1);
         router_errors_.fetch_add(1);
-        return ErrorAt(wire_version,
-                       "deadline exhausted at router after failover",
-                       ErrorCode::kShedDeadline);
+        return EncodeErrorFrame("deadline exhausted at router after failover",
+                                ErrorCode::kShedDeadline);
       }
       remaining = std::min(remaining, options_.call_timeout_ms);
     }
@@ -385,10 +372,9 @@ std::vector<uint8_t> ShardRouter::ForwardWithFailover(
 
   shard_unavailable_.fetch_add(1);
   router_errors_.fetch_add(1);
-  return ErrorAt(wire_version,
-                 "all replicas unavailable for endpoint '" + endpoint +
-                     "': " + last_error,
-                 ErrorCode::kShardUnavailable);
+  return EncodeErrorFrame("all replicas unavailable for endpoint '" +
+                              endpoint + "': " + last_error,
+                          ErrorCode::kShardUnavailable);
 }
 
 std::unique_ptr<FrameClient> ShardRouter::Checkout(Shard& shard) {

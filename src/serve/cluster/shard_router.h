@@ -125,13 +125,12 @@ struct ClusterStats {
 /// primary is tried first; on connect failure, transport error or timeout
 /// the router fails over to the next replica, honouring the request's
 /// remaining deadline_ms budget (each hop forwards only what is left; a
-/// v1/no-deadline request gets call_timeout_ms per hop). A shard-produced
-/// error frame (shed, unknown endpoint, ...) is a VALID reply — it is
-/// passed through verbatim, never failed over, so shard admission control
-/// stays end-to-end visible. When every replica is down the caller gets a
-/// typed kShardUnavailable error; when the per-endpoint token bucket is
-/// empty, kRateLimited — both at the requester's wire version (v1
-/// requesters get the message-only layout).
+/// request without a deadline gets call_timeout_ms per hop). A
+/// shard-produced error frame (shed, unknown endpoint, ...) is a VALID
+/// reply — it is passed through verbatim, never failed over, so shard
+/// admission control stays end-to-end visible. When every replica is down
+/// the caller gets a typed kShardUnavailable error; when the per-endpoint
+/// token bucket is empty, kRateLimited.
 ///
 /// Health: a pinger thread probes every shard each ping_interval_ms with a
 /// kPing frame through the same circuit breaker traffic uses; the breaker
@@ -212,10 +211,9 @@ class ShardRouter : public FrameHandler {
   std::vector<uint8_t> RouteRequest(const std::vector<uint8_t>& frame,
                                     const std::string& endpoint,
                                     const eval::RecommendRequest& request,
-                                    const AdmissionClass& admission,
-                                    uint32_t wire_version);
+                                    const AdmissionClass& admission);
 
-  /// The shared forwarding core under RouteRequest and the v4 itinerary
+  /// The shared forwarding core under RouteRequest and the itinerary
   /// path: walks `key`'s replicas on the ring (breaker gate, pooled
   /// checkout, timed call), passing shard answers — responses AND error
   /// frames — through verbatim, failing over only on timeout/transport
@@ -225,7 +223,7 @@ class ShardRouter : public FrameHandler {
   /// may be null then).
   std::vector<uint8_t> ForwardWithFailover(
       const std::vector<uint8_t>& frame, const std::string& endpoint,
-      const std::string& key, uint32_t wire_version, int64_t deadline_ms,
+      const std::string& key, int64_t deadline_ms,
       const std::function<std::vector<uint8_t>(int64_t)>& rewrite);
 
   /// Sends one ping on a pooled connection; updates breaker + counters.

@@ -14,14 +14,11 @@ constexpr uint32_t kMaxItems = 1u << 20;
 constexpr uint32_t kMaxErrorLen = 4096;
 constexpr uint32_t kMaxStatsEndpoints = 4096;
 
-/// Starts a frame at the given wire version, returning the offset of the
-/// payload-length field so FinishFrame can back-patch it once the payload
-/// size is known. Encoders pass the lowest version that can represent the
-/// frame (header comment), which is why the version is a parameter and not
-/// always kWireVersion.
-size_t BeginFrame(common::ByteWriter& w, FrameType type, uint32_t version) {
+/// Starts a frame, returning the offset of the payload-length field so
+/// FinishFrame can back-patch it once the payload size is known.
+size_t BeginFrame(common::ByteWriter& w, FrameType type) {
   w.Pod(kWireMagic);
-  w.Pod(version);
+  w.Pod(kWireVersion);
   w.Pod(static_cast<uint8_t>(type));
   const size_t length_offset = w.size();
   w.Pod(static_cast<uint32_t>(0));  // patched by FinishFrame
@@ -33,47 +30,38 @@ void FinishFrame(common::ByteWriter& w, size_t length_offset) {
              static_cast<uint32_t>(w.size() - length_offset - sizeof(uint32_t)));
 }
 
-/// Validates the frame header against `want` and leaves `reader` positioned
-/// at the payload. On kOk the payload occupies exactly the rest of the
-/// buffer (trailing bytes after the declared payload are rejected here;
-/// under-consumption within the payload is caught by the callers). When
-/// non-null, *version_out reports the frame's wire version so payload
-/// decoders know which optional fields to expect.
-DecodeStatus OpenFrame(common::ByteReader& reader, FrameType want,
-                       uint32_t* version_out = nullptr) {
+/// Reads and validates the frame header, leaving `reader` positioned at the
+/// payload and *type holding the frame type. On kOk the type is a known
+/// FrameType and the payload occupies exactly the rest of the buffer
+/// (trailing bytes after the declared payload are rejected here;
+/// under-consumption within the payload is caught by the callers).
+DecodeStatus ReadHeader(common::ByteReader& reader, FrameType* type) {
   uint32_t magic = 0;
   if (!reader.Pod(&magic)) return DecodeStatus::kTruncated;
   if (magic != kWireMagic) return DecodeStatus::kBadMagic;
   uint32_t version = 0;
   if (!reader.Pod(&version)) return DecodeStatus::kTruncated;
-  if (version > kWireVersion) return DecodeStatus::kFutureVersion;
-  if (version < 1) return DecodeStatus::kMalformedPayload;
-  uint8_t type = 0;
-  if (!reader.Pod(&type)) return DecodeStatus::kTruncated;
+  if (version != kWireVersion) return DecodeStatus::kUnsupportedVersion;
+  uint8_t raw_type = 0;
+  if (!reader.Pod(&raw_type)) return DecodeStatus::kTruncated;
   uint32_t payload_len = 0;
   if (!reader.Pod(&payload_len)) return DecodeStatus::kTruncated;
   if (reader.Remaining() < payload_len) return DecodeStatus::kTruncated;
   if (reader.Remaining() > payload_len) return DecodeStatus::kTrailingGarbage;
-  const bool known_v1 = type == static_cast<uint8_t>(FrameType::kRequest) ||
-                        type == static_cast<uint8_t>(FrameType::kResponse) ||
-                        type == static_cast<uint8_t>(FrameType::kError);
-  // The v3 control frames may only appear in v3+ frames: a v1/v2 frame
-  // claiming one is malformed, exactly as a v2-era decoder would judge it.
-  const bool known_v3 = type == static_cast<uint8_t>(FrameType::kPing) ||
-                        type == static_cast<uint8_t>(FrameType::kPong) ||
-                        type == static_cast<uint8_t>(FrameType::kStatsRequest) ||
-                        type == static_cast<uint8_t>(FrameType::kStatsResponse);
-  // Likewise the v4 itinerary frames: a v1–v3 frame claiming one is
-  // malformed, exactly as a v3-era decoder would judge it.
-  const bool known_v4 =
-      type == static_cast<uint8_t>(FrameType::kItineraryRequest) ||
-      type == static_cast<uint8_t>(FrameType::kItineraryResponse);
-  if (!known_v1 && !(known_v3 && version >= 3) && !(known_v4 && version >= 4)) {
+  if (raw_type < static_cast<uint8_t>(FrameType::kRequest) ||
+      raw_type > static_cast<uint8_t>(FrameType::kItineraryResponse)) {
     return DecodeStatus::kMalformedPayload;
   }
-  if (type != static_cast<uint8_t>(want)) return DecodeStatus::kWrongFrameType;
-  if (version_out != nullptr) *version_out = version;
+  *type = static_cast<FrameType>(raw_type);
   return DecodeStatus::kOk;
+}
+
+/// ReadHeader, then requires the frame to be of type `want`.
+DecodeStatus OpenFrame(common::ByteReader& reader, FrameType want) {
+  FrameType type = want;
+  const DecodeStatus status = ReadHeader(reader, &type);
+  if (status != DecodeStatus::kOk) return status;
+  return type == want ? DecodeStatus::kOk : DecodeStatus::kWrongFrameType;
 }
 
 bool ReadCategoryList(common::ByteReader& reader, std::vector<int32_t>* out) {
@@ -96,36 +84,6 @@ void WriteCategoryList(common::ByteWriter& w, const std::vector<int32_t>& list) 
   for (int32_t cat : list) w.Pod(cat);
 }
 
-/// Shared body of both request encoders: `admission` non-null appends the
-/// v2 trailing fields.
-std::vector<uint8_t> EncodeRequestImpl(const std::string& endpoint,
-                                       const eval::RecommendRequest& request,
-                                       const AdmissionClass* admission) {
-  common::ByteWriter w;
-  const size_t length_offset =
-      BeginFrame(w, FrameType::kRequest, admission != nullptr ? 2u : 1u);
-  w.String(endpoint);
-  w.Pod(request.sample.user);
-  w.Pod(request.sample.traj);
-  w.Pod(request.sample.prefix_len);
-  w.Pod(request.top_n);
-  const eval::CandidateConstraints& c = request.constraints;
-  w.Pod(c.geo_center.lat);
-  w.Pod(c.geo_center.lon);
-  w.Pod(c.geo_radius_km);
-  WriteCategoryList(w, c.allowed_categories);
-  WriteCategoryList(w, c.blocked_categories);
-  w.Pod(static_cast<uint8_t>(c.exclude_visited ? 1 : 0));
-  w.Pod(c.open_at);
-  w.Pod(c.min_open_weight);
-  if (admission != nullptr) {
-    w.Pod(admission->deadline_ms);
-    w.Pod(static_cast<uint8_t>(admission->priority));
-  }
-  FinishFrame(w, length_offset);
-  return w.Take();
-}
-
 }  // namespace
 
 const char* DecodeStatusName(DecodeStatus status) {
@@ -133,7 +91,7 @@ const char* DecodeStatusName(DecodeStatus status) {
     case DecodeStatus::kOk: return "kOk";
     case DecodeStatus::kTruncated: return "kTruncated";
     case DecodeStatus::kBadMagic: return "kBadMagic";
-    case DecodeStatus::kFutureVersion: return "kFutureVersion";
+    case DecodeStatus::kUnsupportedVersion: return "kUnsupportedVersion";
     case DecodeStatus::kWrongFrameType: return "kWrongFrameType";
     case DecodeStatus::kMalformedPayload: return "kMalformedPayload";
     case DecodeStatus::kTrailingGarbage: return "kTrailingGarbage";
@@ -159,50 +117,41 @@ const char* ErrorCodeName(ErrorCode code) {
 }
 
 DecodeStatus PeekFrameType(const std::vector<uint8_t>& frame, FrameType* type) {
-  // OpenFrame with each type in turn: the first non-kWrongFrameType result
-  // is the header's verdict; kWrongFrameType against kRequest means the
-  // header is valid but of another type, so retry identifies it.
-  for (FrameType candidate :
-       {FrameType::kRequest, FrameType::kResponse, FrameType::kError,
-        FrameType::kPing, FrameType::kPong, FrameType::kStatsRequest,
-        FrameType::kStatsResponse, FrameType::kItineraryRequest,
-        FrameType::kItineraryResponse}) {
-    common::ByteReader r(frame);
-    const DecodeStatus status = OpenFrame(r, candidate);
-    if (status == DecodeStatus::kOk) {
-      *type = candidate;
-      return DecodeStatus::kOk;
-    }
-    if (status != DecodeStatus::kWrongFrameType) return status;
-  }
-  return DecodeStatus::kMalformedPayload;
-}
-
-std::vector<uint8_t> EncodeRecommendRequest(const std::string& endpoint,
-                                            const eval::RecommendRequest& request) {
-  return EncodeRequestImpl(endpoint, request, nullptr);
+  common::ByteReader reader(frame);
+  return ReadHeader(reader, type);
 }
 
 std::vector<uint8_t> EncodeRecommendRequest(const std::string& endpoint,
                                             const eval::RecommendRequest& request,
                                             const AdmissionClass& admission) {
-  return EncodeRequestImpl(endpoint, request, &admission);
-}
-
-DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
-                                    std::string* endpoint,
-                                    eval::RecommendRequest* request) {
-  return DecodeRecommendRequest(frame, endpoint, request, nullptr, nullptr);
+  common::ByteWriter w;
+  const size_t length_offset = BeginFrame(w, FrameType::kRequest);
+  w.String(endpoint);
+  w.Pod(request.sample.user);
+  w.Pod(request.sample.traj);
+  w.Pod(request.sample.prefix_len);
+  w.Pod(request.top_n);
+  const eval::CandidateConstraints& c = request.constraints;
+  w.Pod(c.geo_center.lat);
+  w.Pod(c.geo_center.lon);
+  w.Pod(c.geo_radius_km);
+  WriteCategoryList(w, c.allowed_categories);
+  WriteCategoryList(w, c.blocked_categories);
+  w.Pod(static_cast<uint8_t>(c.exclude_visited ? 1 : 0));
+  w.Pod(c.open_at);
+  w.Pod(c.min_open_weight);
+  w.Pod(admission.deadline_ms);
+  w.Pod(static_cast<uint8_t>(admission.priority));
+  FinishFrame(w, length_offset);
+  return w.Take();
 }
 
 DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
                                     std::string* endpoint,
                                     eval::RecommendRequest* request,
-                                    AdmissionClass* admission,
-                                    uint32_t* wire_version) {
+                                    AdmissionClass* admission) {
   common::ByteReader reader(frame);
-  uint32_t version = 0;
-  const DecodeStatus header = OpenFrame(reader, FrameType::kRequest, &version);
+  const DecodeStatus header = OpenFrame(reader, FrameType::kRequest);
   if (header != DecodeStatus::kOk) return header;
 
   std::string name;
@@ -211,7 +160,9 @@ DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
     return DecodeStatus::kMalformedPayload;
   }
   eval::CandidateConstraints& c = decoded.constraints;
+  AdmissionClass decoded_admission;
   uint8_t exclude_visited = 0;
+  uint8_t priority = 0;
   const bool ok = reader.Pod(&decoded.sample.user) &&
                   reader.Pod(&decoded.sample.traj) &&
                   reader.Pod(&decoded.sample.prefix_len) &&
@@ -220,38 +171,27 @@ DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
                   ReadCategoryList(reader, &c.allowed_categories) &&
                   ReadCategoryList(reader, &c.blocked_categories) &&
                   reader.Pod(&exclude_visited) && reader.Pod(&c.open_at) &&
-                  reader.Pod(&c.min_open_weight);
+                  reader.Pod(&c.min_open_weight) &&
+                  reader.Pod(&decoded_admission.deadline_ms) &&
+                  reader.Pod(&priority);
   if (!ok) return DecodeStatus::kMalformedPayload;
-  if (exclude_visited > 1) return DecodeStatus::kMalformedPayload;
-  c.exclude_visited = exclude_visited == 1;
-  // Strictly versioned tail: a v2 frame must carry both admission fields
-  // (valid), a v1 frame must carry neither. Either way nothing may remain.
-  AdmissionClass decoded_admission;
-  if (version >= 2) {
-    uint8_t priority = 0;
-    if (!reader.Pod(&decoded_admission.deadline_ms) || !reader.Pod(&priority)) {
-      return DecodeStatus::kMalformedPayload;
-    }
-    if (decoded_admission.deadline_ms < 0 || priority > kMaxPriority) {
-      return DecodeStatus::kMalformedPayload;
-    }
-    decoded_admission.priority = static_cast<Priority>(priority);
+  if (exclude_visited > 1 || decoded_admission.deadline_ms < 0 ||
+      priority > kMaxPriority) {
+    return DecodeStatus::kMalformedPayload;
   }
+  c.exclude_visited = exclude_visited == 1;
+  decoded_admission.priority = static_cast<Priority>(priority);
   if (reader.Remaining() != 0) return DecodeStatus::kTrailingGarbage;
 
   *endpoint = std::move(name);
   *request = std::move(decoded);
   if (admission != nullptr) *admission = decoded_admission;
-  if (wire_version != nullptr) *wire_version = version;
   return DecodeStatus::kOk;
 }
 
 std::vector<uint8_t> EncodeRecommendResponse(const eval::RecommendResponse& response) {
   common::ByteWriter w;
-  // Response payloads gained nothing in v2, so responses stay version 1 on
-  // the wire — the lowest-representable-version rule that keeps replies to
-  // v1 clients bit-identical across the protocol bump.
-  const size_t length_offset = BeginFrame(w, FrameType::kResponse, 1);
+  const size_t length_offset = BeginFrame(w, FrameType::kResponse);
   w.Pod(static_cast<uint32_t>(response.items.size()));
   for (const eval::ScoredPoi& item : response.items) {
     w.Pod(item.poi_id);
@@ -299,24 +239,10 @@ DecodeStatus DecodeRecommendResponse(const std::vector<uint8_t>& frame,
   return DecodeStatus::kOk;
 }
 
-std::vector<uint8_t> EncodeErrorFrame(const std::string& message) {
-  common::ByteWriter w;
-  const size_t length_offset = BeginFrame(w, FrameType::kError, 1);
-  w.String(message.size() > kMaxErrorLen ? message.substr(0, kMaxErrorLen)
-                                         : message);
-  FinishFrame(w, length_offset);
-  return w.Take();
-}
-
 std::vector<uint8_t> EncodeErrorFrame(const std::string& message,
                                       ErrorCode code) {
   common::ByteWriter w;
-  // Codes 0..8 keep the v2 layout a v2-era client decodes; the router-tier
-  // codes (9+) did not exist in v2 and must travel at v3 — the lowest
-  // version that can represent them.
-  const uint32_t version =
-      static_cast<uint8_t>(code) > kMaxErrorCodeV2 ? 3u : 2u;
-  const size_t length_offset = BeginFrame(w, FrameType::kError, version);
+  const size_t length_offset = BeginFrame(w, FrameType::kError);
   w.String(message.size() > kMaxErrorLen ? message.substr(0, kMaxErrorLen)
                                          : message);
   w.Pod(static_cast<uint8_t>(code));
@@ -325,33 +251,19 @@ std::vector<uint8_t> EncodeErrorFrame(const std::string& message,
 }
 
 DecodeStatus DecodeErrorFrame(const std::vector<uint8_t>& frame,
-                              std::string* message) {
-  return DecodeErrorFrame(frame, message, nullptr);
-}
-
-DecodeStatus DecodeErrorFrame(const std::vector<uint8_t>& frame,
                               std::string* message, ErrorCode* code) {
   common::ByteReader reader(frame);
-  uint32_t version = 0;
-  const DecodeStatus header = OpenFrame(reader, FrameType::kError, &version);
+  const DecodeStatus header = OpenFrame(reader, FrameType::kError);
   if (header != DecodeStatus::kOk) return header;
   std::string decoded;
-  if (!reader.String(&decoded, kMaxErrorLen)) {
+  uint8_t raw = 0;
+  if (!reader.String(&decoded, kMaxErrorLen) || !reader.Pod(&raw) ||
+      raw > kMaxErrorCode) {
     return DecodeStatus::kMalformedPayload;
-  }
-  ErrorCode decoded_code = ErrorCode::kGeneric;
-  if (version >= 2) {
-    uint8_t raw = 0;
-    // A v2 frame may not smuggle a v3-era code: the cap is per-version.
-    const uint8_t cap = version >= 3 ? kMaxErrorCode : kMaxErrorCodeV2;
-    if (!reader.Pod(&raw) || raw > cap) {
-      return DecodeStatus::kMalformedPayload;
-    }
-    decoded_code = static_cast<ErrorCode>(raw);
   }
   if (reader.Remaining() != 0) return DecodeStatus::kTrailingGarbage;
   *message = std::move(decoded);
-  if (code != nullptr) *code = decoded_code;
+  if (code != nullptr) *code = static_cast<ErrorCode>(raw);
   return DecodeStatus::kOk;
 }
 
@@ -360,7 +272,7 @@ namespace {
 /// Shared body of the two nonce-echo frames.
 std::vector<uint8_t> EncodeNonceFrame(FrameType type, uint64_t nonce) {
   common::ByteWriter w;
-  const size_t length_offset = BeginFrame(w, type, 3);
+  const size_t length_offset = BeginFrame(w, type);
   w.Pod(nonce);
   FinishFrame(w, length_offset);
   return w.Take();
@@ -400,7 +312,7 @@ DecodeStatus DecodePongFrame(const std::vector<uint8_t>& frame,
 
 std::vector<uint8_t> EncodeStatsRequest() {
   common::ByteWriter w;
-  const size_t length_offset = BeginFrame(w, FrameType::kStatsRequest, 3);
+  const size_t length_offset = BeginFrame(w, FrameType::kStatsRequest);
   FinishFrame(w, length_offset);
   return w.Take();
 }
@@ -415,7 +327,7 @@ DecodeStatus DecodeStatsRequest(const std::vector<uint8_t>& frame) {
 
 std::vector<uint8_t> EncodeStatsResponse(const WireStatsSnapshot& snapshot) {
   common::ByteWriter w;
-  const size_t length_offset = BeginFrame(w, FrameType::kStatsResponse, 3);
+  const size_t length_offset = BeginFrame(w, FrameType::kStatsResponse);
   w.Pod(static_cast<uint32_t>(snapshot.endpoints.size()));
   for (const WireEndpointStats& e : snapshot.endpoints) {
     w.String(e.endpoint);
@@ -441,9 +353,7 @@ std::vector<uint8_t> EncodeStatsResponse(const WireStatsSnapshot& snapshot) {
 std::vector<uint8_t> EncodeItineraryRequest(
     const std::string& endpoint, const plan::ItineraryRequest& request) {
   common::ByteWriter w;
-  // Itinerary frames did not exist before v4, so v4 is the lowest version
-  // that can represent them — they always travel at 4.
-  const size_t length_offset = BeginFrame(w, FrameType::kItineraryRequest, 4);
+  const size_t length_offset = BeginFrame(w, FrameType::kItineraryRequest);
   w.String(endpoint);
   w.Pod(request.start.user);
   w.Pod(request.start.traj);
@@ -472,12 +382,9 @@ std::vector<uint8_t> EncodeItineraryRequest(
 
 DecodeStatus DecodeItineraryRequest(const std::vector<uint8_t>& frame,
                                     std::string* endpoint,
-                                    plan::ItineraryRequest* request,
-                                    uint32_t* wire_version) {
+                                    plan::ItineraryRequest* request) {
   common::ByteReader reader(frame);
-  uint32_t version = 0;
-  const DecodeStatus header =
-      OpenFrame(reader, FrameType::kItineraryRequest, &version);
+  const DecodeStatus header = OpenFrame(reader, FrameType::kItineraryRequest);
   if (header != DecodeStatus::kOk) return header;
 
   std::string name;
@@ -523,14 +430,13 @@ DecodeStatus DecodeItineraryRequest(const std::vector<uint8_t>& frame,
 
   *endpoint = std::move(name);
   *request = std::move(decoded);
-  if (wire_version != nullptr) *wire_version = version;
   return DecodeStatus::kOk;
 }
 
 std::vector<uint8_t> EncodeItineraryResponse(
     const plan::ItineraryResponse& response) {
   common::ByteWriter w;
-  const size_t length_offset = BeginFrame(w, FrameType::kItineraryResponse, 4);
+  const size_t length_offset = BeginFrame(w, FrameType::kItineraryResponse);
   w.Pod(static_cast<uint32_t>(response.plans.size()));
   for (const plan::ItineraryPlan& plan : response.plans) {
     w.Pod(static_cast<uint32_t>(plan.stops.size()));
@@ -560,6 +466,12 @@ DecodeStatus DecodeItineraryResponse(const std::vector<uint8_t>& frame,
   plan::ItineraryResponse decoded;
   uint32_t plan_count = 0;
   if (!reader.Pod(&plan_count) || plan_count > kMaxItineraryPlans) {
+    return DecodeStatus::kMalformedPayload;
+  }
+  // Bytes-remaining check before the allocation: an empty plan is its stop
+  // count plus the three totals.
+  constexpr size_t kMinPlanBytes = sizeof(uint32_t) + 3 * sizeof(double);
+  if (static_cast<size_t>(plan_count) * kMinPlanBytes > reader.Remaining()) {
     return DecodeStatus::kMalformedPayload;
   }
   decoded.plans.resize(plan_count);
@@ -607,6 +519,13 @@ DecodeStatus DecodeStatsResponse(const std::vector<uint8_t>& frame,
   if (header != DecodeStatus::kOk) return header;
   uint32_t count = 0;
   if (!reader.Pod(&count) || count > kMaxStatsEndpoints) {
+    return DecodeStatus::kMalformedPayload;
+  }
+  // Bytes-remaining check before the allocation: a row with two empty
+  // strings is two length prefixes, nine int64s, a flag and three doubles.
+  constexpr size_t kMinRowBytes = 2 * sizeof(uint32_t) + 9 * sizeof(int64_t) +
+                                  sizeof(uint8_t) + 3 * sizeof(double);
+  if (static_cast<size_t>(count) * kMinRowBytes > reader.Remaining()) {
     return DecodeStatus::kMalformedPayload;
   }
   WireStatsSnapshot decoded;

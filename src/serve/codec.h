@@ -11,49 +11,28 @@
 
 namespace tspn::serve {
 
-/// Versioned binary wire protocol for recommendation traffic — the seam a
-/// socket front-end will plug into. Every frame is
+/// Binary wire protocol for recommendation traffic (docs/wire_protocol.md).
+/// Every frame is
 ///
 ///   uint32  magic          "TSWP" (0x50575354)
-///   uint32  wire version   1 or 2 (see below)
+///   uint32  wire version   always kWireVersion
 ///   uint8   frame type     FrameType
 ///   uint32  payload bytes  (exactly what follows; nothing may trail it)
 ///   ...     payload        POD fields via common::ByteWriter/ByteReader
 ///
-/// Decoders are strict: truncated buffers, wrong magic, versions newer than
-/// this build, unknown frame types, payload-length mismatches and trailing
-/// garbage are all rejected with a specific DecodeStatus instead of a crash
-/// or a partially filled struct (outputs are untouched on failure).
+/// There is one layout per frame type: a request always carries its
+/// admission fields (deadline_ms, priority) and an error frame always
+/// carries its ErrorCode. Every encoder writes kWireVersion and every
+/// decoder rejects any other version word with kUnsupportedVersion, so all
+/// processes that exchange frames are built from the same codec.
 ///
-/// Version 2 adds optional overload-control fields:
-///   * request frames gain a trailing int64 deadline_ms + uint8 priority
-///     (serve/admission.h) — a v2 frame must carry both, a v1 frame neither;
-///   * error frames gain a trailing uint8 ErrorCode.
-/// Decoders accept versions 1..kWireVersion, filling defaults for absent v2
-/// fields (interactive priority, no deadline, kGeneric code) and rejecting
-/// any mixture strictly. Encoders emit the LOWEST version that can represent
-/// the frame: responses carry no v2 fields and stay version 1 on the wire,
-/// so a v1-only client is served bit-identically by this build.
-///
-/// Version 3 (this build) adds the cluster-control surface:
-///   * four new frame types — kPing/kPong (health probes, an echoed uint64
-///     nonce) and kStatsRequest/kStatsResponse (a gateway stats snapshot a
-///     router rolls up into its cluster view). These frames always travel
-///     at version 3; a v2-era decoder rejects the unknown type as
-///     malformed, which is exactly the strictness contract.
-///   * two new ErrorCode values, kShardUnavailable and kRateLimited,
-///     emitted by the router tier. An error frame carrying a code above
-///     kMaxErrorCodeV2 is encoded at version 3 (codes 0..8 keep the v2
-///     layout); a v3 error frame may carry any code up to kMaxErrorCode.
-///
-/// Version 4 (this build) adds the itinerary-planning workload:
-///   * two new frame types — kItineraryRequest (endpoint name + a
-///     plan::ItineraryRequest) and kItineraryResponse (a
-///     plan::ItineraryResponse of feasible plans). Both always travel at
-///     version 4 (no earlier version can represent them); a v1–v3 frame
-///     claiming either type is malformed, and every pre-v4 frame this
-///     build emits is bit-identical to what a v3 build emits.
+/// Decoders are strict: truncated buffers, wrong magic, other versions,
+/// unknown frame types, payload-length mismatches and trailing garbage are
+/// all rejected with a specific DecodeStatus instead of a crash or a
+/// partially filled struct (outputs are untouched on failure).
 inline constexpr uint32_t kWireMagic = 0x50575354;  // "TSWP"
+/// 4 because this is the layout earlier builds emitted as version 4, so
+/// they decode every frame this build emits.
 inline constexpr uint32_t kWireVersion = 4;
 
 /// Longest endpoint name a request frame may carry. Gateway::Deploy
@@ -62,36 +41,35 @@ inline constexpr uint32_t kWireVersion = 4;
 inline constexpr uint32_t kMaxEndpointNameLen = 256;
 
 enum class FrameType : uint8_t {
-  kRequest = 1,        ///< endpoint name + eval::RecommendRequest [+ admission]
+  kRequest = 1,        ///< endpoint name + eval::RecommendRequest + admission
   kResponse = 2,       ///< eval::RecommendResponse
-  kError = 3,          ///< human-readable error message [+ ErrorCode]
-  kPing = 4,           ///< health probe: uint64 nonce (v3+)
-  kPong = 5,           ///< ping reply: the echoed nonce (v3+)
-  kStatsRequest = 6,   ///< empty payload: ask for a stats snapshot (v3+)
-  kStatsResponse = 7,  ///< WireStatsSnapshot payload (v3+)
-  kItineraryRequest = 8,   ///< endpoint name + plan::ItineraryRequest (v4+)
-  kItineraryResponse = 9,  ///< plan::ItineraryResponse payload (v4+)
+  kError = 3,          ///< human-readable error message + ErrorCode
+  kPing = 4,           ///< health probe: uint64 nonce
+  kPong = 5,           ///< ping reply: the echoed nonce
+  kStatsRequest = 6,   ///< empty payload: ask for a stats snapshot
+  kStatsResponse = 7,  ///< WireStatsSnapshot payload
+  kItineraryRequest = 8,   ///< endpoint name + plan::ItineraryRequest
+  kItineraryResponse = 9,  ///< plan::ItineraryResponse payload
 };
 
 enum class DecodeStatus : uint8_t {
   kOk = 0,
-  kTruncated,        ///< buffer ends before the header or payload does
-  kBadMagic,         ///< first word is not kWireMagic
-  kFutureVersion,    ///< frame written by a newer wire version
-  kWrongFrameType,   ///< well-formed frame of a different FrameType
-  kMalformedPayload, ///< payload fields inconsistent or over their limits
-  kTrailingGarbage,  ///< bytes remain after the declared payload
+  kTruncated,           ///< buffer ends before the header or payload does
+  kBadMagic,            ///< first word is not kWireMagic
+  kUnsupportedVersion,  ///< version word is not kWireVersion
+  kWrongFrameType,      ///< well-formed frame of a different FrameType
+  kMalformedPayload,    ///< payload fields inconsistent or over their limits
+  kTrailingGarbage,     ///< bytes remain after the declared payload
 };
 
 /// Human-readable status name ("kOk", "kTruncated", ...), for logs/errors.
 const char* DecodeStatusName(DecodeStatus status);
 
-/// Machine-readable error classification carried by v2 error frames, so
+/// Machine-readable error classification carried by every error frame, so
 /// clients can tell a shed (retry later, lower the rate) from a caller bug
-/// (fix the request) without parsing message text. v1 error frames decode
-/// as kGeneric.
+/// (fix the request) without parsing message text.
 enum class ErrorCode : uint8_t {
-  kGeneric = 0,          ///< unclassified (every v1-era error)
+  kGeneric = 0,          ///< unclassified
   kBadFrame = 1,         ///< request frame failed to decode
   kUnknownEndpoint = 2,  ///< no such endpoint deployed
   kInvalidRequest = 3,   ///< decoded fine, but unservable (bad sample index)
@@ -100,13 +78,9 @@ enum class ErrorCode : uint8_t {
   kExpired = 6,          ///< accepted, but the deadline passed in the queue
   kModelFailure = 7,     ///< the model threw while serving the batch
   kTransport = 8,        ///< transport-level framing violation
-  kShardUnavailable = 9, ///< router: every replica for the key is down (v3+)
-  kRateLimited = 10,     ///< router: endpoint token bucket empty (v3+)
+  kShardUnavailable = 9, ///< router: every replica for the key is down
+  kRateLimited = 10,     ///< router: endpoint token bucket empty
 };
-
-/// Highest ErrorCode a version-2 error frame may carry; 9+ requires a v3
-/// frame (the encoder picks the version accordingly).
-inline constexpr uint8_t kMaxErrorCodeV2 = 8;
 
 /// Highest valid ErrorCode value; anything above it is malformed on the wire.
 inline constexpr uint8_t kMaxErrorCode = 10;
@@ -114,42 +88,30 @@ inline constexpr uint8_t kMaxErrorCode = 10;
 const char* ErrorCodeName(ErrorCode code);
 
 /// Peeks at a well-formed frame's type without decoding the payload.
-/// Returns kOk and sets *type when the header is valid and the payload
-/// length matches the buffer.
+/// Returns kOk and sets *type when the header is valid, the type is a
+/// known FrameType and the payload length matches the buffer.
 DecodeStatus PeekFrameType(const std::vector<uint8_t>& frame, FrameType* type);
 
 // --- Request frames ----------------------------------------------------------
 
-/// Encodes `request` addressed to the named gateway endpoint as a version-1
-/// frame (no admission fields — bit-identical to what pre-v2 builds
-/// emitted). The name must respect kMaxEndpointNameLen — the encoder does
-/// not truncate, so a longer name produces a frame the strict decoder
+/// Encodes `request` addressed to the named gateway endpoint, followed by
+/// its admission class (deadline_ms, priority; deadline_ms must be
+/// non-negative). The name must respect kMaxEndpointNameLen — the encoder
+/// does not truncate, so a longer name produces a frame the strict decoder
 /// rejects (Gateway::Deploy enforces the same cap, so no deployable
 /// endpoint can hit this).
-std::vector<uint8_t> EncodeRecommendRequest(const std::string& endpoint,
-                                            const eval::RecommendRequest& request);
+std::vector<uint8_t> EncodeRecommendRequest(
+    const std::string& endpoint, const eval::RecommendRequest& request,
+    const AdmissionClass& admission = AdmissionClass{});
 
-/// Version-2 encode: the same payload plus the trailing admission fields
-/// (deadline_ms, priority). admission.deadline_ms must be non-negative.
-std::vector<uint8_t> EncodeRecommendRequest(const std::string& endpoint,
-                                            const eval::RecommendRequest& request,
-                                            const AdmissionClass& admission);
-
-/// Strict inverse of both encoders. On kOk, *endpoint and *request hold
-/// exactly what was encoded (bit-identical constraints included).
-DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
-                                    std::string* endpoint,
-                                    eval::RecommendRequest* request);
-
-/// Admission-aware decode: a v2 frame fills *admission from its trailing
-/// fields (negative deadlines and out-of-range priorities are malformed); a
-/// v1 frame yields the AdmissionClass defaults. When non-null,
-/// *wire_version reports the frame's version so a server can reply in kind.
+/// Strict inverse. On kOk, *endpoint and *request hold exactly what was
+/// encoded (bit-identical constraints included) and, when non-null,
+/// *admission holds the admission class. A negative deadline or an
+/// out-of-range priority is malformed.
 DecodeStatus DecodeRecommendRequest(const std::vector<uint8_t>& frame,
                                     std::string* endpoint,
                                     eval::RecommendRequest* request,
-                                    AdmissionClass* admission,
-                                    uint32_t* wire_version = nullptr);
+                                    AdmissionClass* admission = nullptr);
 
 // --- Response frames ---------------------------------------------------------
 
@@ -160,26 +122,18 @@ DecodeStatus DecodeRecommendResponse(const std::vector<uint8_t>& frame,
 
 // --- Error frames ------------------------------------------------------------
 
-/// What the gateway returns instead of a response when the request frame is
-/// invalid or the endpoint/model fails. This overload encodes a version-1
-/// frame (no code — bit-identical to pre-v2 builds), for replies to v1
-/// requesters.
-std::vector<uint8_t> EncodeErrorFrame(const std::string& message);
-
-/// Version-2 encode with the machine-readable classification appended.
+/// What a server returns instead of a response when the request frame is
+/// invalid or the endpoint/model fails: a message (truncated to 4096
+/// bytes) and its machine-readable classification.
 std::vector<uint8_t> EncodeErrorFrame(const std::string& message,
                                       ErrorCode code);
 
+/// Strict inverse; when non-null, *code receives the classification (a
+/// code above kMaxErrorCode is malformed).
 DecodeStatus DecodeErrorFrame(const std::vector<uint8_t>& frame,
-                              std::string* message);
+                              std::string* message, ErrorCode* code = nullptr);
 
-/// Code-aware decode: v2+ frames fill *code from the trailing byte
-/// (out-of-range values are malformed — a v2 frame above kMaxErrorCodeV2,
-/// any frame above kMaxErrorCode); v1 frames yield kGeneric.
-DecodeStatus DecodeErrorFrame(const std::vector<uint8_t>& frame,
-                              std::string* message, ErrorCode* code);
-
-// --- Ping frames (v3) --------------------------------------------------------
+// --- Ping frames -------------------------------------------------------------
 
 /// Health probe and its reply. The nonce is chosen by the prober and echoed
 /// verbatim, so a pipelining health checker can match pongs to pings.
@@ -190,7 +144,7 @@ std::vector<uint8_t> EncodePongFrame(uint64_t nonce);
 DecodeStatus DecodePongFrame(const std::vector<uint8_t>& frame,
                              uint64_t* nonce);
 
-// --- Stats frames (v3) -------------------------------------------------------
+// --- Stats frames ------------------------------------------------------------
 
 /// One endpoint's stats row as it travels on the wire — the subset of
 /// serve::EndpointStats a router can aggregate across shards without
@@ -226,7 +180,7 @@ std::vector<uint8_t> EncodeStatsResponse(const WireStatsSnapshot& snapshot);
 DecodeStatus DecodeStatsResponse(const std::vector<uint8_t>& frame,
                                  WireStatsSnapshot* snapshot);
 
-// --- Itinerary frames (v4) ---------------------------------------------------
+// --- Itinerary frames --------------------------------------------------------
 
 /// Decode caps for itinerary frames: a response may carry at most
 /// kMaxItineraryPlans plans of at most plan::kMaxItineraryStops stops each
@@ -235,8 +189,7 @@ DecodeStatus DecodeStatsResponse(const std::vector<uint8_t>& frame,
 inline constexpr uint32_t kMaxItineraryPlans = 64;
 
 /// Encodes a k-stop trip-planning request addressed to the named gateway
-/// endpoint, always as a version-4 frame (the lowest version that can
-/// represent it). The endpoint cap is kMaxEndpointNameLen, as for
+/// endpoint. The endpoint cap is kMaxEndpointNameLen, as for
 /// recommendation requests.
 std::vector<uint8_t> EncodeItineraryRequest(
     const std::string& endpoint, const plan::ItineraryRequest& request);
@@ -244,12 +197,10 @@ std::vector<uint8_t> EncodeItineraryRequest(
 /// Strict inverse: on kOk, *endpoint and *request hold exactly what was
 /// encoded. Out-of-range flag bytes, an unknown search mode, a k_stops
 /// outside [0, plan::kMaxItineraryStops] and every header violation are
-/// rejected with the usual statuses. When non-null, *wire_version reports
-/// the frame's version (always 4 today), mirroring the request decoder.
+/// rejected with the usual statuses.
 DecodeStatus DecodeItineraryRequest(const std::vector<uint8_t>& frame,
                                     std::string* endpoint,
-                                    plan::ItineraryRequest* request,
-                                    uint32_t* wire_version = nullptr);
+                                    plan::ItineraryRequest* request);
 
 std::vector<uint8_t> EncodeItineraryResponse(
     const plan::ItineraryResponse& response);

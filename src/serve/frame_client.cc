@@ -189,7 +189,7 @@ FrameClient::Reply FrameClient::ReceiveTyped() {
     return reply;
   }
   // Both reply-shaped frame types are successful replies; the router's
-  // failover logic must never mistake a v4 itinerary reply for transport
+  // failover logic must never mistake an itinerary reply for transport
   // trouble.
   if (type != FrameType::kResponse && type != FrameType::kItineraryResponse) {
     return reply;

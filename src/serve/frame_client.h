@@ -97,7 +97,7 @@ class FrameClient {
   /// to branch on shed/error/response without touching the codec.
   struct Reply {
     enum class Kind : uint8_t {
-      kResponse = 0,     ///< response (or v4 itinerary-response) frame;
+      kResponse = 0,     ///< response (or itinerary-response) frame;
                          ///< `frame` holds it for decoding
       kServerError = 1,  ///< error frame; message/code filled in
       kTimeout = 2,      ///< receive timeout (server alive, reply pending)
@@ -106,11 +106,11 @@ class FrameClient {
     Kind kind = Kind::kTransport;
     std::vector<uint8_t> frame;  ///< raw reply frame (kResponse/kServerError)
     std::string error_message;   ///< kServerError: the server's message
-    ErrorCode error_code = ErrorCode::kGeneric;  ///< kServerError: v2 code
+    ErrorCode error_code = ErrorCode::kGeneric;  ///< kServerError: its code
   };
 
   /// SendFrame + timed receive + frame-type dispatch: error frames come
-  /// back as kServerError with the decoded message and (v2) code, so a
+  /// back as kServerError with the decoded message and code, so a
   /// caller can distinguish a shed from a bug from a dead socket.
   Reply CallTyped(const std::vector<uint8_t>& request_frame);
 

@@ -350,8 +350,9 @@ bool FrameServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
       slot->ready = true;
       slot->bytes = WrapFrame(EncodeErrorFrame(
           "transport: declared frame length " + std::to_string(length) +
-          " exceeds limit " + std::to_string(options_.max_frame_bytes) +
-          "; closing connection"));
+              " exceeds limit " + std::to_string(options_.max_frame_bytes) +
+              "; closing connection",
+          ErrorCode::kTransport));
       std::lock_guard<std::mutex> lock(conn->mutex);
       conn->outbox.push_back(std::move(slot));
       conn->close_after_flush = true;

@@ -27,16 +27,6 @@ ErrorCode CodeForShed(ShedReason reason) {
   return ErrorCode::kGeneric;
 }
 
-/// Error frames are encoded at the requester's wire version: a v2 requester
-/// gets the machine-readable code, a v1 requester gets the bit-identical
-/// v1 layout it can decode (the message still names the reason).
-std::vector<uint8_t> ErrorFrameFor(uint32_t wire_version,
-                                   const std::string& message,
-                                   ErrorCode code) {
-  return wire_version >= 2 ? EncodeErrorFrame(message, code)
-                           : EncodeErrorFrame(message);
-}
-
 std::future<eval::RecommendResponse> BrokenFuture(const std::string& message) {
   std::promise<eval::RecommendResponse> broken;
   broken.set_exception(std::make_exception_ptr(std::runtime_error(message)));
@@ -673,8 +663,6 @@ std::vector<uint8_t> Gateway::ServeItineraryFrame(
   plan::ItineraryRequest request;
   const DecodeStatus status = DecodeItineraryRequest(frame, &endpoint, &request);
   if (status != DecodeStatus::kOk) {
-    // Unlike recommend requests, an itinerary frame only decodes at v4+,
-    // so the requester understands every error layout and code.
     return EncodeErrorFrame(std::string("bad itinerary request frame: ") +
                                 DecodeStatusName(status),
                             ErrorCode::kBadFrame);
@@ -725,46 +713,14 @@ std::vector<uint8_t> Gateway::ServeControlFrame(
 }
 
 std::vector<uint8_t> Gateway::ServeFrame(const std::vector<uint8_t>& request_frame) {
-  FrameType frame_type = FrameType::kRequest;
-  if (PeekFrameType(request_frame, &frame_type) == DecodeStatus::kOk &&
-      frame_type != FrameType::kRequest) {
-    if (frame_type == FrameType::kItineraryRequest) {
-      return ServeItineraryFrame(request_frame);
-    }
-    return ServeControlFrame(frame_type, request_frame);
-  }
-  std::string endpoint;
-  eval::RecommendRequest request;
-  AdmissionClass admission;
-  uint32_t wire_version = 1;
-  const DecodeStatus status = DecodeRecommendRequest(
-      request_frame, &endpoint, &request, &admission, &wire_version);
-  if (status != DecodeStatus::kOk) {
-    // The requester's version is unknowable from a frame that failed to
-    // decode, so the reply uses the universally decodable v1 layout.
-    return EncodeErrorFrame(std::string("bad request frame: ") +
-                            DecodeStatusName(status));
-  }
-  try {
-    return EncodeRecommendResponse(
-        Submit(endpoint, request, admission).get());
-  } catch (const ShedError& e) {
-    return ErrorFrameFor(wire_version, e.what(), CodeForShed(e.reason()));
-  } catch (const std::exception& e) {
-    // BrokenFuture routes (unknown endpoint, invalid request) and model
-    // failures land here; classify by message prefix so v2 requesters get
-    // a useful code without a parallel error-plumbing channel.
-    const std::string what = e.what();
-    ErrorCode code = ErrorCode::kModelFailure;
-    if (what.rfind("no endpoint", 0) == 0) {
-      code = ErrorCode::kUnknownEndpoint;
-    } else if (what.rfind("invalid request", 0) == 0) {
-      code = ErrorCode::kInvalidRequest;
-    }
-    return ErrorFrameFor(wire_version, what, code);
-  } catch (...) {
-    return ErrorFrameFor(wire_version, "request failed", ErrorCode::kGeneric);
-  }
+  // The callback shares the promise: set_value may still be returning on a
+  // serving worker after get() has woken this thread.
+  auto reply = std::make_shared<std::promise<std::vector<uint8_t>>>();
+  std::future<std::vector<uint8_t>> future = reply->get_future();
+  ServeFrameAsync(request_frame, [reply](std::vector<uint8_t> frame) {
+    reply->set_value(std::move(frame));
+  });
+  return future.get();
 }
 
 void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
@@ -790,37 +746,34 @@ void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
   std::string endpoint;
   eval::RecommendRequest request;
   AdmissionClass admission;
-  uint32_t wire_version = 1;
-  const DecodeStatus status = DecodeRecommendRequest(
-      request_frame, &endpoint, &request, &admission, &wire_version);
+  const DecodeStatus status =
+      DecodeRecommendRequest(request_frame, &endpoint, &request, &admission);
   if (status != DecodeStatus::kOk) {
-    done(EncodeErrorFrame(std::string("bad request frame: ") +
-                          DecodeStatusName(status)));
+    done(EncodeErrorFrame(
+        std::string("bad request frame: ") + DecodeStatusName(status),
+        ErrorCode::kBadFrame));
     return;
   }
   std::shared_ptr<Deployment> deployment = CurrentDeployment(endpoint);
   if (deployment == nullptr) {
-    done(ErrorFrameFor(wire_version,
-                       "no endpoint '" + endpoint + "' is deployed",
-                       ErrorCode::kUnknownEndpoint));
+    done(EncodeErrorFrame("no endpoint '" + endpoint + "' is deployed",
+                          ErrorCode::kUnknownEndpoint));
     return;
   }
   const std::string invalid =
       ValidateRequest(*deployment->config.dataset, request);
   if (!invalid.empty()) {
-    done(ErrorFrameFor(wire_version,
-                       "invalid request for endpoint '" + endpoint +
-                           "': " + invalid,
-                       ErrorCode::kInvalidRequest));
+    done(EncodeErrorFrame(
+        "invalid request for endpoint '" + endpoint + "': " + invalid,
+        ErrorCode::kInvalidRequest));
     return;
   }
   if (!ShapeForOverload(*deployment, &request, admission.priority)) {
-    done(ErrorFrameFor(wire_version,
-                       "request shed (kCapacity): endpoint '" + endpoint +
-                           "' is degraded and sheds " +
-                           std::string(PriorityName(admission.priority)) +
-                           " traffic",
-                       ErrorCode::kShedCapacity));
+    done(EncodeErrorFrame("request shed (kCapacity): endpoint '" + endpoint +
+                              "' is degraded and sheds " +
+                              std::string(PriorityName(admission.priority)) +
+                              " traffic",
+                          ErrorCode::kShedCapacity));
     return;
   }
   // The continuation deliberately does NOT capture the deployment: it does
@@ -836,20 +789,16 @@ void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
   ShedReason shed_reason = ShedReason::kNone;
   const bool accepted = deployment->engine->TrySubmitAsync(
       request, admission,
-      [done, wire_version](eval::RecommendResponse response,
-                           std::exception_ptr error) {
+      [done](eval::RecommendResponse response, std::exception_ptr error) {
         if (error != nullptr) {
           try {
             std::rethrow_exception(error);
           } catch (const ShedError& e) {
-            done(ErrorFrameFor(wire_version, e.what(),
-                               CodeForShed(e.reason())));
+            done(EncodeErrorFrame(e.what(), CodeForShed(e.reason())));
           } catch (const std::exception& e) {
-            done(ErrorFrameFor(wire_version, e.what(),
-                               ErrorCode::kModelFailure));
+            done(EncodeErrorFrame(e.what(), ErrorCode::kModelFailure));
           } catch (...) {
-            done(ErrorFrameFor(wire_version, "request failed",
-                               ErrorCode::kGeneric));
+            done(EncodeErrorFrame("request failed", ErrorCode::kGeneric));
           }
           return;
         }
@@ -857,8 +806,7 @@ void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
       },
       &shed_reason);
   if (!accepted) {
-    done(ErrorFrameFor(
-        wire_version,
+    done(EncodeErrorFrame(
         "request shed (" + std::string(ShedReasonName(shed_reason)) +
             "): endpoint '" + endpoint + "' is overloaded",
         CodeForShed(shed_reason)));

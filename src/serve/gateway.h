@@ -282,18 +282,10 @@ class Gateway : public FrameHandler {
                      plan::ItineraryResponse* out,
                      std::string* error = nullptr);
 
-  /// Wire entry point: decodes a request frame (which names its endpoint),
-  /// serves it, and returns an encoded response frame — or an encoded
-  /// error frame for malformed/unknown/failed requests. Ping frames come
-  /// back as pongs and stats requests as a stats snapshot (v3 control
-  /// surface), so a shard process answers health and telemetry probes on
-  /// the same connection that serves traffic. Never throws.
-  ///
-  /// DEPRECATED for network front-ends: this call parks the calling thread
-  /// on the response future (one blocked thread per in-flight frame). New
-  /// socket-facing code should route frames through serve::FrameServer
-  /// (src/serve/frame_server.h), which rides ServeFrameAsync instead; this
-  /// synchronous form remains for tests and parity baselines.
+  /// Blocking form of ServeFrameAsync: returns the reply frame it hands to
+  /// its callback, parking the calling thread until then. Socket-facing
+  /// code goes through serve::FrameServer, which calls ServeFrameAsync
+  /// directly.
   std::vector<uint8_t> ServeFrame(const std::vector<uint8_t>& request_frame);
 
   /// A reply frame handed to the continuation of ServeFrameAsync: a
@@ -469,13 +461,13 @@ class Gateway : public FrameHandler {
   /// released (the shared_ptrs keep the deployment alive).
   static EndpointStats StatsOf(const EndpointSnapshot& snapshot);
 
-  /// Serves the non-request frames ServeFrame[Async] dispatches to: pings
+  /// Serves the non-request frames ServeFrameAsync dispatches to: pings
   /// come back as pongs, stats requests as a stats snapshot, anything else
   /// (a response/error/pong frame aimed at a server) as a kBadFrame error.
   std::vector<uint8_t> ServeControlFrame(FrameType type,
                                          const std::vector<uint8_t>& frame);
 
-  /// Serves one v4 kItineraryRequest frame end to end (decode, validate,
+  /// Serves one kItineraryRequest frame end to end (decode, validate,
   /// plan, encode): a kItineraryResponse frame on success, an error frame
   /// otherwise. Blocking — the async wire path runs it on a background
   /// worker (StartAsyncOp), never on the transport thread.

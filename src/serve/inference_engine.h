@@ -37,7 +37,7 @@ struct EngineOptions {
   int64_t coalesce_window_us = 200;
 
   /// Default completion budget for requests whose AdmissionClass carries no
-  /// deadline (v1 traffic included). 0 = such requests never expire.
+  /// deadline. 0 = such requests never expire.
   int64_t default_deadline_ms = 0;
 
   /// Defaults above overridden from the environment, clamped to sane ranges.

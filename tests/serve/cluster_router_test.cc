@@ -140,8 +140,8 @@ TEST_F(ClusterRouterTest, RoutedResponsesAreBitIdenticalToDirectShardAccess) {
   ShardRouter router(RouterFor(shards, 1));
   ASSERT_TRUE(router.Start());
 
-  // The acceptance bar: a v1 frame is forwarded verbatim and its reply
-  // returned verbatim — byte-for-byte what the shard itself would serve.
+  // The acceptance bar: a frame without a deadline is forwarded verbatim
+  // and its reply returned verbatim — byte-for-byte what the shard itself would serve.
   for (size_t i = 0; i < 6; ++i) {
     const std::vector<uint8_t> frame = RequestFrame(i, 10);
     EXPECT_EQ(router.Route(frame), shards[0]->gateway.ServeFrame(frame))
@@ -169,7 +169,7 @@ TEST_F(ClusterRouterTest, ItineraryFramesForwardVerbatimWithBitIdenticalReplies)
   ShardRouter router(RouterFor(shards, 1));
   ASSERT_TRUE(router.Start());
 
-  // A v4 itinerary frame rides the same (endpoint, user) routing key as
+  // An itinerary frame rides the same (endpoint, user) routing key as
   // recommendations: forwarded verbatim, reply returned verbatim. With
   // identical checkpoints on every shard, whichever shard the ring picks
   // serves the same bytes — compare against both.
@@ -268,9 +268,7 @@ TEST_F(ClusterRouterTest, EndpointTokenBucketRefusesWithTypedRateLimited) {
   eval::RecommendRequest request;
   request.sample = samples_[0];
   request.top_n = 3;
-  AdmissionClass admission;  // v2 frame, so the refusal carries its code
-  const std::vector<uint8_t> frame =
-      EncodeRecommendRequest("city", request, admission);
+  const std::vector<uint8_t> frame = EncodeRecommendRequest("city", request);
 
   for (int i = 0; i < 2; ++i) {
     eval::RecommendResponse response;
@@ -326,26 +324,13 @@ TEST_F(ClusterRouterTest, AllReplicasDownYieldsTypedShardUnavailable) {
   ShardRouter router(options);
   ASSERT_TRUE(router.Start());
 
-  // v2 requester: typed code.
-  eval::RecommendRequest request;
-  request.sample = samples_[0];
-  AdmissionClass admission;
   std::string message;
   ErrorCode code = ErrorCode::kGeneric;
-  ASSERT_EQ(DecodeErrorFrame(
-                router.Route(EncodeRecommendRequest("city", request, admission)),
-                &message, &code),
-            DecodeStatus::kOk);
-  EXPECT_EQ(code, ErrorCode::kShardUnavailable);
-
-  // v1 requester: the message-only layout it can decode.
-  message.clear();
-  code = ErrorCode::kGeneric;
   ASSERT_EQ(DecodeErrorFrame(router.Route(RequestFrame(0, 3)), &message, &code),
             DecodeStatus::kOk);
-  EXPECT_EQ(code, ErrorCode::kGeneric);  // v1 error frames carry no code
+  EXPECT_EQ(code, ErrorCode::kShardUnavailable);
   EXPECT_NE(message.find("unavailable"), std::string::npos);
-  EXPECT_GE(router.Snapshot().shard_unavailable, 2);
+  EXPECT_GE(router.Snapshot().shard_unavailable, 1);
   router.Stop();
 }
 

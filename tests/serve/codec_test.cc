@@ -1,14 +1,36 @@
 // Wire-codec tests: round-trips must be bit-exact for every
-// CandidateConstraints field combination, and every corruption mode —
-// truncation at any length, bad magic, future version, wrong frame type,
-// malformed payload counts, trailing garbage — must be rejected with the
-// right DecodeStatus, without crashing and without touching the outputs.
+// CandidateConstraints field combination and every frame type, and every
+// corruption mode — truncation at any length, bad magic, any version word
+// but kWireVersion, wrong frame type, malformed payload counts, trailing
+// garbage — must be rejected with the right DecodeStatus, without crashing
+// and without touching the outputs.
 
 #include "serve/codec.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <new>
 
 #include <gtest/gtest.h>
+
+namespace {
+/// operator new calls made by this thread, so a test can assert that a
+/// decoder refused a corrupt count without allocating for it.
+thread_local int64_t allocations_on_this_thread = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++allocations_on_this_thread;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, the free() would pair visibly with an
+// operator new call and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tspn::serve {
 namespace {
@@ -62,10 +84,19 @@ TEST(CodecRequestTest, RoundTripEveryConstraintCombination) {
     const std::vector<uint8_t> frame =
         EncodeRecommendRequest("endpoint-a", request);
 
+    // The 2-argument encoder is the 3-argument one at the default class.
+    EXPECT_EQ(EncodeRecommendRequest("endpoint-a", request, AdmissionClass{}),
+              frame);
+
     std::string endpoint;
     eval::RecommendRequest decoded;
-    ASSERT_EQ(DecodeRecommendRequest(frame, &endpoint, &decoded),
+    AdmissionClass admission;
+    admission.deadline_ms = 777;  // must be overwritten by the defaults
+    admission.priority = Priority::kBackground;
+    ASSERT_EQ(DecodeRecommendRequest(frame, &endpoint, &decoded, &admission),
               DecodeStatus::kOk);
+    EXPECT_EQ(admission.deadline_ms, 0);
+    EXPECT_EQ(admission.priority, Priority::kInteractive);
     EXPECT_EQ(endpoint, "endpoint-a");
     EXPECT_EQ(decoded.sample.user, request.sample.user);
     EXPECT_EQ(decoded.sample.traj, request.sample.traj);
@@ -114,36 +145,14 @@ TEST(CodecResponseTest, EmptyResponseRoundTrips) {
 }
 
 TEST(CodecErrorFrameTest, RoundTrips) {
-  const std::vector<uint8_t> frame = EncodeErrorFrame("no such endpoint");
+  const std::vector<uint8_t> frame =
+      EncodeErrorFrame("no such endpoint", ErrorCode::kUnknownEndpoint);
   std::string message;
   ASSERT_EQ(DecodeErrorFrame(frame, &message), DecodeStatus::kOk);
   EXPECT_EQ(message, "no such endpoint");
   FrameType type;
   ASSERT_EQ(PeekFrameType(frame, &type), DecodeStatus::kOk);
   EXPECT_EQ(type, FrameType::kError);
-}
-
-TEST(CodecCorruptionTest, TruncationAtEveryLengthIsRejected) {
-  const std::vector<uint8_t> frame =
-      EncodeRecommendRequest("city-a", RequestFor(31));
-  std::string endpoint = "untouched";
-  eval::RecommendRequest request;
-  request.top_n = 42;
-  for (size_t len = 0; len < frame.size(); ++len) {
-    SCOPED_TRACE("prefix length " + std::to_string(len));
-    const std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
-    const DecodeStatus status =
-        DecodeRecommendRequest(cut, &endpoint, &request);
-    EXPECT_NE(status, DecodeStatus::kOk);
-    // A pure prefix can only read as truncated or (once the header survives
-    // but the payload-length field lies) malformed.
-    EXPECT_TRUE(status == DecodeStatus::kTruncated ||
-                status == DecodeStatus::kMalformedPayload)
-        << DecodeStatusName(status);
-  }
-  // Failed decodes never touched the outputs.
-  EXPECT_EQ(endpoint, "untouched");
-  EXPECT_EQ(request.top_n, 42);
 }
 
 TEST(CodecCorruptionTest, BadMagicIsRejected) {
@@ -155,32 +164,6 @@ TEST(CodecCorruptionTest, BadMagicIsRejected) {
             DecodeStatus::kBadMagic);
   FrameType type;
   EXPECT_EQ(PeekFrameType(frame, &type), DecodeStatus::kBadMagic);
-}
-
-TEST(CodecCorruptionTest, FutureVersionIsRejected) {
-  std::vector<uint8_t> frame = EncodeRecommendRequest("x", RequestFor(0));
-  const uint32_t future = kWireVersion + 1;
-  std::memcpy(frame.data() + sizeof(uint32_t), &future, sizeof(future));
-  std::string endpoint;
-  eval::RecommendRequest request;
-  EXPECT_EQ(DecodeRecommendRequest(frame, &endpoint, &request),
-            DecodeStatus::kFutureVersion);
-}
-
-TEST(CodecCorruptionTest, TrailingGarbageIsRejected) {
-  std::vector<uint8_t> frame = EncodeRecommendRequest("x", RequestFor(17));
-  frame.push_back(0xAB);
-  std::string endpoint;
-  eval::RecommendRequest request;
-  EXPECT_EQ(DecodeRecommendRequest(frame, &endpoint, &request),
-            DecodeStatus::kTrailingGarbage);
-
-  std::vector<uint8_t> response_frame =
-      EncodeRecommendResponse(eval::RecommendResponse{});
-  response_frame.push_back(0x00);
-  eval::RecommendResponse response;
-  EXPECT_EQ(DecodeRecommendResponse(response_frame, &response),
-            DecodeStatus::kTrailingGarbage);
 }
 
 TEST(CodecCorruptionTest, WrongFrameTypeIsRejected) {
@@ -236,15 +219,9 @@ TEST(CodecCorruptionTest, EmptyAndHeaderOnlyBuffersAreTruncated) {
   EXPECT_EQ(PeekFrameType(empty, &type), DecodeStatus::kTruncated);
 }
 
-// --- Version 2: admission fields, error codes, v1 compatibility --------------
+// --- Admission fields and error codes ----------------------------------------
 
-uint32_t FrameVersion(const std::vector<uint8_t>& frame) {
-  uint32_t version = 0;
-  std::memcpy(&version, frame.data() + sizeof(uint32_t), sizeof(version));
-  return version;
-}
-
-TEST(CodecV2RequestTest, AdmissionFieldsRoundTrip) {
+TEST(CodecRequestTest, AdmissionFieldsRoundTrip) {
   const Priority kAll[] = {Priority::kBackground, Priority::kBulk,
                            Priority::kInteractive};
   for (Priority priority : kAll) {
@@ -257,16 +234,13 @@ TEST(CodecV2RequestTest, AdmissionFieldsRoundTrip) {
       admission.priority = priority;
       const std::vector<uint8_t> frame =
           EncodeRecommendRequest("ep", RequestFor(21), admission);
-      EXPECT_EQ(FrameVersion(frame), 2u);
 
       std::string endpoint;
       eval::RecommendRequest decoded;
       AdmissionClass decoded_admission;
-      uint32_t wire_version = 0;
       ASSERT_EQ(DecodeRecommendRequest(frame, &endpoint, &decoded,
-                                       &decoded_admission, &wire_version),
+                                       &decoded_admission),
                 DecodeStatus::kOk);
-      EXPECT_EQ(wire_version, 2u);
       EXPECT_EQ(decoded_admission.deadline_ms, deadline_ms);
       EXPECT_EQ(decoded_admission.priority, priority);
       ExpectSameConstraints(decoded.constraints, RequestFor(21).constraints);
@@ -278,60 +252,7 @@ TEST(CodecV2RequestTest, AdmissionFieldsRoundTrip) {
   }
 }
 
-TEST(CodecV2RequestTest, V1FrameDecodesWithDefaultAdmission) {
-  // A frame from the 2-arg (v1) encoder must decode through the
-  // admission-aware decoder with the exact AdmissionClass defaults.
-  const std::vector<uint8_t> frame = EncodeRecommendRequest("ep", RequestFor(9));
-  EXPECT_EQ(FrameVersion(frame), 1u);
-  std::string endpoint;
-  eval::RecommendRequest decoded;
-  AdmissionClass admission;
-  admission.deadline_ms = 777;  // must be overwritten by the defaults
-  admission.priority = Priority::kBackground;
-  uint32_t wire_version = 0;
-  ASSERT_EQ(DecodeRecommendRequest(frame, &endpoint, &decoded, &admission,
-                                   &wire_version),
-            DecodeStatus::kOk);
-  EXPECT_EQ(wire_version, 1u);
-  EXPECT_EQ(admission.deadline_ms, 0);
-  EXPECT_EQ(admission.priority, Priority::kInteractive);
-}
-
-TEST(CodecV2RequestTest, V1EncoderIsBitIdenticalToPreV2Layout) {
-  // The lowest-representable-version rule: the 2-arg encoder keeps emitting
-  // the exact v1 layout — version word 1, no trailing admission bytes.
-  const std::vector<uint8_t> v1 = EncodeRecommendRequest("e", RequestFor(0));
-  const std::vector<uint8_t> v2 =
-      EncodeRecommendRequest("e", RequestFor(0), AdmissionClass{});
-  EXPECT_EQ(FrameVersion(v1), 1u);
-  EXPECT_EQ(v2.size(), v1.size() + sizeof(int64_t) + sizeof(uint8_t));
-}
-
-TEST(CodecV2RequestTest, TruncationAtEveryLengthIsRejected) {
-  AdmissionClass admission;
-  admission.deadline_ms = 1500;
-  admission.priority = Priority::kBulk;
-  const std::vector<uint8_t> frame =
-      EncodeRecommendRequest("city-a", RequestFor(31), admission);
-  std::string endpoint = "untouched";
-  eval::RecommendRequest request;
-  AdmissionClass out;
-  out.deadline_ms = -42;
-  for (size_t len = 0; len < frame.size(); ++len) {
-    SCOPED_TRACE("prefix length " + std::to_string(len));
-    const std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
-    const DecodeStatus status =
-        DecodeRecommendRequest(cut, &endpoint, &request, &out);
-    EXPECT_NE(status, DecodeStatus::kOk);
-    EXPECT_TRUE(status == DecodeStatus::kTruncated ||
-                status == DecodeStatus::kMalformedPayload)
-        << DecodeStatusName(status);
-  }
-  EXPECT_EQ(endpoint, "untouched");
-  EXPECT_EQ(out.deadline_ms, -42);
-}
-
-TEST(CodecV2RequestTest, NegativeDeadlineAndBadPriorityAreMalformed) {
+TEST(CodecRequestTest, NegativeDeadlineAndBadPriorityAreMalformed) {
   AdmissionClass admission;
   admission.deadline_ms = 100;
   admission.priority = Priority::kBulk;
@@ -357,26 +278,37 @@ TEST(CodecV2RequestTest, NegativeDeadlineAndBadPriorityAreMalformed) {
       DecodeStatus::kMalformedPayload);
 }
 
-TEST(CodecV2RequestTest, V2FrameWithoutAdmissionTailIsMalformed) {
-  // Flip a v1 frame's version word to 2: now the admission tail is
-  // mandatory and its absence must be rejected, not defaulted.
-  std::vector<uint8_t> frame = EncodeRecommendRequest("e", RequestFor(0));
-  const uint32_t two = 2;
-  std::memcpy(frame.data() + sizeof(uint32_t), &two, sizeof(two));
+/// Byte offset of the payload-length word, and the header size.
+constexpr size_t kPayloadLenOffset = 4 + 4 + 1;
+constexpr size_t kHeaderBytes = kPayloadLenOffset + 4;
+
+/// Drops the last `bytes` payload bytes and patches the payload length, so
+/// the header stays consistent and only the payload is short.
+std::vector<uint8_t> DropPayloadTail(std::vector<uint8_t> frame, size_t bytes) {
+  frame.resize(frame.size() - bytes);
+  const uint32_t payload_len = static_cast<uint32_t>(frame.size() - kHeaderBytes);
+  std::memcpy(frame.data() + kPayloadLenOffset, &payload_len,
+              sizeof(payload_len));
+  return frame;
+}
+
+TEST(CodecRequestTest, RequestWithoutAdmissionTailIsMalformed) {
+  // The admission tail is part of the one request layout: a frame whose
+  // payload stops before it is rejected, not defaulted.
+  const std::vector<uint8_t> frame =
+      DropPayloadTail(EncodeRecommendRequest("e", RequestFor(0)),
+                      sizeof(int64_t) + sizeof(uint8_t));
   std::string endpoint;
   eval::RecommendRequest request;
   EXPECT_EQ(DecodeRecommendRequest(frame, &endpoint, &request),
             DecodeStatus::kMalformedPayload);
 }
 
-TEST(CodecV2ErrorFrameTest, ErrorCodeRoundTrips) {
+TEST(CodecErrorFrameTest, ErrorCodeRoundTrips) {
   for (uint8_t raw = 0; raw <= kMaxErrorCode; ++raw) {
     const ErrorCode code = static_cast<ErrorCode>(raw);
     SCOPED_TRACE(ErrorCodeName(code));
     const std::vector<uint8_t> frame = EncodeErrorFrame("shed", code);
-    // Lowest-representable-version rule: the v2-era codes keep the v2
-    // layout; the router-tier codes (9+) did not exist in v2 and go v3.
-    EXPECT_EQ(FrameVersion(frame), raw > kMaxErrorCodeV2 ? 3u : 2u);
     std::string message;
     ErrorCode decoded = ErrorCode::kGeneric;
     ASSERT_EQ(DecodeErrorFrame(frame, &message, &decoded), DecodeStatus::kOk);
@@ -385,34 +317,20 @@ TEST(CodecV2ErrorFrameTest, ErrorCodeRoundTrips) {
   }
 }
 
-TEST(CodecV2ErrorFrameTest, V1ErrorFrameDecodesAsGeneric) {
-  const std::vector<uint8_t> frame = EncodeErrorFrame("old style");
-  EXPECT_EQ(FrameVersion(frame), 1u);
-  std::string message;
-  ErrorCode code = ErrorCode::kShedDeadline;
-  ASSERT_EQ(DecodeErrorFrame(frame, &message, &code), DecodeStatus::kOk);
-  EXPECT_EQ(message, "old style");
-  EXPECT_EQ(code, ErrorCode::kGeneric);
-}
-
-TEST(CodecV2ErrorFrameTest, OutOfRangeCodeIsMalformed) {
+TEST(CodecErrorFrameTest, OutOfRangeCodeIsMalformed) {
   std::vector<uint8_t> frame = EncodeErrorFrame("x", ErrorCode::kExpired);
   frame.back() = kMaxErrorCode + 1;
   std::string message;
   ErrorCode code;
   EXPECT_EQ(DecodeErrorFrame(frame, &message, &code),
             DecodeStatus::kMalformedPayload);
+
+  // A frame without its code byte is malformed too.
+  EXPECT_EQ(DecodeErrorFrame(DropPayloadTail(frame, 1), &message, &code),
+            DecodeStatus::kMalformedPayload);
 }
 
-TEST(CodecV2ResponseTest, ResponsesStayVersion1) {
-  // Responses gained nothing in v2: they must keep the v1 version word so
-  // replies to v1 clients are bit-identical across the protocol bump.
-  const std::vector<uint8_t> frame =
-      EncodeRecommendResponse(eval::RecommendResponse{});
-  EXPECT_EQ(FrameVersion(frame), 1u);
-}
-
-// --- Version 4: itinerary frames ---------------------------------------------
+// --- Itinerary frames --------------------------------------------------------
 
 /// One representative itinerary request per field-variation mask; the
 /// constraint block reuses ConstraintsFor so the full CandidateConstraints
@@ -453,13 +371,12 @@ void ExpectSameItineraryRequest(const plan::ItineraryRequest& a,
   ExpectSameConstraints(a.constraints, b.constraints);
 }
 
-TEST(CodecV4ItineraryRequestTest, RoundTripEveryFieldCombination) {
+TEST(CodecItineraryRequestTest, RoundTripEveryFieldCombination) {
   for (unsigned mask = 0; mask < 64; ++mask) {
     SCOPED_TRACE("field mask " + std::to_string(mask));
     const plan::ItineraryRequest request = ItineraryRequestFor(mask);
     const std::vector<uint8_t> frame =
         EncodeItineraryRequest("trips-nyc", request);
-    EXPECT_EQ(FrameVersion(frame), 4u);
 
     FrameType type;
     ASSERT_EQ(PeekFrameType(frame, &type), DecodeStatus::kOk);
@@ -467,11 +384,9 @@ TEST(CodecV4ItineraryRequestTest, RoundTripEveryFieldCombination) {
 
     std::string endpoint;
     plan::ItineraryRequest decoded;
-    uint32_t wire_version = 0;
-    ASSERT_EQ(DecodeItineraryRequest(frame, &endpoint, &decoded, &wire_version),
+    ASSERT_EQ(DecodeItineraryRequest(frame, &endpoint, &decoded),
               DecodeStatus::kOk);
     EXPECT_EQ(endpoint, "trips-nyc");
-    EXPECT_EQ(wire_version, 4u);
     ExpectSameItineraryRequest(decoded, request);
 
     // Encode(Decode(frame)) must reproduce the frame byte for byte.
@@ -494,10 +409,9 @@ plan::ItineraryResponse SampleItineraryResponse() {
   return response;
 }
 
-TEST(CodecV4ItineraryResponseTest, RoundTripIsBitExact) {
+TEST(CodecItineraryResponseTest, RoundTripIsBitExact) {
   const plan::ItineraryResponse response = SampleItineraryResponse();
   const std::vector<uint8_t> frame = EncodeItineraryResponse(response);
-  EXPECT_EQ(FrameVersion(frame), 4u);
 
   plan::ItineraryResponse decoded;
   ASSERT_EQ(DecodeItineraryResponse(frame, &decoded), DecodeStatus::kOk);
@@ -534,62 +448,9 @@ TEST(CodecV4ItineraryResponseTest, RoundTripIsBitExact) {
   EXPECT_EQ(EncodeItineraryResponse(decoded), frame);
 }
 
-TEST(CodecV4ItineraryTest, TruncationAtEveryLengthIsRejected) {
-  const std::vector<uint8_t> request_frame =
-      EncodeItineraryRequest("city-a", ItineraryRequestFor(63));
-  std::string endpoint = "untouched";
-  plan::ItineraryRequest request;
-  request.k_stops = 42;
-  for (size_t len = 0; len < request_frame.size(); ++len) {
-    SCOPED_TRACE("request prefix length " + std::to_string(len));
-    const std::vector<uint8_t> cut(request_frame.begin(),
-                                   request_frame.begin() + len);
-    const DecodeStatus status = DecodeItineraryRequest(cut, &endpoint, &request);
-    EXPECT_NE(status, DecodeStatus::kOk);
-    EXPECT_TRUE(status == DecodeStatus::kTruncated ||
-                status == DecodeStatus::kMalformedPayload)
-        << DecodeStatusName(status);
-  }
-  EXPECT_EQ(endpoint, "untouched");
-  EXPECT_EQ(request.k_stops, 42);
-
-  const std::vector<uint8_t> response_frame =
-      EncodeItineraryResponse(SampleItineraryResponse());
-  plan::ItineraryResponse response;
-  response.expansions = -5;
-  for (size_t len = 0; len < response_frame.size(); ++len) {
-    SCOPED_TRACE("response prefix length " + std::to_string(len));
-    const std::vector<uint8_t> cut(response_frame.begin(),
-                                   response_frame.begin() + len);
-    const DecodeStatus status = DecodeItineraryResponse(cut, &response);
-    EXPECT_NE(status, DecodeStatus::kOk);
-    EXPECT_TRUE(status == DecodeStatus::kTruncated ||
-                status == DecodeStatus::kMalformedPayload)
-        << DecodeStatusName(status);
-  }
-  EXPECT_EQ(response.expansions, -5);
-}
-
-TEST(CodecV4ItineraryTest, TrailingGarbageIsRejected) {
-  std::vector<uint8_t> request_frame =
-      EncodeItineraryRequest("e", ItineraryRequestFor(7));
-  request_frame.push_back(0xAB);
-  std::string endpoint;
-  plan::ItineraryRequest request;
-  EXPECT_EQ(DecodeItineraryRequest(request_frame, &endpoint, &request),
-            DecodeStatus::kTrailingGarbage);
-
-  std::vector<uint8_t> response_frame =
-      EncodeItineraryResponse(plan::ItineraryResponse{});
-  response_frame.push_back(0x00);
-  plan::ItineraryResponse response;
-  EXPECT_EQ(DecodeItineraryResponse(response_frame, &response),
-            DecodeStatus::kTrailingGarbage);
-}
-
-TEST(CodecV4ItineraryTest, WrongFrameTypeIsRejected) {
-  // The new frames reject the old decoders and vice versa — no payload
-  // confusion across the type byte.
+TEST(CodecItineraryTest, WrongFrameTypeIsRejected) {
+  // The itinerary frames reject the recommend decoders and vice versa — no
+  // payload confusion across the type byte.
   const std::vector<uint8_t> itinerary_frame =
       EncodeItineraryRequest("e", ItineraryRequestFor(0));
   std::string endpoint;
@@ -607,30 +468,15 @@ TEST(CodecV4ItineraryTest, WrongFrameTypeIsRejected) {
             DecodeStatus::kWrongFrameType);
 }
 
-TEST(CodecV4ItineraryTest, PreV4VersionWordIsRejected) {
-  // Itinerary frames are v4-only: a version word below 4 claims a protocol
-  // level at which the frame type did not exist.
-  for (uint32_t version = 1; version <= 3; ++version) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    std::vector<uint8_t> frame =
-        EncodeItineraryRequest("e", ItineraryRequestFor(0));
-    std::memcpy(frame.data() + sizeof(uint32_t), &version, sizeof(version));
-    std::string endpoint;
-    plan::ItineraryRequest request;
-    EXPECT_EQ(DecodeItineraryRequest(frame, &endpoint, &request),
-              DecodeStatus::kMalformedPayload);
-  }
-}
-
-TEST(CodecV4ItineraryTest, BadFlagModeAndStopCountAreMalformed) {
+TEST(CodecItineraryTest, BadFlagModeAndStopCountAreMalformed) {
   const plan::ItineraryRequest request = ItineraryRequestFor(0);
   const std::vector<uint8_t> frame = EncodeItineraryRequest("e", request);
   // Payload layout after the endpoint string: sample (3x int32), k_stops
   // (int32), three doubles, start_time (int64), return flag, quota (int32),
   // open-hours flag, mode byte.
-  const size_t header = 4 + 4 + 1 + 4;
   const size_t endpoint_bytes = 4 + 1;
-  const size_t k_stops_offset = header + endpoint_bytes + 3 * sizeof(int32_t);
+  const size_t k_stops_offset =
+      kHeaderBytes + endpoint_bytes + 3 * sizeof(int32_t);
   const size_t return_flag_offset =
       k_stops_offset + sizeof(int32_t) + 3 * sizeof(double) + sizeof(int64_t);
   const size_t mode_offset =
@@ -656,54 +502,273 @@ TEST(CodecV4ItineraryTest, BadFlagModeAndStopCountAreMalformed) {
             DecodeStatus::kMalformedPayload);
 }
 
-TEST(CodecV4ItineraryTest, HugePlanAndStopCountsAreRejected) {
+TEST(CodecItineraryTest, HugePlanAndStopCountsAreRejected) {
   // A tiny frame claiming more plans than the cap (or more than its bytes
   // can hold) must be refused by the count checks, never satisfied by a
   // giant resize.
-  const size_t header = 4 + 4 + 1 + 4;
   std::vector<uint8_t> frame =
       EncodeItineraryResponse(plan::ItineraryResponse{});
   const uint32_t over_cap = kMaxItineraryPlans + 1;
-  std::memcpy(frame.data() + header, &over_cap, sizeof(over_cap));
+  std::memcpy(frame.data() + kHeaderBytes, &over_cap, sizeof(over_cap));
   plan::ItineraryResponse response;
   EXPECT_EQ(DecodeItineraryResponse(frame, &response),
             DecodeStatus::kMalformedPayload);
 
   const uint32_t claims_plans = 3;  // in-cap but the frame has no plan bytes
-  std::memcpy(frame.data() + header, &claims_plans, sizeof(claims_plans));
-  EXPECT_NE(DecodeItineraryResponse(frame, &response), DecodeStatus::kOk);
+  std::memcpy(frame.data() + kHeaderBytes, &claims_plans, sizeof(claims_plans));
+  EXPECT_EQ(DecodeItineraryResponse(frame, &response),
+            DecodeStatus::kMalformedPayload);
 
   // Stop-count cap inside a plan: corrupt the first plan's stop count.
   plan::ItineraryResponse one_plan;
   one_plan.plans.emplace_back();
   std::vector<uint8_t> plan_frame = EncodeItineraryResponse(one_plan);
   const uint32_t huge_stops = static_cast<uint32_t>(plan::kMaxItineraryStops) + 1;
-  std::memcpy(plan_frame.data() + header + sizeof(uint32_t), &huge_stops,
+  std::memcpy(plan_frame.data() + kHeaderBytes + sizeof(uint32_t), &huge_stops,
               sizeof(huge_stops));
   EXPECT_EQ(DecodeItineraryResponse(plan_frame, &response),
             DecodeStatus::kMalformedPayload);
 }
 
-TEST(CodecV4ItineraryTest, ExistingEncodersStillEmitLowestVersions) {
-  // The v4 bump must not move any existing frame off its
-  // lowest-representable version: v1-v3 peers keep decoding replies
-  // bit-identically.
-  EXPECT_EQ(FrameVersion(EncodeRecommendRequest("e", RequestFor(0))), 1u);
-  EXPECT_EQ(FrameVersion(EncodeRecommendRequest("e", RequestFor(0),
-                                                AdmissionClass{})),
-            2u);
-  EXPECT_EQ(FrameVersion(EncodeRecommendResponse(eval::RecommendResponse{})),
-            1u);
-  EXPECT_EQ(FrameVersion(EncodeErrorFrame("v1 shape")), 1u);
-  EXPECT_EQ(FrameVersion(EncodeErrorFrame("coded", ErrorCode::kGeneric)), 2u);
-  EXPECT_EQ(FrameVersion(EncodePingFrame(7)), 3u);
-  EXPECT_EQ(FrameVersion(EncodePongFrame(7)), 3u);
-  EXPECT_EQ(FrameVersion(EncodeStatsRequest()), 3u);
-  EXPECT_EQ(FrameVersion(EncodeStatsResponse(WireStatsSnapshot{})), 3u);
-  EXPECT_EQ(FrameVersion(EncodeItineraryRequest("e", ItineraryRequestFor(0))),
-            4u);
-  EXPECT_EQ(FrameVersion(EncodeItineraryResponse(plan::ItineraryResponse{})),
-            4u);
+// --- Every frame type --------------------------------------------------------
+
+WireStatsSnapshot SampleStatsSnapshot() {
+  WireEndpointStats row;
+  row.endpoint = "city";
+  row.model_name = "TSPN-RA";
+  row.queue_depth = 3;
+  row.lifetime_submitted = 1000;
+  row.lifetime_completed = 990;
+  row.lifetime_rejected = 10;
+  row.shed_deadline = 4;
+  row.shed_capacity = 5;
+  row.expired_in_queue = 1;
+  row.degraded = 7;
+  row.swaps = 2;
+  row.degraded_now = true;
+  row.qps = 312.5;
+  row.p50_latency_ms = 1.25;
+  row.p95_latency_ms = 4.75;
+  WireStatsSnapshot snapshot;
+  snapshot.endpoints = {row, WireEndpointStats{}};
+  return snapshot;
+}
+
+/// One encoded frame of each type, and a decoder that re-encodes what it
+/// decoded (into *reencoded, on kOk) and checks that a failed decode left
+/// its outputs untouched.
+struct FrameCase {
+  const char* name;
+  FrameType type;
+  std::vector<uint8_t> frame;
+  std::function<DecodeStatus(const std::vector<uint8_t>&,
+                             std::vector<uint8_t>* reencoded)>
+      decode;
+};
+
+std::vector<FrameCase> EveryFrameType() {
+  AdmissionClass admission;
+  admission.deadline_ms = 1500;
+  admission.priority = Priority::kBulk;
+  eval::RecommendResponse response;
+  response.stages_used = 2;
+  response.tiles_screened = 9;
+  response.items = {{101, 0.875f, 4}, {7, -0.125f, -1}};
+  std::vector<FrameCase> cases;
+  cases.push_back(
+      {"request", FrameType::kRequest,
+       EncodeRecommendRequest("city-a", RequestFor(31), admission),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         std::string endpoint = "untouched";
+         eval::RecommendRequest request;
+         request.top_n = 42;
+         AdmissionClass out;
+         out.deadline_ms = -42;
+         const DecodeStatus s =
+             DecodeRecommendRequest(f, &endpoint, &request, &out);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeRecommendRequest(endpoint, request, out);
+         } else {
+           EXPECT_EQ(endpoint, "untouched");
+           EXPECT_EQ(request.top_n, 42);
+           EXPECT_EQ(out.deadline_ms, -42);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"response", FrameType::kResponse, EncodeRecommendResponse(response),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         eval::RecommendResponse out;
+         out.tiles_screened = -42;
+         const DecodeStatus s = DecodeRecommendResponse(f, &out);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeRecommendResponse(out);
+         } else {
+           EXPECT_EQ(out.tiles_screened, -42);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"error", FrameType::kError,
+       EncodeErrorFrame("shed", ErrorCode::kShardUnavailable),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         std::string message = "untouched";
+         ErrorCode code = ErrorCode::kExpired;
+         const DecodeStatus s = DecodeErrorFrame(f, &message, &code);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeErrorFrame(message, code);
+         } else {
+           EXPECT_EQ(message, "untouched");
+           EXPECT_EQ(code, ErrorCode::kExpired);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"ping", FrameType::kPing, EncodePingFrame(0x0123456789ABCDEFull),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         uint64_t nonce = 42;
+         const DecodeStatus s = DecodePingFrame(f, &nonce);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodePingFrame(nonce);
+         } else {
+           EXPECT_EQ(nonce, 42u);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"pong", FrameType::kPong, EncodePongFrame(7),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         uint64_t nonce = 42;
+         const DecodeStatus s = DecodePongFrame(f, &nonce);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodePongFrame(nonce);
+         } else {
+           EXPECT_EQ(nonce, 42u);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"stats request", FrameType::kStatsRequest, EncodeStatsRequest(),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         const DecodeStatus s = DecodeStatsRequest(f);
+         if (s == DecodeStatus::kOk) *reencoded = EncodeStatsRequest();
+         return s;
+       }});
+  cases.push_back(
+      {"stats response", FrameType::kStatsResponse,
+       EncodeStatsResponse(SampleStatsSnapshot()),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         WireStatsSnapshot out;
+         out.endpoints.resize(1);
+         out.endpoints[0].swaps = -42;
+         const DecodeStatus s = DecodeStatsResponse(f, &out);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeStatsResponse(out);
+         } else {
+           EXPECT_EQ(out.endpoints.size(), 1u);
+           EXPECT_EQ(out.endpoints[0].swaps, -42);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"itinerary request", FrameType::kItineraryRequest,
+       EncodeItineraryRequest("city-a", ItineraryRequestFor(63)),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         std::string endpoint = "untouched";
+         plan::ItineraryRequest request;
+         request.k_stops = 42;
+         const DecodeStatus s = DecodeItineraryRequest(f, &endpoint, &request);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeItineraryRequest(endpoint, request);
+         } else {
+           EXPECT_EQ(endpoint, "untouched");
+           EXPECT_EQ(request.k_stops, 42);
+         }
+         return s;
+       }});
+  cases.push_back(
+      {"itinerary response", FrameType::kItineraryResponse,
+       EncodeItineraryResponse(SampleItineraryResponse()),
+       [](const std::vector<uint8_t>& f, std::vector<uint8_t>* reencoded) {
+         plan::ItineraryResponse out;
+         out.expansions = -42;
+         const DecodeStatus s = DecodeItineraryResponse(f, &out);
+         if (s == DecodeStatus::kOk) {
+           *reencoded = EncodeItineraryResponse(out);
+         } else {
+           EXPECT_EQ(out.expansions, -42);
+         }
+         return s;
+       }});
+  return cases;
+}
+
+uint32_t FrameVersion(const std::vector<uint8_t>& frame) {
+  uint32_t version = 0;
+  std::memcpy(&version, frame.data() + sizeof(uint32_t), sizeof(version));
+  return version;
+}
+
+TEST(CodecEveryFrameTest, OneLayoutStrictlyDecoded) {
+  const std::vector<FrameCase> cases = EveryFrameType();
+  ASSERT_EQ(cases.size(), 9u);
+  for (const FrameCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    // The one version word, the type byte PeekFrameType reports, and a
+    // bit-exact round trip.
+    EXPECT_EQ(FrameVersion(c.frame), kWireVersion);
+    FrameType type = FrameType::kRequest;
+    ASSERT_EQ(PeekFrameType(c.frame, &type), DecodeStatus::kOk);
+    EXPECT_EQ(type, c.type);
+    std::vector<uint8_t> reencoded;
+    ASSERT_EQ(c.decode(c.frame, &reencoded), DecodeStatus::kOk);
+    EXPECT_EQ(reencoded, c.frame);
+
+    // Every other version word is refused.
+    for (uint32_t version : {0u, 1u, 2u, 3u, kWireVersion + 1}) {
+      SCOPED_TRACE("version " + std::to_string(version));
+      std::vector<uint8_t> other = c.frame;
+      std::memcpy(other.data() + sizeof(uint32_t), &version, sizeof(version));
+      EXPECT_EQ(c.decode(other, &reencoded), DecodeStatus::kUnsupportedVersion);
+      EXPECT_EQ(PeekFrameType(other, &type), DecodeStatus::kUnsupportedVersion);
+    }
+
+    // Every proper prefix is truncated.
+    for (size_t len = 0; len < c.frame.size(); ++len) {
+      SCOPED_TRACE("prefix length " + std::to_string(len));
+      const std::vector<uint8_t> cut(c.frame.begin(), c.frame.begin() + len);
+      EXPECT_EQ(c.decode(cut, &reencoded), DecodeStatus::kTruncated);
+    }
+
+    // A byte past the declared payload is trailing garbage.
+    std::vector<uint8_t> longer = c.frame;
+    longer.push_back(0xAB);
+    EXPECT_EQ(c.decode(longer, &reencoded), DecodeStatus::kTrailingGarbage);
+    EXPECT_EQ(PeekFrameType(longer, &type), DecodeStatus::kTrailingGarbage);
+  }
+}
+
+TEST(CodecEveryFrameTest, HugeCountsInTinyFramesAreRejected) {
+  // A row count in range but far beyond what the payload can hold must be
+  // refused before the decoder allocates the rows.
+  std::vector<uint8_t> stats = EncodeStatsResponse(WireStatsSnapshot{});
+  const uint32_t endpoints = 4096;  // the endpoint-count cap
+  std::memcpy(stats.data() + kHeaderBytes, &endpoints, sizeof(endpoints));
+  ASSERT_EQ(stats.size(), kHeaderBytes + sizeof(uint32_t));
+  WireStatsSnapshot snapshot;
+  int64_t before = allocations_on_this_thread;
+  DecodeStatus status = DecodeStatsResponse(stats, &snapshot);
+  EXPECT_EQ(allocations_on_this_thread - before, 0);
+  EXPECT_EQ(status, DecodeStatus::kMalformedPayload);
+
+  std::vector<uint8_t> plans = EncodeItineraryResponse(plan::ItineraryResponse{});
+  const uint32_t plan_count = kMaxItineraryPlans;
+  std::memcpy(plans.data() + kHeaderBytes, &plan_count, sizeof(plan_count));
+  plan::ItineraryResponse response;
+  before = allocations_on_this_thread;
+  status = DecodeItineraryResponse(plans, &response);
+  EXPECT_EQ(allocations_on_this_thread - before, 0);
+  EXPECT_EQ(status, DecodeStatus::kMalformedPayload);
 }
 
 }  // namespace

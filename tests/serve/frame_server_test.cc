@@ -254,7 +254,9 @@ TEST_F(FrameServerTest, OversizedDeclaredLengthClosesAfterErrorFrame) {
   std::vector<uint8_t> reply;
   ASSERT_TRUE(client.RecvFrame(&reply));
   std::string message;
-  ASSERT_EQ(DecodeErrorFrame(reply, &message), DecodeStatus::kOk);
+  ErrorCode code = ErrorCode::kGeneric;
+  ASSERT_EQ(DecodeErrorFrame(reply, &message, &code), DecodeStatus::kOk);
+  EXPECT_EQ(code, ErrorCode::kTransport);
   EXPECT_NE(message.find("transport"), std::string::npos) << message;
   // Connection is closed after the flush: the next read sees EOF.
   EXPECT_FALSE(client.RecvFrame(&reply));

@@ -359,22 +359,34 @@ TEST_F(GatewayTest, ServeFrameRoundTripsTheWireProtocol) {
       << "reply was not a response frame";
   ExpectBitIdentical(response, reference_->Recommend(request));
 
-  // Unknown endpoint -> error frame naming the endpoint.
+  // Admission fields do not change the reply bytes.
+  AdmissionClass bulk;
+  bulk.deadline_ms = 60000;
+  bulk.priority = Priority::kBulk;
+  EXPECT_EQ(gateway.ServeFrame(EncodeRecommendRequest("wire", request, bulk)),
+            reply)
+      << "admission fields changed the response";
+
+  // Unknown endpoint -> typed error frame naming the endpoint.
   const std::vector<uint8_t> unknown =
       gateway.ServeFrame(EncodeRecommendRequest("nope", request));
   std::string message;
-  ASSERT_EQ(DecodeErrorFrame(unknown, &message), DecodeStatus::kOk);
+  ErrorCode code = ErrorCode::kGeneric;
+  ASSERT_EQ(DecodeErrorFrame(unknown, &message, &code), DecodeStatus::kOk);
+  EXPECT_EQ(code, ErrorCode::kUnknownEndpoint);
   EXPECT_NE(message.find("nope"), std::string::npos);
 
-  // Corrupt request -> error frame naming the decode failure, not a crash.
+  // Corrupt request -> kBadFrame error naming the decode failure, not a
+  // crash.
   std::vector<uint8_t> corrupt = EncodeRecommendRequest("wire", request);
   corrupt.resize(corrupt.size() / 2);
-  ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(corrupt), &message),
+  ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(corrupt), &message, &code),
             DecodeStatus::kOk);
+  EXPECT_EQ(code, ErrorCode::kBadFrame);
   EXPECT_NE(message.find("kTruncated"), std::string::npos);
 
   // A response frame submitted as a request is rejected: it is neither a
-  // request nor one of the v3 control frames a server answers.
+  // request nor one of the control frames a server answers.
   ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(reply), &message),
             DecodeStatus::kOk);
   EXPECT_NE(message.find("not servable"), std::string::npos);
@@ -438,10 +450,9 @@ TEST_F(GatewayTest, NonFiniteFenceGetsInvalidRequestFrame) {
     bad.constraints = bad_fences[i];
     std::string message;
     ErrorCode code = ErrorCode::kGeneric;
-    // A v2 frame, so the error reply carries its code.
-    ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(EncodeRecommendRequest(
-                                   "wire", bad, AdmissionClass{})),
-                               &message, &code),
+    ASSERT_EQ(DecodeErrorFrame(
+                  gateway.ServeFrame(EncodeRecommendRequest("wire", bad)),
+                  &message, &code),
               DecodeStatus::kOk)
         << "fence " << i;
     EXPECT_EQ(code, ErrorCode::kInvalidRequest) << "fence " << i;
@@ -522,61 +533,6 @@ TEST_F(GatewayTest, LifecycleRacesSubmittersWithoutCrashOrHang) {
   // that arrived while "b" was absent — never from dropped futures.
   GatewayStats snapshot = gateway.Snapshot();
   EXPECT_EQ(snapshot.endpoints, 2);
-}
-
-uint32_t FrameWireVersion(const std::vector<uint8_t>& frame) {
-  uint32_t version = 0;
-  if (frame.size() >= 8) {
-    version = static_cast<uint32_t>(frame[4]) |
-              static_cast<uint32_t>(frame[5]) << 8 |
-              static_cast<uint32_t>(frame[6]) << 16 |
-              static_cast<uint32_t>(frame[7]) << 24;
-  }
-  return version;
-}
-
-TEST_F(GatewayTest, V1FramesServeBitIdenticallyThroughTheV2Gateway) {
-  // Acceptance criterion: a pre-v2 client is indistinguishable from before.
-  // The 2-arg encoder still emits wire version 1, the reply to it is byte-
-  // identical to the reply a v2-encoded equivalent gets, and both replies
-  // are themselves version-1 frames (responses carry no v2 fields, so the
-  // encoder never raises their version).
-  Gateway gateway;
-  std::string error;
-  ASSERT_TRUE(gateway.Deploy("wire", TspnConfig(), &error)) << error;
-
-  auto samples = dataset_->Samples(data::Split::kTest);
-  eval::RecommendRequest request;
-  request.sample = samples[0];
-  request.top_n = 7;
-  request.constraints.exclude_visited = true;
-
-  const std::vector<uint8_t> v1_frame = EncodeRecommendRequest("wire", request);
-  ASSERT_EQ(FrameWireVersion(v1_frame), 1u);
-  const std::vector<uint8_t> v2_frame =
-      EncodeRecommendRequest("wire", request, AdmissionClass{});
-  ASSERT_EQ(FrameWireVersion(v2_frame), 2u);
-
-  const std::vector<uint8_t> v1_reply = gateway.ServeFrame(v1_frame);
-  const std::vector<uint8_t> v2_reply = gateway.ServeFrame(v2_frame);
-  EXPECT_EQ(FrameWireVersion(v1_reply), 1u);
-  EXPECT_EQ(v1_reply, v2_reply) << "admission fields changed the response";
-
-  eval::RecommendResponse response;
-  ASSERT_EQ(DecodeRecommendResponse(v1_reply, &response), DecodeStatus::kOk);
-  ExpectBitIdentical(response, reference_->Recommend(request));
-
-  // Error replies echo the requester's version: v1 in, v1 error out.
-  const std::vector<uint8_t> v1_unknown =
-      gateway.ServeFrame(EncodeRecommendRequest("nope", request));
-  EXPECT_EQ(FrameWireVersion(v1_unknown), 1u);
-  const std::vector<uint8_t> v2_unknown = gateway.ServeFrame(
-      EncodeRecommendRequest("nope", request, AdmissionClass{}));
-  EXPECT_EQ(FrameWireVersion(v2_unknown), 2u);
-  std::string message;
-  ErrorCode code = ErrorCode::kGeneric;
-  ASSERT_EQ(DecodeErrorFrame(v2_unknown, &message, &code), DecodeStatus::kOk);
-  EXPECT_EQ(code, ErrorCode::kUnknownEndpoint);
 }
 
 TEST_F(GatewayTest, SwapFoldsRetiringCountersExactlyOnce) {
@@ -762,12 +718,12 @@ TEST_F(GatewayTest, ItineraryFrameErrorsCarryTypedCodes) {
   EXPECT_EQ(message.rfind("invalid request:", 0), 0u) << message;
 
   // A truncated itinerary frame cannot even be typed (the header length no
-  // longer matches), so it rides the legacy bad-frame path: a v1 error
-  // frame with no code byte.
+  // longer matches), so it gets the recommend path's bad-frame reply.
   std::vector<uint8_t> corrupt = EncodeItineraryRequest("wire", request);
   corrupt.resize(corrupt.size() - 3);
-  ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(corrupt), &message),
+  ASSERT_EQ(DecodeErrorFrame(gateway.ServeFrame(corrupt), &message, &code),
             DecodeStatus::kOk);
+  EXPECT_EQ(code, ErrorCode::kBadFrame);
   EXPECT_EQ(message.rfind("bad request frame:", 0), 0u) << message;
 
   // An itinerary frame whose *payload* is malformed (bad flag byte) is
