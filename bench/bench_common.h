@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/base.h"
+#include "common/check.h"
 #include "common/env.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
@@ -20,6 +21,7 @@
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "eval/model_api.h"
+#include "eval/model_registry.h"
 
 namespace tspn::bench {
 
@@ -172,8 +174,12 @@ inline void RunComparisonTable(const std::string& title,
                                std::shared_ptr<data::CityDataset> dataset,
                                const BenchSettings& s) {
   common::TablePrinter table(MetricsHeader("Model"));
+  eval::ModelOptions options;
+  options.dm = s.dm;
+  options.seed = s.seed;
   for (const std::string& name : baselines::BaselineNames()) {
-    auto model = baselines::MakeBaseline(name, dataset, s.dm, s.seed);
+    auto model = eval::ModelRegistry::Global().Create(name, dataset, options);
+    TSPN_CHECK(model != nullptr) << "unknown baseline: " << name;
     eval::RankingMetrics m = TrainAndEvaluate(*model, *dataset, s, 5e-3f);
     table.AddRow(MetricsRow(name, m));
   }

@@ -93,8 +93,12 @@ int main() {
     report("(c) TSPN-RA, no tile filter", model);
   }
   {
-    auto model = baselines::MakeBaseline("LSTPM", dataset, settings.dm,
-                                         settings.seed);
+    eval::ModelOptions options;
+    options.dm = settings.dm;
+    options.seed = settings.seed;
+    auto model =
+        eval::ModelRegistry::Global().Create("LSTPM", dataset, options);
+    TSPN_CHECK(model != nullptr) << "LSTPM is not registered";
     model->Train(bench::MakeTrainOptions(settings, 5e-3f));
     report("(d) LSTPM", *model);
   }

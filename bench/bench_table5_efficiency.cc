@@ -99,9 +99,15 @@ void RunEfficiency(const std::string& title,
     std::printf("  [TSPN-RA] warm inference %s ms/query\n",
                 MsString(warm_ms).c_str());
   }
+  eval::ModelOptions model_options;
+  model_options.dm = settings.dm;
+  model_options.seed = settings.seed;
   for (const std::string& name : models) {
     auto factory = [&]() -> std::unique_ptr<eval::NextPoiModel> {
-      return baselines::MakeBaseline(name, dataset, settings.dm, settings.seed);
+      auto model =
+          eval::ModelRegistry::Global().Create(name, dataset, model_options);
+      TSPN_CHECK(model != nullptr) << "unknown baseline: " << name;
+      return model;
     };
     eval::EfficiencyReport r = eval::MeasureEfficiency(
         factory, *dataset, options, settings.eval_samples, settings.seed);

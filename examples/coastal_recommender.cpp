@@ -10,9 +10,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "baselines/base.h"
 #include "core/tspn_ra.h"
 #include "data/dataset.h"
+#include "eval/model_registry.h"
 #include "eval/recommend.h"
 
 namespace {
@@ -74,7 +74,15 @@ int main() {
   tspn.Train(options);
   std::vector<int64_t> tspn_top = tspn.Recommend(coastal_case, 50);
 
-  auto lstpm = baselines::MakeBaseline("LSTPM", dataset, 32, 7);
+  eval::ModelOptions lstpm_options;
+  lstpm_options.dm = 32;
+  lstpm_options.seed = 7;
+  auto lstpm =
+      eval::ModelRegistry::Global().Create("LSTPM", dataset, lstpm_options);
+  if (lstpm == nullptr) {
+    std::fprintf(stderr, "LSTPM is not registered\n");
+    return 1;
+  }
   lstpm->Train(options);
   std::vector<int64_t> lstpm_top = lstpm->Recommend(coastal_case, 50);
 

@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/base.h"
 #include "common/table_printer.h"
 #include "core/tspn_ra.h"
 #include "eval/metrics.h"
+#include "eval/model_registry.h"
 
 int main(int argc, char** argv) {
   using namespace tspn;
@@ -20,11 +20,19 @@ int main(int argc, char** argv) {
   options.epochs = epochs;
   options.max_samples_per_epoch = 192;
 
+  eval::ModelOptions model_options;
+  model_options.dm = 32;
+  model_options.seed = 7;
   common::TablePrinter table({"Model", "Recall@5", "Recall@10", "MRR"});
   for (const std::string& name :
        {std::string("MC"), std::string("GRU"), std::string("DeepMove"),
         std::string("Graph-Flashback")}) {
-    auto model = baselines::MakeBaseline(name, dataset, 32, 7);
+    auto model =
+        eval::ModelRegistry::Global().Create(name, dataset, model_options);
+    if (model == nullptr) {
+      std::fprintf(stderr, "unknown model: %s\n", name.c_str());
+      return 1;
+    }
     model->Train(options);
     eval::RankingMetrics m =
         eval::EvaluateModel(*model, *dataset, data::Split::kTest, 120, 3);

@@ -4,17 +4,17 @@
 //   1. Two synthetic cities are generated and a TSPN-RA checkpoint is
 //      trained (or restored from a previous run) for each, plus a "v2"
 //      checkpoint for the first city (one extra epoch of training).
-//   2. The gateway deploys endpoint "uptown" (city A) synchronously and
-//      "harbor" (city B) via DeployAsync — the caller polls DeployStatus
-//      while the model builds on a background thread.
+//   2. The gateway deploys endpoint "uptown" (city A) and "harbor"
+//      (city B); each Deploy returns once its model serves.
 //   3. Client threads fire frame-encoded requests (serve/codec.h) at both
 //      endpoints. Default mode drives Gateway::ServeFrame in-process;
 //      `--socket` starts a serve::FrameServer on an ephemeral loopback
 //      port and the clients connect over real TCP with serve::FrameClient
 //      (length-delimited TSWP frames, pipelined per connection).
 //   4. Mid-run, "uptown" is hot-swapped onto the v2 checkpoint with
-//      SwapAsync: in-flight requests finish on the old weights, new ones
-//      see the new model, and no reply is dropped.
+//      Swap while the clients keep sending: the old weights serve during
+//      the build, in-flight requests finish on them, new ones see the new
+//      model, and no reply is dropped.
 //   5. The aggregate GatewayStats snapshot prints per-endpoint lifetime
 //      QPS, latency percentiles, queue depth and swap counts — plus the
 //      FrameServer's socket counters in --socket mode.
@@ -32,7 +32,6 @@
 // (default ".").
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,17 +71,6 @@ bool EnsureCheckpoint(const std::string& model_name,
   model->Train(train);
   model->SaveCheckpoint(path);
   return true;
-}
-
-/// Polls until the endpoint's async operation settles. Returns the final
-/// status (kLive on success).
-serve::DeployStatus AwaitSettled(const serve::Gateway& gateway,
-                                 const std::string& endpoint) {
-  for (;;) {
-    serve::DeployStatus status = gateway.GetDeployStatus(endpoint);
-    if (status.state != serve::DeployState::kBuilding) return status;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
 }
 
 /// `--storm`: the overload smoke. A deliberately narrow deployment (one
@@ -282,10 +270,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 2. Gateway with two named endpoints. "uptown" deploys synchronously;
-  // "harbor" uses the async path — the build runs on a background thread
-  // and the caller polls DeployStatus, exactly how an operator console
-  // would keep its UI responsive during a slow model construction.
+  // 2. Gateway with two named endpoints, one per city.
   serve::Gateway gateway;
   serve::DeployConfig uptown_config;
   uptown_config.model_name = "TSPN-RA";
@@ -298,20 +283,15 @@ int main(int argc, char** argv) {
 
   std::string error;
   if (!gateway.Deploy("uptown", uptown_config, &error) ||
-      !gateway.DeployAsync("harbor", harbor_config, &error)) {
+      !gateway.Deploy("harbor", harbor_config, &error)) {
     std::printf("deploy failed: %s\n", error.c_str());
-    return 1;
-  }
-  const serve::DeployStatus harbor_status = AwaitSettled(gateway, "harbor");
-  if (harbor_status.state != serve::DeployState::kLive) {
-    std::printf("async deploy failed: %s\n", harbor_status.error.c_str());
     return 1;
   }
   std::printf("\nDeployed endpoints:");
   for (const std::string& name : gateway.Endpoints()) {
     std::printf(" %s", name.c_str());
   }
-  std::printf(" (harbor via DeployAsync)\n");
+  std::printf("\n");
 
   // In --socket mode, the gateway gets its TCP front-end: the same frames
   // now cross a real socket and the server pipelines them through the
@@ -380,15 +360,10 @@ int main(int argc, char** argv) {
   }
 
   // 4. Mid-run hot swap: "uptown" moves to the v2 weights while the
-  // clients keep hammering both endpoints. SwapAsync builds the
-  // replacement off-thread; in-flight requests drain on v1.
+  // clients keep hammering both endpoints. Swap blocks only this thread:
+  // v1 keeps serving while v2 builds, and in-flight requests drain on v1.
   std::string swap_error;
-  bool swapped = false;
-  if (gateway.SwapAsync("uptown", uptown_v2, &swap_error)) {
-    const serve::DeployStatus status = AwaitSettled(gateway, "uptown");
-    swapped = status.state == serve::DeployState::kLive;
-    if (!swapped) swap_error = status.error;
-  }
+  const bool swapped = gateway.Swap("uptown", uptown_v2, &swap_error);
   if (!swapped) {
     std::printf("hot swap failed: %s\n", swap_error.c_str());
   }

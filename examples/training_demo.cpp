@@ -14,8 +14,9 @@
 //      zero-serving-path-interference contract.
 //   4. A deliberately lobotomized candidate is pushed at the gate: it must
 //      be rejected and the serving deployment must not move.
-//   5. At least one real promotion must land (SwapAsync polled to kLive);
-//      the previous checkpoint is retained and a rollback is exercised.
+//   5. At least one real promotion must land (a Gateway::Swap on the
+//      trainer thread); the previous checkpoint is retained and a rollback
+//      is exercised.
 //
 // Exit is non-zero on: a hung trainer thread (Finish timeout), any serving
 // divergence on the control endpoint, a lobotomized candidate passing the
@@ -24,8 +25,7 @@
 // Knobs (docs/operations.md): TSPN_TRAIN_BUFFER_CAPACITY,
 // TSPN_TRAIN_CHECKPOINT_EVERY,
 // TSPN_TRAIN_BATCH_SIZE, TSPN_TRAIN_LR, TSPN_TRAIN_SHADOW_WINDOW,
-// TSPN_TRAIN_GATE_MIN_WINDOW, TSPN_TRAIN_GATE_EPSILON,
-// TSPN_TRAIN_PROMOTE_TIMEOUT_MS, TSPN_COLDSTART_TAU_KM;
+// TSPN_TRAIN_GATE_MIN_WINDOW, TSPN_TRAIN_GATE_EPSILON, TSPN_COLDSTART_TAU_KM;
 // TSPN_CHECKPOINT_DIR overrides where checkpoints live (default ".").
 
 #include <chrono>
@@ -295,9 +295,7 @@ int main() {
   gateway.GetEndpointStats("city", &serving);
   if (stats.promotions <= 0) {
     fail("no promotion landed");
-  } else if (gateway.GetDeployStatus("city").state !=
-                 serve::DeployState::kLive ||
-             serving.checkpoint_path != stats.live_checkpoint) {
+  } else if (serving.checkpoint_path != stats.live_checkpoint) {
     fail("promotion did not leave the endpoint live on the new checkpoint");
   } else {
     std::printf("Promotion landed: '%s' now serves %s (%lld swap%s)\n",

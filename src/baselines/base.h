@@ -77,14 +77,9 @@ class SequenceModelBase : public eval::NextPoiModel {
   int64_t max_seq_len_ = 16;
 };
 
-/// Names of all implemented baselines, in the paper's Table II order.
+/// Names of all implemented baselines, in the paper's Table II order. Build
+/// one by name through eval::ModelRegistry.
 std::vector<std::string> BaselineNames();
-
-/// Factory by name (e.g. "MC", "GRU", "DeepMove", ...). Aborts on an
-/// unknown name.
-std::unique_ptr<eval::NextPoiModel> MakeBaseline(
-    const std::string& name, std::shared_ptr<const data::CityDataset> dataset,
-    int64_t dm = 32, uint64_t seed = 7);
 
 }  // namespace tspn::baselines
 

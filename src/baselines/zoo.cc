@@ -1,11 +1,7 @@
-// Deprecated baseline factory shims: the general name -> factory registry
-// (covering TSPN-RA as well) moved to eval::ModelRegistry; these wrappers
-// keep pre-registry call sites compiling during migration.
+// The baseline roster in the paper's order. Models are built by name
+// through eval::ModelRegistry (src/eval/model_registry.h).
 
 #include "baselines/base.h"
-
-#include "common/check.h"
-#include "eval/model_registry.h"
 
 namespace tspn::baselines {
 
@@ -14,18 +10,6 @@ std::vector<std::string> BaselineNames() {
   // TSPN-RA: bench tables iterate this list for baseline rows.
   return {"MC",      "GRU",     "STRNN",   "DeepMove",        "LSTPM",
           "STAN",    "SAE-NAD", "HMT-GRN", "Graph-Flashback", "STiSAN"};
-}
-
-std::unique_ptr<eval::NextPoiModel> MakeBaseline(
-    const std::string& name, std::shared_ptr<const data::CityDataset> dataset,
-    int64_t dm, uint64_t seed) {
-  eval::ModelOptions options;
-  options.dm = dm;
-  options.seed = seed;
-  std::unique_ptr<eval::NextPoiModel> model =
-      eval::ModelRegistry::Global().Create(name, std::move(dataset), options);
-  TSPN_CHECK(model != nullptr) << "unknown baseline: " << name;
-  return model;
 }
 
 }  // namespace tspn::baselines

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "common/env.h"
@@ -71,16 +70,6 @@ std::string ValidateRequest(const data::CityDataset& dataset,
 }
 
 }  // namespace
-
-const char* DeployStateName(DeployState state) {
-  switch (state) {
-    case DeployState::kNone: return "kNone";
-    case DeployState::kBuilding: return "kBuilding";
-    case DeployState::kLive: return "kLive";
-    case DeployState::kFailed: return "kFailed";
-  }
-  return "kUnknown";
-}
 
 OverloadPolicy OverloadPolicy::FromEnv() {
   auto clamp = [](int64_t value, int64_t lo, int64_t hi) {
@@ -295,77 +284,12 @@ bool Gateway::Deploy(const std::string& endpoint, const DeployConfig& config,
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = endpoints_.try_emplace(endpoint);
     if (!inserted) {
-      SetError(error, it->second.current == nullptr
-                          ? "endpoint '" + endpoint +
-                                "' is still deploying asynchronously"
-                          : "endpoint '" + endpoint +
-                                "' is already deployed (use Swap to "
-                                "hot-reload)");
+      SetError(error, "endpoint '" + endpoint +
+                          "' is already deployed (use Swap to hot-reload)");
       return false;
     }
     InstallLocked(it->second, std::move(deployment));
-    async_status_.erase(endpoint);  // sync success supersedes async history
   }
-  return true;
-}
-
-bool Gateway::DeployAsync(const std::string& endpoint,
-                          const DeployConfig& config, std::string* error) {
-  if (endpoint.empty()) {
-    SetError(error, "endpoint name must be non-empty");
-    return false;
-  }
-  if (endpoint.size() > kMaxEndpointNameLen) {
-    SetError(error, "endpoint name exceeds " +
-                        std::to_string(kMaxEndpointNameLen) + " bytes");
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Reserve the name with a placeholder entry (null current): duplicate
-    // deploys fail instantly, submits are rejected until the build lands.
-    auto [it, inserted] = endpoints_.try_emplace(endpoint);
-    if (!inserted) {
-      SetError(error, it->second.current == nullptr
-                          ? "endpoint '" + endpoint +
-                                "' is still deploying asynchronously"
-                          : "endpoint '" + endpoint + "' is already deployed");
-      return false;
-    }
-    async_status_[endpoint] = {DeployState::kBuilding, ""};
-  }
-  StartAsyncOp([this, endpoint, config] {
-    std::string build_error;
-    std::shared_ptr<Deployment> deployment =
-        BuildDeployment(config, &build_error);
-    // `discarded` (if any) is released after the lock: its engine teardown
-    // must never run under the gateway mutex.
-    std::shared_ptr<Deployment> discarded;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = endpoints_.find(endpoint);
-    const bool reserved =
-        it != endpoints_.end() && it->second.current == nullptr;
-    if (deployment == nullptr) {
-      // Release the reservation so the name can be deployed again; the
-      // failure stays pollable until then.
-      if (reserved) endpoints_.erase(it);
-      async_status_[endpoint] = {DeployState::kFailed, build_error};
-      return;
-    }
-    if (!reserved) {
-      // The placeholder vanished or was replaced while building (a
-      // lifecycle race only the gateway destructor can cause today, since
-      // Undeploy refuses placeholders). Discard the build: it never
-      // accepted a request.
-      discarded = std::move(deployment);
-      async_status_[endpoint] = {DeployState::kFailed,
-                                 "endpoint '" + endpoint +
-                                     "' changed during async deploy"};
-      return;
-    }
-    InstallLocked(it->second, std::move(deployment));
-    async_status_[endpoint] = {DeployState::kLive, ""};
-  });
   return true;
 }
 
@@ -377,7 +301,7 @@ bool Gateway::Swap(const std::string& endpoint,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = endpoints_.find(endpoint);
-    if (it == endpoints_.end() || it->second.current == nullptr) {
+    if (it == endpoints_.end()) {
       SetError(error, "endpoint '" + endpoint + "' is not deployed");
       return false;
     }
@@ -404,7 +328,6 @@ bool Gateway::Swap(const std::string& endpoint,
     old = std::move(it->second.current);
     InstallLocked(it->second, std::move(fresh));
     ++it->second.swaps;
-    async_status_.erase(endpoint);  // sync success supersedes async history
   }
   // Eager partial fold, outside the gateway mutex: the retiring
   // generation's history lands in the lifetime totals NOW, so a stats
@@ -417,105 +340,15 @@ bool Gateway::Swap(const std::string& endpoint,
   return true;
 }
 
-bool Gateway::SwapAsync(const std::string& endpoint,
-                        const std::string& checkpoint_path,
-                        std::string* error) {
-  std::shared_ptr<Deployment> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = endpoints_.find(endpoint);
-    if (it == endpoints_.end() || it->second.current == nullptr) {
-      SetError(error, "endpoint '" + endpoint + "' is not deployed");
-      return false;
-    }
-    auto status = async_status_.find(endpoint);
-    if (status != async_status_.end() &&
-        status->second.state == DeployState::kBuilding) {
-      SetError(error, "endpoint '" + endpoint +
-                          "' already has an async operation in progress");
-      return false;
-    }
-    snapshot = it->second.current;
-    async_status_[endpoint] = {DeployState::kBuilding, ""};
-  }
-  // Mutable so the op can drop its `snapshot` pin before it finishes: the
-  // retiring generation must drain on THIS builder thread (or an in-flight
-  // submitter), never on whoever later joins the builder.
-  StartAsyncOp([this, endpoint, checkpoint_path, snapshot]() mutable {
-    DeployConfig config = snapshot->config;
-    config.checkpoint_path = checkpoint_path;
-    std::string build_error;
-    std::shared_ptr<Deployment> fresh = BuildDeployment(config, &build_error);
-    if (fresh == nullptr) {
-      SetAsyncStatus(endpoint, DeployState::kFailed, build_error);
-      return;
-    }
-    // Same install rules as the synchronous Swap: the build only lands
-    // on the generation it snapshotted. `old`/`discarded` drain outside
-    // the lock (declared before the scoped lock_guard below).
-    std::shared_ptr<Deployment> old;
-    std::shared_ptr<Deployment> discarded;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = endpoints_.find(endpoint);
-      if (it == endpoints_.end()) {
-        // Undeployed while we were building: the name's async history
-        // ended with it — recording a failure here would leave a phantom
-        // kFailed status on a nonexistent endpoint forever.
-        discarded = std::move(fresh);
-        async_status_.erase(endpoint);
-      } else if (it->second.current != snapshot) {
-        discarded = std::move(fresh);
-        async_status_[endpoint] = {
-            DeployState::kFailed,
-            "endpoint '" + endpoint + "' changed during async swap"};
-      } else {
-        old = std::move(it->second.current);
-        InstallLocked(it->second, std::move(fresh));
-        ++it->second.swaps;
-        async_status_[endpoint] = {DeployState::kLive, ""};
-      }
-    }
-    // Same eager partial fold as the synchronous Swap, after the lock.
-    if (old != nullptr) old->FoldCounters();
-    // Release the capture's pin on the old generation here, inside the op:
-    // if this was the last reference, the drain runs now on the builder
-    // thread — before the done flag — so a later join never inherits it.
-    snapshot.reset();
-  });
-  return true;
-}
-
-DeployStatus Gateway::GetDeployStatus(const std::string& endpoint) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // The async record is authoritative while it exists — in particular a
-  // failed SwapAsync must stay visible even though the endpoint keeps
-  // serving the old weights. Successful synchronous lifecycle operations
-  // erase the record, so pure-sync users simply see kLive/kNone.
-  auto status = async_status_.find(endpoint);
-  if (status != async_status_.end()) return status->second;
-  auto it = endpoints_.find(endpoint);
-  if (it != endpoints_.end() && it->second.current != nullptr) {
-    return {DeployState::kLive, ""};
-  }
-  return {};
-}
-
-void Gateway::SetAsyncStatus(const std::string& endpoint, DeployState state,
-                             const std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  async_status_[endpoint] = {state, error};
-}
-
 void Gateway::StartAsyncOp(std::function<void()> op) {
   auto done = std::make_shared<std::atomic<bool>>(false);
   std::thread thread([op = std::move(op), done] {
     op();
     done->store(true);
   });
-  // Reap builders that already finished, so the worker list stays bounded
-  // by the number of genuinely concurrent builds. The joins run with the
-  // gateway mutex RELEASED: a finished builder's epilogue is trivial, but
+  // Reap workers that already finished, so the worker list stays bounded
+  // by the number of genuinely concurrent plans. The joins run with the
+  // gateway mutex RELEASED: a finished worker's epilogue is trivial, but
   // holding mutex_ across any join would stall every Submit/ServeFrame on
   // every endpoint if that ever stopped being true.
   std::vector<AsyncWorker> finished;
@@ -545,16 +378,8 @@ bool Gateway::Undeploy(const std::string& endpoint, std::string* error) {
       SetError(error, "endpoint '" + endpoint + "' is not deployed");
       return false;
     }
-    if (it->second.current == nullptr) {
-      // A DeployAsync build is reserving this name; there is nothing to
-      // drain yet and erasing the placeholder would race the installer.
-      SetError(error, "endpoint '" + endpoint +
-                          "' is still deploying asynchronously");
-      return false;
-    }
     removed = std::move(it->second.current);
     endpoints_.erase(it);
-    async_status_.erase(endpoint);  // the name's async history ends with it
   }
   // Drain outside the lock so teardown of one endpoint cannot stall the
   // others' submits.
@@ -815,18 +640,14 @@ void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
 
 bool Gateway::Has(const std::string& endpoint) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = endpoints_.find(endpoint);
-  // A placeholder reserved by DeployAsync is not serving yet.
-  return it != endpoints_.end() && it->second.current != nullptr;
+  return endpoints_.count(endpoint) > 0;
 }
 
 std::vector<std::string> Gateway::Endpoints() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
   names.reserve(endpoints_.size());
-  for (const auto& [name, ep] : endpoints_) {
-    if (ep.current != nullptr) names.push_back(name);
-  }
+  for (const auto& [name, ep] : endpoints_) names.push_back(name);
   return names;
 }
 
@@ -895,7 +716,7 @@ bool Gateway::GetEndpointStats(const std::string& endpoint,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = endpoints_.find(endpoint);
-    if (it == endpoints_.end() || it->second.current == nullptr) return false;
+    if (it == endpoints_.end()) return false;
     snapshot = {endpoint, it->second.current, it->second.swaps,
                 it->second.cumulative, it->second.first_live};
   }
@@ -918,7 +739,6 @@ GatewayStats Gateway::Snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     entries.reserve(endpoints_.size());
     for (const auto& [name, ep] : endpoints_) {
-      if (ep.current == nullptr) continue;  // DeployAsync placeholder
       entries.push_back({name, ep.current, ep.swaps, ep.cumulative,
                          ep.first_live});
     }
@@ -972,8 +792,8 @@ WireStatsSnapshot Gateway::WireSnapshot() const {
 }
 
 Gateway::~Gateway() {
-  // Background builders first: joining them before the endpoint teardown
-  // guarantees no installer runs against a half-destroyed gateway.
+  // Itinerary workers first: joining them before the endpoint teardown
+  // guarantees no plan runs against a half-destroyed gateway.
   std::vector<AsyncWorker> workers;
   {
     std::lock_guard<std::mutex> lock(mutex_);

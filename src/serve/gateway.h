@@ -97,8 +97,8 @@ struct TrainerTelemetry {
   int64_t checkpoints = 0;        ///< candidate checkpoints written
   int64_t gate_passes = 0;
   int64_t gate_rejects = 0;
-  int64_t promotions = 0;         ///< gate pass + SwapAsync confirmed kLive
-  int64_t promote_failures = 0;   ///< swap failed or timed out after a pass
+  int64_t promotions = 0;         ///< gate pass + Swap landed
+  int64_t promote_failures = 0;   ///< gate pass, Swap failed: nothing changed
   std::string last_checkpoint;    ///< newest candidate checkpoint path
 };
 
@@ -151,28 +151,6 @@ struct EndpointStats {
   TrainerTelemetry trainer;
 };
 
-/// Observable deployment state of an endpoint name, polled via
-/// Gateway::GetDeployStatus. The record of the most recent async operation
-/// is authoritative while one exists: kBuilding during the background
-/// build, then kLive or kFailed — a failed SwapAsync stays visible as
-/// kFailed even though the endpoint keeps serving the old weights.
-/// Successful synchronous Deploy/Swap/Undeploy calls supersede (erase) the
-/// async record, after which a live endpoint reports kLive and anything
-/// else kNone.
-enum class DeployState : uint8_t {
-  kNone = 0,
-  kBuilding,
-  kLive,
-  kFailed,
-};
-
-struct DeployStatus {
-  DeployState state = DeployState::kNone;
-  std::string error;  ///< non-empty exactly when state == kFailed
-};
-
-const char* DeployStateName(DeployState state);
-
 /// Aggregate gateway snapshot: fleet totals plus one row per endpoint.
 /// Totals are lifetime-scoped (they no longer dip when an endpoint swaps).
 struct GatewayStats {
@@ -197,7 +175,9 @@ struct GatewayStats {
 /// Lifecycle: Deploy() builds the model through eval::ModelRegistry,
 /// restores the checkpoint, and stands up a dedicated engine; Swap()
 /// hot-reloads a new checkpoint with zero downtime; Undeploy() drains and
-/// tears down. Submit() routes a structured request to the endpoint's
+/// tears down. Each lifecycle call blocks only its caller until the
+/// operation has landed or failed; a caller that must not block runs it on
+/// its own thread. Submit() routes a structured request to the endpoint's
 /// engine; ServeFrame() does the same for a wire-encoded frame
 /// (serve/codec.h) — the seam a socket front-end plugs into.
 ///
@@ -227,33 +207,10 @@ class Gateway : public FrameHandler {
   /// Hot-reloads the endpoint onto `checkpoint_path` (same model, dataset
   /// and knobs as the original Deploy). In-flight requests finish on the
   /// old weights; requests submitted after Swap returns see the new ones.
+  /// The swap either lands before Swap returns true or never lands: on
+  /// false the endpoint still serves the generation it served before.
   bool Swap(const std::string& endpoint, const std::string& checkpoint_path,
             std::string* error = nullptr);
-
-  /// Non-blocking Deploy: argument errors (empty/over-long/duplicate name)
-  /// fail immediately, then the model build + checkpoint restore runs on a
-  /// background thread while the caller keeps going. Until the build lands,
-  /// the endpoint name is reserved (a second Deploy/DeployAsync fails) but
-  /// not serving: submits are rejected and GetDeployStatus reports
-  /// kBuilding. On success the endpoint goes live exactly as if Deploy had
-  /// returned; on failure the name is released and GetDeployStatus reports
-  /// kFailed with the builder's error until the name is deployed again.
-  bool DeployAsync(const std::string& endpoint, const DeployConfig& config,
-                   std::string* error = nullptr);
-
-  /// Non-blocking Swap: the replacement builds on a background thread while
-  /// the endpoint keeps serving the old weights (GetDeployStatus reports
-  /// kBuilding meanwhile). The handoff rules are Swap's: the install aborts
-  /// (kFailed) if the endpoint was undeployed or re-deployed during the
-  /// build. One async operation per endpoint at a time.
-  bool SwapAsync(const std::string& endpoint,
-                 const std::string& checkpoint_path,
-                 std::string* error = nullptr);
-
-  /// Polls the endpoint name's deployment state (see DeployState). The
-  /// caller loop for async ops is: DeployAsync/SwapAsync, then poll until
-  /// the state leaves kBuilding.
-  DeployStatus GetDeployStatus(const std::string& endpoint) const;
 
   /// Removes the endpoint, serving everything already queued before the
   /// teardown completes. Subsequent submits to the name fail.
@@ -380,7 +337,7 @@ class Gateway : public FrameHandler {
     /// the shared lifetime totals. Idempotent and incremental: fold_mutex
     /// serializes folders, and already_folded_ remembers what previous
     /// folds contributed so each request is counted exactly once. Called
-    /// eagerly by Swap/SwapAsync right after the install, and finally by
+    /// eagerly by Swap right after the install, and finally by
     /// the destructor after the drain.
     void FoldCounters();
 
@@ -410,7 +367,7 @@ class Gateway : public FrameHandler {
   };
 
   struct Endpoint {
-    std::shared_ptr<Deployment> current;  ///< null while DeployAsync builds
+    std::shared_ptr<Deployment> current;  ///< never null
     int64_t swaps = 0;
     std::shared_ptr<CumulativeCounters> cumulative;
     std::chrono::steady_clock::time_point first_live;
@@ -450,12 +407,9 @@ class Gateway : public FrameHandler {
   static void InstallLocked(Endpoint& entry,
                             std::shared_ptr<Deployment> deployment);
 
-  /// Spawns a background builder thread, reaping finished predecessors.
+  /// Runs a blocking itinerary frame on a background worker thread,
+  /// reaping finished predecessors.
   void StartAsyncOp(std::function<void()> op);
-
-  /// Records the endpoint's async-op status (async_status_ under mutex_).
-  void SetAsyncStatus(const std::string& endpoint, DeployState state,
-                      const std::string& error);
 
   /// Queries one deployment's engine; called with the gateway mutex
   /// released (the shared_ptrs keep the deployment alive).
@@ -479,11 +433,11 @@ class Gateway : public FrameHandler {
 
   mutable std::mutex mutex_;
   std::map<std::string, Endpoint> endpoints_;
-  std::map<std::string, DeployStatus> async_status_;
   std::map<std::string, TrainerTelemetryFn> trainer_providers_;
 
-  /// Background deploy/swap builders. Finished ones are reaped when the
-  /// next async op starts; the destructor joins whatever remains.
+  /// Background itinerary-frame workers (ServeFrameAsync). Finished ones
+  /// are reaped when the next one starts; the destructor joins whatever
+  /// remains.
   struct AsyncWorker {
     std::thread thread;
     std::shared_ptr<std::atomic<bool>> done;

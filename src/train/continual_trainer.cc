@@ -17,8 +17,6 @@ TrainerOptions TrainerOptions::FromEnv() {
   options.batch_size =
       common::EnvInt("TSPN_TRAIN_BATCH_SIZE", options.batch_size);
   options.lr = common::EnvDouble("TSPN_TRAIN_LR", options.lr);
-  options.promote_timeout_ms = common::EnvInt("TSPN_TRAIN_PROMOTE_TIMEOUT_MS",
-                                              options.promote_timeout_ms);
   options.gate = GateOptions::FromEnv();
   return options;
 }
@@ -191,23 +189,10 @@ bool ContinualTrainer::GateAndMaybePromote(const eval::NextPoiModel& candidate,
   }
   if (!report.pass) return false;
 
-  std::string error;
-  if (!gateway_->SwapAsync(options_.endpoint, checkpoint_path, &error)) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.promote_failures;
-    return false;
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.promote_timeout_ms);
-  serve::DeployStatus status;
-  do {
-    status = gateway_->GetDeployStatus(options_.endpoint);
-    if (status.state != serve::DeployState::kBuilding) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  } while (std::chrono::steady_clock::now() < deadline);
-
-  if (status.state != serve::DeployState::kLive) {
+  // Swap builds the new generation on this thread while the old one keeps
+  // serving, and either lands before it returns or leaves the endpoint
+  // untouched — so a counted failure can never turn into a late promotion.
+  if (!gateway_->Swap(options_.endpoint, checkpoint_path)) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.promote_failures;
     return false;

@@ -26,8 +26,6 @@ namespace tspn::train {
 ///   TSPN_TRAIN_LR                 online learning rate             (5e-4)
 ///   TSPN_TRAIN_BUFFER_CAPACITY    CheckinStream capacity — consumed by
 ///                                 whoever constructs the stream    (4096)
-///   TSPN_TRAIN_PROMOTE_TIMEOUT_MS max wait for SwapAsync to leave
-///                                 kBuilding                       (30000)
 ///
 /// Gate knobs (TSPN_TRAIN_SHADOW_WINDOW, TSPN_TRAIN_GATE_MIN_WINDOW,
 /// TSPN_TRAIN_GATE_EPSILON) live on GateOptions::FromEnv.
@@ -39,7 +37,6 @@ struct TrainerOptions {
   double lr = 5e-4;
   int64_t pop_batch = 128;     ///< stream events drained per loop turn
   int64_t pop_wait_ms = 100;   ///< PopBatch block bound
-  int64_t promote_timeout_ms = 30000;
   int64_t window_gap_hours = 72;  ///< SampleAssembler trajectory gap
   int64_t max_history = 64;       ///< SampleAssembler history cap
   uint64_t seed = 11;
@@ -76,8 +73,9 @@ struct TrainerStats {
 /// atomic candidate checkpoint every `checkpoint_every` trained samples,
 /// shadow-evaluates the candidate against a live replica over the rolling
 /// request window, and only on a parity-or-better gate verdict promotes via
-/// Gateway::SwapAsync, polling GetDeployStatus until kLive. The previously
-/// live checkpoint is retained as the rollback target (Rollback()).
+/// Gateway::Swap on the trainer thread (the old generation keeps serving
+/// while the new one builds). The previously live checkpoint is retained as
+/// the rollback target (Rollback()).
 ///
 /// Lifecycle: construct → Init(live deploy config) → Start() →
 /// [stream producers push; serving calls Observe()] → stream Close() →
@@ -127,9 +125,10 @@ class ContinualTrainer {
   GateReport LastGateReport() const;
 
   /// Shadow-gates `candidate` (checkpointed at `checkpoint_path`) against
-  /// the live replica and promotes on a pass: SwapAsync + GetDeployStatus
-  /// poll until kLive (bounded by promote_timeout_ms), updating the
-  /// last-good retention on success. Returns whether a promotion landed.
+  /// the live replica and promotes on a pass with a blocking Gateway::Swap,
+  /// updating the last-good retention on success. Returns whether a
+  /// promotion landed; on false the endpoint serves what it served before,
+  /// so live_checkpoint always names the checkpoint the gateway serves.
   /// Used internally after every checkpoint; public so tests and the demo
   /// can prove the gate blocks a deliberately broken candidate.
   bool GateAndMaybePromote(const eval::NextPoiModel& candidate,
@@ -157,7 +156,7 @@ class ContinualTrainer {
 
   /// Private model clone the updates run on, and the frozen replica of the
   /// live deployment the gate compares against. Both are trainer-owned;
-  /// the serving deployment only ever changes through SwapAsync.
+  /// the serving deployment only ever changes through Gateway::Swap.
   std::unique_ptr<eval::NextPoiModel> candidate_;
   std::unique_ptr<eval::NextPoiModel> live_replica_;
 

@@ -8,6 +8,7 @@
 
 #include "baselines/markov_chain.h"
 #include "eval/metrics.h"
+#include "eval/model_registry.h"
 
 namespace tspn::baselines {
 namespace {
@@ -17,6 +18,16 @@ class BaselinesTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = data::CityDataset::Generate(data::CityProfile::TestTiny());
   }
+
+  /// Builds a baseline through the model registry at dm 16.
+  static std::unique_ptr<eval::NextPoiModel> Create(const std::string& name,
+                                                    uint64_t seed) {
+    eval::ModelOptions options;
+    options.dm = 16;
+    options.seed = seed;
+    return eval::ModelRegistry::Global().Create(name, dataset_, options);
+  }
+
   static std::shared_ptr<data::CityDataset> dataset_;
 };
 
@@ -24,8 +35,8 @@ std::shared_ptr<data::CityDataset> BaselinesTest::dataset_;
 
 TEST_F(BaselinesTest, AllNamesConstruct) {
   for (const std::string& name : BaselineNames()) {
-    auto model = MakeBaseline(name, dataset_, /*dm=*/16, /*seed=*/3);
-    ASSERT_NE(model, nullptr);
+    auto model = Create(name, /*seed=*/3);
+    ASSERT_NE(model, nullptr) << name;
     EXPECT_EQ(model->name(), name);
   }
 }
@@ -38,7 +49,8 @@ class BaselineParamTest : public BaselinesTest,
                           public ::testing::WithParamInterface<std::string> {};
 
 TEST_P(BaselineParamTest, RecommendationsAreValidAndUnique) {
-  auto model = MakeBaseline(GetParam(), dataset_, 16, 3);
+  auto model = Create(GetParam(), /*seed=*/3);
+  ASSERT_NE(model, nullptr) << GetParam();
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 32;
@@ -58,7 +70,8 @@ TEST_P(BaselineParamTest, RecommendationsAreValidAndUnique) {
 }
 
 TEST_P(BaselineParamTest, TrainingBeatsRandomRanking) {
-  auto model = MakeBaseline(GetParam(), dataset_, 16, 5);
+  auto model = Create(GetParam(), /*seed=*/5);
+  ASSERT_NE(model, nullptr) << GetParam();
   eval::TrainOptions options;
   options.epochs = 3;
   options.max_samples_per_epoch = 128;

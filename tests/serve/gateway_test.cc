@@ -1,7 +1,7 @@
 // Gateway tests: endpoint lifecycle (deploy/swap/undeploy with loud
 // failures), routing parity with direct model calls, hot-swap
-// bit-identical responses under concurrent submitters (the PR's acceptance
-// criterion), wire-frame serving, and a deploy/swap/undeploy-vs-submit
+// bit-identical responses under concurrent submitters, lifetime stats that
+// survive swaps, wire-frame serving, and a deploy/swap/undeploy-vs-submit
 // race that the TSan CI job runs.
 
 #include "serve/gateway.h"
@@ -100,6 +100,21 @@ class GatewayTest : public ::testing::Test {
     }
     EXPECT_EQ(a.stages_used, b.stages_used);
     EXPECT_EQ(a.tiles_screened, b.tiles_screened);
+  }
+
+  /// Serves `count` top-5 requests one at a time; returns how many came
+  /// back with 5 items.
+  static int64_t ServeRound(Gateway& gateway, const std::string& endpoint,
+                            size_t count) {
+    const auto samples = dataset_->Samples(data::Split::kTest);
+    int64_t served = 0;
+    for (size_t i = 0; i < count; ++i) {
+      eval::RecommendRequest request;
+      request.sample = samples[i % samples.size()];
+      request.top_n = 5;
+      if (gateway.Submit(endpoint, request).get().items.size() == 5) ++served;
+    }
+    return served;
   }
 
   static std::shared_ptr<data::CityDataset> dataset_;
@@ -306,6 +321,7 @@ TEST_F(GatewayTest, SwapFailuresKeepTheOldDeploymentServing) {
   ASSERT_TRUE(gateway.Deploy("live", TspnConfig(), &error)) << error;
 
   EXPECT_FALSE(gateway.Swap("absent", tspn_checkpoint_, &error));
+  EXPECT_NE(error.find("not deployed"), std::string::npos) << error;
   EXPECT_FALSE(
       gateway.Swap("live", testing::TempDir() + "/missing.ckpt", &error));
   EXPECT_NE(error.find("missing.ckpt"), std::string::npos);
@@ -573,6 +589,52 @@ TEST_F(GatewayTest, SwapFoldsRetiringCountersExactlyOnce) {
   GatewayStats snapshot = gateway.Snapshot();
   EXPECT_EQ(snapshot.total_completed, 6);
   EXPECT_EQ(snapshot.total_submitted, 6);
+}
+
+TEST_F(GatewayTest, CumulativeStatsSurviveSwapsAndQpsDoesNotReset) {
+  Gateway gateway;
+  ASSERT_TRUE(gateway.Deploy("city", TspnConfig()));
+  constexpr int64_t kFirst = 12;
+  constexpr int64_t kSecond = 8;
+  ASSERT_EQ(ServeRound(gateway, "city", kFirst), kFirst);
+
+  EndpointStats before;
+  ASSERT_TRUE(gateway.GetEndpointStats("city", &before));
+  EXPECT_EQ(before.engine.completed, kFirst);
+  EXPECT_EQ(before.lifetime_completed, kFirst);
+
+  // With no in-flight traffic, the old deployment drains and folds its
+  // counters before Swap returns.
+  std::string error;
+  ASSERT_TRUE(gateway.Swap("city", tspn_checkpoint_, &error)) << error;
+  ASSERT_EQ(ServeRound(gateway, "city", kSecond), kSecond);
+
+  EndpointStats after;
+  ASSERT_TRUE(gateway.GetEndpointStats("city", &after));
+  // Window: the fresh deployment only.
+  EXPECT_EQ(after.engine.completed, kSecond);
+  EXPECT_LT(after.window_uptime_seconds, after.uptime_seconds);
+  // Lifetime: both generations — the ROADMAP qps fix.
+  EXPECT_EQ(after.lifetime_completed, kFirst + kSecond);
+  EXPECT_EQ(after.lifetime_submitted, kFirst + kSecond);
+  EXPECT_GE(after.lifetime_batches, after.engine.batches);
+  EXPECT_GT(after.qps, 0.0);
+  EXPECT_GE(after.uptime_seconds, before.uptime_seconds);
+
+  // Fleet totals are lifetime-scoped: they must not dip below the
+  // pre-swap completed count.
+  GatewayStats snapshot = gateway.Snapshot();
+  EXPECT_EQ(snapshot.total_completed, kFirst + kSecond);
+  EXPECT_EQ(snapshot.total_swaps, 1);
+
+  // Undeploy ends the lifetime; a fresh deploy of the name starts over.
+  ASSERT_TRUE(gateway.Undeploy("city"));
+  ASSERT_TRUE(gateway.Deploy("city", TspnConfig()));
+  ASSERT_EQ(ServeRound(gateway, "city", 2), 2);
+  EndpointStats fresh;
+  ASSERT_TRUE(gateway.GetEndpointStats("city", &fresh));
+  EXPECT_EQ(fresh.lifetime_completed, 2);
+  EXPECT_EQ(fresh.swaps, 0);
 }
 
 TEST_F(GatewayTest, DegradedEndpointShedsLowClassesAndServesShallower) {

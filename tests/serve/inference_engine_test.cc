@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/base.h"
 #include "core/tspn_ra.h"
 #include "data/dataset.h"
 #include "eval/constraints.h"
+#include "eval/model_registry.h"
 
 namespace tspn::serve {
 namespace {
@@ -276,7 +276,12 @@ TEST_F(InferenceEngineTest, DefaultSerialFallbackServesBaselines) {
   // Models that don't override the batched path are served through the
   // default per-request loop; answers must match direct calls, constraints
   // included.
-  auto model = baselines::MakeBaseline("MC", dataset_, 16, 7);
+  eval::ModelOptions model_options;
+  model_options.dm = 16;
+  model_options.seed = 7;
+  auto model = eval::ModelRegistry::Global().Create("MC", dataset_,
+                                                    model_options);
+  ASSERT_NE(model, nullptr);
   eval::TrainOptions options;
   options.epochs = 1;
   model->Train(options);
@@ -552,6 +557,12 @@ TEST(InferenceEngineAdmissionTest, TightDeadlineShortensCoalesceWindow) {
   options.coalesce_window_us = 2000000;  // 2 s: never reached in this test
   InferenceEngine engine(model, options);
 
+  // Warm-up: one deadline-less request waits out the full window and seeds
+  // the rolling batch p95 with a real service time. On a cold engine the p95
+  // is 0, the batch-close margin falls to kMinServeMarginMs, and any late
+  // worker wake-up on a loaded box expires the tight request below.
+  engine.Submit(TrivialRequest(), AdmissionClass{}).get();
+
   AdmissionClass tight;
   tight.deadline_ms = 250;
   const auto start = std::chrono::steady_clock::now();
@@ -576,7 +587,7 @@ TEST(InferenceEngineAdmissionTest, TightDeadlineShortensCoalesceWindow) {
   b.get();
   c.get();
   const EngineStats stats = engine.GetStats();
-  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.completed, 5);
   EXPECT_EQ(stats.expired_in_queue, 0);
   EXPECT_GE(stats.max_batch_observed, 3);  // the trio really coalesced
 }

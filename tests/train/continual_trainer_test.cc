@@ -1,9 +1,11 @@
 // The promotion machinery of the continual trainer: the shadow gate must
 // block a deliberately broken candidate (and never touch the serving
-// deployment), promote a parity candidate through SwapAsync to kLive,
+// deployment), promote a parity candidate through Gateway::Swap, count a
+// swap that fails as a promote failure that leaves the endpoint unchanged,
 // retain the previous checkpoint for rollback, surface telemetry through
 // the gateway stats, and drain/finish cleanly (with the hung-thread signal
-// when the stream never closes).
+// when the stream never closes). After every promote decision and every
+// rollback, the trainer's live checkpoint is the one the gateway serves.
 
 #include "train/continual_trainer.h"
 
@@ -82,6 +84,16 @@ class ContinualTrainerTest : public ::testing::Test {
     }
   }
 
+  /// The trainer's idea of what serves must be what the gateway serves:
+  /// the gate compares candidates against it and Rollback restores from
+  /// the retention it rotates.
+  static void ExpectTrainerAndGatewayAgree(const serve::Gateway& gateway,
+                                           const ContinualTrainer& trainer) {
+    serve::EndpointStats stats;
+    ASSERT_TRUE(gateway.GetEndpointStats("city", &stats));
+    EXPECT_EQ(stats.checkpoint_path, trainer.Stats().live_checkpoint);
+  }
+
   static std::shared_ptr<data::CityDataset> dataset_;
   static std::string base_checkpoint_;
 };
@@ -142,6 +154,7 @@ TEST_F(ContinualTrainerTest, LobotomizedCandidateIsRejectedAndNeverSwapped) {
   EXPECT_EQ(trainer_stats.gate_rejects, 1);
   EXPECT_EQ(trainer_stats.gate_passes, 0);
   EXPECT_EQ(trainer_stats.promotions, 0);
+  ExpectTrainerAndGatewayAgree(gateway, trainer);
 }
 
 TEST_F(ContinualTrainerTest, GateRequiresMinimumWindow) {
@@ -176,7 +189,7 @@ TEST_F(ContinualTrainerTest, ParityCandidatePromotesAndRollbackRestores) {
   ObserveTestWindow(&trainer);
 
   // A candidate with the live weights is parity by construction; the gate
-  // must pass it and drive SwapAsync through kBuilding to kLive.
+  // must pass it and Swap it onto the endpoint before returning.
   auto candidate =
       eval::ModelRegistry::Global().Create("TSPN-RA", dataset_, Options());
   ASSERT_TRUE(candidate->LoadCheckpoint(base_checkpoint_));
@@ -184,7 +197,6 @@ TEST_F(ContinualTrainerTest, ParityCandidatePromotesAndRollbackRestores) {
   candidate->SaveCheckpoint(promoted);
   EXPECT_TRUE(trainer.GateAndMaybePromote(*candidate, promoted));
 
-  EXPECT_EQ(gateway.GetDeployStatus("city").state, serve::DeployState::kLive);
   serve::EndpointStats stats;
   ASSERT_TRUE(gateway.GetEndpointStats("city", &stats));
   EXPECT_EQ(stats.swaps, 1);
@@ -196,6 +208,7 @@ TEST_F(ContinualTrainerTest, ParityCandidatePromotesAndRollbackRestores) {
   // rollback target.
   EXPECT_EQ(trainer_stats.live_checkpoint, promoted);
   EXPECT_EQ(trainer_stats.last_good_checkpoint, base_checkpoint_);
+  ExpectTrainerAndGatewayAgree(gateway, trainer);
 
   // One-command rollback swaps the base back in.
   ASSERT_TRUE(trainer.Rollback(&error)) << error;
@@ -205,6 +218,38 @@ TEST_F(ContinualTrainerTest, ParityCandidatePromotesAndRollbackRestores) {
   trainer_stats = trainer.Stats();
   EXPECT_EQ(trainer_stats.rollbacks, 1);
   EXPECT_EQ(trainer_stats.live_checkpoint, base_checkpoint_);
+  ExpectTrainerAndGatewayAgree(gateway, trainer);
+}
+
+TEST_F(ContinualTrainerTest, FailedSwapAfterGatePassChangesNothing) {
+  serve::Gateway gateway;
+  std::string error;
+  ASSERT_TRUE(gateway.Deploy("city", Config(), &error)) << error;
+  CheckinStream stream(64);
+  ContinualTrainer trainer(dataset_, &stream, &gateway, MakeOptions("city"));
+  ASSERT_TRUE(trainer.Init(Config(), &error)) << error;
+  ObserveTestWindow(&trainer);
+
+  // A parity candidate passes the gate, but its checkpoint path does not
+  // exist, so the Swap fails: the failure is counted, and the endpoint and
+  // the trainer's retention both stay on the base checkpoint.
+  auto candidate =
+      eval::ModelRegistry::Global().Create("TSPN-RA", dataset_, Options());
+  ASSERT_TRUE(candidate->LoadCheckpoint(base_checkpoint_));
+  EXPECT_FALSE(trainer.GateAndMaybePromote(
+      *candidate, ::testing::TempDir() + "/never_written.tsck"));
+
+  serve::EndpointStats stats;
+  ASSERT_TRUE(gateway.GetEndpointStats("city", &stats));
+  EXPECT_EQ(stats.swaps, 0);
+  EXPECT_EQ(stats.checkpoint_path, base_checkpoint_);
+  const TrainerStats trainer_stats = trainer.Stats();
+  EXPECT_EQ(trainer_stats.gate_passes, 1);
+  EXPECT_EQ(trainer_stats.promote_failures, 1);
+  EXPECT_EQ(trainer_stats.promotions, 0);
+  EXPECT_EQ(trainer_stats.live_checkpoint, base_checkpoint_);
+  EXPECT_TRUE(trainer_stats.last_good_checkpoint.empty());
+  ExpectTrainerAndGatewayAgree(gateway, trainer);
 }
 
 TEST_F(ContinualTrainerTest, RollbackWithoutRetentionFails) {
