@@ -14,6 +14,8 @@
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "core/config.h"
+#include "core/hgat.h"
 #include "graph/qrp_graph.h"
 #include "nn/conv.h"
 #include "nn/kernels.h"
@@ -412,6 +414,16 @@ int main() {
       visits.push_back(rng.UniformInt(static_cast<int64_t>(tiny->pois().size())));
     }
     rs::ImageSynthesizer synth(&tiny->layout(), &tiny->roads(), {.resolution = 32});
+    // HGAT (Sec. IV-C) at the model defaults (dm 32, 2 layers) on the same
+    // 100-visit QR-P graph: serving encode, and a training forward+backward.
+    const graph::QrpGraph qrp = graph::BuildQrpGraph(
+        tiny->quadtree(), tiny->leaf_adjacency(), tiny->pois(), visits);
+    core::TspnRaConfig hgat_config;
+    hgat_config.dm = 32;
+    hgat_config.num_hgat_layers = 2;
+    core::QrpEncoder qrp_encoder(hgat_config, rng);
+    Tensor tile_init = Tensor::RandomUniform({qrp.NumTileNodes(), 32}, 1.0f, rng, true);
+    Tensor poi_init = Tensor::RandomUniform({qrp.NumPoiNodes(), 32}, 1.0f, rng, true);
     std::vector<Case> tracked;
     tracked.push_back({"attention_fwd_32x64", {}, [&] {
                          nn::NoGradGuard guard;
@@ -424,6 +436,16 @@ int main() {
     tracked.push_back({"qrp_graph_build_100", {}, [&] {
                          graph::BuildQrpGraph(tiny->quadtree(), tiny->leaf_adjacency(),
                                               tiny->pois(), visits);
+                       }});
+    tracked.push_back({"hgat_encode_100", {}, [&] {
+                         nn::NoGradGuard guard;
+                         qrp_encoder.Encode(qrp, tile_init, poi_init);
+                       }});
+    tracked.push_back({"hgat_train_100", {}, [&] {
+                         auto out = qrp_encoder.Encode(qrp, tile_init, poi_init);
+                         nn::Add(nn::SumAll(out.tile_knowledge),
+                                 nn::SumAll(out.poi_knowledge))
+                             .Backward();
                        }});
     tracked.push_back({"render_tile_32", {}, [&] {
                          synth.RenderTile({0.0, 0.0, 0.1, 0.1});

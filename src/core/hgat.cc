@@ -7,7 +7,7 @@
 
 namespace tspn::core {
 
-HgatLayer::HgatLayer(int64_t dm, common::Rng& rng) : dm_(dm) {
+HgatLayer::HgatLayer(int64_t dm, common::Rng& rng) {
   for (int k = 0; k < kNumEdgeTypes; ++k) {
     w_.push_back(std::make_unique<nn::Linear>(dm, dm, rng, /*with_bias=*/false));
     RegisterChild(w_.back().get());
@@ -21,28 +21,23 @@ HgatLayer::HgatLayer(int64_t dm, common::Rng& rng) : dm_(dm) {
   RegisterChild(self_.get());
 }
 
-nn::Tensor HgatLayer::Forward(const nn::Tensor& h,
-                              const std::vector<nn::Tensor>& adjacency) const {
+nn::Tensor HgatLayer::Forward(const nn::Tensor& h, const graph::QrpGraph& graph,
+                              bool use_road_edges, bool use_contain_edges) const {
   TSPN_CHECK_EQ(h.rank(), 2);
-  TSPN_CHECK_EQ(static_cast<int>(adjacency.size()), kNumEdgeTypes);
-  const int64_t n = h.dim(0);
+  TSPN_CHECK_EQ(h.dim(0), graph.NumNodes());
+  const bool enabled[kNumEdgeTypes] = {true, use_road_edges, use_contain_edges};
   // Self-transform keeps isolated nodes (and every node's own state) alive.
   nn::Tensor aggregated = self_->Forward(h);
   for (int k = 0; k < kNumEdgeTypes; ++k) {
-    const nn::Tensor& adj = adjacency[static_cast<size_t>(k)];
-    if (!adj.defined()) continue;  // edge type disabled / absent
-    nn::Tensor hk = w_[static_cast<size_t>(k)]->Forward(h);  // [n, dm]
-    // Attention logits: e[i,j] = LeakyReLU(a_src . hk_i + a_dst . hk_j).
-    nn::Tensor e_src = nn::Reshape(nn::MatVec(hk, *a_src_[static_cast<size_t>(k)]),
-                                   {n, 1});
-    nn::Tensor e_dst = nn::Reshape(nn::MatVec(hk, *a_dst_[static_cast<size_t>(k)]),
-                                   {1, n});
-    nn::Tensor scores = nn::LeakyRelu(nn::Add(e_src, e_dst), 0.2f);
-    // Mask non-edges with -1e9 before the row softmax, then zero them after
-    // (rows without type-k neighbours otherwise become uniform).
-    nn::Tensor neg_mask = nn::MulScalar(nn::AddScalar(nn::Neg(adj), 1.0f), -1e9f);
-    nn::Tensor attention = nn::Mul(nn::Softmax(nn::Add(scores, neg_mask)), adj);
-    aggregated = nn::Add(aggregated, nn::MatMul(attention, hk));
+    if (!enabled[k] || graph.edges(k).empty()) continue;
+    const auto kk = static_cast<size_t>(k);
+    const graph::NeighbourList& list = graph.neighbours[kk];
+    TSPN_CHECK_EQ(list.cols.size(), 2 * graph.edges(k).size())
+        << "QR-P graph without neighbour lists (graph::FillNeighbourLists)";
+    nn::Tensor hk = w_[kk]->Forward(h);  // [n, dm]
+    aggregated = nn::Add(aggregated,
+                         nn::SparseGraphAttention(hk, *a_src_[kk], *a_dst_[kk],
+                                                  list.offsets, list.cols, 0.2f));
   }
   return nn::Elu(aggregated);
 }
@@ -62,38 +57,13 @@ QrpEncoder::Output QrpEncoder::Encode(const graph::QrpGraph& graph,
   TSPN_CHECK_EQ(tile_init.dim(0), graph.NumTileNodes());
   TSPN_CHECK_EQ(poi_init.dim(0), graph.NumPoiNodes());
   nn::Tensor h = nn::ConcatRows({tile_init, poi_init});
-  std::vector<nn::Tensor> adjacency =
-      BuildAdjacency(graph, config_.use_road_edges, config_.use_contain_edges);
   for (const auto& layer : layers_) {
-    h = layer->Forward(h, adjacency);
+    h = layer->Forward(h, graph, config_.use_road_edges, config_.use_contain_edges);
   }
   Output out;
   out.tile_knowledge = nn::SliceRows(h, 0, graph.NumTileNodes());
   out.poi_knowledge = nn::SliceRows(h, graph.NumTileNodes(), graph.NumPoiNodes());
   return out;
-}
-
-std::vector<nn::Tensor> BuildAdjacency(const graph::QrpGraph& graph,
-                                       bool use_road_edges,
-                                       bool use_contain_edges) {
-  const int64_t n = graph.NumNodes();
-  auto dense = [n](const std::vector<std::pair<int32_t, int32_t>>& edges) {
-    std::vector<float> mask(static_cast<size_t>(n * n), 0.0f);
-    for (const auto& [a, b] : edges) {
-      mask[static_cast<size_t>(a) * n + b] = 1.0f;
-      mask[static_cast<size_t>(b) * n + a] = 1.0f;
-    }
-    return nn::Tensor::FromVector({n, n}, std::move(mask));
-  };
-  std::vector<nn::Tensor> adjacency(HgatLayer::kNumEdgeTypes);
-  if (!graph.branch_edges.empty()) adjacency[0] = dense(graph.branch_edges);
-  if (use_road_edges && !graph.road_edges.empty()) {
-    adjacency[1] = dense(graph.road_edges);
-  }
-  if (use_contain_edges && !graph.contain_edges.empty()) {
-    adjacency[2] = dense(graph.contain_edges);
-  }
-  return adjacency;
 }
 
 }  // namespace tspn::core

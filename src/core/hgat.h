@@ -13,20 +13,22 @@ namespace tspn::core {
 /// One heterogeneous graph-attention layer (Eq. 6): per edge type k, GAT
 /// attention with weights W_k and attention vector a_k, summed over types
 /// and passed through a nonlinearity. A self-transform keeps isolated nodes
-/// informative. Implemented densely — QR-P graphs are small (tens of nodes).
+/// informative. Attention runs over each node's real neighbours only
+/// (nn::SparseGraphAttention on the graph's CSR lists): QR-P graphs have
+/// 78-150 nodes but only about one edge per node.
 class HgatLayer : public nn::Module {
  public:
-  static constexpr int kNumEdgeTypes = 3;  // branch, road, contain
+  static constexpr int kNumEdgeTypes = graph::QrpGraph::kNumEdgeTypes;
 
   HgatLayer(int64_t dm, common::Rng& rng);
 
-  /// h: [n, dm]; adjacency[k]: symmetric {0,1} mask [n, n] per edge type.
+  /// h: [n, dm] over the graph's nodes. Branch edges always take part; road
+  /// and contain edges only when enabled (the fine-grained ablations).
   /// Returns the updated [n, dm].
-  nn::Tensor Forward(const nn::Tensor& h,
-                     const std::vector<nn::Tensor>& adjacency) const;
+  nn::Tensor Forward(const nn::Tensor& h, const graph::QrpGraph& graph,
+                     bool use_road_edges, bool use_contain_edges) const;
 
  private:
-  int64_t dm_;
   std::vector<std::unique_ptr<nn::Linear>> w_;       // W_k
   std::vector<std::unique_ptr<nn::Tensor>> a_src_;   // a_k split: source half
   std::vector<std::unique_ptr<nn::Tensor>> a_dst_;   // a_k split: target half
@@ -55,11 +57,6 @@ class QrpEncoder : public nn::Module {
   const TspnRaConfig config_;
   std::vector<std::unique_ptr<HgatLayer>> layers_;
 };
-
-/// Builds the dense symmetric adjacency masks ([n, n] per edge type) for a
-/// QR-P graph, honouring the road/contain ablation switches.
-std::vector<nn::Tensor> BuildAdjacency(const graph::QrpGraph& graph,
-                                       bool use_road_edges, bool use_contain_edges);
 
 }  // namespace tspn::core
 

@@ -8,6 +8,37 @@
 
 namespace tspn::graph {
 
+void FillNeighbourLists(QrpGraph& graph) {
+  const int64_t n = graph.NumNodes();
+  for (int type = 0; type < QrpGraph::kNumEdgeTypes; ++type) {
+    const auto& edges = graph.edges(type);
+    NeighbourList& list = graph.neighbours[static_cast<size_t>(type)];
+    list.offsets.assign(static_cast<size_t>(n + 1), 0);
+    for (const auto& [a, b] : edges) {
+      TSPN_CHECK(a >= 0 && a < n && b >= 0 && b < n) << "edge node out of range";
+      TSPN_CHECK_NE(a, b) << "self-loop in QR-P edge type " << type;
+      ++list.offsets[static_cast<size_t>(a) + 1];
+      ++list.offsets[static_cast<size_t>(b) + 1];
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      list.offsets[static_cast<size_t>(i + 1)] += list.offsets[static_cast<size_t>(i)];
+    }
+    list.cols.resize(2 * edges.size());
+    std::vector<int32_t> fill(list.offsets.begin(), list.offsets.end() - 1);
+    for (const auto& [a, b] : edges) {
+      list.cols[static_cast<size_t>(fill[static_cast<size_t>(a)]++)] = b;
+      list.cols[static_cast<size_t>(fill[static_cast<size_t>(b)]++)] = a;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      auto begin = list.cols.begin() + list.offsets[static_cast<size_t>(i)];
+      auto end = list.cols.begin() + list.offsets[static_cast<size_t>(i + 1)];
+      std::sort(begin, end);
+      TSPN_CHECK(std::adjacent_find(begin, end) == end)
+          << "duplicate QR-P edge of type " << type << " at node " << i;
+    }
+  }
+}
+
 QrpGraph BuildQrpGraph(const spatial::QuadTree& tree,
                        const roadnet::TileAdjacency& leaf_adjacency,
                        const std::vector<data::Poi>& pois,
@@ -69,6 +100,7 @@ QrpGraph BuildQrpGraph(const spatial::QuadTree& tree,
     graph.contain_edges.emplace_back(
         it->second, static_cast<int32_t>(graph.tile_ids.size() + p));
   }
+  FillNeighbourLists(graph);
   return graph;
 }
 
@@ -114,6 +146,7 @@ QrpGraph BuildQrpGraphFromGrid(const spatial::GridIndex& grid,
         cell_local.at(cells[p]),
         static_cast<int32_t>(graph.tile_ids.size() + p));
   }
+  FillNeighbourLists(graph);
   return graph;
 }
 

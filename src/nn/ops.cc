@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "common/check.h"
 #include "nn/kernels.h"
@@ -618,6 +619,131 @@ Tensor Dot(const Tensor& a, const Tensor& b) {
   TSPN_CHECK_EQ(a.rank(), 1);
   TSPN_CHECK_EQ(b.rank(), 1);
   return SumAll(Mul(a, b));
+}
+
+Tensor SparseGraphAttention(const Tensor& hk, const Tensor& a_src,
+                            const Tensor& a_dst,
+                            const std::vector<int32_t>& offsets,
+                            const std::vector<int32_t>& cols,
+                            float negative_slope) {
+  TSPN_CHECK_EQ(hk.rank(), 2);
+  const int64_t n = hk.dim(0), d = hk.dim(1);
+  TSPN_CHECK_EQ(a_src.numel(), d);
+  TSPN_CHECK_EQ(a_dst.numel(), d);
+  TSPN_CHECK_EQ(static_cast<int64_t>(offsets.size()), n + 1);
+  TSPN_CHECK_EQ(offsets.front(), 0);
+  TSPN_CHECK_EQ(static_cast<size_t>(offsets.back()), cols.size());
+  for (int64_t i = 0; i < n; ++i) {
+    TSPN_CHECK_LE(offsets[static_cast<size_t>(i)], offsets[static_cast<size_t>(i + 1)]);
+  }
+  for (int32_t j : cols) TSPN_CHECK(j >= 0 && j < n) << "neighbour " << j;
+
+  const float* x = hk.data();
+  const float* as = a_src.data();
+  const float* ad = a_dst.data();
+  // The logit splits per node: z_ij = s_src[i] + s_dst[j].
+  std::vector<float> s_src(static_cast<size_t>(n)), s_dst(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const float* xi = x + i * d;
+    float src = 0.0f, dst = 0.0f;
+    for (int64_t c = 0; c < d; ++c) {
+      src += xi[c] * as[c];
+      dst += xi[c] * ad[c];
+    }
+    s_src[static_cast<size_t>(i)] = src;
+    s_dst[static_cast<size_t>(i)] = dst;
+  }
+
+  // Per edge: the pre-activation logit z (its sign picks the LeakyReLU
+  // slope in backward) and the attention weight alpha.
+  std::vector<float> logits(cols.size()), alpha(cols.size());
+  std::vector<float> out(static_cast<size_t>(n * d), 0.0f);
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t begin = static_cast<size_t>(offsets[static_cast<size_t>(i)]);
+    const size_t end = static_cast<size_t>(offsets[static_cast<size_t>(i + 1)]);
+    if (begin == end) continue;
+    float mx = -std::numeric_limits<float>::infinity();
+    for (size_t e = begin; e < end; ++e) {
+      float z = s_src[static_cast<size_t>(i)] + s_dst[static_cast<size_t>(cols[e])];
+      logits[e] = z;
+      alpha[e] = z > 0.0f ? z : negative_slope * z;
+      mx = std::max(mx, alpha[e]);
+    }
+    double denom = 0.0;
+    for (size_t e = begin; e < end; ++e) {
+      alpha[e] = static_cast<float>(std::exp(static_cast<double>(alpha[e] - mx)));
+      denom += alpha[e];
+    }
+    const float inv_denom = static_cast<float>(1.0 / denom);
+    float* yi = out.data() + i * d;
+    for (size_t e = begin; e < end; ++e) {
+      alpha[e] *= inv_denom;
+      const float w = alpha[e];
+      const float* xj = x + static_cast<int64_t>(cols[e]) * d;
+      for (int64_t c = 0; c < d; ++c) yi[c] += w * xj[c];
+    }
+  }
+
+  std::function<void(TensorNode&)> backward;
+  if (NoGradGuard::GradEnabled()) {
+    backward = [n, d, negative_slope, offsets, cols, logits = std::move(logits),
+                alpha = std::move(alpha)](TensorNode& node) {
+      const float* g = node.grad.data();
+      const float* x = node.parents[0]->data.data();
+      const float* as = node.parents[1]->data.data();
+      const float* ad = node.parents[2]->data.data();
+      float* gx = GradPtr(node.parents[0]);
+      float* gas = GradPtr(node.parents[1]);
+      float* gad = GradPtr(node.parents[2]);
+      // dL/dz per edge, reduced onto the two per-node logit halves.
+      std::vector<float> ds_src(static_cast<size_t>(n), 0.0f);
+      std::vector<float> ds_dst(static_cast<size_t>(n), 0.0f);
+      std::vector<float> dalpha(cols.size());  // dL/dalpha per edge
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t begin = static_cast<size_t>(offsets[static_cast<size_t>(i)]);
+        const size_t end = static_cast<size_t>(offsets[static_cast<size_t>(i + 1)]);
+        if (begin == end) continue;
+        const float* gi = g + i * d;
+        double weighted = 0.0;  // sum_j alpha_ij * dL/dalpha_ij
+        for (size_t e = begin; e < end; ++e) {
+          const int64_t j = cols[e];
+          const float* xj = x + j * d;
+          float da = 0.0f;
+          for (int64_t c = 0; c < d; ++c) da += gi[c] * xj[c];
+          dalpha[e] = da;
+          weighted += static_cast<double>(alpha[e]) * da;
+          if (gx != nullptr) {
+            float* gxj = gx + j * d;
+            for (int64_t c = 0; c < d; ++c) gxj[c] += alpha[e] * gi[c];
+          }
+        }
+        for (size_t e = begin; e < end; ++e) {
+          float dz = alpha[e] * (dalpha[e] - static_cast<float>(weighted));
+          if (logits[e] <= 0.0f) dz *= negative_slope;
+          ds_src[static_cast<size_t>(i)] += dz;
+          ds_dst[static_cast<size_t>(cols[e])] += dz;
+        }
+      }
+      // s_src[i] = a_src . hk_i and s_dst[i] = a_dst . hk_i.
+      for (int64_t i = 0; i < n; ++i) {
+        const float src = ds_src[static_cast<size_t>(i)];
+        const float dst = ds_dst[static_cast<size_t>(i)];
+        const float* xi = x + i * d;
+        if (gx != nullptr) {
+          float* gxi = gx + i * d;
+          for (int64_t c = 0; c < d; ++c) gxi[c] += src * as[c] + dst * ad[c];
+        }
+        if (gas != nullptr) {
+          for (int64_t c = 0; c < d; ++c) gas[c] += src * xi[c];
+        }
+        if (gad != nullptr) {
+          for (int64_t c = 0; c < d; ++c) gad[c] += dst * xi[c];
+        }
+      }
+    };
+  }
+  return MakeOp({n, d}, std::move(out), {hk, a_src, a_dst}, std::move(backward),
+                "sparse_graph_attention");
 }
 
 namespace {

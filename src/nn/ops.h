@@ -84,6 +84,23 @@ Tensor MatVec(const Tensor& a, const Tensor& v);
 Tensor Dot(const Tensor& a, const Tensor& b);
 
 // ---------------------------------------------------------------------------
+// Graph attention.
+// ---------------------------------------------------------------------------
+
+/// GAT attention over a CSR neighbour list (Velickovic et al., ICLR'18).
+/// Node i's neighbours are cols[offsets[i] .. offsets[i + 1]); for each,
+///   alpha_ij = softmax_j(LeakyReLU(a_src . hk_i + a_dst . hk_j)),
+///   out_i    = sum_j alpha_ij hk_j.
+/// The softmax runs over real neighbours only, and a row without neighbours
+/// outputs zeros. hk: [n, d]; a_src, a_dst: [d]; offsets: n + 1 entries.
+/// Returns [n, d], differentiable in hk, a_src and a_dst.
+Tensor SparseGraphAttention(const Tensor& hk, const Tensor& a_src,
+                            const Tensor& a_dst,
+                            const std::vector<int32_t>& offsets,
+                            const std::vector<int32_t>& cols,
+                            float negative_slope = 0.2f);
+
+// ---------------------------------------------------------------------------
 // Normalization / probability.
 // ---------------------------------------------------------------------------
 

@@ -138,6 +138,20 @@ TEST(GradCheckTest, SoftmaxLogSoftmax) {
   CheckGradients({a}, [&] { return SumAll(Mul(LogSoftmax(a), pick)); });
 }
 
+TEST(GradCheckTest, SparseGraphAttention) {
+  // Symmetric CSR on 5 nodes: node 0 has 3 neighbours, nodes 1-3 have one
+  // each, node 4 none.
+  const std::vector<int32_t> offsets = {0, 3, 4, 5, 6, 6};
+  const std::vector<int32_t> cols = {1, 2, 3, 0, 0, 0};
+  Tensor hk = RandomInput({5, 4}, 40);
+  Tensor a_src = RandomInput({4}, 41);
+  Tensor a_dst = RandomInput({4}, 42);
+  Tensor probe = RandomInput({5, 4}, 43);
+  CheckGradients({hk, a_src, a_dst}, [&] {
+    return SumAll(Mul(SparseGraphAttention(hk, a_src, a_dst, offsets, cols), probe));
+  });
+}
+
 TEST(GradCheckTest, L2Normalize) {
   Tensor a = RandomInput({2, 3}, 24);
   Tensor pick = Tensor::FromVector({2, 3}, {1, -1, 2, 0.5f, 1, -2});

@@ -519,5 +519,43 @@ TEST(OpsTest, BackwardThroughSharedSubexpression) {
   EXPECT_NEAR(a.grad()[1], 12.0f, 1e-5);
 }
 
+TEST(OpsTest, SparseGraphAttentionMatchesHandComputed) {
+  // Path 0-1-2 plus isolated node 3; d = 2.
+  const std::vector<int32_t> offsets = {0, 1, 3, 4, 4};
+  const std::vector<int32_t> cols = {1, 0, 2, 1};
+  Tensor hk = Tensor::FromVector({4, 2}, {1, 0, 0, 1, 2, 2, 5, 5});
+  Tensor a_src = Tensor::FromVector({2}, {1, 0});
+  Tensor a_dst = Tensor::FromVector({2}, {0, 1});
+  std::vector<float> out =
+      SparseGraphAttention(hk, a_src, a_dst, offsets, cols, 0.2f).ToVector();
+  // Rows with one neighbour copy it (alpha = 1).
+  EXPECT_FLOAT_EQ(out[0], 0.0f);
+  EXPECT_FLOAT_EQ(out[1], 1.0f);
+  EXPECT_FLOAT_EQ(out[4], 0.0f);
+  EXPECT_FLOAT_EQ(out[5], 1.0f);
+  // Node 1: logits LeakyReLU(0 + 0) = 0 for j=0 and LeakyReLU(0 + 2) = 2 for j=2.
+  const float w0 = 1.0f / (1.0f + std::exp(2.0f));
+  const float w2 = 1.0f - w0;
+  EXPECT_NEAR(out[2], w0 * 1.0f + w2 * 2.0f, 1e-6f);
+  EXPECT_NEAR(out[3], w0 * 0.0f + w2 * 2.0f, 1e-6f);
+  // The isolated row outputs zeros.
+  EXPECT_EQ(out[6], 0.0f);
+  EXPECT_EQ(out[7], 0.0f);
+}
+
+TEST(OpsTest, SparseGraphAttentionLeakyNegativeLogits) {
+  // Two neighbours with negative logits: the slope scales them before the
+  // softmax. Node 0's logits are 0.2 * (-1) and 0.2 * (-3).
+  const std::vector<int32_t> offsets = {0, 2, 3, 4};
+  const std::vector<int32_t> cols = {1, 2, 0, 0};
+  Tensor hk = Tensor::FromVector({3, 1}, {0, -1, -3});
+  Tensor a_src = Tensor::FromVector({1}, {0});
+  Tensor a_dst = Tensor::FromVector({1}, {1});
+  std::vector<float> out =
+      SparseGraphAttention(hk, a_src, a_dst, offsets, cols, 0.2f).ToVector();
+  const float w1 = 1.0f / (1.0f + std::exp(-0.4f));
+  EXPECT_NEAR(out[0], w1 * -1.0f + (1.0f - w1) * -3.0f, 1e-6f);
+}
+
 }  // namespace
 }  // namespace tspn::nn
