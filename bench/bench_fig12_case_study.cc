@@ -64,7 +64,10 @@ int main() {
   common::TablePrinter table({"Variant", "top-50 coastal frac",
                               "mean dist to target (km)", "target found@50"});
   auto report = [&](const std::string& name, eval::NextPoiModel& model) {
-    std::vector<int64_t> top50 = model.Recommend(coastal_case, 50);
+    eval::RecommendRequest request;
+    request.sample = coastal_case;
+    request.top_n = 50;
+    std::vector<int64_t> top50 = model.Recommend(request).PoiIds();
     CaseResult r = Analyze(*dataset, top50, target);
     bool found =
         std::find(top50.begin(), top50.end(), target) != top50.end();

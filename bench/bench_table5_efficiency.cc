@@ -149,10 +149,13 @@ ThroughputResult MeasureSerial(const core::TspnRa& tspn,
   ThroughputResult r;
   std::vector<double> latencies;
   latencies.reserve(samples.size());
+  eval::RecommendRequest request;
+  request.top_n = top_n;
   common::Stopwatch total;
   for (const data::SampleRef& sample : samples) {
+    request.sample = sample;
     common::Stopwatch query;
-    tspn.Recommend(sample, top_n);
+    tspn.Recommend(request);
     latencies.push_back(query.ElapsedSeconds() * 1000.0);
   }
   const double seconds = total.ElapsedSeconds();
@@ -170,12 +173,17 @@ ThroughputResult MeasureBatched(const core::TspnRa& tspn,
   ThroughputResult r;
   std::vector<double> latencies;
   latencies.reserve(samples.size());
-  common::Span<data::SampleRef> all(samples);
+  std::vector<eval::RecommendRequest> requests(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    requests[i].sample = samples[i];
+    requests[i].top_n = top_n;
+  }
+  common::Span<eval::RecommendRequest> all(requests);
   common::Stopwatch total;
   for (size_t begin = 0; begin < all.size(); begin += batch_size) {
-    common::Span<data::SampleRef> chunk = all.subspan(begin, batch_size);
+    common::Span<eval::RecommendRequest> chunk = all.subspan(begin, batch_size);
     common::Stopwatch batch_watch;
-    tspn.RecommendBatch(chunk, top_n);
+    tspn.RecommendBatch(chunk);
     const double batch_ms = batch_watch.ElapsedSeconds() * 1000.0;
     for (size_t i = 0; i < chunk.size(); ++i) latencies.push_back(batch_ms);
   }
@@ -280,10 +288,12 @@ void RunThroughput(const core::TspnRa& tspn,
   std::printf("\n== Throughput (batched vs serial, %zu queries) ==\n",
               samples.size());
   // Warm-up: caches built, allocator warmed.
-  tspn.RecommendBatch(
-      common::Span<data::SampleRef>(samples.data(),
-                                    std::min<size_t>(8, samples.size())),
-      top_n);
+  std::vector<eval::RecommendRequest> warmup(std::min<size_t>(8, samples.size()));
+  for (size_t i = 0; i < warmup.size(); ++i) {
+    warmup[i].sample = samples[i];
+    warmup[i].top_n = top_n;
+  }
+  tspn.RecommendBatch(common::Span<eval::RecommendRequest>(warmup));
   ThroughputResult serial = MeasureSerial(tspn, samples, top_n);
   ReportThroughput(reporter, "serial", serial, serial.qps);
   for (size_t batch_size : {size_t{8}, size_t{32}}) {

@@ -72,7 +72,10 @@ int main() {
   config.top_k_tiles = profile.top_k_tiles;
   core::TspnRa tspn(dataset, config);
   tspn.Train(options);
-  std::vector<int64_t> tspn_top = tspn.Recommend(coastal_case, 50);
+  eval::RecommendRequest top50;
+  top50.sample = coastal_case;
+  top50.top_n = 50;
+  std::vector<int64_t> tspn_top = tspn.Recommend(top50).PoiIds();
 
   eval::ModelOptions lstpm_options;
   lstpm_options.dm = 32;
@@ -84,7 +87,7 @@ int main() {
     return 1;
   }
   lstpm->Train(options);
-  std::vector<int64_t> lstpm_top = lstpm->Recommend(coastal_case, 50);
+  std::vector<int64_t> lstpm_top = lstpm->Recommend(top50).PoiIds();
 
   std::printf("Top-50 recommendation spread:\n");
   std::printf("  TSPN-RA : %.0f%% of recommendations in the coastal band\n",
@@ -101,7 +104,7 @@ int main() {
               "towards the shoreline the user is actually following "
               "(the paper's Fig. 12 observation).\n");
 
-  // The v2 constrained query: scored top-5 within 4 km of the user's last
+  // A constrained query: scored top-5 within 4 km of the user's last
   // check-in, excluding places already visited on this trip. Constraints
   // are applied before top-k selection, so the fence still yields a full
   // list whenever enough coastal candidates exist.

@@ -13,8 +13,8 @@
 //      hours at arrival, the no-repeat rule and the per-category quota
 //      re-verified from scratch. Any violation exits non-zero.
 //   4. The batched scorer (one RecommendBatch per frontier wave) is
-//      compared bit-for-bit against the serial one-query-at-a-time
-//      reference planner — the determinism/parity contract of
+//      compared bit-for-bit against a planner whose scorer serves each
+//      wave one query at a time — the determinism/parity contract of
 //      docs/itinerary.md.
 //
 //   ./build/itinerary_demo
@@ -193,13 +193,19 @@ int main() {
   }
 
   // Local parity references against the same restored weights: the
-  // batched planner (default scorer = RecommendBatch) and the serial
-  // one-query-at-a-time reference.
-  plan::PlannerOptions batched_options;
-  plan::PlannerOptions serial_options;
-  serial_options.serial_reference = true;
-  plan::ItineraryPlanner batched(*model, city, batched_options);
-  plan::ItineraryPlanner serial(*model, city, serial_options);
+  // batched planner (default scorer = RecommendBatch) and a serial one
+  // whose scorer serves each wave one Recommend at a time.
+  plan::PlannerOptions planner_options;
+  plan::ItineraryPlanner batched(*model, city, planner_options);
+  plan::ItineraryPlanner serial(*model, city, planner_options);
+  serial.set_scorer([&model](common::Span<eval::RecommendRequest> requests) {
+    std::vector<eval::RecommendResponse> responses;
+    responses.reserve(requests.size());
+    for (const eval::RecommendRequest& request : requests) {
+      responses.push_back(model->Recommend(request));
+    }
+    return responses;
+  });
 
   const std::vector<data::SampleRef> samples =
       city->Samples(data::Split::kTest);

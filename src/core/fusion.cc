@@ -21,35 +21,19 @@ AttentionBlock::AttentionBlock(int64_t dm, common::Rng& rng) {
 }
 
 nn::Tensor AttentionBlock::Forward(const nn::Tensor& sequence,
-                                   const nn::Tensor& history, common::Rng& rng,
-                                   float dropout) const {
-  TSPN_CHECK_EQ(sequence.rank(), 2);
-  TSPN_CHECK_EQ(history.rank(), 2);
-  // 1. Masked sequential self-attention (inverted-triangle mask).
-  nn::Tensor z_m = self_attention_->Forward(sequence, sequence, /*causal=*/true);
-  z_m = nn::Dropout(z_m, dropout, rng, training());
-  // 2. Add & normalize.
-  nn::Tensor h1 = norm1_->Forward(nn::Add(sequence, z_m));
-  // 3. Cross attention over historical knowledge.
-  nn::Tensor z_h = cross_attention_->Forward(h1, history, /*causal=*/false);
-  z_h = nn::Dropout(z_h, dropout, rng, training());
-  nn::Tensor h2 = norm2_->Forward(nn::Add(h1, z_h));
-  // 4. Feed forward (Z_f = ReLU(W_f Z_h + b_f)).
-  nn::Tensor z_f = nn::Relu(feed_forward_->Forward(h2));
-  return norm3_->Forward(nn::Add(h2, z_f));
-}
-
-nn::Tensor AttentionBlock::ForwardPacked(
-    const nn::Tensor& sequence, const std::vector<int64_t>& offsets,
-    const nn::Tensor& history, const std::vector<int64_t>& hist_offsets) const {
-  TSPN_CHECK(!training()) << "packed forward is inference-only (no dropout)";
+                                   const std::vector<int64_t>& offsets,
+                                   const nn::Tensor& history,
+                                   const std::vector<int64_t>& hist_offsets,
+                                   common::Rng* rng, float dropout) const {
+  TSPN_CHECK(!training() || rng != nullptr) << "training needs a dropout rng";
   TSPN_CHECK_EQ(sequence.rank(), 2);
   TSPN_CHECK_EQ(history.rank(), 2);
   TSPN_CHECK_EQ(offsets.size(), hist_offsets.size());
   TSPN_CHECK_GE(offsets.size(), 2u);
   const size_t batch = offsets.size() - 1;
-  // 1. Masked self-attention: project the whole pack with one GEMM per
-  // projection, then score/softmax each segment against itself only.
+  // 1. Masked sequential self-attention (inverted-triangle mask): project
+  // the whole pack with one GEMM per projection, then score/softmax each
+  // segment against itself only.
   nn::Tensor q = self_attention_->ProjectQuery(sequence);
   nn::Tensor k = self_attention_->ProjectKey(sequence);
   nn::Tensor v = self_attention_->ProjectValue(sequence);
@@ -63,6 +47,7 @@ nn::Tensor AttentionBlock::ForwardPacked(
         nn::SliceRows(v, start, len), /*causal=*/true));
   }
   nn::Tensor z_m = nn::ConcatRows(parts);
+  if (training()) z_m = nn::Dropout(z_m, dropout, *rng, /*training=*/true);
   // 2. Add & normalize (row-wise, safe over the pack).
   nn::Tensor h1 = norm1_->Forward(nn::Add(sequence, z_m));
   // 3. Cross attention over each segment's own historical knowledge.
@@ -80,8 +65,9 @@ nn::Tensor AttentionBlock::ForwardPacked(
         nn::SliceRows(cv, h_start, h_len), /*causal=*/false));
   }
   nn::Tensor z_h = nn::ConcatRows(parts);
+  if (training()) z_h = nn::Dropout(z_h, dropout, *rng, /*training=*/true);
   nn::Tensor h2 = norm2_->Forward(nn::Add(h1, z_h));
-  // 4. Feed forward over the pack.
+  // 4. Feed forward (Z_f = ReLU(W_f Z_h + b_f)) over the pack.
   nn::Tensor z_f = nn::Relu(feed_forward_->Forward(h2));
   return norm3_->Forward(nn::Add(h2, z_f));
 }
@@ -95,21 +81,13 @@ FusionModule::FusionModule(const TspnRaConfig& config, common::Rng& rng)
 }
 
 nn::Tensor FusionModule::Forward(const nn::Tensor& sequence,
+                                 const std::vector<int64_t>& offsets,
                                  const nn::Tensor& history,
-                                 common::Rng& rng) const {
+                                 const std::vector<int64_t>& hist_offsets,
+                                 common::Rng* rng) const {
   nn::Tensor h = sequence;
   for (const auto& block : blocks_) {
-    h = block->Forward(h, history, rng, config_.dropout);
-  }
-  return nn::Row(h, h.dim(0) - 1);
-}
-
-nn::Tensor FusionModule::ForwardPacked(
-    const nn::Tensor& sequence, const std::vector<int64_t>& offsets,
-    const nn::Tensor& history, const std::vector<int64_t>& hist_offsets) const {
-  nn::Tensor h = sequence;
-  for (const auto& block : blocks_) {
-    h = block->ForwardPacked(h, offsets, history, hist_offsets);
+    h = block->Forward(h, offsets, history, hist_offsets, rng, config_.dropout);
   }
   std::vector<nn::Tensor> last_rows;
   last_rows.reserve(offsets.size() - 1);

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/config.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
 
 namespace tspn::core {
@@ -18,24 +18,23 @@ class AttentionBlock : public nn::Module {
  public:
   AttentionBlock(int64_t dm, common::Rng& rng);
 
-  /// sequence: [L, dm]; history: [H, dm] (H >= 1). Returns [L, dm].
-  nn::Tensor Forward(const nn::Tensor& sequence, const nn::Tensor& history,
-                     common::Rng& rng, float dropout) const;
-
-  /// Packed-batch inference forward. `sequence` holds B variable-length
-  /// segments concatenated row-wise ([total, dm], boundaries in `offsets`,
-  /// size B+1); `history` likewise ([total_h, dm], `hist_offsets`). The
-  /// projections, norms and feed-forward run as single GEMMs over the whole
-  /// pack; only the softmax(QK^T)V stage runs per segment (attention must
-  /// not cross sequence boundaries). Every row of the result is bitwise
-  /// identical to Forward() on the corresponding segment: each packed op is
-  /// row-wise with a per-row accumulation order independent of the number
-  /// of rows. Inference-only: requires !training() (no dropout). Returns
-  /// [total, dm].
-  nn::Tensor ForwardPacked(const nn::Tensor& sequence,
-                           const std::vector<int64_t>& offsets,
-                           const nn::Tensor& history,
-                           const std::vector<int64_t>& hist_offsets) const;
+  /// Forward over a pack of B variable-length segments. `sequence` holds
+  /// the segments concatenated row-wise ([total, dm], boundaries in
+  /// `offsets`, size B+1); `history` likewise ([total_h, dm],
+  /// `hist_offsets`, every segment at least one row). The projections,
+  /// norms and feed-forward run as single GEMMs over the whole pack; only
+  /// the softmax(QK^T)V stage runs per segment (attention must not cross
+  /// sequence boundaries). Each packed op is row-wise with a per-row
+  /// accumulation order independent of the number of rows, so a segment's
+  /// rows do not depend on what else is in the pack. In training mode
+  /// dropout (rate `dropout`, drawn from `rng`) is applied to the packed
+  /// sublayer outputs z_m and z_h; `rng` may be null only when !training().
+  /// Returns [total, dm].
+  nn::Tensor Forward(const nn::Tensor& sequence,
+                     const std::vector<int64_t>& offsets,
+                     const nn::Tensor& history,
+                     const std::vector<int64_t>& hist_offsets,
+                     common::Rng* rng, float dropout) const;
 
  private:
   std::unique_ptr<nn::Attention> self_attention_;
@@ -53,18 +52,15 @@ class FusionModule : public nn::Module {
  public:
   FusionModule(const TspnRaConfig& config, common::Rng& rng);
 
-  /// Returns h_out = H_out[-1]: [dm].
-  nn::Tensor Forward(const nn::Tensor& sequence, const nn::Tensor& history,
-                     common::Rng& rng) const;
-
-  /// Packed-batch inference forward over B concatenated segments (see
-  /// AttentionBlock::ForwardPacked for the packing contract). Returns
-  /// [B, dm]: row b is the last position of segment b after the final
-  /// block, bitwise identical to Forward() on that segment alone.
-  nn::Tensor ForwardPacked(const nn::Tensor& sequence,
-                           const std::vector<int64_t>& offsets,
-                           const nn::Tensor& history,
-                           const std::vector<int64_t>& hist_offsets) const;
+  /// Forward over a pack of B segments (see AttentionBlock::Forward for
+  /// the packing contract and the dropout rule). Returns h_out = H_out[-1]
+  /// per segment: [B, dm], row b the last position of segment b after the
+  /// final block.
+  nn::Tensor Forward(const nn::Tensor& sequence,
+                     const std::vector<int64_t>& offsets,
+                     const nn::Tensor& history,
+                     const std::vector<int64_t>& hist_offsets,
+                     common::Rng* rng) const;
 
  private:
   const TspnRaConfig config_;

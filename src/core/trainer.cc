@@ -66,8 +66,7 @@ int64_t TspnRa::TrainOnline(common::Span<const eval::OnlineSample> samples,
   features.reserve(samples.size());
   for (const eval::OnlineSample& sample : samples) {
     Features f;
-    if (FeaturesFromCheckins(common::Span<const data::Checkin>(
-                                 sample.history.data(), sample.history.size()),
+    if (FeaturesFromCheckins(common::Span<data::Checkin>(sample.history),
                              sample.target, &f)) {
       features.push_back(std::move(f));
     }

@@ -157,79 +157,46 @@ const graph::QrpGraph* TspnRa::HistoryGraph(int32_t user, int32_t traj) const {
 TspnRa::Features TspnRa::ExtractFeatures(const data::SampleRef& sample) const {
   const data::Trajectory& traj = dataset_->trajectory(sample);
   Features f;
-  int64_t start = std::max<int64_t>(0, sample.prefix_len - config_.max_seq_len);
-  for (int64_t i = start; i < sample.prefix_len; ++i) {
-    const data::Checkin& c = traj.checkins[static_cast<size_t>(i)];
-    const data::Poi& poi = dataset_->poi(c.poi_id);
-    f.poi_ids.push_back(c.poi_id);
-    f.poi_cats.push_back(poi.category);
-    f.time_slots.push_back(data::TimeSlotOf(c.timestamp));
-    if (config_.use_quadtree) {
-      f.tile_rows.push_back(dataset_->LeafNodeOfPoi(c.poi_id));
-    } else {
-      f.tile_rows.push_back(grid_->TileOf(poi.loc));
-    }
-    double x, y;
-    dataset_->profile().bbox.Normalize(poi.loc, &x, &y);
-    f.norm_x.push_back(x);
-    f.norm_y.push_back(y);
-  }
+  TSPN_CHECK(FeaturesFromCheckins(
+      common::Span<data::Checkin>(traj.checkins.data(),
+                                  static_cast<size_t>(sample.prefix_len)),
+      dataset_->Target(sample), &f));
   if (config_.use_graph) {
     f.history_graph = HistoryGraph(sample.user, sample.traj);
-  }
-  const data::Checkin& target = dataset_->Target(sample);
-  f.target_poi = target.poi_id;
-  const data::Poi& target_poi = dataset_->poi(target.poi_id);
-  if (config_.use_quadtree) {
-    f.target_tile_index =
-        dataset_->quadtree().LeafIndexOf(dataset_->LeafNodeOfPoi(target.poi_id));
-  } else {
-    f.target_tile_index = grid_->TileOf(target_poi.loc);
   }
   return f;
 }
 
-bool TspnRa::FeaturesFromCheckins(common::Span<const data::Checkin> history,
+bool TspnRa::FeaturesFromCheckins(common::Span<data::Checkin> prefix,
                                   const data::Checkin& target,
                                   Features* out) const {
   const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
-  if (history.empty()) return false;
+  if (prefix.empty()) return false;
   if (target.poi_id < 0 || target.poi_id >= num_pois) return false;
-  for (const data::Checkin& c : history) {
+  for (const data::Checkin& c : prefix) {
     if (c.poi_id < 0 || c.poi_id >= num_pois) return false;
   }
   Features f;
-  size_t start = history.size() > static_cast<size_t>(config_.max_seq_len)
-                     ? history.size() - static_cast<size_t>(config_.max_seq_len)
+  size_t start = prefix.size() > static_cast<size_t>(config_.max_seq_len)
+                     ? prefix.size() - static_cast<size_t>(config_.max_seq_len)
                      : 0;
-  for (size_t i = start; i < history.size(); ++i) {
-    const data::Checkin& c = history[i];
+  for (size_t i = start; i < prefix.size(); ++i) {
+    const data::Checkin& c = prefix[i];
     const data::Poi& poi = dataset_->poi(c.poi_id);
     f.poi_ids.push_back(c.poi_id);
     f.poi_cats.push_back(poi.category);
     f.time_slots.push_back(data::TimeSlotOf(c.timestamp));
-    if (config_.use_quadtree) {
-      f.tile_rows.push_back(dataset_->LeafNodeOfPoi(c.poi_id));
-    } else {
-      f.tile_rows.push_back(grid_->TileOf(poi.loc));
-    }
+    // ET row: the tile id of the candidate tile (quad-tree leaf or grid
+    // cell) holding the POI.
+    f.tile_rows.push_back(
+        leaf_tile_ids_[static_cast<size_t>(CandidateTileOfPoi(c.poi_id))]);
     double x, y;
     dataset_->profile().bbox.Normalize(poi.loc, &x, &y);
     f.norm_x.push_back(x);
     f.norm_y.push_back(y);
   }
-  // No history graph: streamed prefixes carry no trajectory identity to key
-  // the QR-P cache on, so the online loss runs graph-free (Forward already
-  // handles a null graph via the learned null-history embeddings).
-  f.history_graph = nullptr;
   f.target_poi = target.poi_id;
-  const data::Poi& target_poi = dataset_->poi(target.poi_id);
-  if (config_.use_quadtree) {
-    f.target_tile_index =
-        dataset_->quadtree().LeafIndexOf(dataset_->LeafNodeOfPoi(target.poi_id));
-  } else {
-    f.target_tile_index = grid_->TileOf(target_poi.loc);
-  }
+  f.target_tile_index = CandidateTileOfPoi(target.poi_id);
   *out = std::move(f);
   return true;
 }
@@ -238,53 +205,9 @@ nn::Tensor TspnRa::ComputeTileEmbeddings() const {
   return net_->tile_encoder.EncodeAll(tile_images_);
 }
 
-TspnRa::ForwardOut TspnRa::Forward(const Features& f, const nn::Tensor& et,
-                                   common::Rng& rng) const {
-  TSPN_CHECK(!f.poi_ids.empty());
-  // --- Tile sequence embedding (Sec. IV-A) ----------------------------------
-  nn::Tensor tile_seq = nn::EmbeddingGather(et, f.tile_rows);
-  if (config_.use_st_encoder) {
-    std::vector<nn::Tensor> locs;
-    locs.reserve(f.norm_x.size());
-    for (size_t i = 0; i < f.norm_x.size(); ++i) {
-      locs.push_back(SpatialEncoding(f.norm_x[i], f.norm_y[i], config_.dm,
-                                     config_.spatial_scale));
-    }
-    // The raw sinusoidal encoding has norm sqrt(dm/2); rescale to unit norm
-    // so it augments rather than drowns the unit-norm tile embeddings.
-    float loc_scale = std::sqrt(2.0f / static_cast<float>(config_.dm));
-    tile_seq = nn::Add(tile_seq, nn::MulScalar(nn::StackRows(locs), loc_scale));
-    tile_seq = nn::Add(tile_seq, net_->temporal.SlotEmbeddings(f.time_slots));
-  }
-  // --- POI sequence embedding (Sec. IV-B) -----------------------------------
-  nn::Tensor poi_seq = net_->poi_encoder.Encode(f.poi_ids, f.poi_cats);
-  if (config_.use_st_encoder) {
-    poi_seq = nn::Add(poi_seq, net_->temporal.SlotEmbeddings(f.time_slots));
-  }
-  // --- Historical graph knowledge (Sec. IV-C) --------------------------------
-  nn::Tensor tile_history = net_->null_tile_history;
-  nn::Tensor poi_history = net_->null_poi_history;
-  if (config_.use_graph && f.history_graph != nullptr && !f.history_graph->empty()) {
-    const graph::QrpGraph& g = *f.history_graph;
-    std::vector<int64_t> tile_rows(g.tile_ids.begin(), g.tile_ids.end());
-    nn::Tensor tile_init = nn::EmbeddingGather(et, tile_rows);
-    std::vector<int64_t> cats;
-    cats.reserve(g.poi_ids.size());
-    for (int64_t pid : g.poi_ids) cats.push_back(dataset_->poi(pid).category);
-    nn::Tensor poi_init = net_->poi_encoder.Encode(g.poi_ids, cats);
-    QrpEncoder::Output knowledge = net_->qrp.Encode(g, tile_init, poi_init);
-    tile_history = knowledge.tile_knowledge;
-    poi_history = knowledge.poi_knowledge;
-  }
-  // --- Attention fusion (Sec. V-A) -------------------------------------------
-  ForwardOut out;
-  out.h_tile = net_->mp1.Forward(tile_seq, tile_history, rng);
-  out.h_poi = net_->mp2.Forward(poi_seq, poi_history, rng);
-  return out;
-}
-
-TspnRa::BatchForwardOut TspnRa::ForwardBatch(
-    const std::vector<Features>& features, const nn::Tensor& et) const {
+TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
+                                             const nn::Tensor& et,
+                                             common::Rng* rng) const {
   TSPN_CHECK(!features.empty());
   const size_t batch = features.size();
   // Concatenate every sample's prefix sequence row-wise; `offsets` keeps the
@@ -306,8 +229,7 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
     all_y.insert(all_y.end(), f.norm_y.begin(), f.norm_y.end());
   }
   // The sequence embeddings (Secs. IV-A/IV-B) are row-wise gathers, adds and
-  // scales, so the whole pack goes through them in one call each — bitwise
-  // equal per row to the per-sample path.
+  // scales, so the whole pack goes through them in one call each.
   nn::Tensor tile_seq = nn::EmbeddingGather(et, all_tile_rows);
   if (config_.use_st_encoder) {
     std::vector<nn::Tensor> locs;
@@ -316,6 +238,8 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
       locs.push_back(SpatialEncoding(all_x[i], all_y[i], config_.dm,
                                      config_.spatial_scale));
     }
+    // The raw sinusoidal encoding has norm sqrt(dm/2); rescale to unit norm
+    // so it augments rather than drowns the unit-norm tile embeddings.
     float loc_scale = std::sqrt(2.0f / static_cast<float>(config_.dm));
     tile_seq = nn::Add(tile_seq, nn::MulScalar(nn::StackRows(locs), loc_scale));
     tile_seq = nn::Add(tile_seq, net_->temporal.SlotEmbeddings(all_slots));
@@ -326,7 +250,8 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
   }
   // Historical knowledge (Sec. IV-C) stays per sample — each history graph
   // has its own structure — but the encodings are packed row-wise so the
-  // fusion stage can slice them per segment.
+  // fusion stage can slice them per segment. A sample without a graph
+  // attends to the learned null-history row.
   std::vector<nn::Tensor> tile_hists, poi_hists;
   std::vector<int64_t> tile_hist_offsets(batch + 1, 0);
   std::vector<int64_t> poi_hist_offsets(batch + 1, 0);
@@ -357,12 +282,13 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
   nn::Tensor tile_hist = nn::ConcatRows(tile_hists);
   nn::Tensor poi_hist = nn::ConcatRows(poi_hists);
   // Attention fusion (Sec. V-A) over the pack: projections, norms and
-  // feed-forward as single GEMMs, per-segment softmax inside.
+  // feed-forward as single GEMMs, per-segment softmax inside. Training
+  // passes the dropout rng; inference passes null.
   BatchForwardOut out;
-  out.h_tile =
-      net_->mp1.ForwardPacked(tile_seq, offsets, tile_hist, tile_hist_offsets);
+  out.h_tile = net_->mp1.Forward(tile_seq, offsets, tile_hist,
+                                 tile_hist_offsets, rng);
   out.h_poi =
-      net_->mp2.ForwardPacked(poi_seq, offsets, poi_hist, poi_hist_offsets);
+      net_->mp2.Forward(poi_seq, offsets, poi_hist, poi_hist_offsets, rng);
   return out;
 }
 
@@ -384,7 +310,9 @@ nn::Tensor TspnRa::SampleLoss(const data::SampleRef& sample, const nn::Tensor& e
 
 nn::Tensor TspnRa::LossFromFeatures(const Features& f, const nn::Tensor& et,
                                     common::Rng& rng) const {
-  ForwardOut fwd = Forward(f, et, rng);
+  BatchForwardOut fwd = ForwardBatch(common::Span<Features>(&f, 1), et, &rng);
+  const nn::Tensor h_tile = nn::Reshape(fwd.h_tile, {config_.dm});
+  const nn::Tensor h_poi = nn::Reshape(fwd.h_poi, {config_.dm});
 
   nn::Tensor loss = nn::Tensor::Scalar(0.0f);
   std::vector<int64_t> candidate_pois;
@@ -392,7 +320,7 @@ nn::Tensor TspnRa::LossFromFeatures(const Features& f, const nn::Tensor& et,
 
   if (config_.use_two_step) {
     // --- Step 1: tile ranking loss over all leaf candidates ------------------
-    nn::Tensor cos_tiles = TileCosinesFrom(et, fwd.h_tile);
+    nn::Tensor cos_tiles = TileCosinesFrom(et, h_tile);
     nn::Tensor tile_logits =
         nn::ArcFaceLogits(cos_tiles, f.target_tile_index, config_.arcface_scale,
                           config_.arcface_margin);
@@ -446,7 +374,7 @@ nn::Tensor TspnRa::LossFromFeatures(const Features& f, const nn::Tensor& et,
   for (int64_t pid : candidate_pois) cats.push_back(dataset_->poi(pid).category);
   nn::Tensor cand_embeddings =
       nn::L2Normalize(net_->poi_encoder.Encode(candidate_pois, cats));
-  nn::Tensor cos_pois = nn::MatVec(cand_embeddings, nn::L2Normalize(fwd.h_poi));
+  nn::Tensor cos_pois = nn::MatVec(cand_embeddings, nn::L2Normalize(h_poi));
   nn::Tensor poi_logits = nn::ArcFaceLogits(
       cos_pois, target_pos, config_.arcface_scale, config_.arcface_margin);
   if (config_.use_two_step) {
@@ -477,7 +405,7 @@ void TspnRa::EnsureInferenceCaches() const {
   // Double-checked build so concurrent Recommend calls from the serving
   // workers are safe: the fast path is one acquire load, the build runs once
   // under the mutex, and the release store publishes the cache tensors. An
-  // atomic flag instead of a std::once_flag because Train() and LoadWeights()
+  // atomic flag instead of a std::once_flag because Train() and LoadState()
   // re-dirty the caches; a once_flag cannot be re-armed.
   if (caches_built_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -505,31 +433,120 @@ void TspnRa::EnsureInferenceCaches() const {
   caches_built_.store(true, std::memory_order_release);
 }
 
+TspnRa::BatchScores TspnRa::ScoreBatch(
+    common::Span<data::SampleRef> samples) const {
+  TSPN_CHECK(!samples.empty());
+  EnsureInferenceCaches();
+  nn::NoGradGuard guard;
+  const int64_t batch = static_cast<int64_t>(samples.size());
+  const int64_t dm = config_.dm;
+  const int64_t num_tiles = NumCandidateTiles();
+  const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
+
+  // One packed encoder forward for the whole batch: the B query sequences
+  // ride a single [total_len, dm] tensor through the projections, norms and
+  // feed-forwards, with only softmax(QK^T)V and the structurally irregular
+  // history-graph encodings handled per segment. Inference mode: no dropout,
+  // so no rng.
+  std::vector<Features> features;
+  features.reserve(samples.size());
+  for (const data::SampleRef& sample : samples) {
+    features.push_back(ExtractFeatures(sample));
+  }
+  BatchForwardOut fwd =
+      ForwardBatch(common::Span<Features>(features), et_cache_, nullptr);
+  nn::Tensor h_tiles = nn::L2Normalize(fwd.h_tile);
+  nn::Tensor h_pois = nn::L2Normalize(fwd.h_poi);
+
+  // Then score every query against the cached normalized tile and POI
+  // matrices with one GEMM per prediction stage. The kernel reduces every
+  // element in the same order whatever the batch size, so row b depends on
+  // samples[b] alone.
+  BatchScores scores;
+  scores.num_tiles = num_tiles;
+  scores.num_pois = num_pois;
+  scores.cos_tiles.resize(static_cast<size_t>(batch * num_tiles));
+  nn::kernels::DotProductGemm(h_tiles.data(), leaf_et_cache_.data(),
+                              scores.cos_tiles.data(), batch, num_tiles, dm,
+                              /*accumulate=*/false);
+  scores.cos_pois.resize(static_cast<size_t>(batch * num_pois));
+  nn::kernels::DotProductGemm(h_pois.data(), poi_et_cache_.data(),
+                              scores.cos_pois.data(), batch, num_pois, dm,
+                              /*accumulate=*/false);
+  return scores;
+}
+
+std::vector<eval::RecommendResponse> TspnRa::RecommendScored(
+    common::Span<eval::RecommendRequest> requests, int32_t top_k) const {
+  if (requests.empty()) return {};
+  std::vector<data::SampleRef> samples;
+  samples.reserve(requests.size());
+  for (const eval::RecommendRequest& request : requests) {
+    samples.push_back(request.sample);
+  }
+  const BatchScores scores = ScoreBatch(common::Span<data::SampleRef>(samples));
+
+  // Constraints and top_n apply per request, after the shared GEMMs.
+  const float gamma = net_->tile_prior_weight.at(0);
+  std::vector<eval::RecommendResponse> responses(requests.size());
+  for (size_t b = 0; b < requests.size(); ++b) {
+    const eval::RecommendRequest& request = requests[b];
+    eval::RecommendResponse& response = responses[b];
+    std::unique_ptr<eval::ConstraintEvaluator> filter =
+        eval::MakeConstraintFilter(*dataset_, request);
+    const float* tc = scores.Tiles(b);
+    std::vector<int64_t> candidates;
+    if (config_.use_two_step) {
+      response.stages_used = 2;
+      const int64_t required = filter != nullptr ? request.top_n : 1;
+      candidates = GatherAllowedCandidates(tc, top_k, required, filter.get(),
+                                           request.max_tiles_screened,
+                                           &response.tiles_screened);
+    } else {
+      response.stages_used = 1;
+      candidates = AllAllowedPois(filter.get());
+    }
+    if (candidates.empty()) continue;
+
+    // Hierarchical score fusion, as in training: with the two-step screen
+    // each candidate also carries its tile's stage-1 cosine as a
+    // gamma-weighted prior.
+    const float* pc = scores.Pois(b);
+    std::vector<float> fused(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      fused[i] = config_.use_two_step
+                     ? pc[candidates[i]] +
+                           gamma * tc[CandidateTileOfPoi(candidates[i])]
+                     : pc[candidates[i]];
+    }
+    // Only the top-N ordering is returned: select instead of sorting all
+    // candidates.
+    std::vector<int64_t> order = TopKIndices(
+        fused.data(), static_cast<int64_t>(candidates.size()), request.top_n);
+    response.items.reserve(order.size());
+    for (int64_t idx : order) {
+      const int64_t poi = candidates[static_cast<size_t>(idx)];
+      response.items.push_back(
+          {poi, fused[static_cast<size_t>(idx)],
+           config_.use_two_step ? CandidateTileOfPoi(poi) : int64_t{-1}});
+    }
+  }
+  return responses;
+}
+
 std::vector<int64_t> TspnRa::RankTiles(const data::SampleRef& sample) const {
-  return RankTilesTopK(sample, static_cast<int64_t>(leaf_tile_ids_.size()));
+  return RankTilesTopK(sample, NumCandidateTiles());
 }
 
 std::vector<int64_t> TspnRa::RankTilesTopK(const data::SampleRef& sample,
                                            int64_t k) const {
-  EnsureInferenceCaches();
-  nn::NoGradGuard guard;
-  // Dropout is off at inference, so the rng is never consumed; a local one
-  // (rather than a shared mutable member) keeps const paths race-free.
-  common::Rng rng(config_.seed ^ 0xD00DULL);
-  Features f = ExtractFeatures(sample);
-  ForwardOut fwd = Forward(f, et_cache_, rng);
-  nn::Tensor cos_tiles =
-      nn::MatVec(leaf_et_cache_, nn::L2Normalize(fwd.h_tile));
-  return TopKIndices(cos_tiles.data(),
-                     static_cast<int64_t>(leaf_tile_ids_.size()), k);
+  const BatchScores scores =
+      ScoreBatch(common::Span<data::SampleRef>(&sample, 1));
+  return TopKIndices(scores.Tiles(0), NumCandidateTiles(), k);
 }
 
 int64_t TspnRa::TargetTileIndex(const data::SampleRef& sample) const {
-  const data::Checkin& target = dataset_->Target(sample);
-  if (config_.use_quadtree) {
-    return dataset_->quadtree().LeafIndexOf(dataset_->LeafNodeOfPoi(target.poi_id));
-  }
-  return grid_->TileOf(dataset_->poi(target.poi_id).loc);
+  return CandidateTileOfPoi(dataset_->Target(sample).poi_id);
 }
 
 int64_t TspnRa::CandidatePoiCount(const data::SampleRef& sample,
@@ -576,11 +593,10 @@ std::vector<int64_t> TspnRa::GatherAllowedCandidates(
   // Constraints are applied before top-k selection, so the screen must keep
   // widening until the allowed pool can fill the request (required = top_n)
   // — not merely until it is non-empty as in the unconstrained case
-  // (required = 1, the exact v1 behavior). Widening is incremental: the
-  // (score desc, index asc) tile order is a fixed total order, so top-2k's
-  // prefix equals top-k and only the newly admitted tiles need gathering;
-  // the first widening switches to the full ranking once instead of
-  // re-selecting per round.
+  // (required = 1). Widening is incremental: the (score desc, index asc)
+  // tile order is a fixed total order, so top-2k's prefix equals top-k and
+  // only the newly admitted tiles need gathering; the first widening
+  // switches to the full ranking once instead of re-selecting per round.
   int64_t widened = std::min<int64_t>(top_k, tile_cap);
   std::vector<int64_t> order = TopKIndices(cos_tiles, num_tiles, top_k);
   int64_t consumed = widened;
@@ -612,177 +628,30 @@ std::vector<int64_t> TspnRa::AllAllowedPois(
   return candidates;
 }
 
-void TspnRa::FillRankedItems(const std::vector<int64_t>& candidates,
-                             const float* scores, int64_t top_n,
-                             eval::RecommendResponse* response) const {
-  std::vector<int64_t> order = TopKIndices(
-      scores, static_cast<int64_t>(candidates.size()), top_n);
-  response->items.reserve(order.size());
-  for (int64_t idx : order) {
-    const int64_t poi = candidates[static_cast<size_t>(idx)];
-    response->items.push_back(
-        {poi, scores[static_cast<size_t>(idx)],
-         config_.use_two_step ? CandidateTileOfPoi(poi) : int64_t{-1}});
-  }
-}
-
-eval::RecommendResponse TspnRa::ScoredRecommend(
-    const eval::RecommendRequest& request, int32_t top_k) const {
-  EnsureInferenceCaches();
-  nn::NoGradGuard guard;
-  common::Rng rng(config_.seed ^ 0xD00DULL);
-  Features f = ExtractFeatures(request.sample);
-  ForwardOut fwd = Forward(f, et_cache_, rng);
-
-  std::unique_ptr<eval::ConstraintEvaluator> filter =
-      eval::MakeConstraintFilter(*dataset_, request);
-
-  eval::RecommendResponse response;
-  std::vector<int64_t> candidates;
-  nn::Tensor cos_tiles;
-  if (config_.use_two_step) {
-    response.stages_used = 2;
-    const int64_t required = filter != nullptr ? request.top_n : 1;
-    cos_tiles = nn::MatVec(leaf_et_cache_, nn::L2Normalize(fwd.h_tile));
-    candidates = GatherAllowedCandidates(cos_tiles.data(), top_k, required,
-                                         filter.get(),
-                                         request.max_tiles_screened,
-                                         &response.tiles_screened);
-  } else {
-    response.stages_used = 1;
-    candidates = AllAllowedPois(filter.get());
-  }
-  if (candidates.empty()) return response;
-
-  nn::Tensor cos_pois =
-      nn::MatVec(nn::EmbeddingGather(poi_et_cache_, candidates),
-                 nn::L2Normalize(fwd.h_poi));
-  const float* pc = cos_pois.data();
-  std::vector<float> scores(pc, pc + candidates.size());
-  if (config_.use_two_step) {
-    // Same hierarchical score fusion as training: stage-1 tile cosine as a
-    // gamma-weighted prior on each candidate.
-    const float gamma = net_->tile_prior_weight.at(0);
-    const float* tc = cos_tiles.data();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      scores[i] = pc[i] + gamma * tc[CandidateTileOfPoi(candidates[i])];
-    }
-  }
-
-  // Only the top-N ordering is returned; FillRankedItems selects instead of
-  // sorting all candidates.
-  FillRankedItems(candidates, scores.data(), request.top_n, &response);
-  return response;
-}
-
 std::vector<int64_t> TspnRa::RecommendWithK(const data::SampleRef& sample,
                                             int64_t top_n, int32_t top_k) const {
   eval::RecommendRequest request;
   request.sample = sample;
   request.top_n = top_n;
-  return ScoredRecommend(request, top_k).PoiIds();
+  return RecommendScored(common::Span<eval::RecommendRequest>(&request, 1),
+                         top_k)[0]
+      .PoiIds();
 }
 
 eval::RecommendResponse TspnRa::RecommendImpl(
     const eval::RecommendRequest& request) const {
-  return ScoredRecommend(request, config_.top_k_tiles);
+  return std::move(RecommendScored(
+      common::Span<eval::RecommendRequest>(&request, 1), config_.top_k_tiles)[0]);
 }
 
 std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
     common::Span<eval::RecommendRequest> requests) const {
-  const int64_t batch = static_cast<int64_t>(requests.size());
-  if (batch == 0) return {};
-  EnsureInferenceCaches();
-  nn::NoGradGuard guard;
-  const int64_t dm = config_.dm;
-  const int64_t num_tiles = static_cast<int64_t>(leaf_tile_ids_.size());
-  const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
-
-  // One batched encoder forward for the whole coalesced batch: the B query
-  // sequences ride a single packed [total_len, dm] tensor through the
-  // projections, norms and feed-forwards, with only softmax(QK^T)V and the
-  // structurally irregular history-graph encodings handled per segment
-  // (inside ForwardBatch). Every packed op computes rows independently with
-  // the serial accumulation order, so the [batch, dm] outputs here are
-  // bitwise-identical to B serial Forward() calls.
-  std::vector<Features> features;
-  features.reserve(static_cast<size_t>(batch));
-  for (const eval::RecommendRequest& request : requests) {
-    features.push_back(ExtractFeatures(request.sample));
-  }
-  BatchForwardOut fwd = ForwardBatch(features, et_cache_);
-  nn::Tensor h_tiles = nn::L2Normalize(fwd.h_tile);
-  nn::Tensor h_pois = nn::L2Normalize(fwd.h_poi);
-
-  // Then score all queries against the cached normalized tile and POI
-  // matrices with one GEMM per prediction stage. The kernel reduces every
-  // element in the same order whatever the batch size, the same order as the
-  // per-query MatVec, so the per-request results below are
-  // bitwise-reproducible against RecommendImpl() — constraints and top_n
-  // apply per request, after the shared GEMMs.
-  std::vector<float> cos_tiles;
-  if (config_.use_two_step) {
-    cos_tiles.resize(static_cast<size_t>(batch * num_tiles));
-    nn::kernels::DotProductGemm(h_tiles.data(), leaf_et_cache_.data(),
-                                cos_tiles.data(), batch, num_tiles, dm,
-                                /*accumulate=*/false);
-  }
-  std::vector<float> cos_pois(static_cast<size_t>(batch * num_pois));
-  nn::kernels::DotProductGemm(h_pois.data(), poi_et_cache_.data(),
-                              cos_pois.data(), batch, num_pois, dm,
-                              /*accumulate=*/false);
-
-  const float gamma = net_->tile_prior_weight.at(0);
-  std::vector<eval::RecommendResponse> responses(static_cast<size_t>(batch));
-  for (int64_t b = 0; b < batch; ++b) {
-    const eval::RecommendRequest& request = requests[static_cast<size_t>(b)];
-    eval::RecommendResponse& response = responses[static_cast<size_t>(b)];
-    std::unique_ptr<eval::ConstraintEvaluator> filter =
-        eval::MakeConstraintFilter(*dataset_, request);
-    std::vector<int64_t> candidates;
-    const float* tc =
-        cos_tiles.empty() ? nullptr : cos_tiles.data() + b * num_tiles;
-    if (config_.use_two_step) {
-      response.stages_used = 2;
-      const int64_t required = filter != nullptr ? request.top_n : 1;
-      candidates = GatherAllowedCandidates(tc, config_.top_k_tiles, required,
-                                           filter.get(),
-                                           request.max_tiles_screened,
-                                           &response.tiles_screened);
-    } else {
-      response.stages_used = 1;
-      candidates = AllAllowedPois(filter.get());
-    }
-    if (candidates.empty()) continue;
-
-    const float* pc = cos_pois.data() + b * num_pois;
-    std::vector<float> fused(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      fused[i] = tc != nullptr
-                     ? pc[candidates[i]] +
-                           gamma * tc[CandidateTileOfPoi(candidates[i])]
-                     : pc[candidates[i]];
-    }
-    FillRankedItems(candidates, fused.data(), request.top_n, &response);
-  }
-  return responses;
+  return RecommendScored(requests, config_.top_k_tiles);
 }
 
 int64_t TspnRa::ParameterCount() const { return net_->ParameterCount(); }
 
 std::vector<nn::Tensor> TspnRa::Parameters() const { return net_->Parameters(); }
-
-void TspnRa::SaveWeights(const std::string& path) const {
-  std::vector<nn::Tensor> params = net_->Parameters();
-  nn::SaveParametersToFile(params, path);
-}
-
-bool TspnRa::LoadWeights(const std::string& path) {
-  std::vector<nn::Tensor> params = net_->Parameters();
-  if (!nn::LoadParametersFromFile(params, path)) return false;
-  caches_built_.store(false);  // ET must be recomputed from the loaded weights
-  return true;
-}
 
 void TspnRa::SaveState(std::ostream& out) const {
   nn::SaveParameters(net_->Parameters(), out);

@@ -86,27 +86,16 @@ class TspnRa : public eval::NextPoiModel {
   /// All trainable parameters (for serialization).
   std::vector<nn::Tensor> Parameters() const;
 
-  /// Saves / restores trained weights. Load requires an identically
-  /// configured model (same dataset + config); returns false on mismatch.
-  /// Deprecated: raw nn::serialize payloads without the checkpoint header —
-  /// prefer SaveCheckpoint/LoadCheckpoint (eval::NextPoiModel).
-  void SaveWeights(const std::string& path) const;
-  bool LoadWeights(const std::string& path);
-
  protected:
-  /// Scored, constraint-aware single query (the v2 core): the stage-1 tile
-  /// screen applies constraints before top-k selection, widening until the
-  /// allowed candidate pool can fill request.top_n.
+  /// A single query is a batch of one through RecommendScored: the stage-1
+  /// tile screen applies constraints before top-k selection, widening until
+  /// the allowed candidate pool can fill request.top_n.
   eval::RecommendResponse RecommendImpl(
       const eval::RecommendRequest& request) const override;
 
-  /// Batch-first inference, end to end: ForwardBatch() runs the sequence
-  /// encoders for the whole batch as one packed forward (GEMM-shaped), the
-  /// fused [batch, dm] outputs are scored against the cached normalized
-  /// leaf-tile and POI matrices with one GEMM per stage, and constraint
-  /// filtering / top-k selection run per request. Requests may differ in
-  /// top_n and constraints; per-request results are bitwise identical to
-  /// RecommendImpl().
+  /// RecommendScored over the whole batch. Requests may differ in top_n and
+  /// constraints; each response is bitwise identical to RecommendImpl() on
+  /// that request alone.
   std::vector<eval::RecommendResponse> RecommendBatchImpl(
       common::Span<eval::RecommendRequest> requests) const override;
 
@@ -132,15 +121,18 @@ class TspnRa : public eval::NextPoiModel {
   /// Precomputes per-candidate-tile POI lists.
   void BuildTilePoiLists();
 
+  /// Features of a stored sample: FeaturesFromCheckins over its trajectory
+  /// prefix and target, plus the user's QR-P history graph (use_graph).
   Features ExtractFeatures(const data::SampleRef& sample) const;
 
-  /// Builds Features directly from raw check-ins (the online-training path,
-  /// where samples come from live traffic instead of stored trajectories).
-  /// No history graph — streamed prefixes have no trajectory id to key the
-  /// QR-P cache, and a stale graph would be worse than none. Returns false
-  /// (leaving `out` unspecified) when any check-in references a POI id the
+  /// Builds Features from a check-in prefix (oldest first; the last
+  /// max_seq_len are kept) and the check-in to predict. Sets no history
+  /// graph: the online-training path feeds live traffic here, and streamed
+  /// prefixes have no trajectory id to key the QR-P cache on (a stale graph
+  /// would be worse than none). Returns false (leaving `out` unspecified)
+  /// when the prefix is empty or any check-in references a POI id the
   /// dataset does not know.
-  bool FeaturesFromCheckins(common::Span<const data::Checkin> history,
+  bool FeaturesFromCheckins(common::Span<data::Checkin> prefix,
                             const data::Checkin& target, Features* out) const;
   const graph::QrpGraph* HistoryGraph(int32_t user, int32_t traj) const;
 
@@ -148,34 +140,28 @@ class TspnRa : public eval::NextPoiModel {
   /// autograd graph during training.
   nn::Tensor ComputeTileEmbeddings() const;
 
-  /// Forward pass producing (h_out_tau, h_out_p) for a sample.
-  struct ForwardOut {
-    nn::Tensor h_tile;
-    nn::Tensor h_poi;
-  };
-  ForwardOut Forward(const Features& features, const nn::Tensor& et,
-                     common::Rng& rng) const;
-
-  /// Batched inference forward: one packed encoder pass over all samples.
-  /// The tile/POI sequences are concatenated row-wise and run through the
-  /// embedding gathers, spatial/temporal encoders and fusion modules as
-  /// whole-pack tensors (per-sample only where structure forces it: the
-  /// history-graph HGAT encodings and the within-sequence attention
-  /// softmax). Returns [B, dm] h_tile / h_poi matrices whose rows are
-  /// bitwise identical to Forward() on each sample. Inference-only.
+  /// The forward pass (training and inference alike): one packed encoder
+  /// pass over all samples. The tile/POI sequences are concatenated
+  /// row-wise and run through the embedding gathers, spatial/temporal
+  /// encoders and fusion modules as whole-pack tensors (per-sample only
+  /// where structure forces it: the history-graph HGAT encodings and the
+  /// within-sequence attention softmax). Returns (h_out_tau, h_out_p) as
+  /// [B, dm] matrices; row b depends on features[b] alone (with dropout
+  /// off). Training passes the dropout `rng`; inference passes null.
   struct BatchForwardOut {
     nn::Tensor h_tile;  // [B, dm]
     nn::Tensor h_poi;   // [B, dm]
   };
-  BatchForwardOut ForwardBatch(const std::vector<Features>& features,
-                               const nn::Tensor& et) const;
+  BatchForwardOut ForwardBatch(common::Span<Features> features,
+                               const nn::Tensor& et, common::Rng* rng) const;
 
   /// Per-sample training loss (Eq. 8): beta * loss_tile + loss_poi.
   nn::Tensor SampleLoss(const data::SampleRef& sample, const nn::Tensor& et,
                         common::Rng& rng) const;
 
   /// The loss core shared by the offline (SampleLoss) and online
-  /// (TrainOnline) paths, computed from already-extracted Features.
+  /// (TrainOnline) paths, computed from already-extracted Features through
+  /// ForwardBatch on a pack of one.
   nn::Tensor LossFromFeatures(const Features& f, const nn::Tensor& et,
                               common::Rng& rng) const;
 
@@ -183,20 +169,43 @@ class TspnRa : public eval::NextPoiModel {
   std::vector<int64_t> GatherCandidates(const std::vector<int64_t>& ranked_tiles,
                                         int32_t top_k) const;
 
-  /// Shared v2 core behind RecommendImpl and RecommendWithK: forward pass,
-  /// constraint-aware stage-1 screen, scored stage-2 ranking.
-  eval::RecommendResponse ScoredRecommend(const eval::RecommendRequest& request,
-                                          int32_t top_k) const;
+  /// Cosine scores of a batch against the cached normalized leaf-tile and
+  /// POI matrices: rows of [B, num_tiles] and [B, num_pois].
+  struct BatchScores {
+    int64_t num_tiles = 0;
+    int64_t num_pois = 0;
+    std::vector<float> cos_tiles;
+    std::vector<float> cos_pois;
+    const float* Tiles(size_t b) const {
+      return cos_tiles.data() + static_cast<int64_t>(b) * num_tiles;
+    }
+    const float* Pois(size_t b) const {
+      return cos_pois.data() + static_cast<int64_t>(b) * num_pois;
+    }
+  };
+
+  /// The one inference scoring core: ForwardBatch over the samples, then
+  /// one GEMM per prediction stage. Every inference entry point (single
+  /// query, batch, RecommendWithK, RankTiles) runs through it.
+  BatchScores ScoreBatch(common::Span<data::SampleRef> samples) const;
+
+  /// ScoreBatch, then per request: the constraint-aware stage-1 screen over
+  /// `top_k` tiles and the fused stage-2 ranking. The single-query paths
+  /// call it directly, not through the virtual RecommendBatchImpl, so a
+  /// subclass that overrides RecommendBatchImpl (e.g. to time batches)
+  /// sees only real batches.
+  std::vector<eval::RecommendResponse> RecommendScored(
+      common::Span<eval::RecommendRequest> requests, int32_t top_k) const;
 
   /// Stage-1 candidate gather with constraints applied before selection:
   /// keeps the top_k tiles by cosine, skips fence-disjoint tiles, filters
   /// POIs through `filter`, and doubles the screen until at least
   /// `required` allowed candidates exist (or every tile was screened).
-  /// `required` = 1 without constraints, reproducing the v1 behavior
-  /// exactly. `max_tiles` > 0 bounds the screen (widening included) — the
-  /// gateway's degraded-mode cap — at the cost of possibly gathering fewer
-  /// than `required` candidates; 0 leaves it unbounded. Writes the final
-  /// screen width to `tiles_screened`.
+  /// `required` = 1 without constraints: the plain top_k screen, widened
+  /// only if it gathered nothing. `max_tiles` > 0 bounds the screen
+  /// (widening included) — the gateway's degraded-mode cap — at the cost of
+  /// possibly gathering fewer than `required` candidates; 0 leaves it
+  /// unbounded. Writes the final screen width to `tiles_screened`.
   std::vector<int64_t> GatherAllowedCandidates(
       const float* cos_tiles, int32_t top_k, int64_t required,
       const eval::ConstraintEvaluator* filter, int64_t max_tiles,
@@ -209,14 +218,6 @@ class TspnRa : public eval::NextPoiModel {
   /// All POI ids passing `filter` (the no-two-step candidate set).
   std::vector<int64_t> AllAllowedPois(
       const eval::ConstraintEvaluator* filter) const;
-
-  /// Shared response tail of the single and batched paths: top-n selection
-  /// over the fused candidate scores and ScoredPoi item construction. One
-  /// copy, so selection and tie-breaking can never drift between the two
-  /// paths (their bitwise parity is a serving-layer contract).
-  void FillRankedItems(const std::vector<int64_t>& candidates,
-                       const float* scores, int64_t top_n,
-                       eval::RecommendResponse* response) const;
 
   /// Cosines between h_tile and every candidate tile's ET row ([num_tiles]).
   /// Training path: gathers from the autograd-tracked `et` every call.
@@ -263,7 +264,7 @@ class TspnRa : public eval::NextPoiModel {
   mutable nn::Tensor leaf_et_cache_;  // gathered + L2-normalized leaf rows
   mutable nn::Tensor poi_et_cache_;   // all POI embeddings, L2-normalized
   /// Whether the three caches above match the current weights. Train(),
-  /// TrainOnline() and the weight loaders clear it; EnsureInferenceCaches()
+  /// TrainOnline() and LoadState() clear it; EnsureInferenceCaches()
   /// rebuilds and sets it.
   mutable std::atomic<bool> caches_built_{false};
 };

@@ -31,31 +31,6 @@ std::vector<RecommendResponse> NextPoiModel::RecommendBatchImpl(
   return responses;
 }
 
-std::vector<int64_t> NextPoiModel::Recommend(const data::SampleRef& sample,
-                                             int64_t top_n) const {
-  RecommendRequest request;
-  request.sample = sample;
-  request.top_n = top_n;
-  return RecommendImpl(request).PoiIds();
-}
-
-std::vector<std::vector<int64_t>> NextPoiModel::RecommendBatch(
-    common::Span<data::SampleRef> samples, int64_t top_n) const {
-  std::vector<RecommendRequest> requests(samples.size());
-  for (size_t i = 0; i < samples.size(); ++i) {
-    requests[i].sample = samples[i];
-    requests[i].top_n = top_n;
-  }
-  std::vector<RecommendResponse> responses =
-      RecommendBatchImpl(common::Span<RecommendRequest>(requests));
-  std::vector<std::vector<int64_t>> results;
-  results.reserve(responses.size());
-  for (const RecommendResponse& response : responses) {
-    results.push_back(response.PoiIds());
-  }
-  return results;
-}
-
 void NextPoiModel::SaveState(std::ostream& out) const { (void)out; }
 
 bool NextPoiModel::LoadState(std::istream& in) { return in.good(); }

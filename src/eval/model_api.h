@@ -40,14 +40,13 @@ struct OnlineSample {
 /// receive the dataset at construction and are created by name through
 /// eval::ModelRegistry (model_registry.h).
 ///
-/// The v2 surface is request/response-shaped: callers build a
+/// The surface is request/response-shaped: callers build a
 /// RecommendRequest (sample, top_n, CandidateConstraints) and receive a
 /// RecommendResponse of ranked {poi_id, score} pairs. Constraints are
 /// applied *before* top-k selection, so a filtered query fills its full
 /// top_n whenever enough candidates satisfy the predicate. The public
 /// methods are non-virtual; implementations override the protected *Impl
-/// hooks (so the deprecated id-only overloads below keep resolving on every
-/// concrete model without per-class using-declarations).
+/// hooks.
 ///
 /// Thread-safety contract: after Train() has returned, Recommend() and
 /// RecommendBatch() must be safe to call concurrently from multiple threads
@@ -88,18 +87,6 @@ class NextPoiModel {
       common::Span<RecommendRequest> requests) const {
     return RecommendBatchImpl(requests);
   }
-
-  // --- Deprecated v1 surface (id-only, unconstrained) ------------------------
-  // Thin shims over the scored API, kept so pre-v2 call sites compile during
-  // migration. New code should build RecommendRequests.
-
-  /// Ranked POI ids (best first), at most `top_n` entries.
-  std::vector<int64_t> Recommend(const data::SampleRef& sample,
-                                 int64_t top_n) const;
-
-  /// Ranked POI ids for a batch of prediction instances sharing one top_n.
-  std::vector<std::vector<int64_t>> RecommendBatch(
-      common::Span<data::SampleRef> samples, int64_t top_n) const;
 
   // --- Checkpoints -----------------------------------------------------------
 

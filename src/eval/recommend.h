@@ -90,7 +90,7 @@ struct RecommendResponse {
   /// widening; 0 for single-stage models.
   int64_t tiles_screened = 0;
 
-  /// The ranked POI ids alone — what the deprecated v1 API returned.
+  /// The ranked POI ids alone, best first.
   std::vector<int64_t> PoiIds() const {
     std::vector<int64_t> ids;
     ids.reserve(items.size());

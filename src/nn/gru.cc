@@ -39,54 +39,4 @@ Tensor GruCell::Unroll(const Tensor& sequence) const {
   return StackRows(states);
 }
 
-Tensor GruCell::UnrollPacked(const Tensor& packed,
-                             const std::vector<int64_t>& offsets) const {
-  TSPN_CHECK_EQ(packed.rank(), 2);
-  TSPN_CHECK_GE(offsets.size(), 2u);
-  NoGradGuard guard;
-  const size_t batch = offsets.size() - 1;
-  const int64_t in_dim = packed.dim(1);
-  const int64_t total = packed.dim(0);
-  TSPN_CHECK_EQ(offsets.back(), total);
-  int64_t max_len = 0;
-  for (size_t b = 0; b < batch; ++b) {
-    TSPN_CHECK_LE(offsets[b], offsets[b + 1]);
-    max_len = std::max(max_len, offsets[b + 1] - offsets[b]);
-  }
-  const float* px = packed.data();
-  std::vector<float> out(static_cast<size_t>(total * hidden_dim_));
-  // Per-segment carried hidden state, all starting from the zero
-  // InitialState().
-  std::vector<float> state(batch * static_cast<size_t>(hidden_dim_), 0.0f);
-  std::vector<size_t> active;
-  active.reserve(batch);
-  for (int64_t t = 0; t < max_len; ++t) {
-    active.clear();
-    for (size_t b = 0; b < batch; ++b) {
-      if (offsets[b] + t < offsets[b + 1]) active.push_back(b);
-    }
-    const int64_t a = static_cast<int64_t>(active.size());
-    std::vector<float> xa(static_cast<size_t>(a * in_dim));
-    std::vector<float> ha(static_cast<size_t>(a * hidden_dim_));
-    for (int64_t i = 0; i < a; ++i) {
-      const size_t b = active[static_cast<size_t>(i)];
-      std::copy_n(px + (offsets[b] + t) * in_dim, in_dim,
-                  xa.data() + i * in_dim);
-      std::copy_n(state.data() + b * static_cast<size_t>(hidden_dim_),
-                  hidden_dim_, ha.data() + i * hidden_dim_);
-    }
-    Tensor h_next = Step(Tensor::FromVector({a, in_dim}, std::move(xa)),
-                         Tensor::FromVector({a, hidden_dim_}, std::move(ha)));
-    const float* ph = h_next.data();
-    for (int64_t i = 0; i < a; ++i) {
-      const size_t b = active[static_cast<size_t>(i)];
-      std::copy_n(ph + i * hidden_dim_, hidden_dim_,
-                  state.data() + b * static_cast<size_t>(hidden_dim_));
-      std::copy_n(ph + i * hidden_dim_, hidden_dim_,
-                  out.data() + (offsets[b] + t) * hidden_dim_);
-    }
-  }
-  return Tensor::FromVector({total, hidden_dim_}, std::move(out));
-}
-
 }  // namespace tspn::nn

@@ -24,17 +24,6 @@ class GruCell : public Module {
   /// returns all hidden states stacked as [L, hidden_dim].
   Tensor Unroll(const Tensor& sequence) const;
 
-  /// Inference-only batched unroll over B variable-length sequences
-  /// concatenated row-wise ([total, input_dim], boundaries in `offsets`,
-  /// size B+1). Runs timestep-major: at step t the still-active sequences'
-  /// rows are gathered into one [A, input_dim] batch and advanced with a
-  /// single Step() call, so the six gate GEMMs see A rows instead of one.
-  /// Returns [total, hidden_dim] with segment b's states at rows
-  /// [offsets[b], offsets[b+1]), bitwise identical to Unroll() per segment
-  /// (every op inside Step is row-wise). No autograd.
-  Tensor UnrollPacked(const Tensor& packed,
-                      const std::vector<int64_t>& offsets) const;
-
   int64_t hidden_dim() const { return hidden_dim_; }
 
   /// A fresh zero initial state.

@@ -405,6 +405,10 @@ Tensor Transpose(const Tensor& a) {
 
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
   TSPN_CHECK(!parts.empty());
+  // A single part is returned as is, not copied behind a concat node: a
+  // pack of one then builds the same autograd graph as the unpacked tensor,
+  // so gradients into a shared parameter are summed in the same order.
+  if (parts.size() == 1) return parts[0];
   Shape shape = parts[0].shape();
   int64_t total_rows = 0;
   // Row size comes from the trailing dims: numel()/dim(0) is wrong when the

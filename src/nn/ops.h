@@ -46,7 +46,8 @@ Tensor Reshape(const Tensor& a, const Shape& shape);
 /// 2-D transpose: [M, N] -> [N, M].
 Tensor Transpose(const Tensor& a);
 
-/// Concatenation along axis 0 of same-rank tensors.
+/// Concatenation along axis 0 of same-rank tensors. A single part is
+/// returned as is (the result aliases it, like Reshape).
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 
 /// Concatenation along the last axis of rank-1 or rank-2 tensors.

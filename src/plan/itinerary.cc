@@ -113,25 +113,13 @@ struct ItineraryPlanner::SearchContext {
   int64_t expansions = 0;
   int64_t rollouts_scored = 0;
 
-  /// One frontier wave of step scoring. Counts one expansion regardless of
-  /// how the wave is scored, so the batched and serial paths report
-  /// identical counters (their responses are parity-pinned).
+  /// One frontier wave of step scoring: one scorer call, counted as one
+  /// expansion.
   std::vector<eval::RecommendResponse> Score(
       std::vector<eval::RecommendRequest>& requests) {
     ++expansions;
     rollouts_scored += static_cast<int64_t>(requests.size());
-    if (!options.serial_reference) {
-      return scorer(common::Span<eval::RecommendRequest>(requests));
-    }
-    std::vector<eval::RecommendResponse> responses;
-    responses.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      std::vector<eval::RecommendResponse> one =
-          scorer(common::Span<eval::RecommendRequest>(&requests[i], 1));
-      responses.push_back(one.empty() ? eval::RecommendResponse{}
-                                      : std::move(one[0]));
-    }
-    return responses;
+    return scorer(common::Span<eval::RecommendRequest>(requests));
   }
 
   /// The step request for a node whose planned prefix is `node.stops`.

@@ -110,10 +110,6 @@ using BatchScoreFn = std::function<std::vector<eval::RecommendResponse>(
 ///                               stop's leaf; 0 disables           (0)
 ///   TSPN_PLAN_MCTS_ITERS        UCT iterations in kMcts mode       (128)
 ///   TSPN_PLAN_MCTS_EXPLORATION  UCT exploration constant           (1.4)
-///
-/// `serial_reference` has no environment override: it scores expansions
-/// one query at a time, the parity reference that tests and the demo set
-/// in code.
 struct PlannerOptions {
   int32_t beam_width = 4;
   int32_t candidates_per_expansion = 8;
@@ -121,7 +117,6 @@ struct PlannerOptions {
   int32_t adjacency_hops = 0;
   int32_t mcts_iterations = 128;
   double mcts_exploration = 1.4;
-  bool serial_reference = false;
 
   static PlannerOptions FromEnv();
 };
@@ -145,9 +140,10 @@ constexpr int32_t kMaxItineraryStops = 64;
 /// Determinism: no randomness anywhere — candidate order comes from the
 /// model's ranked response, ties in plan ordering break on the stop
 /// sequence, and the clock advances in whole seconds — so a fixed request
-/// yields bit-identical plans across runs, and the batched and serial
-/// scoring paths yield bit-identical plans (RecommendBatch is parity-
-/// pinned against Recommend).
+/// yields bit-identical plans across runs and across scorers that keep
+/// per-request parity with Recommend: the default RecommendBatch scorer
+/// and, say, one installed with set_scorer that serves a wave one request
+/// at a time.
 ///
 /// Thread-safe after construction (Plan is const and allocates per call),
 /// as long as the scorer is. The model and dataset must outlive the

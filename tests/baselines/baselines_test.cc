@@ -13,6 +13,15 @@
 namespace tspn::baselines {
 namespace {
 
+/// Ranked POI ids of an unconstrained top-`top_n` request.
+std::vector<int64_t> TopIds(const eval::NextPoiModel& model,
+                            const data::SampleRef& sample, int64_t top_n) {
+  eval::RecommendRequest request;
+  request.sample = sample;
+  request.top_n = top_n;
+  return model.Recommend(request).PoiIds();
+}
+
 class BaselinesTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -58,7 +67,7 @@ TEST_P(BaselineParamTest, RecommendationsAreValidAndUnique) {
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
   for (size_t s = 0; s < std::min<size_t>(3, samples.size()); ++s) {
-    std::vector<int64_t> ranked = model->Recommend(samples[s], 20);
+    std::vector<int64_t> ranked = TopIds(*model, samples[s], 20);
     EXPECT_EQ(ranked.size(), 20u);
     std::set<int64_t> unique(ranked.begin(), ranked.end());
     EXPECT_EQ(unique.size(), ranked.size());
@@ -101,7 +110,7 @@ TEST_F(BaselinesTest, MarkovChainLearnsTransitions) {
   // among successors of that POI.
   auto samples = dataset_->Samples(data::Split::kTrain);
   ASSERT_FALSE(samples.empty());
-  std::vector<int64_t> ranked = model.Recommend(samples[0], 10);
+  std::vector<int64_t> ranked = TopIds(model, samples[0], 10);
   EXPECT_FALSE(ranked.empty());
 }
 
@@ -110,7 +119,7 @@ TEST_F(BaselinesTest, MarkovChainDeterministic) {
   a.Train({});
   b.Train({});
   auto samples = dataset_->Samples(data::Split::kTest);
-  EXPECT_EQ(a.Recommend(samples[0], 20), b.Recommend(samples[0], 20));
+  EXPECT_EQ(TopIds(a, samples[0], 20), TopIds(b, samples[0], 20));
 }
 
 }  // namespace

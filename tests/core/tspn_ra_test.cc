@@ -14,6 +14,15 @@
 namespace tspn::core {
 namespace {
 
+/// Ranked POI ids of an unconstrained top-`top_n` request.
+std::vector<int64_t> TopIds(const eval::NextPoiModel& model,
+                            const data::SampleRef& sample, int64_t top_n) {
+  eval::RecommendRequest request;
+  request.sample = sample;
+  request.top_n = top_n;
+  return model.Recommend(request).PoiIds();
+}
+
 TspnRaConfig TinyConfig() {
   TspnRaConfig config;
   config.dm = 16;
@@ -40,7 +49,7 @@ TEST_F(TspnRaTest, UntrainedRecommendReturnsValidPois) {
   TspnRa model(dataset_, TinyConfig());
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
-  std::vector<int64_t> ranked = model.Recommend(samples[0], 20);
+  std::vector<int64_t> ranked = TopIds(model, samples[0], 20);
   EXPECT_FALSE(ranked.empty());
   std::set<int64_t> unique(ranked.begin(), ranked.end());
   EXPECT_EQ(unique.size(), ranked.size()) << "no duplicate recommendations";
@@ -79,20 +88,23 @@ TEST_F(TspnRaTest, RankTilesTopKMatchesFullSortPrefix) {
 }
 
 TEST_F(TspnRaTest, RecommendBatchMatchesSingleQuery) {
-  // The batched GEMM path must return exactly what per-query Recommend
-  // returns, for every query in the batch, at several batch sizes (including
-  // the 4-row GEMM tile boundary and a non-multiple-of-4 tail).
+  // Batch composition: a query in a batch of N must get exactly what it
+  // gets alone (Recommend is a batch of one), at several batch sizes
+  // (including the 4-row GEMM tile boundary and a non-multiple-of-4 tail).
   TspnRa model(dataset_, TinyConfig());
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_GE(samples.size(), 2u);
   for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{9}}) {
-    std::vector<data::SampleRef> query(batch);
-    for (size_t i = 0; i < batch; ++i) query[i] = samples[i % samples.size()];
-    std::vector<std::vector<int64_t>> batched =
-        model.RecommendBatch(common::Span<data::SampleRef>(query), 10);
+    std::vector<eval::RecommendRequest> query(batch);
+    for (size_t i = 0; i < batch; ++i) {
+      query[i].sample = samples[i % samples.size()];
+      query[i].top_n = 10;
+    }
+    std::vector<eval::RecommendResponse> batched =
+        model.RecommendBatch(common::Span<eval::RecommendRequest>(query));
     ASSERT_EQ(batched.size(), batch);
     for (size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(batched[i], model.Recommend(query[i], 10))
+      EXPECT_EQ(batched[i].PoiIds(), model.Recommend(query[i]).PoiIds())
           << "batch=" << batch << " query " << i;
     }
   }
@@ -118,16 +130,20 @@ TEST_F(TspnRaTest, RecommendBatchParityAfterTrainingAndOnAblations) {
     c.use_two_step = false;
     configs.push_back(c);
   }
-  std::vector<data::SampleRef> query(samples.begin(),
-                                     samples.begin() +
-                                         std::min<size_t>(6, samples.size()));
+  std::vector<eval::RecommendRequest> query(
+      std::min<size_t>(6, samples.size()));
+  for (size_t i = 0; i < query.size(); ++i) {
+    query[i].sample = samples[i];
+    query[i].top_n = 10;
+  }
   for (const TspnRaConfig& config : configs) {
     TspnRa model(dataset_, config);
     model.Train(options);
-    std::vector<std::vector<int64_t>> batched =
-        model.RecommendBatch(common::Span<data::SampleRef>(query), 10);
+    std::vector<eval::RecommendResponse> batched =
+        model.RecommendBatch(common::Span<eval::RecommendRequest>(query));
     for (size_t i = 0; i < query.size(); ++i) {
-      EXPECT_EQ(batched[i], model.Recommend(query[i], 10)) << "query " << i;
+      EXPECT_EQ(batched[i].PoiIds(), model.Recommend(query[i]).PoiIds())
+          << "query " << i;
     }
   }
 }
@@ -245,7 +261,7 @@ TEST_F(TspnRaTest, AblationConfigsConstructAndRun) {
   }
   for (const TspnRaConfig& config : configs) {
     TspnRa model(dataset_, config);
-    std::vector<int64_t> ranked = model.Recommend(samples[0], 10);
+    std::vector<int64_t> ranked = TopIds(model, samples[0], 10);
     EXPECT_FALSE(ranked.empty());
   }
 }
@@ -264,7 +280,7 @@ TEST_F(TspnRaTest, ShortTrainingRunsOnAblations) {
       config.use_two_step = two_step;
       TspnRa model(dataset_, config);
       model.Train(options);
-      EXPECT_FALSE(model.Recommend(dataset_->Samples(data::Split::kTest)[0], 5)
+      EXPECT_FALSE(TopIds(model, dataset_->Samples(data::Split::kTest)[0], 5)
                        .empty());
     }
   }
@@ -278,69 +294,12 @@ TEST_F(TspnRaTest, ParameterCountPositiveAndStable) {
   EXPECT_EQ(a.Parameters().size(), b.Parameters().size());
 }
 
-TEST_F(TspnRaTest, WeightRoundTripPreservesRecommendations) {
-  TspnRa a(dataset_, TinyConfig());
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 32;
-  a.Train(options);
-  std::string path = ::testing::TempDir() + "/tspn_weights.bin";
-  a.SaveWeights(path);
-
-  TspnRaConfig other = TinyConfig();
-  other.seed = 99;  // different init
-  TspnRa b(dataset_, other);
-  ASSERT_TRUE(b.LoadWeights(path));
-  auto samples = dataset_->Samples(data::Split::kTest);
-  for (size_t i = 0; i < std::min<size_t>(3, samples.size()); ++i) {
-    EXPECT_EQ(a.Recommend(samples[i], 10), b.Recommend(samples[i], 10));
-  }
-}
-
-TEST_F(TspnRaTest, LoadWeightsRejectsMismatchedArchitecture) {
-  TspnRa a(dataset_, TinyConfig());
-  std::string path = ::testing::TempDir() + "/tspn_weights2.bin";
-  a.SaveWeights(path);
-  TspnRaConfig bigger = TinyConfig();
-  bigger.dm = 32;
-  TspnRa b(dataset_, bigger);
-  EXPECT_FALSE(b.LoadWeights(path));
-}
-
-TEST_F(TspnRaTest, ScoredV2MatchesV1Ranking) {
-  // The v2 scored response must rank exactly as the v1 id list, with
-  // descending scores and valid tile indices.
-  TspnRa model(dataset_, TinyConfig());
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 24;
-  model.Train(options);
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_FALSE(samples.empty());
-  const size_t count = std::min<size_t>(4, samples.size());
-  for (size_t s = 0; s < count; ++s) {
-    eval::RecommendRequest request;
-    request.sample = samples[s];
-    request.top_n = 10;
-    eval::RecommendResponse response = model.Recommend(request);
-    EXPECT_EQ(response.PoiIds(), model.Recommend(samples[s], 10));
-    EXPECT_EQ(response.stages_used, 2);
-    EXPECT_GE(response.tiles_screened, TinyConfig().top_k_tiles);
-    for (size_t i = 1; i < response.items.size(); ++i) {
-      EXPECT_GE(response.items[i - 1].score, response.items[i].score);
-    }
-    for (const eval::ScoredPoi& item : response.items) {
-      EXPECT_GE(item.tile_index, 0);
-      EXPECT_LT(item.tile_index, model.NumCandidateTiles());
-    }
-  }
-}
-
 TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
-  // The batched path (packed encoder forward + one scoring GEMM per stage)
-  // must reproduce per-query scores bitwise, for plain and constrained
-  // requests alike, at batch sizes straddling the 4-row GEMM tile, on fresh
-  // and trained weights, and with the two-step screen ablated.
+  // Batch composition, bitwise: the packed encoder forward and the scoring
+  // GEMMs must give each request of a batch its batch-of-one scores, for
+  // plain and constrained requests alike, at batch sizes straddling the
+  // 4-row GEMM tile, on fresh and trained weights, and with the two-step
+  // screen ablated.
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 24;
@@ -429,7 +388,7 @@ TEST_F(TspnRaTest, ConstrainedQueriesSatisfyPredicatesAndFillTopN) {
   eval::RecommendRequest blocked;
   blocked.sample = samples[0];
   blocked.top_n = 10;
-  const int64_t winner = model.Recommend(samples[0], 1)[0];
+  const int64_t winner = TopIds(model, samples[0], 1)[0];
   const int32_t blocked_cat = dataset_->poi(winner).category;
   blocked.constraints.blocked_categories = {blocked_cat};
   int64_t allowed = 0;
@@ -456,13 +415,6 @@ TEST_F(TspnRaTest, ConstrainedQueriesSatisfyPredicatesAndFillTopN) {
       EXPECT_NE(item.poi_id, traj.checkins[static_cast<size_t>(i)].poi_id);
     }
   }
-
-  // Unconstrained v2 == v1 (the constraints must not perturb the default
-  // path).
-  eval::RecommendRequest plain;
-  plain.sample = samples[0];
-  plain.top_n = 10;
-  EXPECT_EQ(model.Recommend(plain).PoiIds(), model.Recommend(samples[0], 10));
 }
 
 TEST_F(TspnRaTest, CheckpointRoundTripPreservesRecommendations) {
@@ -480,14 +432,14 @@ TEST_F(TspnRaTest, CheckpointRoundTripPreservesRecommendations) {
   ASSERT_TRUE(b.LoadCheckpoint(path));
   auto samples = dataset_->Samples(data::Split::kTest);
   for (size_t i = 0; i < std::min<size_t>(3, samples.size()); ++i) {
-    EXPECT_EQ(a.Recommend(samples[i], 10), b.Recommend(samples[i], 10));
+    EXPECT_EQ(TopIds(a, samples[i], 10), TopIds(b, samples[i], 10));
   }
   // A structurally different model rejects the checkpoint and stays usable.
   TspnRaConfig bigger = TinyConfig();
   bigger.dm = 32;
   TspnRa c(dataset_, bigger);
   EXPECT_FALSE(c.LoadCheckpoint(path));
-  EXPECT_FALSE(c.Recommend(samples[0], 5).empty());
+  EXPECT_FALSE(TopIds(c, samples[0], 5).empty());
 }
 
 TEST(RankingMetricsTest, FormulasMatchHandComputation) {

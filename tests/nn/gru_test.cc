@@ -39,41 +39,6 @@ TEST(GruTest, HiddenStateBounded) {
   }
 }
 
-TEST(GruTest, UnrollPackedBitwiseMatchesPerSequenceUnroll) {
-  // The packed inference unroll gathers all still-active sequences into one
-  // [A, in] Step per timestep; each row must come out bitwise-identical to
-  // the serial per-sequence Unroll (row-independent per-row math in every
-  // step op). Variable lengths exercise segments retiring at different t,
-  // including a length-0 segment.
-  common::Rng rng(7);
-  GruCell cell(3, 5, rng);
-  const std::vector<int64_t> lengths = {4, 1, 0, 6, 3};
-  std::vector<Tensor> seqs;
-  std::vector<int64_t> offsets = {0};
-  std::vector<float> packed_data;
-  for (int64_t len : lengths) {
-    Tensor s = Tensor::RandomUniform({len, 3}, 1.0f, rng);
-    packed_data.insert(packed_data.end(), s.data(), s.data() + s.numel());
-    offsets.push_back(offsets.back() + len);
-    seqs.push_back(std::move(s));
-  }
-  Tensor packed = Tensor::FromVector({offsets.back(), int64_t{3}},
-                                     std::move(packed_data));
-  NoGradGuard guard;
-  Tensor out = cell.UnrollPacked(packed, offsets);
-  ASSERT_EQ(out.shape(), Shape({offsets.back(), 5}));
-  for (size_t b = 0; b < lengths.size(); ++b) {
-    if (lengths[b] == 0) continue;
-    Tensor serial = cell.Unroll(seqs[b]);
-    for (int64_t t = 0; t < lengths[b]; ++t) {
-      for (int64_t j = 0; j < 5; ++j) {
-        EXPECT_EQ(serial.at(t * 5 + j), out.at((offsets[b] + t) * 5 + j))
-            << "segment " << b << " t=" << t << " dim " << j;
-      }
-    }
-  }
-}
-
 TEST(GruTest, GradCheckThroughTwoSteps) {
   common::Rng rng(4);
   GruCell cell(2, 3, rng);

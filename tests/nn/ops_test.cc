@@ -92,6 +92,15 @@ TEST(OpsTest, ConcatAndStack) {
   EXPECT_EQ(c.shape(), Shape({3, 2}));
   EXPECT_EQ(c.ToVector(), std::vector<float>({1, 2, 3, 4, 5, 6}));
 
+  // A single part comes back as is (no copy), and its gradient reaches the
+  // input.
+  Tensor p = Tensor::FromVector({2, 2}, {1, 2, 3, 4}, /*requires_grad=*/true);
+  Tensor one = ConcatRows({p});
+  EXPECT_EQ(one.shape(), Shape({2, 2}));
+  EXPECT_EQ(one.data(), p.data());
+  SumAll(Mul(one, Tensor::FromVector({2, 2}, {1, 2, 3, 4}))).Backward();
+  EXPECT_EQ(p.GradToVector(), std::vector<float>({1, 2, 3, 4}));
+
   Tensor x = Tensor::FromVector({2}, {1, 2});
   Tensor y = Tensor::FromVector({2}, {3, 4});
   Tensor s = StackRows({x, y});

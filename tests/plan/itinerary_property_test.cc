@@ -33,6 +33,18 @@ int64_t ClockTs(int64_t start_time, double offset_hours) {
   return start_time + static_cast<int64_t>(std::llround(offset_hours * 3600.0));
 }
 
+/// The serial scoring reference: serves a wave one Recommend at a time.
+BatchScoreFn OneAtATimeScorer(const eval::NextPoiModel& model) {
+  return [&model](common::Span<eval::RecommendRequest> requests) {
+    std::vector<eval::RecommendResponse> responses;
+    responses.reserve(requests.size());
+    for (const eval::RecommendRequest& request : requests) {
+      responses.push_back(model.Recommend(request));
+    }
+    return responses;
+  };
+}
+
 class ItineraryPropertyTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -289,11 +301,11 @@ TEST_F(ItineraryPropertyTest, EveryPlanIsFeasibleDeterministicAndScoreExact) {
     ASSERT_TRUE(planner.Plan(request, &again, &error)) << error;
     ExpectSameResponse(response, again);
 
-    // Batched/serial parity: the one-query-at-a-time reference path must
-    // reproduce the batched search bit for bit, counters included.
-    PlannerOptions serial_options = options;
-    serial_options.serial_reference = true;
-    ItineraryPlanner serial(*model_, dataset_, serial_options);
+    // Batched/serial parity: a scorer that serves each wave one query at a
+    // time must reproduce the batched search bit for bit, counters
+    // included.
+    ItineraryPlanner serial(*model_, dataset_, options);
+    serial.set_scorer(OneAtATimeScorer(*model_));
     ItineraryResponse serial_response;
     ASSERT_TRUE(serial.Plan(request, &serial_response, &error)) << error;
     ExpectSameResponse(response, serial_response);

@@ -24,6 +24,15 @@
 namespace tspn::serve {
 namespace {
 
+/// Ranked POI ids of an unconstrained top-`top_n` request.
+std::vector<int64_t> TopIds(const eval::NextPoiModel& model,
+                            const data::SampleRef& sample, int64_t top_n) {
+  eval::RecommendRequest request;
+  request.sample = sample;
+  request.top_n = top_n;
+  return model.Recommend(request).PoiIds();
+}
+
 core::TspnRaConfig TinyConfig() {
   core::TspnRaConfig config;
   config.dm = 16;
@@ -96,7 +105,7 @@ TEST_F(InferenceEngineTest, TrySubmitAsyncRunsContinuationsWithoutWaiters) {
   }
   for (size_t i = 0; i < count; ++i) {
     ASSERT_EQ(errors[i], nullptr) << "request " << i;
-    EXPECT_EQ(responses[i].PoiIds(), model_->Recommend(samples[i], 10))
+    EXPECT_EQ(responses[i].PoiIds(), TopIds(*model_, samples[i], 10))
         << "request " << i;
   }
   EngineStats stats = engine.GetStats();
@@ -132,7 +141,7 @@ TEST_F(InferenceEngineTest, ServedAnswersMatchDirectRecommend) {
     futures.push_back(engine.Submit(samples[i], 10));
   }
   for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(futures[i].get().PoiIds(), model_->Recommend(samples[i], 10))
+    EXPECT_EQ(futures[i].get().PoiIds(), TopIds(*model_, samples[i], 10))
         << "request " << i;
   }
   EngineStats stats = engine.GetStats();
@@ -149,8 +158,8 @@ TEST_F(InferenceEngineTest, MixedTopNRequestsAreServedPerRequest) {
   auto long_future = engine.Submit(samples[0], 15);
   std::vector<int64_t> short_ranked = short_future.get().PoiIds();
   std::vector<int64_t> long_ranked = long_future.get().PoiIds();
-  EXPECT_EQ(short_ranked, model_->Recommend(samples[0], 3));
-  EXPECT_EQ(long_ranked, model_->Recommend(samples[0], 15));
+  EXPECT_EQ(short_ranked, TopIds(*model_, samples[0], 3));
+  EXPECT_EQ(long_ranked, TopIds(*model_, samples[0], 15));
   // Deterministic tie-breaking makes the short list a prefix of the long.
   ASSERT_LE(short_ranked.size(), long_ranked.size());
   for (size_t i = 0; i < short_ranked.size(); ++i) {
@@ -244,7 +253,7 @@ TEST_F(InferenceEngineTest, ConcurrentSubmittersStressParity) {
         const data::SampleRef& sample =
             samples[static_cast<size_t>(c * kPerClient + i) % samples.size()];
         std::vector<int64_t> served = engine.Submit(sample, 10).get().PoiIds();
-        if (served != fresh.Recommend(sample, 10)) mismatches.fetch_add(1);
+        if (served != TopIds(fresh, sample, 10)) mismatches.fetch_add(1);
       }
     });
   }
@@ -260,7 +269,7 @@ TEST_F(InferenceEngineTest, ShutdownServesQueuedThenRejects) {
   auto pending = engine->Submit(samples[0], 5);
   engine->Shutdown();
   // Queued work was served before the workers exited.
-  EXPECT_EQ(pending.get().PoiIds(), model_->Recommend(samples[0], 5));
+  EXPECT_EQ(pending.get().PoiIds(), TopIds(*model_, samples[0], 5));
   // New submissions are refused.
   auto refused = engine->Submit(samples[0], 5);
   EXPECT_THROW(refused.get(), std::runtime_error);
