@@ -1,13 +1,15 @@
 // Reproduces Table V: memory cost, training time and inference time of the
 // main models on the two urban datasets. Also writes
-// BENCH_table5_efficiency.json with per-model ms/query, plus warm TSPN-RA
-// inference ms/query, plus a throughput mode: QPS and p50/p95 latency of
-// the serial per-query loop vs RecommendBatch at several batch sizes vs the
-// serve::InferenceEngine worker pool with request coalescing.
+// BENCH_table5_efficiency.json with per-model ms/query, plus warm and
+// cold-history-cache TSPN-RA inference ms/query, plus a throughput mode:
+// QPS and p50/p95 latency of the serial per-query loop vs RecommendBatch at
+// several batch sizes vs the serve::InferenceEngine worker pool with
+// request coalescing.
 
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <set>
 #include <unistd.h>
 
 #include "bench/bench_common.h"
@@ -41,9 +43,9 @@ void AddJson(bench::JsonReporter& reporter, const std::string& dataset_name,
 }
 
 /// Times warm inference passes over the test split and returns ms/query.
-/// Assumes the model is trained and one eval pass has already run (so
-/// history graphs etc. are warm); takes the fastest of kPasses so the
-/// figure isn't drowned by scheduler noise.
+/// Assumes the model is trained and one eval pass has already run (so the
+/// history cache holds every graph and its HGAT knowledge); takes the
+/// fastest of kPasses so the figure isn't drowned by scheduler noise.
 double MeasureWarmInference(const core::TspnRa& tspn,
                             const data::CityDataset& dataset,
                             const bench::BenchSettings& settings,
@@ -58,6 +60,42 @@ double MeasureWarmInference(const core::TspnRa& tspn,
     if (p == 0 || seconds < best) best = seconds;
   }
   return best * 1000.0 / std::max<double>(1, static_cast<double>(eval_count));
+}
+
+/// Times first-visit queries: one test query per distinct (user, traj)
+/// history, each answered by a model restored from `tspn`'s weights with a
+/// cold history cache, so every query builds its QR-P graph and runs HGAT.
+/// The warm rows reuse both. Fastest of kPasses, each on a fresh model.
+double MeasureColdHistoryInference(const core::TspnRa& tspn,
+                                   std::shared_ptr<data::CityDataset> dataset) {
+  std::vector<eval::RecommendRequest> requests;
+  std::set<std::pair<int32_t, int32_t>> seen;
+  for (const data::SampleRef& sample : dataset->Samples(data::Split::kTest)) {
+    if (!seen.insert({sample.user, sample.traj}).second) continue;
+    eval::RecommendRequest request;
+    request.sample = sample;
+    request.top_n = 10;
+    requests.push_back(request);
+  }
+  const std::string checkpoint =
+      "/tmp/bench_cold_history_" + std::to_string(::getpid()) + ".ckpt";
+  tspn.SaveCheckpoint(checkpoint);
+  constexpr int kPasses = 3;
+  double best = 0.0;
+  for (int p = 0; p < kPasses; ++p) {
+    core::TspnRa cold(dataset, tspn.config());
+    TSPN_CHECK(cold.LoadCheckpoint(checkpoint));
+    cold.DebugTileEmbeddings();  // weight-derived caches, outside the timer
+    common::Stopwatch watch;
+    for (const eval::RecommendRequest& request : requests) {
+      cold.Recommend(request);
+    }
+    const double seconds = watch.ElapsedSeconds();
+    if (p == 0 || seconds < best) best = seconds;
+  }
+  std::remove(checkpoint.c_str());
+  return best * 1000.0 /
+         std::max<double>(1, static_cast<double>(requests.size()));
 }
 
 void RunEfficiency(const std::string& title,
@@ -96,8 +134,15 @@ void RunEfficiency(const std::string& title,
     const double warm_ms =
         MeasureWarmInference(tspn, *dataset, settings, r.eval_samples);
     reporter.Add("TSPN-RA-inference/" + title, {{"ms_per_query", warm_ms}});
-    std::printf("  [TSPN-RA] warm inference %s ms/query\n",
-                MsString(warm_ms).c_str());
+    std::printf("  [TSPN-RA] warm inference %s ms/query (history cache "
+                "%.1f KB)\n",
+                MsString(warm_ms).c_str(),
+                static_cast<double>(tspn.HistoryCacheBytes()) / 1024.0);
+    const double cold_ms = MeasureColdHistoryInference(tspn, dataset);
+    reporter.Add("TSPN-RA-inference-cold/" + title,
+                 {{"ms_per_query", cold_ms}});
+    std::printf("  [TSPN-RA] cold-history inference %s ms/query\n",
+                MsString(cold_ms).c_str());
   }
   eval::ModelOptions model_options;
   model_options.dm = settings.dm;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "core/tspn_ra_internal.h"
@@ -35,7 +36,37 @@ std::vector<int64_t> TopKIndices(const float* scores, int64_t n, int64_t k) {
   return order;
 }
 
+/// History-cache key of (user, traj), packed at full width so that no two
+/// valid pairs collide.
+int64_t HistoryKey(int32_t user, int32_t traj) {
+  TSPN_CHECK_GE(user, 0);
+  TSPN_CHECK_GE(traj, 0);
+  return (static_cast<int64_t>(user) << 32) |
+         static_cast<int64_t>(static_cast<uint32_t>(traj));
+}
+
+template <typename T>
+int64_t VectorBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
 }  // namespace
+
+int64_t TspnRa::HistoryEntry::Bytes() const {
+  int64_t bytes = static_cast<int64_t>(sizeof(graph::QrpGraph)) +
+                  VectorBytes(graph->tile_ids) + VectorBytes(graph->poi_ids);
+  for (int type = 0; type < graph::QrpGraph::kNumEdgeTypes; ++type) {
+    const graph::NeighbourList& list =
+        graph->neighbours[static_cast<size_t>(type)];
+    bytes += VectorBytes(graph->edges(type)) + VectorBytes(list.offsets) +
+             VectorBytes(list.cols);
+  }
+  if (tile_knowledge.defined()) {
+    bytes += (tile_knowledge.numel() + poi_knowledge.numel()) *
+             static_cast<int64_t>(sizeof(float));
+  }
+  return bytes;
+}
 
 TspnRa::TspnRa(std::shared_ptr<const data::CityDataset> dataset, TspnRaConfig config)
     : dataset_(std::move(dataset)), config_(config) {
@@ -120,38 +151,40 @@ int64_t TspnRa::CandidateTileOfPoi(int64_t poi_id) const {
   return poi_tile_[static_cast<size_t>(poi_id)];
 }
 
-const graph::QrpGraph* TspnRa::HistoryGraph(int32_t user, int32_t traj) const {
-  // Full-width packing: the old (user << 20 | traj) key silently collided
-  // once traj reached 2^20.
-  TSPN_CHECK_GE(user, 0);
-  TSPN_CHECK_GE(traj, 0);
-  int64_t key = (static_cast<int64_t>(user) << 32) |
-                static_cast<int64_t>(static_cast<uint32_t>(traj));
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    auto it = graph_cache_.find(key);
-    if (it != graph_cache_.end()) return &it->second;
+std::shared_ptr<const TspnRa::HistoryEntry> TspnRa::History(
+    int32_t user, int32_t traj) const {
+  const int64_t key = HistoryKey(user, traj);
+  if (std::shared_ptr<const HistoryEntry> hit = history_cache_.Get(key)) {
+    return hit;
   }
-  // Build outside the lock: graph construction is the expensive part, and
-  // two workers racing on the same key merely duplicate work — emplace below
-  // keeps the first copy. unordered_map nodes are pointer-stable, so the
-  // returned pointer survives later inserts.
+  // Two workers missing the same key build the same graph twice; the later
+  // Put replaces the earlier entry, and both callers keep their own.
   std::vector<int64_t> history = dataset_->HistoryPoiIds(user, traj);
   if (static_cast<int64_t>(history.size()) > config_.max_history_checkins) {
     history.erase(history.begin(),
                   history.end() - config_.max_history_checkins);
   }
-  graph::QrpGraph graph;
-  if (config_.use_quadtree) {
-    graph = graph::BuildQrpGraph(dataset_->quadtree(), dataset_->leaf_adjacency(),
-                                 dataset_->pois(), history);
-  } else {
-    graph = graph::BuildQrpGraphFromGrid(*grid_, *grid_adjacency_,
-                                         dataset_->pois(), history);
-  }
-  std::lock_guard<std::mutex> lock(graph_mutex_);
-  auto [inserted, unused] = graph_cache_.emplace(key, std::move(graph));
-  return &inserted->second;
+  auto entry = std::make_shared<HistoryEntry>();
+  entry->graph = std::make_shared<const graph::QrpGraph>(
+      config_.use_quadtree
+          ? graph::BuildQrpGraph(dataset_->quadtree(),
+                                 dataset_->leaf_adjacency(), dataset_->pois(),
+                                 history)
+          : graph::BuildQrpGraphFromGrid(*grid_, *grid_adjacency_,
+                                         dataset_->pois(), history));
+  history_cache_.Put(key, entry, entry->Bytes());
+  return entry;
+}
+
+QrpEncoder::Output TspnRa::EncodeHistory(const graph::QrpGraph& graph,
+                                         const nn::Tensor& et) const {
+  std::vector<int64_t> tile_rows(graph.tile_ids.begin(), graph.tile_ids.end());
+  nn::Tensor tile_init = nn::EmbeddingGather(et, tile_rows);
+  std::vector<int64_t> cats;
+  cats.reserve(graph.poi_ids.size());
+  for (int64_t pid : graph.poi_ids) cats.push_back(dataset_->poi(pid).category);
+  nn::Tensor poi_init = net_->poi_encoder.Encode(graph.poi_ids, cats);
+  return net_->qrp.Encode(graph, tile_init, poi_init);
 }
 
 TspnRa::Features TspnRa::ExtractFeatures(const data::SampleRef& sample) const {
@@ -161,9 +194,7 @@ TspnRa::Features TspnRa::ExtractFeatures(const data::SampleRef& sample) const {
       common::Span<data::Checkin>(traj.checkins.data(),
                                   static_cast<size_t>(sample.prefix_len)),
       dataset_->Target(sample), &f));
-  if (config_.use_graph) {
-    f.history_graph = HistoryGraph(sample.user, sample.traj);
-  }
+  if (config_.use_graph) f.history = History(sample.user, sample.traj);
   return f;
 }
 
@@ -250,8 +281,9 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
   }
   // Historical knowledge (Sec. IV-C) stays per sample — each history graph
   // has its own structure — but the encodings are packed row-wise so the
-  // fusion stage can slice them per segment. A sample without a graph
-  // attends to the learned null-history row.
+  // fusion stage can slice them per segment. A sample that carries its
+  // knowledge skips the HGAT encode; one without a graph attends to the
+  // learned null-history row.
   std::vector<nn::Tensor> tile_hists, poi_hists;
   std::vector<int64_t> tile_hist_offsets(batch + 1, 0);
   std::vector<int64_t> poi_hist_offsets(batch + 1, 0);
@@ -261,16 +293,11 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
     const Features& f = features[b];
     nn::Tensor tile_history = net_->null_tile_history;
     nn::Tensor poi_history = net_->null_poi_history;
-    if (config_.use_graph && f.history_graph != nullptr &&
-        !f.history_graph->empty()) {
-      const graph::QrpGraph& g = *f.history_graph;
-      std::vector<int64_t> tile_rows(g.tile_ids.begin(), g.tile_ids.end());
-      nn::Tensor tile_init = nn::EmbeddingGather(et, tile_rows);
-      std::vector<int64_t> cats;
-      cats.reserve(g.poi_ids.size());
-      for (int64_t pid : g.poi_ids) cats.push_back(dataset_->poi(pid).category);
-      nn::Tensor poi_init = net_->poi_encoder.Encode(g.poi_ids, cats);
-      QrpEncoder::Output knowledge = net_->qrp.Encode(g, tile_init, poi_init);
+    if (f.tile_knowledge.defined()) {
+      tile_history = f.tile_knowledge;
+      poi_history = f.poi_knowledge;
+    } else if (f.history != nullptr && !f.history->graph->empty()) {
+      QrpEncoder::Output knowledge = EncodeHistory(*f.history->graph, et);
       tile_history = knowledge.tile_knowledge;
       poi_history = knowledge.poi_knowledge;
     }
@@ -430,6 +457,7 @@ void TspnRa::EnsureInferenceCaches() const {
     all_cats[static_cast<size_t>(i)] = dataset_->poi(i).category;
   }
   poi_et_cache_ = nn::L2Normalize(net_->poi_encoder.Encode(all_pois, all_cats));
+  cache_generation_.fetch_add(1);
   caches_built_.store(true, std::memory_order_release);
 }
 
@@ -445,13 +473,41 @@ TspnRa::BatchScores TspnRa::ScoreBatch(
 
   // One packed encoder forward for the whole batch: the B query sequences
   // ride a single [total_len, dm] tensor through the projections, norms and
-  // feed-forwards, with only softmax(QK^T)V and the structurally irregular
-  // history-graph encodings handled per segment. Inference mode: no dropout,
-  // so no rng.
+  // feed-forwards, with only softmax(QK^T)V handled per segment. Inference
+  // mode: no dropout, so no rng.
   std::vector<Features> features;
   features.reserve(samples.size());
   for (const data::SampleRef& sample : samples) {
     features.push_back(ExtractFeatures(sample));
+  }
+  // Under frozen weights a history's HGAT knowledge is one tensor pair per
+  // key, shared by every prefix of the trajectory. Take it from the history
+  // cache when it was encoded under the current inference caches; otherwise
+  // encode it once per distinct key in this batch (a planner wave repeats
+  // keys) and cache it.
+  const uint64_t generation = cache_generation_.load();
+  std::unordered_map<int64_t, std::shared_ptr<const HistoryEntry>> encoded;
+  for (size_t b = 0; b < features.size(); ++b) {
+    Features& f = features[b];
+    if (f.history == nullptr || f.history->graph->empty()) continue;
+    std::shared_ptr<const HistoryEntry> entry = f.history;
+    if (entry->generation != generation) {
+      const int64_t key = HistoryKey(samples[b].user, samples[b].traj);
+      auto [it, missing] = encoded.try_emplace(key);
+      if (missing) {
+        QrpEncoder::Output knowledge = EncodeHistory(*entry->graph, et_cache_);
+        auto fresh = std::make_shared<HistoryEntry>();
+        fresh->graph = entry->graph;
+        fresh->generation = generation;
+        fresh->tile_knowledge = knowledge.tile_knowledge;
+        fresh->poi_knowledge = knowledge.poi_knowledge;
+        history_cache_.Put(key, fresh, fresh->Bytes());
+        it->second = std::move(fresh);
+      }
+      entry = it->second;
+    }
+    f.tile_knowledge = entry->tile_knowledge;
+    f.poi_knowledge = entry->poi_knowledge;
   }
   BatchForwardOut fwd =
       ForwardBatch(common::Span<Features>(features), et_cache_, nullptr);

@@ -6,9 +6,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "core/config.h"
 #include "core/encoders.h"
 #include "core/fusion.h"
@@ -34,6 +34,13 @@ class TspnRa : public eval::NextPoiModel {
  public:
   TspnRa(std::shared_ptr<const data::CityDataset> dataset, TspnRaConfig config);
   ~TspnRa() override;
+
+  /// Byte bound of the history cache: the QR-P graphs of (user, traj) keys
+  /// with their CSR lists and HGAT knowledge, least recently used evicted
+  /// first. Sized from the measured working set (docs/operations.md): at
+  /// dm 32 about 0.4 MB on NYC-sim and 12 MB on the 11k-POI metro, so the
+  /// metro set fits with room to spare even at dm 128.
+  static constexpr int64_t kHistoryCacheBytes = int64_t{64} << 20;
 
   std::string name() const override { return "TSPN-RA"; }
   void Train(const eval::TrainOptions& options) override;
@@ -83,6 +90,9 @@ class TspnRa : public eval::NextPoiModel {
   const TspnRaConfig& config() const { return config_; }
   int64_t ParameterCount() const;
 
+  /// Bytes the history cache holds (at most kHistoryCacheBytes).
+  int64_t HistoryCacheBytes() const { return history_cache_.bytes(); }
+
   /// All trainable parameters (for serialization).
   std::vector<nn::Tensor> Parameters() const;
 
@@ -105,13 +115,34 @@ class TspnRa : public eval::NextPoiModel {
 
  private:
   struct Net;
+
+  /// One history-cache entry: the QR-P graph of a (user, traj) key's
+  /// earlier trajectories with its CSR lists and, once inference has
+  /// encoded it, its HGAT knowledge (H^T_<, H^P_<, Sec. IV-C) under the
+  /// weights of inference-cache generation `generation` (0: not encoded).
+  /// Immutable once cached: encoding caches a new entry sharing the graph.
+  struct HistoryEntry {
+    std::shared_ptr<const graph::QrpGraph> graph;
+    uint64_t generation = 0;
+    nn::Tensor tile_knowledge;  // [num_tile_nodes, dm]
+    nn::Tensor poi_knowledge;   // [num_poi_nodes, dm]
+
+    /// What the entry charges the history cache: the graph's node ids,
+    /// edge lists and CSR lists, plus the knowledge once encoded.
+    int64_t Bytes() const;
+  };
+
   struct Features {
     std::vector<int64_t> poi_ids;
     std::vector<int64_t> poi_cats;
     std::vector<int64_t> time_slots;
     std::vector<int64_t> tile_rows;   // ET row (tile id) per prefix element
     std::vector<double> norm_x, norm_y;
-    const graph::QrpGraph* history_graph = nullptr;  // may be null/empty
+    std::shared_ptr<const HistoryEntry> history;  // null without use_graph
+    /// The history's HGAT knowledge, attached by ScoreBatch only. When it is
+    /// undefined (always in training) ForwardBatch encodes the graph.
+    nn::Tensor tile_knowledge;
+    nn::Tensor poi_knowledge;
     int64_t target_poi = -1;
     int64_t target_tile_index = -1;   // dense candidate-tile index
   };
@@ -122,19 +153,27 @@ class TspnRa : public eval::NextPoiModel {
   void BuildTilePoiLists();
 
   /// Features of a stored sample: FeaturesFromCheckins over its trajectory
-  /// prefix and target, plus the user's QR-P history graph (use_graph).
+  /// prefix and target, plus the user's history-cache entry (use_graph).
   Features ExtractFeatures(const data::SampleRef& sample) const;
 
   /// Builds Features from a check-in prefix (oldest first; the last
   /// max_seq_len are kept) and the check-in to predict. Sets no history
   /// graph: the online-training path feeds live traffic here, and streamed
-  /// prefixes have no trajectory id to key the QR-P cache on (a stale graph
-  /// would be worse than none). Returns false (leaving `out` unspecified)
-  /// when the prefix is empty or any check-in references a POI id the
-  /// dataset does not know.
+  /// prefixes have no trajectory id to key the history cache on (a stale
+  /// graph would be worse than none). Returns false (leaving `out`
+  /// unspecified) when the prefix is empty or any check-in references a POI
+  /// id the dataset does not know.
   bool FeaturesFromCheckins(common::Span<data::Checkin> prefix,
                             const data::Checkin& target, Features* out) const;
-  const graph::QrpGraph* HistoryGraph(int32_t user, int32_t traj) const;
+
+  /// The history-cache entry of (user, traj), building and caching its QR-P
+  /// graph on a miss. The returned entry stays valid after eviction.
+  std::shared_ptr<const HistoryEntry> History(int32_t user, int32_t traj) const;
+
+  /// HGAT over a non-empty history graph: the initial node embeddings
+  /// gathered from `et` and the POI encoder, then the QR-P encoder.
+  QrpEncoder::Output EncodeHistory(const graph::QrpGraph& graph,
+                                   const nn::Tensor& et) const;
 
   /// ET for all tile ids ([num_tile_ids, dm], rows normalized); part of the
   /// autograd graph during training.
@@ -144,10 +183,11 @@ class TspnRa : public eval::NextPoiModel {
   /// pass over all samples. The tile/POI sequences are concatenated
   /// row-wise and run through the embedding gathers, spatial/temporal
   /// encoders and fusion modules as whole-pack tensors (per-sample only
-  /// where structure forces it: the history-graph HGAT encodings and the
-  /// within-sequence attention softmax). Returns (h_out_tau, h_out_p) as
-  /// [B, dm] matrices; row b depends on features[b] alone (with dropout
-  /// off). Training passes the dropout `rng`; inference passes null.
+  /// where structure forces it: the within-sequence attention softmax, and
+  /// the HGAT encoding of a history graph whose knowledge the sample does
+  /// not carry). Returns (h_out_tau, h_out_p) as [B, dm] matrices; row b
+  /// depends on features[b] alone (with dropout off). Training passes the
+  /// dropout `rng`; inference passes null.
   struct BatchForwardOut {
     nn::Tensor h_tile;  // [B, dm]
     nn::Tensor h_poi;   // [B, dm]
@@ -186,7 +226,9 @@ class TspnRa : public eval::NextPoiModel {
 
   /// The one inference scoring core: ForwardBatch over the samples, then
   /// one GEMM per prediction stage. Every inference entry point (single
-  /// query, batch, RecommendWithK, RankTiles) runs through it.
+  /// query, batch, RecommendWithK, RankTiles) runs through it. It attaches
+  /// each sample's HGAT knowledge from the history cache, encoding (once per
+  /// distinct key in the batch) and caching what is missing or stale.
   BatchScores ScoreBatch(common::Span<data::SampleRef> samples) const;
 
   /// ScoreBatch, then per request: the constraint-aware stage-1 screen over
@@ -257,8 +299,10 @@ class TspnRa : public eval::NextPoiModel {
   // --- Inference-only state. Recommend/RecommendBatch are const and must be
   // callable concurrently (serve::InferenceEngine workers); every lazily
   // built mutable member below is guarded. --------------------------------
-  mutable std::mutex graph_mutex_;    // guards graph_cache_
-  mutable std::unordered_map<int64_t, graph::QrpGraph> graph_cache_;
+  /// (user, traj) key -> HistoryEntry, locked internally. Training reads
+  /// and fills only the graph half; the knowledge half is inference's.
+  mutable common::LruCache<int64_t, HistoryEntry> history_cache_{
+      kHistoryCacheBytes};
   mutable std::mutex cache_mutex_;    // guards the cache build below
   mutable nn::Tensor et_cache_;       // inference-time ET
   mutable nn::Tensor leaf_et_cache_;  // gathered + L2-normalized leaf rows
@@ -267,6 +311,10 @@ class TspnRa : public eval::NextPoiModel {
   /// TrainOnline() and LoadState() clear it; EnsureInferenceCaches()
   /// rebuilds and sets it.
   mutable std::atomic<bool> caches_built_{false};
+  /// Bumped by every rebuild of the caches above. History-cache knowledge
+  /// is used only under the generation it was stamped with, so re-arming
+  /// caches_built_ also retires every cached knowledge tensor.
+  mutable std::atomic<uint64_t> cache_generation_{0};
 };
 
 }  // namespace tspn::core

@@ -511,6 +511,9 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t length) {
   TSPN_CHECK_EQ(a.rank(), 2);
   TSPN_CHECK_GE(start, 0);
   TSPN_CHECK_LE(start + length, a.dim(0));
+  // The full range is the input itself: a pack of one then builds the same
+  // autograd graph as the unpacked tensor, with no copy behind a slice node.
+  if (start == 0 && length == a.dim(0)) return a;
   int64_t d = a.dim(1);
   std::vector<float> out(static_cast<size_t>(length * d));
   std::memcpy(out.data(), a.data() + start * d,

@@ -56,7 +56,9 @@ Tensor ConcatLast(const std::vector<Tensor>& parts);
 /// Stacks L rank-1 tensors of size D into [L, D].
 Tensor StackRows(const std::vector<Tensor>& rows);
 
-/// Slice of rows [start, start+length) of a rank-2 tensor.
+/// Slice of rows [start, start+length) of a rank-2 tensor. Asked for all
+/// rows, it returns the input as is (the result aliases it, like
+/// ConcatRows of one part).
 Tensor SliceRows(const Tensor& a, int64_t start, int64_t length);
 
 /// Single row of a rank-2 tensor as a rank-1 tensor.

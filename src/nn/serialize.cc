@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
+#include <istream>
 #include <ostream>
 
 #include "common/check.h"
@@ -71,19 +71,6 @@ bool LoadParametersAtomic(std::vector<Tensor>& parameters, std::istream& in) {
     std::copy_n(staged[i].data(), staged[i].numel(), parameters[i].data());
   }
   return true;
-}
-
-void SaveParametersToFile(const std::vector<Tensor>& parameters,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  TSPN_CHECK(out.is_open()) << "cannot open " << path;
-  SaveParameters(parameters, out);
-}
-
-bool LoadParametersFromFile(std::vector<Tensor>& parameters, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  return LoadParameters(parameters, in);
 }
 
 }  // namespace tspn::nn

@@ -2,7 +2,6 @@
 #define TSPN_NN_SERIALIZE_H_
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -30,11 +29,6 @@ bool LoadParametersStaged(const std::vector<Tensor>& like, std::istream& in,
 /// copies into `parameters` only after the whole stream validated, so a
 /// corrupted or truncated payload leaves the live weights untouched.
 bool LoadParametersAtomic(std::vector<Tensor>& parameters, std::istream& in);
-
-/// Convenience file wrappers. Save aborts on I/O failure; Load returns false.
-void SaveParametersToFile(const std::vector<Tensor>& parameters,
-                          const std::string& path);
-bool LoadParametersFromFile(std::vector<Tensor>& parameters, const std::string& path);
 
 }  // namespace tspn::nn
 

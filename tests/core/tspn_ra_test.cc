@@ -40,8 +40,55 @@ class TspnRaTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = data::CityDataset::Generate(data::CityProfile::TestTiny());
   }
+
+  /// What a freshly constructed model restored from `checkpoint` answers to
+  /// `request` alone: every cache, the history cache included, starts cold.
+  static eval::RecommendResponse ColdReply(
+      const TspnRaConfig& config, const std::string& checkpoint,
+      const eval::RecommendRequest& request) {
+    TspnRa fresh(dataset_, config);
+    EXPECT_TRUE(fresh.LoadCheckpoint(checkpoint));
+    return fresh.Recommend(request);
+  }
+
+  /// `count` test samples cycling over the distinct (user, traj) history
+  /// keys, each visit to a key taking its next prefix: batches built from a
+  /// prefix of the list mix keys and repeat them.
+  static std::vector<data::SampleRef> SamplesAcrossKeys(size_t count) {
+    std::vector<std::vector<data::SampleRef>> by_key;
+    for (const data::SampleRef& sample :
+         dataset_->Samples(data::Split::kTest)) {
+      if (by_key.empty() || by_key.back()[0].user != sample.user ||
+          by_key.back()[0].traj != sample.traj) {
+        by_key.emplace_back();
+      }
+      by_key.back().push_back(sample);
+    }
+    std::vector<data::SampleRef> out;
+    for (size_t i = 0; i < count; ++i) {
+      const std::vector<data::SampleRef>& key = by_key[i % by_key.size()];
+      out.push_back(key[(i / by_key.size()) % key.size()]);
+    }
+    return out;
+  }
+
   static std::shared_ptr<data::CityDataset> dataset_;
 };
+
+/// Bitwise equality of two replies: items, scores, tiles and screen stats.
+void ExpectSameReply(const eval::RecommendResponse& got,
+                     const eval::RecommendResponse& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.items.size(), want.items.size()) << where;
+  EXPECT_EQ(got.stages_used, want.stages_used) << where;
+  EXPECT_EQ(got.tiles_screened, want.tiles_screened) << where;
+  for (size_t r = 0; r < want.items.size(); ++r) {
+    const std::string at = where + " rank " + std::to_string(r);
+    EXPECT_EQ(got.items[r].poi_id, want.items[r].poi_id) << at;
+    EXPECT_EQ(got.items[r].score, want.items[r].score) << at;
+    EXPECT_EQ(got.items[r].tile_index, want.items[r].tile_index) << at;
+  }
+}
 
 std::shared_ptr<data::CityDataset> TspnRaTest::dataset_;
 
@@ -299,57 +346,146 @@ TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
   // GEMMs must give each request of a batch its batch-of-one scores, for
   // plain and constrained requests alike, at batch sizes straddling the
   // 4-row GEMM tile, on fresh and trained weights, and with the two-step
-  // screen ablated.
+  // screen ablated. The history cache must not show either: every reply
+  // also equals a cold model's (same weights, empty caches) on the first
+  // batch, where every history key misses, on later batches and single
+  // queries, which hit, and on a batch that repeats one key.
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 24;
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_GE(samples.size(), 2u);
+  const std::string checkpoint = ::testing::TempDir() + "/tspn_parity.ckpt";
   TspnRaConfig one_step = TinyConfig();
   one_step.use_two_step = false;
+  // Request i is the same in every batch, so one cold reply per request
+  // serves all batch sizes. Batches of 3 and more mix history keys.
+  constexpr size_t kMaxBatch = 9;
+  const std::vector<data::SampleRef> spread = SamplesAcrossKeys(kMaxBatch);
+  std::vector<eval::RecommendRequest> requests(kMaxBatch);
+  for (size_t i = 0; i < kMaxBatch; ++i) {
+    requests[i].sample = spread[i];
+    requests[i].top_n = 5 + static_cast<int64_t>(i % 3) * 5;  // mixed
+    if (i % 2 == 1) {
+      requests[i].constraints.geo_center = dataset_->profile().bbox.Center();
+      requests[i].constraints.geo_radius_km = 5.0;
+      requests[i].constraints.exclude_visited = true;
+    }
+  }
+  // One history key several times: three prefixes of samples[0]'s
+  // trajectory, plain and constrained, then samples[0] again.
+  std::vector<eval::RecommendRequest> one_key;
+  for (size_t s = 0; s < 3; ++s) {
+    ASSERT_EQ(samples[s].traj, samples[0].traj);
+    ASSERT_EQ(samples[s].user, samples[0].user);
+    for (size_t variant : {size_t{0}, size_t{1}}) {
+      eval::RecommendRequest request = requests[variant];
+      request.sample = samples[s];
+      one_key.push_back(request);
+    }
+  }
+  one_key.push_back(one_key[0]);
   for (bool trained : {false, true}) {
     for (const TspnRaConfig& config : {TinyConfig(), one_step}) {
+      const std::string what = "trained=" + std::to_string(trained) +
+                               " two_step=" +
+                               std::to_string(config.use_two_step);
       TspnRa model(dataset_, config);
       if (trained) model.Train(options);
+      model.SaveCheckpoint(checkpoint);
+      std::vector<eval::RecommendResponse> cold;
+      for (const eval::RecommendRequest& request : requests) {
+        cold.push_back(ColdReply(config, checkpoint, request));
+      }
       for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                           size_t{9}}) {
-        std::vector<eval::RecommendRequest> requests(batch);
-        for (size_t i = 0; i < batch; ++i) {
-          requests[i].sample = samples[i % samples.size()];
-          requests[i].top_n = 5 + static_cast<int64_t>(i % 3) * 5;  // mixed
-          if (i % 2 == 1) {
-            requests[i].constraints.geo_center =
-                dataset_->profile().bbox.Center();
-            requests[i].constraints.geo_radius_km = 5.0;
-            requests[i].constraints.exclude_visited = true;
-          }
-        }
+                           kMaxBatch}) {
         std::vector<eval::RecommendResponse> batched = model.RecommendBatch(
-            common::Span<eval::RecommendRequest>(requests));
+            common::Span<eval::RecommendRequest>(requests.data(), batch));
         ASSERT_EQ(batched.size(), batch);
         for (size_t i = 0; i < batch; ++i) {
-          eval::RecommendResponse single = model.Recommend(requests[i]);
-          const std::string where =
-              "trained=" + std::to_string(trained) +
-              " two_step=" + std::to_string(config.use_two_step) +
-              " batch=" + std::to_string(batch) + " query " +
-              std::to_string(i);
-          ASSERT_EQ(batched[i].items.size(), single.items.size()) << where;
-          EXPECT_EQ(batched[i].stages_used, single.stages_used) << where;
-          EXPECT_EQ(batched[i].tiles_screened, single.tiles_screened) << where;
-          for (size_t r = 0; r < single.items.size(); ++r) {
-            EXPECT_EQ(batched[i].items[r].poi_id, single.items[r].poi_id)
-                << where << " rank " << r;
-            EXPECT_EQ(batched[i].items[r].score, single.items[r].score)
-                << where << " rank " << r;
-            EXPECT_EQ(batched[i].items[r].tile_index,
-                      single.items[r].tile_index)
-                << where << " rank " << r;
-          }
+          const std::string where = what + " batch=" + std::to_string(batch) +
+                                    " query " + std::to_string(i);
+          ExpectSameReply(batched[i], model.Recommend(requests[i]), where);
+          ExpectSameReply(batched[i], cold[i], where + " vs cold");
         }
+      }
+      // The repeated key, on a cold model (one encode, reused in the batch)
+      // and on the warm one.
+      TspnRa fresh(dataset_, config);
+      ASSERT_TRUE(fresh.LoadCheckpoint(checkpoint));
+      std::vector<eval::RecommendResponse> fresh_batch = fresh.RecommendBatch(
+          common::Span<eval::RecommendRequest>(one_key));
+      std::vector<eval::RecommendResponse> warm_batch = model.RecommendBatch(
+          common::Span<eval::RecommendRequest>(one_key));
+      for (size_t i = 0; i < one_key.size(); ++i) {
+        const std::string where = what + " one key, query " + std::to_string(i);
+        const eval::RecommendResponse want =
+            ColdReply(config, checkpoint, one_key[i]);
+        ExpectSameReply(fresh_batch[i], want, where + " cold batch");
+        ExpectSameReply(warm_batch[i], want, where + " warm batch");
       }
     }
   }
+}
+
+TEST_F(TspnRaTest, NoStaleHistoryKnowledgeAfterWeightsChange) {
+  // The history cache keeps each key's HGAT knowledge across requests. A
+  // weight change (loading another checkpoint, one online training step)
+  // must retire it: replies then equal a cold model holding the new weights.
+  eval::TrainOptions options;
+  options.epochs = 1;
+  options.max_samples_per_epoch = 24;
+  std::vector<eval::RecommendRequest> requests(6);
+  const std::vector<data::SampleRef> spread =
+      SamplesAcrossKeys(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].sample = spread[i];
+    requests[i].top_n = 10;
+  }
+  common::Span<eval::RecommendRequest> all(requests);
+  auto expect_cold_replies = [&](const TspnRa& model,
+                                 const std::string& checkpoint,
+                                 const std::string& what) {
+    std::vector<eval::RecommendResponse> batched = model.RecommendBatch(all);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const eval::RecommendResponse want =
+          ColdReply(TinyConfig(), checkpoint, requests[i]);
+      const std::string where = what + " query " + std::to_string(i);
+      ExpectSameReply(batched[i], want, where + " batch");
+      ExpectSameReply(model.Recommend(requests[i]), want, where + " single");
+    }
+  };
+
+  TspnRa served(dataset_, TinyConfig());
+  served.Train(options);
+  const std::vector<eval::RecommendResponse> before =
+      served.RecommendBatch(all);
+
+  TspnRaConfig other = TinyConfig();
+  other.seed = 99;
+  TspnRa donor(dataset_, other);
+  donor.Train(options);
+  const std::string donor_path = ::testing::TempDir() + "/tspn_donor.ckpt";
+  donor.SaveCheckpoint(donor_path);
+  ASSERT_TRUE(served.LoadCheckpoint(donor_path));
+  expect_cold_replies(served, donor_path, "after LoadState");
+  // The new weights really move the scores, so stale knowledge would show.
+  EXPECT_NE(served.Recommend(requests[0]).items[0].score,
+            before[0].items[0].score);
+
+  const data::SampleRef train = dataset_->Samples(data::Split::kTrain)[0];
+  const data::Trajectory& traj = dataset_->trajectory(train);
+  eval::OnlineSample online;
+  online.user = train.user;
+  online.history.assign(traj.checkins.begin(),
+                        traj.checkins.begin() + train.prefix_len);
+  online.target = dataset_->Target(train);
+  ASSERT_EQ(served.TrainOnline(
+                common::Span<const eval::OnlineSample>(&online, 1), options),
+            1);
+  const std::string online_path = ::testing::TempDir() + "/tspn_online.ckpt";
+  served.SaveCheckpoint(online_path);
+  expect_cold_replies(served, online_path, "after TrainOnline");
 }
 
 TEST_F(TspnRaTest, ConstrainedQueriesSatisfyPredicatesAndFillTopN) {

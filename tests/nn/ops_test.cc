@@ -126,6 +126,15 @@ TEST(OpsTest, SliceAndRow) {
   EXPECT_EQ(r.ToVector(), std::vector<float>({5, 6}));
 }
 
+TEST(OpsTest, SliceRowsOfAllRowsReturnsInput) {
+  Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4}, /*requires_grad=*/true);
+  Tensor s = SliceRows(a, 0, 2);
+  EXPECT_EQ(s.node(), a.node());
+  EXPECT_EQ(s.ToVector(), std::vector<float>({1, 2, 3, 4}));
+  SumAll(Mul(s, s)).Backward();  // d/da sum(a^2) = 2a
+  EXPECT_EQ(a.GradToVector(), std::vector<float>({2, 4, 6, 8}));
+}
+
 TEST(OpsTest, Reductions) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   EXPECT_EQ(SumAll(a).item(), 10.0f);

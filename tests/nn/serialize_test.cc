@@ -51,24 +51,5 @@ TEST(SerializeTest, RejectsGarbageInput) {
   EXPECT_FALSE(LoadParameters(params, in));
 }
 
-TEST(SerializeTest, FileRoundTrip) {
-  common::Rng rng(4);
-  Linear a(3, 2, rng);
-  Linear b(3, 2, rng);
-  std::string path = ::testing::TempDir() + "/tspn_params.bin";
-  std::vector<Tensor> a_params = a.Parameters();
-  SaveParametersToFile(a_params, path);
-  std::vector<Tensor> b_params = b.Parameters();
-  ASSERT_TRUE(LoadParametersFromFile(b_params, path));
-  EXPECT_EQ(a_params[0].at(0), b_params[0].at(0));
-}
-
-TEST(SerializeTest, MissingFileReturnsFalse) {
-  common::Rng rng(5);
-  Linear a(2, 2, rng);
-  std::vector<Tensor> params = a.Parameters();
-  EXPECT_FALSE(LoadParametersFromFile(params, "/nonexistent/path/params.bin"));
-}
-
 }  // namespace
 }  // namespace tspn::nn

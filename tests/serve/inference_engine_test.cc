@@ -236,7 +236,9 @@ TEST_F(InferenceEngineTest, HeterogeneousBatchServedPerRequest) {
 TEST_F(InferenceEngineTest, ConcurrentSubmittersStressParity) {
   // Several client threads hammer the engine at once; every reply must still
   // equal a direct per-query Recommend. This also exercises the thread
-  // safety of the model's lazily built inference caches and graph cache.
+  // safety of the model's lazily built inference caches and of its history
+  // cache, where workers racing on one key build its graph and encode its
+  // knowledge side by side.
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
   // A fresh model so EnsureInferenceCaches races from a cold start.
