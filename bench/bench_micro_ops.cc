@@ -407,6 +407,15 @@ int main() {
     auto tiny = data::CityDataset::Generate(data::CityProfile::TestTiny());
     nn::Attention attn(64, rng);
     Tensor seq = Tensor::RandomUniform({32, 64}, 1.0f, rng);
+    // A packed fusion-sized attention: 32 causal segments of 8 rows at the
+    // model's default dm 32, already projected.
+    const int64_t seg_rows = 8, segs = 32, seg_dm = 32;
+    std::vector<int64_t> seg_offsets;
+    for (int64_t s = 0; s <= segs; ++s) seg_offsets.push_back(s * seg_rows);
+    Tensor seg_q = Tensor::RandomUniform({segs * seg_rows, seg_dm}, 1.0f, rng);
+    Tensor seg_k = Tensor::RandomUniform({segs * seg_rows, seg_dm}, 1.0f, rng);
+    Tensor seg_v = Tensor::RandomUniform({segs * seg_rows, seg_dm}, 1.0f, rng);
+    const float seg_scale = 1.0f / std::sqrt(static_cast<float>(seg_dm));
     std::vector<geo::GeoPoint> points;
     for (int64_t i = 0; i < 10000; ++i) points.push_back({rng.Uniform(), rng.Uniform()});
     std::vector<int64_t> visits;
@@ -425,9 +434,17 @@ int main() {
     Tensor tile_init = Tensor::RandomUniform({qrp.NumTileNodes(), 32}, 1.0f, rng, true);
     Tensor poi_init = Tensor::RandomUniform({qrp.NumPoiNodes(), 32}, 1.0f, rng, true);
     std::vector<Case> tracked;
+    // One 32-row causal segment at dim 64: the three projections plus
+    // nn::SegmentAttention.
     tracked.push_back({"attention_fwd_32x64", {}, [&] {
                          nn::NoGradGuard guard;
                          attn.Forward(seq, seq, true);
+                       }});
+    tracked.push_back({"segment_attention_fwd_32x8", {}, [&] {
+                         nn::NoGradGuard guard;
+                         nn::SegmentAttention(seg_q, seg_k, seg_v, seg_offsets,
+                                              seg_offsets, /*causal=*/true,
+                                              seg_scale);
                        }});
     tracked.push_back({"quadtree_build_10k", {}, [&] {
                          spatial::QuadTree::Build({0, 0, 1, 1}, points,

@@ -20,51 +20,46 @@ AttentionBlock::AttentionBlock(int64_t dm, common::Rng& rng) {
   RegisterChild(norm3_.get());
 }
 
+HistoryKv AttentionBlock::ProjectHistory(const nn::Tensor& history) const {
+  return {cross_attention_->ProjectKey(history),
+          cross_attention_->ProjectValue(history)};
+}
+
 nn::Tensor AttentionBlock::Forward(const nn::Tensor& sequence,
                                    const std::vector<int64_t>& offsets,
-                                   const nn::Tensor& history,
+                                   const HistoryKv& history,
                                    const std::vector<int64_t>& hist_offsets,
-                                   common::Rng* rng, float dropout) const {
+                                   common::Rng* rng, float dropout,
+                                   bool last_rows_only) const {
   TSPN_CHECK(!training() || rng != nullptr) << "training needs a dropout rng";
   TSPN_CHECK_EQ(sequence.rank(), 2);
-  TSPN_CHECK_EQ(history.rank(), 2);
   TSPN_CHECK_EQ(offsets.size(), hist_offsets.size());
   TSPN_CHECK_GE(offsets.size(), 2u);
   const size_t batch = offsets.size() - 1;
-  // 1. Masked sequential self-attention (inverted-triangle mask): project
-  // the whole pack with one GEMM per projection, then score/softmax each
-  // segment against itself only.
-  nn::Tensor q = self_attention_->ProjectQuery(sequence);
-  nn::Tensor k = self_attention_->ProjectKey(sequence);
-  nn::Tensor v = self_attention_->ProjectValue(sequence);
-  std::vector<nn::Tensor> parts;
-  parts.reserve(batch);
-  for (size_t b = 0; b < batch; ++b) {
-    const int64_t start = offsets[b];
-    const int64_t len = offsets[b + 1] - start;
-    parts.push_back(self_attention_->ForwardProjected(
-        nn::SliceRows(q, start, len), nn::SliceRows(k, start, len),
-        nn::SliceRows(v, start, len), /*causal=*/true));
+  // The rows that query: the whole pack, or each segment's last position.
+  nn::Tensor rows = sequence;
+  std::vector<int64_t> row_offsets = offsets;
+  if (last_rows_only) {
+    std::vector<int64_t> last(batch);
+    for (size_t b = 0; b < batch; ++b) {
+      last[b] = offsets[b + 1] - 1;
+      row_offsets[b + 1] = static_cast<int64_t>(b + 1);
+    }
+    rows = nn::EmbeddingGather(sequence, last);
   }
-  nn::Tensor z_m = nn::ConcatRows(parts);
+  // 1. Masked sequential self-attention (inverted-triangle mask): one GEMM
+  // per projection over the pack, then each segment attends to itself only.
+  nn::Tensor z_m = nn::SegmentAttention(
+      self_attention_->ProjectQuery(rows), self_attention_->ProjectKey(sequence),
+      self_attention_->ProjectValue(sequence), row_offsets, offsets,
+      /*causal=*/true, self_attention_->scale());
   if (training()) z_m = nn::Dropout(z_m, dropout, *rng, /*training=*/true);
   // 2. Add & normalize (row-wise, safe over the pack).
-  nn::Tensor h1 = norm1_->Forward(nn::Add(sequence, z_m));
+  nn::Tensor h1 = norm1_->Forward(nn::Add(rows, z_m));
   // 3. Cross attention over each segment's own historical knowledge.
-  nn::Tensor cq = cross_attention_->ProjectQuery(h1);
-  nn::Tensor ck = cross_attention_->ProjectKey(history);
-  nn::Tensor cv = cross_attention_->ProjectValue(history);
-  parts.clear();
-  for (size_t b = 0; b < batch; ++b) {
-    const int64_t start = offsets[b];
-    const int64_t len = offsets[b + 1] - start;
-    const int64_t h_start = hist_offsets[b];
-    const int64_t h_len = hist_offsets[b + 1] - h_start;
-    parts.push_back(cross_attention_->ForwardProjected(
-        nn::SliceRows(cq, start, len), nn::SliceRows(ck, h_start, h_len),
-        nn::SliceRows(cv, h_start, h_len), /*causal=*/false));
-  }
-  nn::Tensor z_h = nn::ConcatRows(parts);
+  nn::Tensor z_h = nn::SegmentAttention(
+      cross_attention_->ProjectQuery(h1), history.k, history.v, row_offsets,
+      hist_offsets, /*causal=*/false, cross_attention_->scale());
   if (training()) z_h = nn::Dropout(z_h, dropout, *rng, /*training=*/true);
   nn::Tensor h2 = norm2_->Forward(nn::Add(h1, z_h));
   // 4. Feed forward (Z_f = ReLU(W_f Z_h + b_f)) over the pack.
@@ -80,15 +75,32 @@ FusionModule::FusionModule(const TspnRaConfig& config, common::Rng& rng)
   }
 }
 
+std::vector<HistoryKv> FusionModule::ProjectHistory(
+    const nn::Tensor& history) const {
+  std::vector<HistoryKv> kv;
+  kv.reserve(blocks_.size());
+  for (const auto& block : blocks_) kv.push_back(block->ProjectHistory(history));
+  return kv;
+}
+
 nn::Tensor FusionModule::Forward(const nn::Tensor& sequence,
                                  const std::vector<int64_t>& offsets,
-                                 const nn::Tensor& history,
+                                 const std::vector<HistoryKv>& history,
                                  const std::vector<int64_t>& hist_offsets,
                                  common::Rng* rng) const {
+  TSPN_CHECK_EQ(history.size(), blocks_.size());
+  // Only h_out leaves the module. At inference the final block therefore
+  // computes just each segment's last row; training keeps every row, so
+  // its dropout draws (which share the rng with negative sampling) and the
+  // checkpoint stay as they are.
+  const bool last_rows_only = !training();
   nn::Tensor h = sequence;
-  for (const auto& block : blocks_) {
-    h = block->Forward(h, offsets, history, hist_offsets, rng, config_.dropout);
+  for (size_t i = 0; i < blocks_.size(); ++i) {
+    h = blocks_[i]->Forward(h, offsets, history[i], hist_offsets, rng,
+                            config_.dropout,
+                            last_rows_only && i + 1 == blocks_.size());
   }
+  if (last_rows_only) return h;
   std::vector<nn::Tensor> last_rows;
   last_rows.reserve(offsets.size() - 1);
   for (size_t b = 0; b + 1 < offsets.size(); ++b) {

@@ -10,6 +10,14 @@
 
 namespace tspn::core {
 
+/// One attention block's cross-attention keys and values over a history
+/// ([rows, dm] each). Under frozen weights they depend on the history alone,
+/// so inference projects each history once and caches the pair.
+struct HistoryKv {
+  nn::Tensor k;
+  nn::Tensor v;
+};
+
 /// One attention block AB_i of Sec. V-A: masked sequential self-attention,
 /// add & layer-norm, cross-attention over historical knowledge, and a
 /// position-wise feed-forward — each sublayer with a residual + norm for
@@ -18,23 +26,31 @@ class AttentionBlock : public nn::Module {
  public:
   AttentionBlock(int64_t dm, common::Rng& rng);
 
+  /// The cross-attention keys and values of `history` ([rows, dm]). Rows are
+  /// projected independently, so a history projected alone gives the same
+  /// bits as inside a pack.
+  HistoryKv ProjectHistory(const nn::Tensor& history) const;
+
   /// Forward over a pack of B variable-length segments. `sequence` holds
   /// the segments concatenated row-wise ([total, dm], boundaries in
-  /// `offsets`, size B+1); `history` likewise ([total_h, dm],
-  /// `hist_offsets`, every segment at least one row). The projections,
-  /// norms and feed-forward run as single GEMMs over the whole pack; only
-  /// the softmax(QK^T)V stage runs per segment (attention must not cross
-  /// sequence boundaries). Each packed op is row-wise with a per-row
+  /// `offsets`, size B+1); `history` likewise holds each segment's
+  /// ProjectHistory pair ([total_h, dm], `hist_offsets`, every segment at
+  /// least one row). The projections, norms and feed-forward run as single
+  /// GEMMs over the whole pack, and both attentions are one
+  /// nn::SegmentAttention each. Every packed op is row-wise with a per-row
   /// accumulation order independent of the number of rows, so a segment's
   /// rows do not depend on what else is in the pack. In training mode
   /// dropout (rate `dropout`, drawn from `rng`) is applied to the packed
   /// sublayer outputs z_m and z_h; `rng` may be null only when !training().
-  /// Returns [total, dm].
+  /// Returns [total, dm], or with `last_rows_only` just each segment's last
+  /// position ([B, dm]): its query, and everything after the self-attention,
+  /// then run on B rows while the keys and values still cover all rows.
   nn::Tensor Forward(const nn::Tensor& sequence,
                      const std::vector<int64_t>& offsets,
-                     const nn::Tensor& history,
+                     const HistoryKv& history,
                      const std::vector<int64_t>& hist_offsets,
-                     common::Rng* rng, float dropout) const;
+                     common::Rng* rng, float dropout,
+                     bool last_rows_only = false) const;
 
  private:
   std::unique_ptr<nn::Attention> self_attention_;
@@ -52,13 +68,17 @@ class FusionModule : public nn::Module {
  public:
   FusionModule(const TspnRaConfig& config, common::Rng& rng);
 
+  /// Every block's ProjectHistory of `history`, in block order.
+  std::vector<HistoryKv> ProjectHistory(const nn::Tensor& history) const;
+
   /// Forward over a pack of B segments (see AttentionBlock::Forward for
-  /// the packing contract and the dropout rule). Returns h_out = H_out[-1]
-  /// per segment: [B, dm], row b the last position of segment b after the
-  /// final block.
+  /// the packing contract and the dropout rule); `history` holds one packed
+  /// pair per block. Returns h_out = H_out[-1] per segment: [B, dm], row b
+  /// the last position of segment b after the final block. In eval mode the
+  /// final block computes only those rows (bitwise the same values).
   nn::Tensor Forward(const nn::Tensor& sequence,
                      const std::vector<int64_t>& offsets,
-                     const nn::Tensor& history,
+                     const std::vector<HistoryKv>& history,
                      const std::vector<int64_t>& hist_offsets,
                      common::Rng* rng) const;
 

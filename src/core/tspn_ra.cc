@@ -45,6 +45,30 @@ int64_t HistoryKey(int32_t user, int32_t traj) {
          static_cast<int64_t>(static_cast<uint32_t>(traj));
 }
 
+/// Packs each sample's per-block K/V row-wise: block i of the result holds
+/// every sample's block i in sample order. A pack of one is the sample's own
+/// tensors (ConcatRows of one part). Writes the per-sample row offsets.
+std::vector<HistoryKv> PackHistoryKv(
+    const std::vector<std::vector<HistoryKv>>& per_sample,
+    std::vector<int64_t>* offsets) {
+  offsets->assign(per_sample.size() + 1, 0);
+  for (size_t b = 0; b < per_sample.size(); ++b) {
+    (*offsets)[b + 1] = (*offsets)[b] + per_sample[b].front().k.dim(0);
+  }
+  std::vector<HistoryKv> packed(per_sample.front().size());
+  std::vector<nn::Tensor> ks, vs;
+  for (size_t i = 0; i < packed.size(); ++i) {
+    ks.clear();
+    vs.clear();
+    for (const std::vector<HistoryKv>& kv : per_sample) {
+      ks.push_back(kv[i].k);
+      vs.push_back(kv[i].v);
+    }
+    packed[i] = {nn::ConcatRows(ks), nn::ConcatRows(vs)};
+  }
+  return packed;
+}
+
 template <typename T>
 int64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(T));
@@ -61,9 +85,10 @@ int64_t TspnRa::HistoryEntry::Bytes() const {
     bytes += VectorBytes(graph->edges(type)) + VectorBytes(list.offsets) +
              VectorBytes(list.cols);
   }
-  if (tile_knowledge.defined()) {
-    bytes += (tile_knowledge.numel() + poi_knowledge.numel()) *
-             static_cast<int64_t>(sizeof(float));
+  for (const std::vector<HistoryKv>* kvs : {&tile_kv, &poi_kv}) {
+    for (const HistoryKv& kv : *kvs) {
+      bytes += (kv.k.numel() + kv.v.numel()) * static_cast<int64_t>(sizeof(float));
+    }
   }
   return bytes;
 }
@@ -187,6 +212,17 @@ QrpEncoder::Output TspnRa::EncodeHistory(const graph::QrpGraph& graph,
   return net_->qrp.Encode(graph, tile_init, poi_init);
 }
 
+std::shared_ptr<const TspnRa::HistoryEntry> TspnRa::ProjectedEntry(
+    std::shared_ptr<const graph::QrpGraph> graph, const nn::Tensor& tile_history,
+    const nn::Tensor& poi_history, uint64_t generation) const {
+  auto entry = std::make_shared<HistoryEntry>();
+  entry->graph = std::move(graph);
+  entry->generation = generation;
+  entry->tile_kv = net_->mp1.ProjectHistory(tile_history);
+  entry->poi_kv = net_->mp2.ProjectHistory(poi_history);
+  return entry;
+}
+
 TspnRa::Features TspnRa::ExtractFeatures(const data::SampleRef& sample) const {
   const data::Trajectory& traj = dataset_->trajectory(sample);
   Features f;
@@ -280,42 +316,42 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
     poi_seq = nn::Add(poi_seq, net_->temporal.SlotEmbeddings(all_slots));
   }
   // Historical knowledge (Sec. IV-C) stays per sample — each history graph
-  // has its own structure — but the encodings are packed row-wise so the
-  // fusion stage can slice them per segment. A sample that carries its
-  // knowledge skips the HGAT encode; one without a graph attends to the
-  // learned null-history row.
-  std::vector<nn::Tensor> tile_hists, poi_hists;
-  std::vector<int64_t> tile_hist_offsets(batch + 1, 0);
-  std::vector<int64_t> poi_hist_offsets(batch + 1, 0);
-  tile_hists.reserve(batch);
-  poi_hists.reserve(batch);
-  for (size_t b = 0; b < batch; ++b) {
-    const Features& f = features[b];
+  // has its own structure — and enters fusion as every block's
+  // cross-attention K/V, packed row-wise. Inference takes the K/V its history
+  // entry carries. Training encodes the graph and projects the knowledge, or
+  // the learned null-history row when there is no graph.
+  std::vector<std::vector<HistoryKv>> tile_kvs, poi_kvs;
+  tile_kvs.reserve(batch);
+  poi_kvs.reserve(batch);
+  for (const Features& f : features) {
+    if (rng == nullptr) {
+      TSPN_CHECK(f.history != nullptr && f.history->generation != 0)
+          << "inference needs the history K/V attached";
+      tile_kvs.push_back(f.history->tile_kv);
+      poi_kvs.push_back(f.history->poi_kv);
+      continue;
+    }
     nn::Tensor tile_history = net_->null_tile_history;
     nn::Tensor poi_history = net_->null_poi_history;
-    if (f.tile_knowledge.defined()) {
-      tile_history = f.tile_knowledge;
-      poi_history = f.poi_knowledge;
-    } else if (f.history != nullptr && !f.history->graph->empty()) {
+    if (f.history != nullptr && !f.history->graph->empty()) {
       QrpEncoder::Output knowledge = EncodeHistory(*f.history->graph, et);
       tile_history = knowledge.tile_knowledge;
       poi_history = knowledge.poi_knowledge;
     }
-    tile_hist_offsets[b + 1] = tile_hist_offsets[b] + tile_history.dim(0);
-    poi_hist_offsets[b + 1] = poi_hist_offsets[b] + poi_history.dim(0);
-    tile_hists.push_back(std::move(tile_history));
-    poi_hists.push_back(std::move(poi_history));
+    tile_kvs.push_back(net_->mp1.ProjectHistory(tile_history));
+    poi_kvs.push_back(net_->mp2.ProjectHistory(poi_history));
   }
-  nn::Tensor tile_hist = nn::ConcatRows(tile_hists);
-  nn::Tensor poi_hist = nn::ConcatRows(poi_hists);
+  std::vector<int64_t> tile_hist_offsets, poi_hist_offsets;
+  const std::vector<HistoryKv> tile_kv = PackHistoryKv(tile_kvs, &tile_hist_offsets);
+  const std::vector<HistoryKv> poi_kv = PackHistoryKv(poi_kvs, &poi_hist_offsets);
   // Attention fusion (Sec. V-A) over the pack: projections, norms and
-  // feed-forward as single GEMMs, per-segment softmax inside. Training
-  // passes the dropout rng; inference passes null.
+  // feed-forward as single GEMMs, one segmented attention per sublayer.
+  // Training passes the dropout rng; inference passes null.
   BatchForwardOut out;
-  out.h_tile = net_->mp1.Forward(tile_seq, offsets, tile_hist,
+  out.h_tile = net_->mp1.Forward(tile_seq, offsets, tile_kv,
                                  tile_hist_offsets, rng);
   out.h_poi =
-      net_->mp2.Forward(poi_seq, offsets, poi_hist, poi_hist_offsets, rng);
+      net_->mp2.Forward(poi_seq, offsets, poi_kv, poi_hist_offsets, rng);
   return out;
 }
 
@@ -457,7 +493,11 @@ void TspnRa::EnsureInferenceCaches() const {
     all_cats[static_cast<size_t>(i)] = dataset_->poi(i).category;
   }
   poi_et_cache_ = nn::L2Normalize(net_->poi_encoder.Encode(all_pois, all_cats));
-  cache_generation_.fetch_add(1);
+  // Every inference sample carries K/V; one without a graph, the null
+  // history's, projected once here.
+  const uint64_t generation = cache_generation_.fetch_add(1) + 1;
+  null_history_ = ProjectedEntry(nullptr, net_->null_tile_history,
+                                 net_->null_poi_history, generation);
   caches_built_.store(true, std::memory_order_release);
 }
 
@@ -480,34 +520,29 @@ TspnRa::BatchScores TspnRa::ScoreBatch(
   for (const data::SampleRef& sample : samples) {
     features.push_back(ExtractFeatures(sample));
   }
-  // Under frozen weights a history's HGAT knowledge is one tensor pair per
-  // key, shared by every prefix of the trajectory. Take it from the history
-  // cache when it was encoded under the current inference caches; otherwise
-  // encode it once per distinct key in this batch (a planner wave repeats
-  // keys) and cache it.
+  // Under frozen weights a history's cross-attention K/V is one tensor set
+  // per key, shared by every prefix of the trajectory. Take it from the
+  // history cache when it was encoded under the current inference caches;
+  // otherwise encode it once per distinct key in this batch (a planner wave
+  // repeats keys) and cache it.
   const uint64_t generation = cache_generation_.load();
   std::unordered_map<int64_t, std::shared_ptr<const HistoryEntry>> encoded;
   for (size_t b = 0; b < features.size(); ++b) {
     Features& f = features[b];
-    if (f.history == nullptr || f.history->graph->empty()) continue;
-    std::shared_ptr<const HistoryEntry> entry = f.history;
-    if (entry->generation != generation) {
-      const int64_t key = HistoryKey(samples[b].user, samples[b].traj);
-      auto [it, missing] = encoded.try_emplace(key);
-      if (missing) {
-        QrpEncoder::Output knowledge = EncodeHistory(*entry->graph, et_cache_);
-        auto fresh = std::make_shared<HistoryEntry>();
-        fresh->graph = entry->graph;
-        fresh->generation = generation;
-        fresh->tile_knowledge = knowledge.tile_knowledge;
-        fresh->poi_knowledge = knowledge.poi_knowledge;
-        history_cache_.Put(key, fresh, fresh->Bytes());
-        it->second = std::move(fresh);
-      }
-      entry = it->second;
+    if (f.history == nullptr || f.history->graph->empty()) {
+      f.history = null_history_;
+      continue;
     }
-    f.tile_knowledge = entry->tile_knowledge;
-    f.poi_knowledge = entry->poi_knowledge;
+    if (f.history->generation == generation) continue;
+    const int64_t key = HistoryKey(samples[b].user, samples[b].traj);
+    auto [it, missing] = encoded.try_emplace(key);
+    if (missing) {
+      QrpEncoder::Output knowledge = EncodeHistory(*f.history->graph, et_cache_);
+      it->second = ProjectedEntry(f.history->graph, knowledge.tile_knowledge,
+                                  knowledge.poi_knowledge, generation);
+      history_cache_.Put(key, it->second, it->second->Bytes());
+    }
+    f.history = it->second;
   }
   BatchForwardOut fwd =
       ForwardBatch(common::Span<Features>(features), et_cache_, nullptr);

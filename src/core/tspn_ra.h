@@ -36,10 +36,11 @@ class TspnRa : public eval::NextPoiModel {
   ~TspnRa() override;
 
   /// Byte bound of the history cache: the QR-P graphs of (user, traj) keys
-  /// with their CSR lists and HGAT knowledge, least recently used evicted
-  /// first. Sized from the measured working set (docs/operations.md): at
-  /// dm 32 about 0.4 MB on NYC-sim and 12 MB on the 11k-POI metro, so the
-  /// metro set fits with room to spare even at dm 128.
+  /// with their CSR lists and cross-attention K/V, least recently used
+  /// evicted first. Sized from the measured working set (docs/operations.md):
+  /// at dm 32 about 1.3 MiB on NYC-sim and 39 MiB on the 11k-POI metro. The
+  /// K/V grows linearly in dm: from dm 64 on the metro set no longer fits,
+  /// and its least recently used keys are re-encoded on return.
   static constexpr int64_t kHistoryCacheBytes = int64_t{64} << 20;
 
   std::string name() const override { return "TSPN-RA"; }
@@ -118,17 +119,18 @@ class TspnRa : public eval::NextPoiModel {
 
   /// One history-cache entry: the QR-P graph of a (user, traj) key's
   /// earlier trajectories with its CSR lists and, once inference has
-  /// encoded it, its HGAT knowledge (H^T_<, H^P_<, Sec. IV-C) under the
-  /// weights of inference-cache generation `generation` (0: not encoded).
-  /// Immutable once cached: encoding caches a new entry sharing the graph.
+  /// encoded it, every fusion block's cross-attention K/V of its HGAT
+  /// knowledge (H^T_<, H^P_<, Sec. IV-C) under the weights of
+  /// inference-cache generation `generation` (0: not encoded). Immutable
+  /// once cached: encoding caches a new entry sharing the graph.
   struct HistoryEntry {
-    std::shared_ptr<const graph::QrpGraph> graph;
+    std::shared_ptr<const graph::QrpGraph> graph;  // null: the null history
     uint64_t generation = 0;
-    nn::Tensor tile_knowledge;  // [num_tile_nodes, dm]
-    nn::Tensor poi_knowledge;   // [num_poi_nodes, dm]
+    std::vector<HistoryKv> tile_kv;  // MP1, one pair per fusion block
+    std::vector<HistoryKv> poi_kv;   // MP2, one pair per fusion block
 
     /// What the entry charges the history cache: the graph's node ids,
-    /// edge lists and CSR lists, plus the knowledge once encoded.
+    /// edge lists and CSR lists, plus the K/V once encoded.
     int64_t Bytes() const;
   };
 
@@ -138,11 +140,10 @@ class TspnRa : public eval::NextPoiModel {
     std::vector<int64_t> time_slots;
     std::vector<int64_t> tile_rows;   // ET row (tile id) per prefix element
     std::vector<double> norm_x, norm_y;
-    std::shared_ptr<const HistoryEntry> history;  // null without use_graph
-    /// The history's HGAT knowledge, attached by ScoreBatch only. When it is
-    /// undefined (always in training) ForwardBatch encodes the graph.
-    nn::Tensor tile_knowledge;
-    nn::Tensor poi_knowledge;
+    /// Null without use_graph. ScoreBatch replaces it with an entry that
+    /// carries the K/V under the current weights (the null history's when
+    /// there is no graph); training ignores any cached K/V.
+    std::shared_ptr<const HistoryEntry> history;
     int64_t target_poi = -1;
     int64_t target_tile_index = -1;   // dense candidate-tile index
   };
@@ -175,6 +176,13 @@ class TspnRa : public eval::NextPoiModel {
   QrpEncoder::Output EncodeHistory(const graph::QrpGraph& graph,
                                    const nn::Tensor& et) const;
 
+  /// An entry over `graph` carrying MP1's K/V of `tile_history` and MP2's
+  /// of `poi_history`, stamped `generation`.
+  std::shared_ptr<const HistoryEntry> ProjectedEntry(
+      std::shared_ptr<const graph::QrpGraph> graph,
+      const nn::Tensor& tile_history, const nn::Tensor& poi_history,
+      uint64_t generation) const;
+
   /// ET for all tile ids ([num_tile_ids, dm], rows normalized); part of the
   /// autograd graph during training.
   nn::Tensor ComputeTileEmbeddings() const;
@@ -184,10 +192,11 @@ class TspnRa : public eval::NextPoiModel {
   /// row-wise and run through the embedding gathers, spatial/temporal
   /// encoders and fusion modules as whole-pack tensors (per-sample only
   /// where structure forces it: the within-sequence attention softmax, and
-  /// the HGAT encoding of a history graph whose knowledge the sample does
-  /// not carry). Returns (h_out_tau, h_out_p) as [B, dm] matrices; row b
-  /// depends on features[b] alone (with dropout off). Training passes the
-  /// dropout `rng`; inference passes null.
+  /// in training the HGAT encoding and K/V projection of each history).
+  /// Returns (h_out_tau, h_out_p) as [B, dm] matrices; row b depends on
+  /// features[b] alone (with dropout off). Training passes the dropout
+  /// `rng`; inference passes null and takes each sample's K/V from the
+  /// history entry ScoreBatch attached.
   struct BatchForwardOut {
     nn::Tensor h_tile;  // [B, dm]
     nn::Tensor h_poi;   // [B, dm]
@@ -227,7 +236,7 @@ class TspnRa : public eval::NextPoiModel {
   /// The one inference scoring core: ForwardBatch over the samples, then
   /// one GEMM per prediction stage. Every inference entry point (single
   /// query, batch, RecommendWithK, RankTiles) runs through it. It attaches
-  /// each sample's HGAT knowledge from the history cache, encoding (once per
+  /// each sample's history K/V from the history cache, encoding (once per
   /// distinct key in the batch) and caching what is missing or stale.
   BatchScores ScoreBatch(common::Span<data::SampleRef> samples) const;
 
@@ -300,20 +309,22 @@ class TspnRa : public eval::NextPoiModel {
   // callable concurrently (serve::InferenceEngine workers); every lazily
   // built mutable member below is guarded. --------------------------------
   /// (user, traj) key -> HistoryEntry, locked internally. Training reads
-  /// and fills only the graph half; the knowledge half is inference's.
+  /// and fills only the graph half; the K/V half is inference's.
   mutable common::LruCache<int64_t, HistoryEntry> history_cache_{
       kHistoryCacheBytes};
   mutable std::mutex cache_mutex_;    // guards the cache build below
   mutable nn::Tensor et_cache_;       // inference-time ET
   mutable nn::Tensor leaf_et_cache_;  // gathered + L2-normalized leaf rows
   mutable nn::Tensor poi_et_cache_;   // all POI embeddings, L2-normalized
-  /// Whether the three caches above match the current weights. Train(),
+  /// The K/V of the learned null-history rows, for samples without a graph.
+  mutable std::shared_ptr<const HistoryEntry> null_history_;
+  /// Whether the four caches above match the current weights. Train(),
   /// TrainOnline() and LoadState() clear it; EnsureInferenceCaches()
   /// rebuilds and sets it.
   mutable std::atomic<bool> caches_built_{false};
-  /// Bumped by every rebuild of the caches above. History-cache knowledge
+  /// Bumped by every rebuild of the caches above. History-cache K/V
   /// is used only under the generation it was stamped with, so re-arming
-  /// caches_built_ also retires every cached knowledge tensor.
+  /// caches_built_ also retires every cached K/V tensor.
   mutable std::atomic<uint64_t> cache_generation_{0};
 };
 

@@ -109,31 +109,9 @@ Tensor Attention::Forward(const Tensor& query_in, const Tensor& key_value_in,
                           bool causal) const {
   TSPN_CHECK_EQ(query_in.rank(), 2);
   TSPN_CHECK_EQ(key_value_in.rank(), 2);
-  return ForwardProjected(wq_.Forward(query_in), wk_.Forward(key_value_in),
-                          wv_.Forward(key_value_in), causal);
-}
-
-Tensor Attention::ForwardProjected(const Tensor& q, const Tensor& k,
-                                   const Tensor& v, bool causal) const {
-  TSPN_CHECK_EQ(q.rank(), 2);
-  TSPN_CHECK_EQ(k.rank(), 2);
-  TSPN_CHECK_EQ(v.rank(), 2);
-  Tensor scores = MulScalar(MatMul(q, Transpose(k)),
-                            1.0f / std::sqrt(static_cast<float>(dim_)));
-  if (causal) {
-    int64_t lq = q.dim(0);
-    int64_t lk = k.dim(0);
-    TSPN_CHECK_EQ(lq, lk) << "causal attention needs square score matrix";
-    std::vector<float> mask(static_cast<size_t>(lq * lk), 0.0f);
-    for (int64_t i = 0; i < lq; ++i) {
-      for (int64_t j = i + 1; j < lk; ++j) {
-        mask[static_cast<size_t>(i * lk + j)] = -1e9f;
-      }
-    }
-    scores = Add(scores, Tensor::FromVector({lq, lk}, std::move(mask)));
-  }
-  Tensor weights = Softmax(scores);
-  return MatMul(weights, v);
+  return SegmentAttention(wq_.Forward(query_in), wk_.Forward(key_value_in),
+                          wv_.Forward(key_value_in), {0, query_in.dim(0)},
+                          {0, key_value_in.dim(0)}, causal, scale());
 }
 
 }  // namespace tspn::nn

@@ -1,6 +1,7 @@
 #ifndef TSPN_NN_LAYERS_H_
 #define TSPN_NN_LAYERS_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,28 +105,26 @@ class FeedForward : public Module {
 };
 
 /// Single-head scaled-dot-product attention with optional causal masking.
-/// Computes softmax(Q K^T / sqrt(d) + mask) V where Q = q_in Wq, etc.
+/// Computes softmax(Q K^T / sqrt(d)) V where Q = q_in Wq, etc.
 class Attention : public Module {
  public:
   Attention(int64_t dim, common::Rng& rng);
 
   /// query_in: [Lq, D]; key_value_in: [Lk, D]. If `causal` is true, position
-  /// i may attend only to positions <= i (requires Lq == Lk).
+  /// i may attend only to positions <= i + (Lk - Lq) (Lq <= Lk). One segment
+  /// of SegmentAttention.
   Tensor Forward(const Tensor& query_in, const Tensor& key_value_in,
                  bool causal = false) const;
 
   /// The three input projections, exposed separately so a packed-batch
   /// caller can project many concatenated sequences with one GEMM each and
-  /// then run the per-sequence score/softmax stage via ForwardProjected().
+  /// then attend per segment with SegmentAttention(..., scale()).
   Tensor ProjectQuery(const Tensor& x) const { return wq_.Forward(x); }
   Tensor ProjectKey(const Tensor& x) const { return wk_.Forward(x); }
   Tensor ProjectValue(const Tensor& x) const { return wv_.Forward(x); }
 
-  /// Attention over already-projected q [Lq, D], k/v [Lk, D]:
-  /// softmax(q k^T / sqrt(d) + mask) v. Forward() delegates here, so both
-  /// entry points share one accumulation order bit for bit.
-  Tensor ForwardProjected(const Tensor& q, const Tensor& k, const Tensor& v,
-                          bool causal) const;
+  /// The score scale 1 / sqrt(d).
+  float scale() const { return 1.0f / std::sqrt(static_cast<float>(dim_)); }
 
  private:
   int64_t dim_;

@@ -755,6 +755,151 @@ Tensor SparseGraphAttention(const Tensor& hk, const Tensor& a_src,
 
 namespace {
 
+/// Softmax (or log-softmax) of x[0, cols) into y[0, cols); y may alias x.
+/// The one row formula behind Softmax, LogSoftmax and SegmentAttention.
+void SoftmaxRow(const float* x, float* y, int64_t cols, bool log_space) {
+  float mx = x[0];
+  for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
+  double denom = 0.0;
+  for (int64_t c = 0; c < cols; ++c) denom += std::exp(static_cast<double>(x[c] - mx));
+  float log_denom = static_cast<float>(std::log(denom));
+  for (int64_t c = 0; c < cols; ++c) {
+    float logit = x[c] - mx - log_denom;
+    y[c] = log_space ? logit : std::exp(logit);
+  }
+}
+
+}  // namespace
+
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& q_offsets,
+                        const std::vector<int64_t>& k_offsets, bool causal,
+                        float scale) {
+  TSPN_CHECK_EQ(q.rank(), 2);
+  TSPN_CHECK_EQ(k.rank(), 2);
+  TSPN_CHECK_EQ(v.rank(), 2);
+  const int64_t d = q.dim(1), dv = v.dim(1);
+  TSPN_CHECK_EQ(k.dim(1), d);
+  TSPN_CHECK_EQ(v.dim(0), k.dim(0));
+  TSPN_CHECK_EQ(q_offsets.size(), k_offsets.size());
+  TSPN_CHECK_GE(q_offsets.size(), 2u);
+  TSPN_CHECK_EQ(q_offsets.front(), 0);
+  TSPN_CHECK_EQ(k_offsets.front(), 0);
+  TSPN_CHECK_EQ(q_offsets.back(), q.dim(0));
+  TSPN_CHECK_EQ(k_offsets.back(), k.dim(0));
+  const size_t batch = q_offsets.size() - 1;
+  // Every segment's [lq, lk] attention weights are kept for backward while a
+  // graph is recorded; otherwise one buffer serves each segment in turn.
+  const bool keep = NoGradGuard::GradEnabled() &&
+                    (q.requires_grad() || k.requires_grad() || v.requires_grad());
+  std::vector<int64_t> w_offsets(batch + 1, 0);
+  int64_t max_w = 0;
+  for (size_t s = 0; s < batch; ++s) {
+    const int64_t lq = q_offsets[s + 1] - q_offsets[s];
+    const int64_t lk = k_offsets[s + 1] - k_offsets[s];
+    TSPN_CHECK_GE(lq, 0);
+    TSPN_CHECK_GE(lk, 0);
+    TSPN_CHECK(lq == 0 || lk > 0) << "segment " << s << " has queries but no keys";
+    TSPN_CHECK(!causal || lq <= lk) << "causal segment " << s << ": " << lq
+                                    << " queries over " << lk << " keys";
+    w_offsets[s + 1] = w_offsets[s] + lq * lk;
+    max_w = std::max(max_w, lq * lk);
+  }
+  std::vector<float> weights(static_cast<size_t>(keep ? w_offsets[batch] : max_w));
+  std::vector<float> out(static_cast<size_t>(q.dim(0) * dv));
+  for (size_t s = 0; s < batch; ++s) {
+    const int64_t lq = q_offsets[s + 1] - q_offsets[s];
+    const int64_t lk = k_offsets[s + 1] - k_offsets[s];
+    if (lq == 0) continue;
+    float* w = weights.data() + (keep ? w_offsets[s] : 0);
+    // Scores straight from the contiguous q and k rows: C = Y Z^T needs no
+    // transpose. A causal row softmaxes its visible keys only; the rest get
+    // weight 0, exactly what a -1e9 mask leaves after exp.
+    kernels::DotProductGemm(q.data() + q_offsets[s] * d, k.data() + k_offsets[s] * d,
+                            w, lq, lk, d, /*accumulate=*/false);
+    for (int64_t i = 0; i < lq; ++i) {
+      float* row = w + i * lk;
+      const int64_t visible = causal ? i + (lk - lq) + 1 : lk;
+      for (int64_t c = 0; c < visible; ++c) row[c] *= scale;
+      SoftmaxRow(row, row, visible, /*log_space=*/false);
+      std::fill(row + visible, row + lk, 0.0f);
+    }
+    const float* vt = kernels::TransposeScratch(v.data() + k_offsets[s] * dv, lk, dv, 0);
+    kernels::DotProductGemm(w, vt, out.data() + q_offsets[s] * dv, lq, dv, lk,
+                            /*accumulate=*/false);
+  }
+
+  std::function<void(TensorNode&)> backward;
+  if (keep) {
+    backward = [q_offsets, k_offsets, w_offsets = std::move(w_offsets),
+                weights = std::move(weights), d, dv, causal,
+                scale](TensorNode& node) {
+      const float* g = node.grad.data();
+      const float* qd = node.parents[0]->data.data();
+      const float* kd = node.parents[1]->data.data();
+      const float* vd = node.parents[2]->data.data();
+      float* gq = GradPtr(node.parents[0]);
+      float* gk = GradPtr(node.parents[1]);
+      float* gv = GradPtr(node.parents[2]);
+      std::vector<float> gw;  // one segment's dL/dweights, then dL/dscores
+      for (size_t s = 0; s + 1 < q_offsets.size(); ++s) {
+        const int64_t lq = q_offsets[s + 1] - q_offsets[s];
+        const int64_t lk = k_offsets[s + 1] - k_offsets[s];
+        if (lq == 0) continue;
+        const float* w = weights.data() + w_offsets[s];
+        const float* go = g + q_offsets[s] * dv;
+        const float* qs = qd + q_offsets[s] * d;
+        const float* ks = kd + k_offsets[s] * d;
+        const float* vs = vd + k_offsets[s] * dv;
+        // out = w v: dL/dw = g v^T and dL/dv = w^T g.
+        if (gq != nullptr || gk != nullptr) {
+          gw.resize(static_cast<size_t>(lq * lk));
+          kernels::DotProductGemm(go, vs, gw.data(), lq, lk, dv, /*accumulate=*/false);
+        }
+        if (gv != nullptr) {
+          const float* wt = kernels::TransposeScratch(w, lq, lk, 0);
+          const float* gt = kernels::TransposeScratch(go, lq, dv, 1);
+          kernels::DotProductGemm(wt, gt, gv + k_offsets[s] * dv, lk, dv, lq,
+                                  /*accumulate=*/true);
+        }
+        if (gq == nullptr && gk == nullptr) continue;
+        // Softmax backward over the visible keys, then the scale. A hidden
+        // key's weight is 0, so it adds nothing to the row's dot product and
+        // gets no gradient.
+        for (int64_t i = 0; i < lq; ++i) {
+          const float* y = w + i * lk;
+          float* gr = gw.data() + i * lk;
+          const int64_t visible = causal ? i + (lk - lq) + 1 : lk;
+          double dot = 0.0;
+          for (int64_t c = 0; c < visible; ++c) dot += static_cast<double>(gr[c]) * y[c];
+          for (int64_t c = 0; c < visible; ++c) {
+            gr[c] = y[c] * (gr[c] - static_cast<float>(dot)) * scale;
+          }
+          std::fill(gr + visible, gr + lk, 0.0f);
+        }
+        // scores = q k^T: dL/dq = gs k and dL/dk = gs^T q. Each element of a
+        // DotProductGemm is one dot product whose value does not depend on
+        // which operand is Y, so dL/dk lands in k's row layout directly.
+        if (gq != nullptr) {
+          const float* kt = kernels::TransposeScratch(ks, lk, d, 0);
+          kernels::DotProductGemm(gw.data(), kt, gq + q_offsets[s] * d, lq, d, lk,
+                                  /*accumulate=*/true);
+        }
+        if (gk != nullptr) {
+          const float* gst = kernels::TransposeScratch(gw.data(), lq, lk, 0);
+          const float* qt = kernels::TransposeScratch(qs, lq, d, 1);
+          kernels::DotProductGemm(gst, qt, gk + k_offsets[s] * d, lk, d, lq,
+                                  /*accumulate=*/true);
+        }
+      }
+    };
+  }
+  return MakeOp({q.dim(0), dv}, std::move(out), {q, k, v}, std::move(backward),
+                "segment_attention");
+}
+
+namespace {
+
 /// Shared softmax/log-softmax implementation over the last axis.
 Tensor SoftmaxImpl(const Tensor& a, bool log_space) {
   TSPN_CHECK(a.rank() == 1 || a.rank() == 2);
@@ -763,17 +908,7 @@ Tensor SoftmaxImpl(const Tensor& a, bool log_space) {
   std::vector<float> out(static_cast<size_t>(rows * cols));
   const float* pa = a.data();
   for (int64_t r = 0; r < rows; ++r) {
-    const float* x = pa + r * cols;
-    float* y = out.data() + r * cols;
-    float mx = x[0];
-    for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
-    double denom = 0.0;
-    for (int64_t c = 0; c < cols; ++c) denom += std::exp(static_cast<double>(x[c] - mx));
-    float log_denom = static_cast<float>(std::log(denom));
-    for (int64_t c = 0; c < cols; ++c) {
-      float logit = x[c] - mx - log_denom;
-      y[c] = log_space ? logit : std::exp(logit);
-    }
+    SoftmaxRow(pa + r * cols, out.data() + r * cols, cols, log_space);
   }
   std::vector<float> saved = out;
   auto backward = [rows, cols, log_space, saved = std::move(saved)](TensorNode& node) {

@@ -104,6 +104,31 @@ Tensor SparseGraphAttention(const Tensor& hk, const Tensor& a_src,
                             float negative_slope = 0.2f);
 
 // ---------------------------------------------------------------------------
+// Sequence attention.
+// ---------------------------------------------------------------------------
+
+/// Scaled dot-product attention over a pack of B segments:
+///   out_s = softmax(q_s k_s^T * scale) v_s
+/// per segment s, where q_s is rows [q_offsets[s], q_offsets[s + 1]) of q
+/// and k_s, v_s are rows [k_offsets[s], k_offsets[s + 1]) of k and v. With
+/// `causal`, query i of a segment with lq queries over lk keys sees only
+/// keys j <= i + (lk - lq): lq == lk is the usual triangle, and lq == 1 is
+/// the segment's last position, which sees every key. q, k: [*, d]; v:
+/// [*, dv]; both offset lists have B + 1 entries, and every segment with a
+/// query has a key (causal also needs lq <= lk). Returns [q.dim(0), dv],
+/// differentiable in q, k and v.
+///
+/// Row i of out_s depends only on query row i and its segment's keys and
+/// values, never on the rest of the pack. Values and gradients are bitwise
+/// those of the composed MatMul / MulScalar / -1e9-mask Add / Softmax /
+/// MatMul chain on each segment alone: masked keys get a weight of exactly
+/// zero, and every product runs through the same DotProductGemm calls.
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& q_offsets,
+                        const std::vector<int64_t>& k_offsets, bool causal,
+                        float scale);
+
+// ---------------------------------------------------------------------------
 // Normalization / probability.
 // ---------------------------------------------------------------------------
 

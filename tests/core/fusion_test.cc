@@ -28,7 +28,8 @@ TEST(AttentionBlockTest, OutputShape) {
   block.SetTraining(false);
   nn::Tensor seq = nn::Tensor::RandomUniform({5, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
-  nn::Tensor out = block.Forward(seq, One(5), hist, One(3), nullptr, 0.0f);
+  nn::Tensor out = block.Forward(seq, One(5), block.ProjectHistory(hist), One(3),
+                                 nullptr, 0.0f);
   EXPECT_EQ(out.shape(), nn::Shape({5, 16}));
 }
 
@@ -41,8 +42,10 @@ TEST(AttentionBlockTest, CausalMaskHoldsThroughBlock) {
   std::vector<float> v = seq1.ToVector();
   for (int i = 0; i < 16; ++i) v[3 * 16 + i] += 5.0f;  // perturb last element
   nn::Tensor seq2 = nn::Tensor::FromVector({4, 16}, v);
-  nn::Tensor out1 = block.Forward(seq1, One(4), hist, One(2), nullptr, 0.0f);
-  nn::Tensor out2 = block.Forward(seq2, One(4), hist, One(2), nullptr, 0.0f);
+  nn::Tensor out1 = block.Forward(seq1, One(4), block.ProjectHistory(hist),
+                                  One(2), nullptr, 0.0f);
+  nn::Tensor out2 = block.Forward(seq2, One(4), block.ProjectHistory(hist),
+                                  One(2), nullptr, 0.0f);
   // Rows 0..2 must be unaffected by the change at position 3.
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 16; ++c) {
@@ -58,8 +61,10 @@ TEST(AttentionBlockTest, HistoryInfluencesOutput) {
   nn::Tensor seq = nn::Tensor::RandomUniform({4, 16}, 1.0f, rng);
   nn::Tensor hist1 = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
   nn::Tensor hist2 = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
-  nn::Tensor out1 = block.Forward(seq, One(4), hist1, One(3), nullptr, 0.0f);
-  nn::Tensor out2 = block.Forward(seq, One(4), hist2, One(3), nullptr, 0.0f);
+  nn::Tensor out1 = block.Forward(seq, One(4), block.ProjectHistory(hist1),
+                                  One(3), nullptr, 0.0f);
+  nn::Tensor out2 = block.Forward(seq, One(4), block.ProjectHistory(hist2),
+                                  One(3), nullptr, 0.0f);
   double diff = 0.0;
   for (int64_t i = 0; i < out1.numel(); ++i) diff += std::abs(out1.at(i) - out2.at(i));
   EXPECT_GT(diff, 1e-3);
@@ -72,7 +77,8 @@ TEST(FusionModuleTest, ReturnsLastPositionVector) {
   fusion.SetTraining(false);
   nn::Tensor seq = nn::Tensor::RandomUniform({6, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({2, 16}, 1.0f, rng);
-  nn::Tensor h_out = fusion.Forward(seq, One(6), hist, One(2), nullptr);
+  nn::Tensor h_out = fusion.Forward(seq, One(6),
+                                    fusion.ProjectHistory(hist), One(2), nullptr);
   EXPECT_EQ(h_out.shape(), nn::Shape({1, 16}));
 }
 
@@ -83,7 +89,8 @@ TEST(FusionModuleTest, SingleElementSequenceWorks) {
   fusion.SetTraining(false);
   nn::Tensor seq = nn::Tensor::RandomUniform({1, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({1, 16}, 1.0f, rng);
-  nn::Tensor h_out = fusion.Forward(seq, One(1), hist, One(1), nullptr);
+  nn::Tensor h_out = fusion.Forward(seq, One(1),
+                                    fusion.ProjectHistory(hist), One(1), nullptr);
   EXPECT_EQ(h_out.shape(), nn::Shape({1, 16}));
 }
 
@@ -94,7 +101,8 @@ TEST(FusionModuleTest, GradientsReachAllBlocks) {
   fusion.SetTraining(true);
   nn::Tensor seq = nn::Tensor::RandomUniform({4, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({2, 16}, 1.0f, rng);
-  nn::Tensor h_out = fusion.Forward(seq, One(4), hist, One(2), &rng);
+  nn::Tensor h_out = fusion.Forward(seq, One(4),
+                                    fusion.ProjectHistory(hist), One(2), &rng);
   nn::SumAll(nn::Mul(h_out, h_out)).Backward();
   int64_t with_grad = 0, total = 0;
   for (const nn::Tensor& p : fusion.Parameters()) {
@@ -139,7 +147,8 @@ TEST(FusionModuleTest, PackOfThreeMatchesThreeSingleCalls) {
   common::Rng dropout_rng(9);
   nn::Tensor packed =
       packed_fusion.Forward(nn::ConcatRows(seqs), offsets,
-                            nn::ConcatRows(hists), hist_offsets, &dropout_rng);
+                            packed_fusion.ProjectHistory(nn::ConcatRows(hists)),
+                            hist_offsets, &dropout_rng);
   ASSERT_EQ(packed.shape(), nn::Shape({3, 16}));
   nn::SumAll(nn::Mul(packed, packed)).Backward();
   std::vector<std::vector<float>> packed_seq_grads, packed_hist_grads;
@@ -153,7 +162,8 @@ TEST(FusionModuleTest, PackOfThreeMatchesThreeSingleCalls) {
   nn::Tensor loss = nn::Tensor::Scalar(0.0f);
   for (size_t b = 0; b < seqs.size(); ++b) {
     nn::Tensor single =
-        single_fusion.Forward(seqs[b], One(lengths[b]), hists[b],
+        single_fusion.Forward(seqs[b], One(lengths[b]),
+                              single_fusion.ProjectHistory(hists[b]),
                               One(hist_lengths[b]), &dropout_rng);
     ASSERT_EQ(single.shape(), nn::Shape({1, 16}));
     for (int64_t j = 0; j < 16; ++j) {
@@ -180,6 +190,39 @@ TEST(FusionModuleTest, PackOfThreeMatchesThreeSingleCalls) {
           << "parameter " << p << " element " << i;
     }
   }
+}
+
+TEST(FusionModuleTest, EvalFinalBlockMatchesAllRows) {
+  // In eval mode the final block computes only each segment's last row; in
+  // training mode (dropout 0) it computes every row. h_out is the same bits.
+  const TspnRaConfig config = SmallConfig();
+  common::Rng init(10);
+  FusionModule fusion(config, init);
+
+  common::Rng data_rng(11);
+  const std::vector<int64_t> lengths = {5, 1, 16, 2};
+  const std::vector<int64_t> hist_lengths = {3, 1, 2, 17};
+  std::vector<nn::Tensor> seqs, hists;
+  std::vector<int64_t> offsets = {0}, hist_offsets = {0};
+  for (size_t b = 0; b < lengths.size(); ++b) {
+    seqs.push_back(nn::Tensor::RandomUniform({lengths[b], 16}, 1.0f, data_rng));
+    hists.push_back(nn::Tensor::RandomUniform({hist_lengths[b], 16}, 1.0f, data_rng));
+    offsets.push_back(offsets.back() + lengths[b]);
+    hist_offsets.push_back(hist_offsets.back() + hist_lengths[b]);
+  }
+  const nn::Tensor seq = nn::ConcatRows(seqs);
+  const nn::Tensor hist = nn::ConcatRows(hists);
+
+  fusion.SetTraining(true);
+  common::Rng dropout_rng(12);
+  nn::Tensor all_rows = fusion.Forward(seq, offsets, fusion.ProjectHistory(hist),
+                                       hist_offsets, &dropout_rng);
+  fusion.SetTraining(false);
+  nn::Tensor last_rows = fusion.Forward(seq, offsets, fusion.ProjectHistory(hist),
+                                        hist_offsets, nullptr);
+  ASSERT_EQ(all_rows.shape(), nn::Shape({4, 16}));
+  ASSERT_EQ(last_rows.shape(), nn::Shape({4, 16}));
+  EXPECT_EQ(last_rows.ToVector(), all_rows.ToVector());
 }
 
 }  // namespace

@@ -429,7 +429,8 @@ TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
 }
 
 TEST_F(TspnRaTest, NoStaleHistoryKnowledgeAfterWeightsChange) {
-  // The history cache keeps each key's HGAT knowledge across requests. A
+  // The history cache keeps each key's projected HGAT knowledge (every
+  // fusion block's cross-attention K/V) across requests. A
   // weight change (loading another checkpoint, one online training step)
   // must retire it: replies then equal a cold model holding the new weights.
   eval::TrainOptions options;
@@ -469,7 +470,7 @@ TEST_F(TspnRaTest, NoStaleHistoryKnowledgeAfterWeightsChange) {
   donor.SaveCheckpoint(donor_path);
   ASSERT_TRUE(served.LoadCheckpoint(donor_path));
   expect_cold_replies(served, donor_path, "after LoadState");
-  // The new weights really move the scores, so stale knowledge would show.
+  // The new weights really move the scores, so stale K/V would show.
   EXPECT_NE(served.Recommend(requests[0]).items[0].score,
             before[0].items[0].score);
 

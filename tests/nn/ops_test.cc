@@ -575,5 +575,138 @@ TEST(OpsTest, SparseGraphAttentionLeakyNegativeLogits) {
   EXPECT_NEAR(out[0], w1 * -1.0f + (1.0f - w1) * -3.0f, 1e-6f);
 }
 
+// --- SegmentAttention ---------------------------------------------------------
+
+/// The composed formula SegmentAttention replaces, on one segment:
+/// softmax(q k^T * scale + mask) v, where the mask adds -1e9 to every key
+/// j > i + (lk - lq) of query i when causal.
+Tensor ComposedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                         bool causal, float scale) {
+  Tensor scores = MulScalar(MatMul(q, Transpose(k)), scale);
+  if (causal) {
+    const int64_t lq = q.dim(0), lk = k.dim(0);
+    std::vector<float> mask(static_cast<size_t>(lq * lk), 0.0f);
+    for (int64_t i = 0; i < lq; ++i) {
+      for (int64_t j = i + (lk - lq) + 1; j < lk; ++j) {
+        mask[static_cast<size_t>(i * lk + j)] = -1e9f;
+      }
+    }
+    scores = Add(scores, Tensor::FromVector({lq, lk}, std::move(mask)));
+  }
+  return MatMul(Softmax(scores), v);
+}
+
+/// ComposedAttention per segment, sliced out of the pack and concatenated.
+Tensor ComposedSegments(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& q_offsets,
+                        const std::vector<int64_t>& k_offsets, bool causal,
+                        float scale) {
+  std::vector<Tensor> parts;
+  for (size_t s = 0; s + 1 < q_offsets.size(); ++s) {
+    const int64_t lq = q_offsets[s + 1] - q_offsets[s];
+    const int64_t lk = k_offsets[s + 1] - k_offsets[s];
+    parts.push_back(ComposedAttention(SliceRows(q, q_offsets[s], lq),
+                                      SliceRows(k, k_offsets[s], lk),
+                                      SliceRows(v, k_offsets[s], lk), causal,
+                                      scale));
+  }
+  return ConcatRows(parts);
+}
+
+std::vector<int64_t> OffsetsOf(const std::vector<int64_t>& lengths) {
+  std::vector<int64_t> offsets = {0};
+  for (int64_t len : lengths) offsets.push_back(offsets.back() + len);
+  return offsets;
+}
+
+/// Runs the op and the composed reference on the same random pack and
+/// demands bitwise-equal outputs and q/k/v gradients.
+void ExpectSegmentAttentionMatchesComposed(const std::vector<int64_t>& q_lengths,
+                                           const std::vector<int64_t>& k_lengths,
+                                           bool causal, uint64_t seed) {
+  const int64_t d = 12, dv = 20;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const std::vector<int64_t> q_offsets = OffsetsOf(q_lengths);
+  const std::vector<int64_t> k_offsets = OffsetsOf(k_lengths);
+  common::Rng rng(seed);
+  Tensor q = Tensor::RandomUniform({q_offsets.back(), d}, 1.5f, rng, true);
+  Tensor k = Tensor::RandomUniform({k_offsets.back(), d}, 1.5f, rng, true);
+  Tensor v = Tensor::RandomUniform({k_offsets.back(), dv}, 1.0f, rng, true);
+  // A random linear read-out, so every output element has its own gradient.
+  Tensor readout = Tensor::RandomUniform({q_offsets.back(), dv}, 1.0f, rng);
+
+  Tensor got = SegmentAttention(q, k, v, q_offsets, k_offsets, causal, scale);
+  SumAll(Mul(got, readout)).Backward();
+  const std::vector<std::vector<float>> got_grads = {
+      q.GradToVector(), k.GradToVector(), v.GradToVector()};
+  q.ZeroGrad();
+  k.ZeroGrad();
+  v.ZeroGrad();
+  Tensor want = ComposedSegments(q, k, v, q_offsets, k_offsets, causal, scale);
+  SumAll(Mul(want, readout)).Backward();
+
+  EXPECT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(got.ToVector(), want.ToVector());
+  EXPECT_EQ(got_grads[0], q.GradToVector());
+  EXPECT_EQ(got_grads[1], k.GradToVector());
+  EXPECT_EQ(got_grads[2], v.GradToVector());
+}
+
+// Segment lengths 1, 2, 17 and 16 (the default max_seq_len).
+const std::vector<int64_t> kSegmentLengths = {1, 2, 17, 16};
+
+TEST(SegmentAttentionTest, NonCausalMatchesComposedBitwise) {
+  ExpectSegmentAttentionMatchesComposed(kSegmentLengths, kSegmentLengths,
+                                        /*causal=*/false, 1);
+  ExpectSegmentAttentionMatchesComposed({3, 17, 1, 2}, {16, 2, 17, 1},
+                                        /*causal=*/false, 2);
+}
+
+TEST(SegmentAttentionTest, CausalTriangleMatchesComposedBitwise) {
+  ExpectSegmentAttentionMatchesComposed(kSegmentLengths, kSegmentLengths,
+                                        /*causal=*/true, 3);
+}
+
+TEST(SegmentAttentionTest, CausalFewerQueriesMatchesComposedBitwise) {
+  // lq < lk sees keys j <= i + (lk - lq); lq == 1 is the last position.
+  ExpectSegmentAttentionMatchesComposed({1, 1, 5, 16}, kSegmentLengths,
+                                        /*causal=*/true, 4);
+  ExpectSegmentAttentionMatchesComposed({1, 1, 1, 1}, kSegmentLengths,
+                                        /*causal=*/true, 5);
+}
+
+TEST(SegmentAttentionTest, OneRowKeySegmentsMatchComposedBitwise) {
+  // The null history: a single key row per segment.
+  ExpectSegmentAttentionMatchesComposed(kSegmentLengths, {1, 1, 1, 1},
+                                        /*causal=*/false, 6);
+}
+
+TEST(SegmentAttentionTest, GradientsMatchFiniteDifferences) {
+  common::Rng rng(8);
+  Tensor q = Tensor::RandomUniform({4, 3}, 1.0f, rng, true);
+  Tensor k = Tensor::RandomUniform({6, 3}, 1.0f, rng, true);
+  Tensor v = Tensor::RandomUniform({6, 2}, 1.0f, rng, true);
+  Tensor readout = Tensor::RandomUniform({4, 2}, 1.0f, rng);
+  for (bool causal : {false, true}) {
+    testing::CheckGradients({q, k, v}, [&] {
+      // Segments of (lq, lk) = (1, 2), (3, 3) and (0, 1).
+      return SumAll(Mul(SegmentAttention(q, k, v, {0, 1, 4, 4}, {0, 2, 5, 6},
+                                         causal, 0.7f),
+                        readout));
+    });
+  }
+}
+
+TEST(SegmentAttentionTest, RejectsBadOffsets) {
+  Tensor q = Tensor::Zeros({2, 4});
+  Tensor k = Tensor::Zeros({3, 4});
+  // A query segment without keys, and a causal segment with lq > lk.
+  EXPECT_DEATH(SegmentAttention(q, k, k, {0, 1, 2}, {0, 3, 3}, false, 1.0f)
+                   .ToVector(),
+               "no keys");
+  EXPECT_DEATH(SegmentAttention(k, q, q, {0, 3}, {0, 2}, true, 1.0f).ToVector(),
+               "causal");
+}
+
 }  // namespace
 }  // namespace tspn::nn

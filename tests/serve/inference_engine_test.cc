@@ -238,7 +238,7 @@ TEST_F(InferenceEngineTest, ConcurrentSubmittersStressParity) {
   // equal a direct per-query Recommend. This also exercises the thread
   // safety of the model's lazily built inference caches and of its history
   // cache, where workers racing on one key build its graph and encode its
-  // knowledge side by side.
+  // K/V side by side.
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
   // A fresh model so EnsureInferenceCaches races from a cold start.
