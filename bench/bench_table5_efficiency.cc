@@ -244,7 +244,7 @@ ThroughputResult MeasureBatched(const core::TspnRa& tspn,
 ThroughputResult MeasureEngine(const core::TspnRa& tspn,
                                const std::vector<data::SampleRef>& samples,
                                int64_t top_n) {
-  serve::EngineOptions options = serve::EngineOptions::FromEnv();
+  const serve::EngineOptions options{};
   serve::InferenceEngine engine(tspn, options);
   std::vector<std::future<eval::RecommendResponse>> futures;
   futures.reserve(samples.size());

@@ -23,7 +23,6 @@
 //
 //   ./build/cluster_demo
 //
-// Knobs (docs/operations.md): TSPN_CLUSTER_* for the router tier;
 // TSPN_CHECKPOINT_DIR overrides where the demo checkpoint lives
 // (default ".").
 
@@ -192,9 +191,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Router tier ----------------------------------------------------------
-  serve::cluster::RouterOptions router_options =
-      serve::cluster::RouterOptions::FromEnv();
-  router_options.shards.clear();
+  serve::cluster::RouterOptions router_options;
   for (int i = 0; i < kShards; ++i) {
     router_options.shards.push_back(serve::cluster::ShardConfig{
         "shard" + std::to_string(i),

@@ -19,9 +19,8 @@
 //
 //   ./build/itinerary_demo
 //
-// Knobs: TSPN_PLAN_* (docs/itinerary.md) tune the search; the demo pins
-// its own PlannerOptions for reproducibility. TSPN_CHECKPOINT_DIR
-// overrides where the checkpoint lives (default ".").
+// The demo runs the default PlannerOptions. TSPN_CHECKPOINT_DIR overrides
+// where the checkpoint lives (default ".").
 
 #include <cmath>
 #include <cstdio>

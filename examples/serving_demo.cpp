@@ -26,8 +26,6 @@
 // mixed-priority frames, and the process exits non-zero on any hung
 // reply, malformed shed frame, or counter mismatch.
 //
-// Knobs (docs/operations.md): TSPN_SERVE_THREADS, TSPN_SERVE_QUEUE_DEPTH,
-// TSPN_SERVE_MAX_BATCH, TSPN_SERVE_COALESCE_US, TSPN_SERVE_IO_THREADS;
 // TSPN_CHECKPOINT_DIR overrides where the demo's checkpoints live
 // (default ".").
 

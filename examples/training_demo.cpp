@@ -22,10 +22,6 @@
 // divergence on the control endpoint, a lobotomized candidate passing the
 // gate, no promotion landing, or a failed rollback.
 //
-// Knobs (docs/operations.md): TSPN_TRAIN_BUFFER_CAPACITY,
-// TSPN_TRAIN_CHECKPOINT_EVERY,
-// TSPN_TRAIN_BATCH_SIZE, TSPN_TRAIN_LR, TSPN_TRAIN_SHADOW_WINDOW,
-// TSPN_TRAIN_GATE_MIN_WINDOW, TSPN_TRAIN_GATE_EPSILON, TSPN_COLDSTART_TAU_KM;
 // TSPN_CHECKPOINT_DIR overrides where checkpoints live (default ".").
 
 #include <chrono>
@@ -35,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
 #include "data/dataset.h"
 #include "eval/model_registry.h"
 #include "serve/gateway.h"
@@ -153,7 +148,7 @@ int main() {
   }
 
   // 2. Trainer over a bounded stream, wired to the "city" endpoint.
-  train::TrainerOptions trainer_options = train::TrainerOptions::FromEnv();
+  train::TrainerOptions trainer_options;
   trainer_options.endpoint = "city";
   trainer_options.checkpoint_dir = dir;
   trainer_options.checkpoint_every = 48;
@@ -161,8 +156,7 @@ int main() {
   trainer_options.gate.epsilon = 0.05;
   trainer_options.gate.list_length = 10;
 
-  train::CheckinStream stream(
-      common::EnvInt("TSPN_TRAIN_BUFFER_CAPACITY", 4096));
+  train::CheckinStream stream(4096);
   train::ContinualTrainer trainer(city, &stream, &gateway, trainer_options);
   if (!trainer.Init(config, &error)) {
     std::printf("trainer init failed: %s\n", error.c_str());

@@ -13,15 +13,6 @@ int64_t EnvInt(const std::string& name, int64_t fallback) {
   return static_cast<int64_t>(value);
 }
 
-double EnvDouble(const std::string& name, double fallback) {
-  const char* raw = std::getenv(name.c_str());
-  if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return value;
-}
-
 int64_t BenchScale() {
   int64_t scale = EnvInt("TSPN_BENCH_SCALE", 1);
   return scale < 1 ? 1 : scale;

@@ -10,9 +10,6 @@ namespace tspn::common {
 /// unparsable. Used for bench scaling knobs (e.g. TSPN_BENCH_SCALE).
 int64_t EnvInt(const std::string& name, int64_t fallback);
 
-/// Reads an environment variable as double, returning `fallback` if unset.
-double EnvDouble(const std::string& name, double fallback);
-
 /// Global scale multiplier for benchmark workloads; defaults to 1.
 /// Controlled by TSPN_BENCH_SCALE.
 int64_t BenchScale();

@@ -2,6 +2,7 @@
 #define TSPN_COMMON_LRU_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -19,7 +20,7 @@ namespace tspn::common {
 /// shared_ptr<const Value>, so an entry evicted or replaced while a caller
 /// still holds it stays valid until the last holder drops it: the bound
 /// covers what the cache keeps alive, not what its callers keep.
-template <typename Key, typename Value>
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {
  public:
   explicit LruCache(int64_t capacity_bytes) : capacity_bytes_(capacity_bytes) {
@@ -72,6 +73,15 @@ class LruCache {
     }
   }
 
+  /// Drops every resident entry.
+  void Clear() {
+    std::list<Entry> dropped;  // destroyed after the lock is released
+    std::lock_guard<std::mutex> lock(mutex_);
+    dropped.swap(order_);
+    index_.clear();
+    bytes_ = 0;
+  }
+
   /// Bytes charged by the resident entries; never above capacity_bytes().
   int64_t bytes() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -96,7 +106,7 @@ class LruCache {
   const int64_t capacity_bytes_;
   mutable std::mutex mutex_;
   std::list<Entry> order_;  // most recently used first
-  std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
+  std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index_;
   int64_t bytes_ = 0;
 };
 

@@ -5,16 +5,9 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "data/poi.h"
 
 namespace tspn::eval {
-
-ColdStartPriors::Options ColdStartPriors::Options::FromEnv() {
-  Options options;
-  options.tau_km = common::EnvDouble("TSPN_COLDSTART_TAU_KM", options.tau_km);
-  return options;
-}
 
 ColdStartPriors::ColdStartPriors(
     std::shared_ptr<const data::CityDataset> dataset, Options options)

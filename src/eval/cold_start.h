@@ -30,16 +30,11 @@ namespace tspn::eval {
 /// learned ranking.
 ///
 /// Thread-safe: the trainer records visits while serving-side callers score.
-///
-/// Env knob (Options::FromEnv): TSPN_COLDSTART_TAU_KM — proximity decay
-/// length in km (1.5).
 class ColdStartPriors {
  public:
   struct Options {
-    double tau_km = 1.5;
+    double tau_km = 1.5;  ///< proximity decay length in km
     int32_t grid_cells_per_side = 16;
-
-    static Options FromEnv();
   };
 
   ColdStartPriors(std::shared_ptr<const data::CityDataset> dataset,

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <mutex>
 
 #include "common/check.h"
+#include "common/lru_cache.h"
 #include "spatial/grid_index.h"
 
 namespace tspn::eval {
@@ -72,16 +71,33 @@ std::shared_ptr<const FenceClassification> CompileFence(
   return fence;
 }
 
+/// Bytes one compiled fence holds: every one has the same grid.
+constexpr int64_t kFenceBytes = static_cast<int64_t>(
+    sizeof(FenceClassification) + kFenceGridCells * kFenceGridCells);
+
+/// Byte bound of the classification cache: 128 compiled fences.
+constexpr int64_t kFenceCacheBytes = 128 * kFenceBytes;
+
 /// Process-wide classification cache. The classification is a pure function
 /// of (region, center, radius) — nothing dataset-lifetime-bound is stored —
 /// so the key is the exact bit patterns of those seven doubles: any change
 /// of fence or region recompiles, identical recurring fences share one
-/// immutable compiled entry. Bounded FIFO so a scan over many distinct
+/// immutable compiled entry. A bounded LRU, so a scan over many distinct
 /// fences cannot grow it without bound.
 class FenceCache {
  public:
-  static constexpr size_t kMaxEntries = 128;
   using Key = std::array<uint64_t, 7>;
+
+  /// std::array has no std::hash: a hash_combine over the seven words.
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      uint64_t h = 0;
+      for (uint64_t word : key) {
+        h ^= word + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+      }
+      return static_cast<size_t>(h);
+    }
+  };
 
   static Key MakeKey(const geo::BoundingBox& region, const geo::GeoPoint& center,
                      double radius_km) {
@@ -97,45 +113,28 @@ class FenceCache {
                                                  const geo::GeoPoint& center,
                                                  double radius_km) {
     const Key key = MakeKey(region, center, radius_km);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        ++hits_;
-        return it->second;
-      }
+    if (std::shared_ptr<const FenceClassification> fence = entries_.Get(key)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return fence;
     }
-    // Compile outside the lock: concurrent first-seen fences build in
-    // parallel. On a racing duplicate, emplace keeps the first-inserted
-    // entry and this thread's identical compilation is discarded — Get
-    // never replaces an existing entry, so changing the compile logic
-    // requires a Clear(), not a re-Get.
+    // Compile outside the cache's lock: concurrent first-seen fences build
+    // in parallel. A racing duplicate replaces an identical compilation.
     std::shared_ptr<const FenceClassification> fence =
         CompileFence(region, center, radius_km);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    auto [it, inserted] = entries_.emplace(key, fence);
-    if (inserted) {
-      order_.push_back(key);
-      if (order_.size() > kMaxEntries) {
-        entries_.erase(order_.front());
-        order_.pop_front();
-      }
-    }
-    return it->second;
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    entries_.Put(key, fence, kFenceBytes);
+    return fence;
   }
 
   FenceCacheStats Stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {hits_, misses_};
+    return {hits_.load(std::memory_order_relaxed),
+            misses_.load(std::memory_order_relaxed)};
   }
 
   void Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    order_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    entries_.Clear();
+    hits_.store(0, std::memory_order_relaxed);
+    misses_.store(0, std::memory_order_relaxed);
   }
 
   static FenceCache& Global() {
@@ -144,11 +143,10 @@ class FenceCache {
   }
 
  private:
-  mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<const FenceClassification>> entries_;
-  std::deque<Key> order_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
+  common::LruCache<Key, FenceClassification, KeyHash> entries_{
+      kFenceCacheBytes};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
 };
 
 }  // namespace

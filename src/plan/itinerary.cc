@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <unordered_set>
 #include <utility>
 
-#include "common/env.h"
 #include "eval/constraints.h"
 #include "geo/geometry.h"
 #include "roadnet/tile_adjacency.h"
@@ -67,27 +65,6 @@ bool BetterPlan(const ItineraryPlan& a, const ItineraryPlan& b) {
 }
 
 }  // namespace
-
-PlannerOptions PlannerOptions::FromEnv() {
-  PlannerOptions options;
-  options.beam_width = static_cast<int32_t>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_PLAN_BEAM_WIDTH", options.beam_width), 1, 256));
-  options.candidates_per_expansion = static_cast<int32_t>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_PLAN_CANDIDATES", options.candidates_per_expansion),
-      1, 1024));
-  options.max_plans = static_cast<int32_t>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_PLAN_MAX_PLANS", options.max_plans), 1, 64));
-  options.adjacency_hops = static_cast<int32_t>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_PLAN_ADJACENCY_HOPS", options.adjacency_hops), 0,
-      64));
-  options.mcts_iterations = static_cast<int32_t>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_PLAN_MCTS_ITERS", options.mcts_iterations), 1,
-      1 << 16));
-  options.mcts_exploration = std::clamp(
-      common::EnvDouble("TSPN_PLAN_MCTS_EXPLORATION", options.mcts_exploration),
-      0.0, 1e6);
-  return options;
-}
 
 /// Everything one Plan() call carries through the search: the request, the
 /// resolved clock/geometry, the evaluator for exact open-hour checks, the
@@ -273,7 +250,7 @@ bool ItineraryPlanner::Validate(const ItineraryRequest& request,
   if (request.max_stops_per_category < 0) {
     return fail("max_stops_per_category must be non-negative");
   }
-  if (request.mode != SearchMode::kBeam && request.mode != SearchMode::kMcts) {
+  if (request.mode != SearchMode::kBeam) {
     return fail("unknown search mode");
   }
   if (!request.constraints.FenceFinite()) {
@@ -354,94 +331,6 @@ void ItineraryPlanner::SearchBeam(SearchContext& ctx) const {
   for (const Node& node : frontier) ctx.RecordTerminal(node);
 }
 
-namespace {
-
-/// Deterministic single-player UCT node. Children are materialized once
-/// (the whole feasible candidate set, in model rank order) and memoized,
-/// so repeated visits never re-query the model for the same state.
-struct MctsNode {
-  Node state;
-  bool expanded = false;
-  bool recorded = false;  ///< terminal plan already pushed to ctx
-  int64_t visits = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  std::vector<std::unique_ptr<MctsNode>> children;
-
-  bool terminal(int32_t k_stops) const {
-    return (expanded && children.empty()) ||
-           static_cast<int32_t>(state.stops.size()) >= k_stops;
-  }
-};
-
-}  // namespace
-
-void ItineraryPlanner::SearchMcts(SearchContext& ctx) const {
-  MctsNode root;
-  root.state.loc = ctx.start_loc;
-  root.state.last_poi = ctx.start_poi;
-
-  auto expand = [&ctx](MctsNode& node) {
-    if (node.expanded) return;
-    node.expanded = true;
-    if (static_cast<int32_t>(node.state.stops.size()) >= ctx.request.k_stops) {
-      return;
-    }
-    std::vector<eval::RecommendRequest> requests{ctx.StepRequest(node.state)};
-    std::vector<eval::RecommendResponse> responses = ctx.Score(requests);
-    if (responses.empty()) return;
-    for (Node& child : ctx.Children(node.state, responses[0])) {
-      auto mcts_child = std::make_unique<MctsNode>();
-      mcts_child->state = std::move(child);
-      node.children.push_back(std::move(mcts_child));
-    }
-  };
-
-  const double c = ctx.options.mcts_exploration;
-  for (int32_t iter = 0; iter < ctx.options.mcts_iterations; ++iter) {
-    // Selection: walk UCB-best children until an unexpanded or terminal
-    // node. Ties break on the lowest child index (= best model rank).
-    std::vector<MctsNode*> path{&root};
-    MctsNode* node = &root;
-    while (node->expanded && !node->terminal(ctx.request.k_stops)) {
-      MctsNode* best = nullptr;
-      double best_ucb = 0.0;
-      for (auto& child : node->children) {
-        const double exploit =
-            child->visits > 0 ? child->best_value : child->state.total_score;
-        const double ucb =
-            exploit + c * std::sqrt(std::log(static_cast<double>(
-                                        node->visits + 1)) /
-                                    static_cast<double>(child->visits + 1));
-        if (best == nullptr || ucb > best_ucb) {
-          best = child.get();
-          best_ucb = ucb;
-        }
-      }
-      node = best;
-      path.push_back(node);
-    }
-    expand(*node);
-
-    // Rollout: greedy descent along the model-best feasible child,
-    // memoized in the tree (later iterations reuse every expansion).
-    while (!node->terminal(ctx.request.k_stops)) {
-      node = node->children[0].get();
-      path.push_back(node);
-      expand(*node);
-    }
-    if (!node->recorded) {
-      node->recorded = true;
-      ctx.RecordTerminal(node->state);
-    }
-    const double value = node->state.total_score;
-    for (MctsNode* visited : path) {
-      ++visited->visits;
-      visited->best_value = std::max(visited->best_value, value);
-    }
-    if (root.terminal(ctx.request.k_stops)) break;  // nothing left to search
-  }
-}
-
 bool ItineraryPlanner::Plan(const ItineraryRequest& request,
                             ItineraryResponse* out,
                             std::string* error) const {
@@ -467,11 +356,7 @@ bool ItineraryPlanner::Plan(const ItineraryRequest& request,
         *dataset_, ctx.eval_constraints, request.start);
   }
 
-  if (request.mode == SearchMode::kMcts) {
-    SearchMcts(ctx);
-  } else {
-    SearchBeam(ctx);
-  }
+  SearchBeam(ctx);
 
   std::sort(ctx.terminals.begin(), ctx.terminals.end(), BetterPlan);
   if (static_cast<int32_t>(ctx.terminals.size()) > options_.max_plans) {

@@ -14,10 +14,10 @@
 
 namespace tspn::plan {
 
-/// How the planner searches the rollout tree (docs/itinerary.md).
+/// How the planner searches the rollout tree (docs/itinerary.md). Beam is
+/// the only mode; the request and wire layout keep the field.
 enum class SearchMode : uint8_t {
-  kBeam = 0,  ///< breadth-first beam over frontier expansions (default)
-  kMcts = 1,  ///< deterministic single-player UCT over the same expansions
+  kBeam = 0,  ///< breadth-first beam over frontier expansions
 };
 
 /// A constrained k-stop trip-planning query. The model's next-POI
@@ -99,26 +99,14 @@ struct ItineraryResponse {
 using BatchScoreFn = std::function<std::vector<eval::RecommendResponse>(
     common::Span<eval::RecommendRequest>)>;
 
-/// Planner tuning. Environment overrides (FromEnv, TSPN_PLAN_*):
-///
-///   TSPN_PLAN_BEAM_WIDTH        beam nodes kept per depth          (4)
-///   TSPN_PLAN_CANDIDATES        model candidates per expansion     (8)
-///   TSPN_PLAN_MAX_PLANS         plans returned, best first         (3)
-///   TSPN_PLAN_ADJACENCY_HOPS    quadtree-tile adjacency gate: a
-///                               candidate must lie within this many
-///                               leaf-adjacency hops of the previous
-///                               stop's leaf; 0 disables           (0)
-///   TSPN_PLAN_MCTS_ITERS        UCT iterations in kMcts mode       (128)
-///   TSPN_PLAN_MCTS_EXPLORATION  UCT exploration constant           (1.4)
+/// Planner tuning, set by the caller in code.
 struct PlannerOptions {
-  int32_t beam_width = 4;
-  int32_t candidates_per_expansion = 8;
-  int32_t max_plans = 3;
+  int32_t beam_width = 4;                 ///< beam nodes kept per depth
+  int32_t candidates_per_expansion = 8;  ///< model candidates per expansion
+  int32_t max_plans = 3;                  ///< plans returned, best first
+  /// Quadtree-tile adjacency gate: a candidate must lie within this many
+  /// leaf-adjacency hops of the previous stop's leaf; 0 disables.
   int32_t adjacency_hops = 0;
-  int32_t mcts_iterations = 128;
-  double mcts_exploration = 1.4;
-
-  static PlannerOptions FromEnv();
 };
 
 /// Hard cap on k_stops — also the per-plan stop cap the wire codec
@@ -152,7 +140,7 @@ class ItineraryPlanner {
  public:
   ItineraryPlanner(const eval::NextPoiModel& model,
                    std::shared_ptr<const data::CityDataset> dataset,
-                   PlannerOptions options = PlannerOptions::FromEnv());
+                   PlannerOptions options = {});
 
   /// Replaces the default model.RecommendBatch scorer (see BatchScoreFn).
   void set_scorer(BatchScoreFn scorer);
@@ -185,7 +173,6 @@ class ItineraryPlanner {
   struct SearchContext;
 
   void SearchBeam(SearchContext& ctx) const;
-  void SearchMcts(SearchContext& ctx) const;
 
   const eval::NextPoiModel& model_;
   std::shared_ptr<const data::CityDataset> dataset_;

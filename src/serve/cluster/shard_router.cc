@@ -4,7 +4,6 @@
 #include <chrono>
 #include <unordered_map>
 
-#include "common/env.h"
 
 namespace tspn::serve::cluster {
 
@@ -22,47 +21,6 @@ int64_t ElapsedMs(Clock::time_point since) {
 
 std::string RoutingKey(const std::string& endpoint, int32_t user) {
   return endpoint + "|" + std::to_string(user);
-}
-
-RouterOptions RouterOptions::FromEnv() {
-  RouterOptions o;
-  o.virtual_nodes = static_cast<int>(
-      std::clamp<int64_t>(common::EnvInt("TSPN_CLUSTER_VNODES", o.virtual_nodes),
-                          1, 1024));
-  o.replication = static_cast<int>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_REPLICATION", o.replication), 1, 16));
-  o.worker_threads = static_cast<int>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_WORKERS", o.worker_threads), 1, 64));
-  o.queue_depth = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_QUEUE_DEPTH", o.queue_depth), 1, 1 << 16);
-  o.ping_interval_ms = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_PING_MS", o.ping_interval_ms), 0, 60000);
-  o.call_timeout_ms = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_TIMEOUT_MS", o.call_timeout_ms), 10,
-      600000);
-  o.pool_size_per_shard = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_POOL_SIZE", o.pool_size_per_shard), 1, 64);
-  o.breaker.failure_threshold = static_cast<int>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_BREAKER_FAILURES",
-                     o.breaker.failure_threshold),
-      1, 100));
-  o.breaker.open_cooldown_ms = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_BREAKER_COOLDOWN_MS",
-                     o.breaker.open_cooldown_ms),
-      10, 600000);
-  o.rate_limit_qps =
-      common::EnvDouble("TSPN_CLUSTER_RATE_QPS", o.rate_limit_qps);
-  o.rate_limit_burst = std::clamp(
-      common::EnvDouble("TSPN_CLUSTER_RATE_BURST", o.rate_limit_burst), 1.0,
-      1e6);
-  o.reconnect_attempts = static_cast<int>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_RECONNECT_ATTEMPTS", o.reconnect_attempts),
-      0, 10));
-  o.reconnect_backoff_ms = std::clamp<int64_t>(
-      common::EnvInt("TSPN_CLUSTER_RECONNECT_BACKOFF_MS",
-                     o.reconnect_backoff_ms),
-      1, 10000);
-  return o;
 }
 
 ShardRouter::ShardRouter(RouterOptions options)

@@ -38,26 +38,11 @@ struct ShardConfig {
   common::SocketAddress address;
 };
 
-/// Router tuning. Environment overrides (FromEnv, TSPN_CLUSTER_*):
-///
-///   TSPN_CLUSTER_VNODES            virtual nodes per shard          (64)
-///   TSPN_CLUSTER_REPLICATION       default replicas per key         (1)
-///   TSPN_CLUSTER_WORKERS           routing worker threads           (4)
-///   TSPN_CLUSTER_QUEUE_DEPTH      bounded routing queue            (256)
-///   TSPN_CLUSTER_PING_MS           health ping interval; 0 disables (250)
-///   TSPN_CLUSTER_TIMEOUT_MS        per-shard call timeout when the
-///                                  request carries no deadline      (2000)
-///   TSPN_CLUSTER_POOL_SIZE         pooled connections per shard     (2)
-///   TSPN_CLUSTER_BREAKER_FAILURES  failures tripping a breaker      (3)
-///   TSPN_CLUSTER_BREAKER_COOLDOWN_MS  open-state cooldown           (1000)
-///   TSPN_CLUSTER_RATE_QPS          per-endpoint token rate; 0 = off (0)
-///   TSPN_CLUSTER_RATE_BURST        per-endpoint burst capacity      (16)
-///   TSPN_CLUSTER_RECONNECT_ATTEMPTS   FrameClient redials           (2)
-///   TSPN_CLUSTER_RECONNECT_BACKOFF_MS initial redial backoff        (20)
+/// Router tuning, set by the caller in code.
 struct RouterOptions {
   std::vector<ShardConfig> shards;
 
-  int virtual_nodes = 64;
+  int virtual_nodes = 64;  ///< virtual nodes per shard on the ring
 
   /// Replicas per key: 1 routes each key to exactly its owner; N lets hot
   /// endpoints fan reads out across the N distinct shards clockwise from
@@ -67,11 +52,12 @@ struct RouterOptions {
   /// Per-endpoint replication overrides (hot endpoints fan out harder).
   std::map<std::string, int> endpoint_replication;
 
-  int worker_threads = 4;
-  int64_t queue_depth = 256;
-  int64_t ping_interval_ms = 250;
+  int worker_threads = 4;          ///< routing worker threads
+  int64_t queue_depth = 256;       ///< bounded routing queue
+  int64_t ping_interval_ms = 250;  ///< health ping interval; 0 disables
+  /// Per-shard call timeout when the request carries no deadline.
   int64_t call_timeout_ms = 2000;
-  int64_t pool_size_per_shard = 2;
+  int64_t pool_size_per_shard = 2;  ///< pooled connections per shard
   CircuitBreakerOptions breaker;
 
   /// Per-endpoint token-bucket rate limit; <= 0 disables. Every endpoint
@@ -83,8 +69,6 @@ struct RouterOptions {
   /// FrameClient auto-reconnect budget for pooled shard connections.
   int reconnect_attempts = 2;
   int64_t reconnect_backoff_ms = 20;
-
-  static RouterOptions FromEnv();
 };
 
 /// Health + traffic counters for one shard, as seen from the router.

@@ -414,7 +414,7 @@ DecodeStatus DecodeItineraryRequest(const std::vector<uint8_t>& frame,
       reader.Pod(&c.min_open_weight);
   if (!ok) return DecodeStatus::kMalformedPayload;
   if (return_to_start > 1 || enforce_open_hours > 1 || exclude_visited > 1 ||
-      mode > static_cast<uint8_t>(plan::SearchMode::kMcts)) {
+      mode != static_cast<uint8_t>(plan::SearchMode::kBeam)) {
     return DecodeStatus::kMalformedPayload;
   }
   // The planner's own stop cap doubles as the wire cap, so no well-formed

@@ -195,7 +195,7 @@ std::vector<uint8_t> EncodeItineraryRequest(
     const std::string& endpoint, const plan::ItineraryRequest& request);
 
 /// Strict inverse: on kOk, *endpoint and *request hold exactly what was
-/// encoded. Out-of-range flag bytes, an unknown search mode, a k_stops
+/// encoded. Out-of-range flag bytes, a search mode other than kBeam, a k_stops
 /// outside [0, plan::kMaxItineraryStops] and every header violation are
 /// rejected with the usual statuses.
 DecodeStatus DecodeItineraryRequest(const std::vector<uint8_t>& frame,

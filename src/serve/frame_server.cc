@@ -10,7 +10,6 @@
 #include <unistd.h>
 #include <utility>
 
-#include "common/env.h"
 #include "serve/codec.h"
 
 namespace tspn::serve {
@@ -55,23 +54,6 @@ struct FrameServer::IoLoop {
   std::vector<std::shared_ptr<Connection>> conns;
 };
 
-FrameServerOptions FrameServerOptions::FromEnv() {
-  FrameServerOptions o;
-  o.io_threads = static_cast<int>(std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_IO_THREADS", o.io_threads), 1, 16));
-  o.max_frame_bytes = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_MAX_FRAME_BYTES", o.max_frame_bytes), 64,
-      1 << 26);
-  o.max_connections = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_MAX_CONNECTIONS", o.max_connections), 1,
-      4096);
-  o.max_inflight_per_connection = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_MAX_CONN_INFLIGHT",
-                     o.max_inflight_per_connection),
-      1, 65536);
-  return o;
-}
-
 FrameServer::FrameServer(FrameHandler& handler, FrameServerOptions options)
     : handler_(handler),
       options_(options),
@@ -84,6 +66,10 @@ FrameServer::~FrameServer() { Stop(); }
 bool FrameServer::Start(std::string* error) {
   if (running_.load()) {
     if (error != nullptr) *error = "FrameServer is already running";
+    return false;
+  }
+  if (options_.io_threads < 1) {  // the acceptor deals connections to them
+    if (error != nullptr) *error = "FrameServer needs io_threads >= 1";
     return false;
   }
   stopping_.store(false);

@@ -15,13 +15,7 @@
 
 namespace tspn::serve {
 
-/// Tuning knobs for FrameServer. Environment overrides (FromEnv):
-///
-///   TSPN_SERVE_IO_THREADS        poll-loop IO threads            (default 2)
-///   TSPN_SERVE_MAX_FRAME_BYTES   largest accepted frame          (default 1 MiB)
-///   TSPN_SERVE_MAX_CONNECTIONS   concurrent connection cap       (default 256)
-///   TSPN_SERVE_MAX_CONN_INFLIGHT per-connection in-flight frame
-///                                cap; reads throttle above it    (default 64)
+/// Tuning for FrameServer, set by the caller in code.
 struct FrameServerOptions {
   /// Dotted-quad IPv4 listen address; defaults to loopback. Use "0.0.0.0"
   /// to accept from the network.
@@ -35,9 +29,9 @@ struct FrameServerOptions {
   /// ride. The server unlinks the path on Stop.
   std::string unix_path;
 
-  int io_threads = 2;
-  int64_t max_frame_bytes = 1 << 20;
-  int64_t max_connections = 256;
+  int io_threads = 2;                 ///< poll-loop IO threads
+  int64_t max_frame_bytes = 1 << 20;  ///< largest accepted frame
+  int64_t max_connections = 256;      ///< concurrent connection cap
 
   /// Most response slots one connection may hold (requests submitted or
   /// queued-for-reply). At the cap the server stops parsing new frames off
@@ -46,8 +40,6 @@ struct FrameServerOptions {
   /// of growing the slot queue without bound. Replies flushing below the
   /// cap resume parsing and reading on the same IO pass.
   int64_t max_inflight_per_connection = 64;
-
-  static FrameServerOptions FromEnv();
 };
 
 /// Point-in-time FrameServer counters. `max_in_flight_observed` is the
@@ -100,14 +92,15 @@ struct FrameServerStats {
 class FrameServer {
  public:
   explicit FrameServer(FrameHandler& handler,
-                       FrameServerOptions options = FrameServerOptions::FromEnv());
+                       FrameServerOptions options = {});
   ~FrameServer();
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
   /// Binds, listens and spawns the acceptor + IO threads. False with
-  /// *error set when the socket cannot be stood up (port in use, bad host).
+  /// *error set when the socket cannot be stood up (port in use, bad host)
+  /// or io_threads is below 1.
   bool Start(std::string* error = nullptr);
 
   /// Stops accepting, closes every connection, joins all threads.

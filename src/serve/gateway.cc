@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.h"
 #include "serve/codec.h"
 
 namespace tspn::serve {
@@ -70,34 +69,6 @@ std::string ValidateRequest(const data::CityDataset& dataset,
 }
 
 }  // namespace
-
-OverloadPolicy OverloadPolicy::FromEnv() {
-  auto clamp = [](int64_t value, int64_t lo, int64_t hi) {
-    return std::max(lo, std::min(hi, value));
-  };
-  OverloadPolicy policy;
-  policy.degrade_high_pct =
-      clamp(common::EnvInt("TSPN_SERVE_DEGRADE_HIGH_PCT",
-                           policy.degrade_high_pct), 1, 100);
-  policy.degrade_low_pct =
-      clamp(common::EnvInt("TSPN_SERVE_DEGRADE_LOW_PCT",
-                           policy.degrade_low_pct), 0, 100);
-  // The hysteresis gap must stay a gap: a low threshold at or above the
-  // high one would re-enter degradation on the very request that left it.
-  if (policy.degrade_low_pct >= policy.degrade_high_pct) {
-    policy.degrade_low_pct = policy.degrade_high_pct - 1;
-  }
-  policy.degraded_top_n = clamp(
-      common::EnvInt("TSPN_SERVE_DEGRADED_TOP_N", policy.degraded_top_n), 0,
-      1 << 20);
-  policy.degraded_max_tiles =
-      clamp(common::EnvInt("TSPN_SERVE_DEGRADED_MAX_TILES",
-                           policy.degraded_max_tiles), 0, 1 << 30);
-  policy.shed_priority_at_or_below =
-      clamp(common::EnvInt("TSPN_SERVE_SHED_PRIORITY",
-                           policy.shed_priority_at_or_below), -1, kMaxPriority);
-  return policy;
-}
 
 void Gateway::Deployment::FoldCounters() {
   if (engine == nullptr || cumulative == nullptr) return;

@@ -32,25 +32,16 @@ namespace tspn::serve {
 /// once depth falls back to `degrade_low_pct` percent — the gap prevents
 /// flapping at the threshold. While degraded, requests are served shallower
 /// (top_n clamped, stage-1 screen widening capped) and the lowest classes
-/// are shed outright. Environment overrides (FromEnv):
-///
-///   TSPN_SERVE_DEGRADE_HIGH_PCT   enter degraded at this % of queue depth (75)
-///   TSPN_SERVE_DEGRADE_LOW_PCT    leave degraded at this % of queue depth (25)
-///   TSPN_SERVE_DEGRADED_TOP_N     top_n cap while degraded; 0 = no cap    (5)
-///   TSPN_SERVE_DEGRADED_MAX_TILES stage-1 screen cap while degraded;
-///                                 0 = no cap                              (64)
-///   TSPN_SERVE_SHED_PRIORITY      while degraded, shed classes <= this
-///                                 value; -1 = never shed by class         (0)
+/// are shed outright.
 struct OverloadPolicy {
-  int64_t degrade_high_pct = 75;
-  int64_t degrade_low_pct = 25;
-  int64_t degraded_top_n = 5;
+  int64_t degrade_high_pct = 75;  ///< enter degraded at this % of queue depth
+  int64_t degrade_low_pct = 25;   ///< leave degraded at this % of queue depth
+  int64_t degraded_top_n = 5;     ///< top_n cap while degraded; 0 = no cap
+  /// Stage-1 screen cap while degraded; 0 = no cap.
   int64_t degraded_max_tiles = 64;
   /// Numeric Priority threshold (serve/admission.h): 0 sheds background
   /// traffic while degraded, 1 also sheds bulk, -1 sheds nothing by class.
   int64_t shed_priority_at_or_below = 0;
-
-  static OverloadPolicy FromEnv();
 };
 
 /// Everything needed to stand up one named endpoint: which registry model
@@ -76,11 +67,11 @@ struct DeployConfig {
   std::map<std::string, std::string> model_options;
 
   /// Per-endpoint InferenceEngine sizing (workers, queue depth, coalescing).
-  EngineOptions engine_options = EngineOptions::FromEnv();
+  EngineOptions engine_options;
 
   /// Per-endpoint overload-degradation policy (thresholds, degraded caps,
   /// class shedding).
-  OverloadPolicy overload = OverloadPolicy::FromEnv();
+  OverloadPolicy overload;
 };
 
 /// Counters of the continual-training pipeline feeding an endpoint

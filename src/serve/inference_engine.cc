@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/percentile.h"
 #include "common/span.h"
 
@@ -30,24 +29,6 @@ uint8_t InvertPriority(Priority priority) {
 constexpr double kMinServeMarginMs = 2.0;
 
 }  // namespace
-
-EngineOptions EngineOptions::FromEnv() {
-  EngineOptions o;
-  o.num_threads = static_cast<int>(
-      std::clamp<int64_t>(common::EnvInt("TSPN_SERVE_THREADS", o.num_threads),
-                          1, 64));
-  o.max_queue_depth = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_QUEUE_DEPTH", o.max_queue_depth), 1, 1 << 20);
-  o.max_batch = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_MAX_BATCH", o.max_batch), 1, 4096);
-  o.coalesce_window_us = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_COALESCE_US", o.coalesce_window_us), 0,
-      1000000);
-  o.default_deadline_ms = std::clamp<int64_t>(
-      common::EnvInt("TSPN_SERVE_DEADLINE_MS", o.default_deadline_ms), 0,
-      3600000);
-  return o;
-}
 
 InferenceEngine::InferenceEngine(const eval::NextPoiModel& model,
                                  EngineOptions options)

@@ -20,28 +20,17 @@
 
 namespace tspn::serve {
 
-/// Tuning knobs for InferenceEngine. Every field has an environment-variable
-/// override read by FromEnv() so deployments can be tuned without a rebuild:
-///
-///   TSPN_SERVE_THREADS      worker threads draining the queue   (default 2)
-///   TSPN_SERVE_QUEUE_DEPTH  bounded request-queue capacity      (default 1024)
-///   TSPN_SERVE_MAX_BATCH    max requests coalesced per batch    (default 32)
-///   TSPN_SERVE_COALESCE_US  max micro-seconds a worker waits for
-///                           the batch to fill before serving it (default 200)
-///   TSPN_SERVE_DEADLINE_MS  deadline applied to requests that carry none;
-///                           0 disables (default 0)
+/// Tuning for InferenceEngine, set by the caller in code.
 struct EngineOptions {
-  int num_threads = 2;
-  int64_t max_queue_depth = 1024;
-  int64_t max_batch = 32;
+  int num_threads = 2;             ///< worker threads draining the queue
+  int64_t max_queue_depth = 1024;  ///< bounded request-queue capacity
+  int64_t max_batch = 32;          ///< max requests coalesced per batch
+  /// Max micro-seconds a worker waits for the batch to fill before serving it.
   int64_t coalesce_window_us = 200;
 
   /// Default completion budget for requests whose AdmissionClass carries no
   /// deadline. 0 = such requests never expire.
   int64_t default_deadline_ms = 0;
-
-  /// Defaults above overridden from the environment, clamped to sane ranges.
-  static EngineOptions FromEnv();
 };
 
 /// Aggregate serving counters; returned by InferenceEngine::GetStats().
@@ -119,7 +108,7 @@ struct EngineStats {
 class InferenceEngine {
  public:
   explicit InferenceEngine(const eval::NextPoiModel& model,
-                           EngineOptions options = EngineOptions::FromEnv());
+                           EngineOptions options = {});
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;

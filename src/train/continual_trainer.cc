@@ -5,21 +5,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "eval/model_registry.h"
 
 namespace tspn::train {
-
-TrainerOptions TrainerOptions::FromEnv() {
-  TrainerOptions options;
-  options.checkpoint_every =
-      common::EnvInt("TSPN_TRAIN_CHECKPOINT_EVERY", options.checkpoint_every);
-  options.batch_size =
-      common::EnvInt("TSPN_TRAIN_BATCH_SIZE", options.batch_size);
-  options.lr = common::EnvDouble("TSPN_TRAIN_LR", options.lr);
-  options.gate = GateOptions::FromEnv();
-  return options;
-}
 
 ContinualTrainer::ContinualTrainer(
     std::shared_ptr<const data::CityDataset> dataset, CheckinStream* stream,
@@ -32,7 +20,7 @@ ContinualTrainer::ContinualTrainer(
                                           options_.max_history}),
       evaluator_(dataset_, options_.gate),
       gate_(options_.gate),
-      priors_(dataset_, eval::ColdStartPriors::Options::FromEnv()) {
+      priors_(dataset_, eval::ColdStartPriors::Options{}) {
   TSPN_CHECK(dataset_ != nullptr);
   TSPN_CHECK(stream_ != nullptr);
   TSPN_CHECK(gateway_ != nullptr);

@@ -18,32 +18,20 @@
 
 namespace tspn::train {
 
-/// Trainer knobs, overridable from the environment (FromEnv):
-///
-///   TSPN_TRAIN_CHECKPOINT_EVERY   samples trained between candidate
-///                                 checkpoints (and gate passes)      (64)
-///   TSPN_TRAIN_BATCH_SIZE         online mini-batch size              (8)
-///   TSPN_TRAIN_LR                 online learning rate             (5e-4)
-///   TSPN_TRAIN_BUFFER_CAPACITY    CheckinStream capacity — consumed by
-///                                 whoever constructs the stream    (4096)
-///
-/// Gate knobs (TSPN_TRAIN_SHADOW_WINDOW, TSPN_TRAIN_GATE_MIN_WINDOW,
-/// TSPN_TRAIN_GATE_EPSILON) live on GateOptions::FromEnv.
+/// Continual-trainer tuning, set by the caller in code.
 struct TrainerOptions {
   std::string endpoint;        ///< gateway endpoint to promote onto
   std::string checkpoint_dir;  ///< candidate checkpoints land here
+  /// Samples trained between candidate checkpoints (and gate passes).
   int64_t checkpoint_every = 64;
-  int64_t batch_size = 8;
-  double lr = 5e-4;
+  int64_t batch_size = 8;      ///< online mini-batch size
+  double lr = 5e-4;            ///< online learning rate
   int64_t pop_batch = 128;     ///< stream events drained per loop turn
   int64_t pop_wait_ms = 100;   ///< PopBatch block bound
   int64_t window_gap_hours = 72;  ///< SampleAssembler trajectory gap
   int64_t max_history = 64;       ///< SampleAssembler history cap
   uint64_t seed = 11;
   GateOptions gate;
-
-  /// Defaults with every TSPN_TRAIN_* env override applied (gate included).
-  static TrainerOptions FromEnv();
 };
 
 /// Counters of one trainer instance. All monotonic except depth-style

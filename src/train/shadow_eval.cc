@@ -4,20 +4,9 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/stopwatch.h"
 
 namespace tspn::train {
-
-GateOptions GateOptions::FromEnv() {
-  GateOptions options;
-  options.shadow_window =
-      common::EnvInt("TSPN_TRAIN_SHADOW_WINDOW", options.shadow_window);
-  options.min_window =
-      common::EnvInt("TSPN_TRAIN_GATE_MIN_WINDOW", options.min_window);
-  options.epsilon = common::EnvDouble("TSPN_TRAIN_GATE_EPSILON", options.epsilon);
-  return options;
-}
 
 ShadowEvaluator::ShadowEvaluator(
     std::shared_ptr<const data::CityDataset> dataset, GateOptions options)

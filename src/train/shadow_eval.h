@@ -14,20 +14,14 @@
 
 namespace tspn::train {
 
-/// Gate knobs, overridable from the environment (FromEnv):
-///
-///   TSPN_TRAIN_SHADOW_WINDOW    rolling replay-window capacity       (128)
-///   TSPN_TRAIN_GATE_MIN_WINDOW  min observed samples before judging   (32)
-///   TSPN_TRAIN_GATE_EPSILON     metric slack: candidate may trail the
-///                               live model by at most this much     (0.02)
+/// Promotion-gate tuning, set by the caller in code.
 struct GateOptions {
-  int64_t shadow_window = 128;
-  int64_t min_window = 32;
+  int64_t shadow_window = 128;  ///< rolling replay-window capacity
+  int64_t min_window = 32;      ///< min observed samples before judging
+  /// Metric slack: the candidate may trail the live model by at most this.
   double epsilon = 0.02;
   int64_t batch_size = 16;
   int64_t list_length = 20;
-
-  static GateOptions FromEnv();
 };
 
 /// Outcome of one shadow evaluation. The headline metrics are Recall@10 and

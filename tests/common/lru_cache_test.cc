@@ -97,6 +97,9 @@ TEST(LruCacheTest, ConcurrentHitsMissesAndEvictions) {
   // Threads share a key space several times larger than the capacity, so
   // hits, misses, replacements and evictions interleave. Every value read
   // must be the one written for its key, and the bound must hold throughout.
+  // Even ops revisit the thread's own hot key, a reuse distance far inside
+  // the ~16 entries the capacity holds, so each thread hits on its own
+  // however the threads interleave; odd ops walk the whole key space.
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 4000;
   constexpr int64_t kKeys = 64;
@@ -110,7 +113,8 @@ TEST(LruCacheTest, ConcurrentHitsMissesAndEvictions) {
     threads.emplace_back([&, t] {
       std::vector<std::shared_ptr<const std::string>> held;
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const int64_t key = (static_cast<int64_t>(i) * 7 + t * 13) % kKeys;
+        const int64_t key =
+            i % 2 == 0 ? t : (static_cast<int64_t>(i) * 7 + t * 13) % kKeys;
         std::shared_ptr<const std::string> value = cache.Get(key);
         if (value == nullptr) {
           cache.Put(key, Value(key), 5 + key % 11);

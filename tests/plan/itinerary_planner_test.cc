@@ -3,8 +3,7 @@
 // pinned in isolation: the query-time open-hour check (the
 // POI-closes-mid-itinerary regression the once-per-request constraint mask
 // used to miss), the per-category quota, the return-to-start fence, the
-// request validation surface, and beam/MCTS agreement on a monotone
-// candidate set.
+// request validation surface and the leaf-adjacency gate.
 
 #include "plan/itinerary.h"
 
@@ -358,54 +357,6 @@ TEST_F(ItineraryPlannerTest, InfeasibleBudgetYieldsEmptyPlansNotAnError) {
   ASSERT_TRUE(planner.Plan(request, &response, &error)) << error;
   EXPECT_TRUE(response.plans.empty());
   EXPECT_GT(response.expansions, 0);
-}
-
-TEST_F(ItineraryPlannerTest, MctsAgreesWithBeamOnAMonotoneCandidateSet) {
-  // With a fixed ranking and no interactions between stops, greedy is
-  // optimal — both searches must find the same best plan, and each must be
-  // bit-deterministic across runs.
-  std::vector<eval::ScoredPoi> ranking;
-  for (const data::Poi& poi : dataset_->pois()) {
-    if (poi.id == anchor_) continue;
-    ranking.push_back({poi.id, 1.0f / static_cast<float>(ranking.size() + 1),
-                       -1});
-    if (ranking.size() >= 6) break;
-  }
-
-  ItineraryRequest request = request_;
-  request.k_stops = 3;
-  request.time_budget_hours = 1000.0;
-
-  PlannerOptions options;
-  options.mcts_iterations = 64;
-  ItineraryPlanner planner(model_, dataset_, options);
-  planner.set_scorer(FixedRanking(ranking));
-
-  ItineraryResponse beam;
-  std::string error;
-  ASSERT_TRUE(planner.Plan(request, &beam, &error)) << error;
-
-  request.mode = SearchMode::kMcts;
-  ItineraryResponse mcts;
-  ASSERT_TRUE(planner.Plan(request, &mcts, &error)) << error;
-  ItineraryResponse mcts_again;
-  ASSERT_TRUE(planner.Plan(request, &mcts_again, &error)) << error;
-
-  ASSERT_FALSE(beam.plans.empty());
-  ASSERT_FALSE(mcts.plans.empty());
-  ASSERT_EQ(beam.plans[0].stops.size(), mcts.plans[0].stops.size());
-  for (size_t i = 0; i < beam.plans[0].stops.size(); ++i) {
-    EXPECT_EQ(beam.plans[0].stops[i].poi_id, mcts.plans[0].stops[i].poi_id);
-  }
-  EXPECT_EQ(beam.plans[0].total_score, mcts.plans[0].total_score);
-
-  // MCTS determinism, counters included.
-  ASSERT_EQ(mcts.plans.size(), mcts_again.plans.size());
-  EXPECT_EQ(mcts.expansions, mcts_again.expansions);
-  EXPECT_EQ(mcts.rollouts_scored, mcts_again.rollouts_scored);
-  for (size_t p = 0; p < mcts.plans.size(); ++p) {
-    EXPECT_EQ(mcts.plans[p].total_score, mcts_again.plans[p].total_score);
-  }
 }
 
 TEST_F(ItineraryPlannerTest, AdjacencyGateRestrictsCandidatesToNearbyLeaves) {

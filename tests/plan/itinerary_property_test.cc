@@ -249,7 +249,6 @@ TEST_F(ItineraryPropertyTest, EveryPlanIsFeasibleDeterministicAndScoreExact) {
     if (rng() % 4 == 0) {
       request.start_time = 1700000000 + static_cast<int64_t>(rng() % 86400);
     }
-    request.mode = scenario % 4 == 3 ? SearchMode::kMcts : SearchMode::kBeam;
 
     // Constraint axes, drawn independently.
     if (rng() % 3 == 0) {
@@ -277,7 +276,6 @@ TEST_F(ItineraryPropertyTest, EveryPlanIsFeasibleDeterministicAndScoreExact) {
     options.beam_width = 2 + static_cast<int32_t>(rng() % 2);
     options.candidates_per_expansion = 3 + static_cast<int32_t>(rng() % 3);
     options.max_plans = 1 + static_cast<int32_t>(rng() % 3);
-    options.mcts_iterations = 12;
 
     ItineraryPlanner planner(*model_, dataset_, options);
     ItineraryResponse response;

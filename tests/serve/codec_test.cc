@@ -346,7 +346,6 @@ plan::ItineraryRequest ItineraryRequestFor(unsigned mask) {
   request.return_to_start = (mask & 2u) != 0;
   request.max_stops_per_category = (mask & 4u) ? 2 : 0;
   request.enforce_open_hours = (mask & 8u) != 0;
-  request.mode = (mask & 16u) ? plan::SearchMode::kMcts : plan::SearchMode::kBeam;
   request.constraints = ConstraintsFor(mask % 32);
   return request;
 }
@@ -490,10 +489,13 @@ TEST(CodecItineraryTest, BadFlagModeAndStopCountAreMalformed) {
   EXPECT_EQ(DecodeItineraryRequest(bad_flag, &endpoint, &decoded),
             DecodeStatus::kMalformedPayload);
 
-  std::vector<uint8_t> bad_mode = frame;
-  bad_mode[mode_offset] = 9;
-  EXPECT_EQ(DecodeItineraryRequest(bad_mode, &endpoint, &decoded),
-            DecodeStatus::kMalformedPayload);
+  for (const uint8_t mode : {uint8_t{1}, uint8_t{9}}) {  // only kBeam (0)
+    std::vector<uint8_t> bad_mode = frame;
+    bad_mode[mode_offset] = mode;
+    EXPECT_EQ(DecodeItineraryRequest(bad_mode, &endpoint, &decoded),
+              DecodeStatus::kMalformedPayload)
+        << "mode byte " << int{mode};
+  }
 
   std::vector<uint8_t> bad_k = frame;
   const int32_t too_many = plan::kMaxItineraryStops + 1;

@@ -118,6 +118,15 @@ TEST_F(FrameServerTest, RoundTripIsBitIdenticalToServeFrame) {
   server.Stop();
 }
 
+TEST_F(FrameServerTest, StartRefusesZeroIoThreads) {
+  // With no IO loop the acceptor would deal a connection modulo zero.
+  Gateway gateway;
+  FrameServer server(gateway, ServerOptions(0));
+  std::string error;
+  EXPECT_FALSE(server.Start(&error));
+  EXPECT_NE(error.find("io_threads"), std::string::npos) << error;
+}
+
 TEST_F(FrameServerTest, PipelinedFramesComeBackInRequestOrder) {
   Gateway gateway;
   ASSERT_TRUE(gateway.Deploy("city", Config(2)));

@@ -350,27 +350,6 @@ TEST(InferenceEngineErrorTest, ThrowingModelFailsFuturesNotTheEngine) {
   engine.Shutdown();
 }
 
-TEST(EngineOptionsTest, EnvOverridesAreReadAndClamped) {
-  setenv("TSPN_SERVE_THREADS", "3", 1);
-  setenv("TSPN_SERVE_QUEUE_DEPTH", "7", 1);
-  setenv("TSPN_SERVE_MAX_BATCH", "0", 1);  // clamped up to 1
-  setenv("TSPN_SERVE_COALESCE_US", "1234", 1);
-  setenv("TSPN_SERVE_DEADLINE_MS", "-5", 1);  // clamped up to 0 (disabled)
-  EngineOptions options = EngineOptions::FromEnv();
-  EXPECT_EQ(options.num_threads, 3);
-  EXPECT_EQ(options.max_queue_depth, 7);
-  EXPECT_EQ(options.max_batch, 1);
-  EXPECT_EQ(options.coalesce_window_us, 1234);
-  EXPECT_EQ(options.default_deadline_ms, 0);
-  setenv("TSPN_SERVE_DEADLINE_MS", "2500", 1);
-  EXPECT_EQ(EngineOptions::FromEnv().default_deadline_ms, 2500);
-  unsetenv("TSPN_SERVE_THREADS");
-  unsetenv("TSPN_SERVE_QUEUE_DEPTH");
-  unsetenv("TSPN_SERVE_MAX_BATCH");
-  unsetenv("TSPN_SERVE_COALESCE_US");
-  unsetenv("TSPN_SERVE_DEADLINE_MS");
-}
-
 // --- Admission control: deadlines, priorities, eviction, expiry --------------
 
 /// A model whose inference blocks until Release(): tests park the single
