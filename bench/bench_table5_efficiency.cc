@@ -250,7 +250,10 @@ ThroughputResult MeasureEngine(const core::TspnRa& tspn,
   futures.reserve(samples.size());
   common::Stopwatch total;
   for (const data::SampleRef& sample : samples) {
-    futures.push_back(engine.Submit(sample, top_n));
+    eval::RecommendRequest request;
+    request.sample = sample;
+    request.top_n = top_n;
+    futures.push_back(engine.Submit(request));
   }
   for (auto& future : futures) future.get();
   const double seconds = total.ElapsedSeconds();

@@ -33,6 +33,7 @@
 
 #include "data/dataset.h"
 #include "eval/model_registry.h"
+#include "serve/codec.h"
 #include "serve/gateway.h"
 #include "train/continual_trainer.h"
 #include "train/live_feed.h"
@@ -77,17 +78,27 @@ class LobotomizedModel : public eval::NextPoiModel {
   }
 };
 
-/// Serves `samples` through the endpoint and returns the responses.
+/// Serves `samples` through the endpoint's wire path and returns the
+/// responses. A reply that is not a response frame is printed, clears *ok
+/// and comes back as an empty response.
 std::vector<eval::RecommendResponse> Probe(
     serve::Gateway& gateway, const std::string& endpoint,
-    const std::vector<data::SampleRef>& samples) {
-  std::vector<eval::RecommendResponse> responses;
-  responses.reserve(samples.size());
-  for (const data::SampleRef& sample : samples) {
+    const std::vector<data::SampleRef>& samples, bool* ok) {
+  std::vector<eval::RecommendResponse> responses(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
     eval::RecommendRequest request;
-    request.sample = sample;
+    request.sample = samples[i];
     request.top_n = 10;
-    responses.push_back(gateway.Submit(endpoint, request).get());
+    const std::vector<uint8_t> reply =
+        gateway.ServeFrame(serve::EncodeRecommendRequest(endpoint, request));
+    if (serve::DecodeRecommendResponse(reply, &responses[i]) !=
+        serve::DecodeStatus::kOk) {
+      std::string message = "not an error frame either";
+      serve::DecodeErrorFrame(reply, &message);
+      std::printf("FAIL: probe of '%s' got no response: %s\n",
+                  endpoint.c_str(), message.c_str());
+      *ok = false;
+    }
   }
   return responses;
 }
@@ -177,7 +188,7 @@ int main() {
   const std::vector<data::SampleRef> probe_samples(
       window.begin(), window.begin() + std::min<size_t>(window.size(), 8));
   const std::vector<eval::RecommendResponse> baseline =
-      Probe(gateway, "frozen", probe_samples);
+      Probe(gateway, "frozen", probe_samples, &ok);
 
   trainer.Start();
   train::LiveFeed::Options feed_options;
@@ -191,7 +202,7 @@ int main() {
               static_cast<long long>(total_events));
   int64_t probes_while_training = 0;
   while (feed.PumpInto(stream, 64) > 0) {
-    if (!Identical(baseline, Probe(gateway, "frozen", probe_samples))) {
+    if (!Identical(baseline, Probe(gateway, "frozen", probe_samples, &ok))) {
       fail("serving diverged on an unchanged checkpoint while training");
     }
     ++probes_while_training;
@@ -201,7 +212,7 @@ int main() {
     fail("trainer thread hung (Finish timed out)");
     return 1;  // nothing below is meaningful with a wedged thread
   }
-  if (!Identical(baseline, Probe(gateway, "frozen", probe_samples))) {
+  if (!Identical(baseline, Probe(gateway, "frozen", probe_samples, &ok))) {
     fail("serving diverged on an unchanged checkpoint after training");
   }
   std::printf("Control endpoint stayed bit-identical across %lld mid-training "

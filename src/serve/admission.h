@@ -24,8 +24,8 @@ inline constexpr uint8_t kMaxPriority = 2;
 const char* PriorityName(Priority priority);
 
 /// Per-request admission parameters, carried by every request frame and by
-/// the class-aware submit overloads. The defaults are the interactive class
-/// with no deadline.
+/// both engine submits. The defaults are the interactive class with no
+/// deadline.
 struct AdmissionClass {
   /// Relative completion budget in milliseconds, measured from submit.
   /// 0 disables the deadline (the engine may still impose

@@ -242,7 +242,7 @@ std::vector<uint8_t> ShardRouter::ForwardWithFailover(
     const std::string& key, int64_t deadline_ms,
     const std::function<std::vector<uint8_t>(int64_t)>& rewrite) {
   const std::vector<std::string> replicas =
-      ring_.ShardsFor(key, ReplicationFor(endpoint));
+      ring_.ShardsFor(key, std::max(1, options_.replication));
   if (replicas.empty()) {
     shard_unavailable_.fetch_add(1);
     router_errors_.fetch_add(1);
@@ -485,26 +485,14 @@ ClusterStats ShardRouter::Snapshot() {
   return stats;
 }
 
-int ShardRouter::ReplicationFor(const std::string& endpoint) const {
-  auto it = options_.endpoint_replication.find(endpoint);
-  const int replicas =
-      it != options_.endpoint_replication.end() ? it->second
-                                                : options_.replication;
-  return std::max(1, replicas);
-}
-
 TokenBucket& ShardRouter::BucketFor(const std::string& endpoint) {
   std::lock_guard<std::mutex> lock(buckets_mutex_);
   auto it = buckets_.find(endpoint);
   if (it == buckets_.end()) {
-    double rate = options_.rate_limit_qps;
-    auto override_it = options_.endpoint_rate_qps.find(endpoint);
-    if (override_it != options_.endpoint_rate_qps.end()) {
-      rate = override_it->second;
-    }
     it = buckets_
-             .emplace(endpoint, std::make_unique<TokenBucket>(
-                                    rate, options_.rate_limit_burst))
+             .emplace(endpoint,
+                      std::make_unique<TokenBucket>(options_.rate_limit_qps,
+                                                    options_.rate_limit_burst))
              .first;
   }
   return *it->second;

@@ -49,9 +49,6 @@ struct RouterOptions {
   /// the key, and gives failover somewhere to go.
   int replication = 1;
 
-  /// Per-endpoint replication overrides (hot endpoints fan out harder).
-  std::map<std::string, int> endpoint_replication;
-
   int worker_threads = 4;          ///< routing worker threads
   int64_t queue_depth = 256;       ///< bounded routing queue
   int64_t ping_interval_ms = 250;  ///< health ping interval; 0 disables
@@ -61,10 +58,9 @@ struct RouterOptions {
   CircuitBreakerOptions breaker;
 
   /// Per-endpoint token-bucket rate limit; <= 0 disables. Every endpoint
-  /// gets its own bucket at this rate unless endpoint_rate_qps overrides.
+  /// gets its own bucket at this rate.
   double rate_limit_qps = 0.0;
   double rate_limit_burst = 16.0;
-  std::map<std::string, double> endpoint_rate_qps;
 
   /// FrameClient auto-reconnect budget for pooled shard connections.
   int reconnect_attempts = 2;
@@ -216,7 +212,6 @@ class ShardRouter : public FrameHandler {
   /// Polls one shard's stats; false when unreachable.
   bool PollShardStats(Shard& shard, WireStatsSnapshot* out);
 
-  int ReplicationFor(const std::string& endpoint) const;
   TokenBucket& BucketFor(const std::string& endpoint);
 
   void RunWorker();

@@ -75,8 +75,8 @@ struct FrameServerStats {
 /// the listen socket, round-robins new connections across the IO pool) and
 /// `io_threads` poll-based event-loop threads, each owning a shard of
 /// connections. An IO thread reads bytes, extracts complete frames, and
-/// hands each to Gateway::ServeFrameAsync — the request then lives in the
-/// endpoint engine's queue and NO thread waits on it. When a serving
+/// hands each to FrameHandler::HandleFrameAsync — the request then lives in
+/// the endpoint engine's queue and NO thread waits on it. When a serving
 /// worker completes the request, its continuation deposits the encoded
 /// reply into the connection's response slot and wakes the owning IO
 /// thread, which writes replies back strictly in per-connection request

@@ -1,7 +1,8 @@
 #include "serve/gateway.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <future>
+#include <system_error>
 #include <utility>
 
 #include "serve/codec.h"
@@ -25,20 +26,14 @@ ErrorCode CodeForShed(ShedReason reason) {
   return ErrorCode::kGeneric;
 }
 
-std::future<eval::RecommendResponse> BrokenFuture(const std::string& message) {
-  std::promise<eval::RecommendResponse> broken;
-  broken.set_exception(std::make_exception_ptr(std::runtime_error(message)));
-  return broken.get_future();
-}
-
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
 /// Guards the serving threads against out-of-range requests: dataset
 /// accessors bounds-check with TSPN_CHECK, which aborts the process — a
-/// wire frame with a bogus sample index must come back as a failed future
-/// (ServeFrame turns it into an error frame), never kill the gateway.
+/// wire frame with a bogus sample index must come back as an error frame,
+/// never kill the gateway.
 /// Returns an empty string when the request is servable.
 std::string ValidateRequest(const data::CityDataset& dataset,
                             const eval::RecommendRequest& request) {
@@ -138,7 +133,7 @@ Gateway::Deployment::LifetimeTotals Gateway::Deployment::GetLifetimeTotals() {
 
 Gateway::Deployment::~Deployment() {
   // Drain before teardown: Shutdown() serves everything already queued and
-  // joins the workers, so no accepted request's future is ever dropped.
+  // joins the workers, so no accepted request's continuation is dropped.
   if (engine != nullptr) {
     engine->Shutdown();
     // Final fold, after the drain: the eager fold at swap time already
@@ -311,33 +306,41 @@ bool Gateway::Swap(const std::string& endpoint,
   return true;
 }
 
-void Gateway::StartAsyncOp(std::function<void()> op) {
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  std::thread thread([op = std::move(op), done] {
-    op();
-    done->store(true);
-  });
-  // Reap workers that already finished, so the worker list stays bounded
-  // by the number of genuinely concurrent plans. The joins run with the
-  // gateway mutex RELEASED: a finished worker's epilogue is trivial, but
-  // holding mutex_ across any join would stall every Submit/ServeFrame on
-  // every endpoint if that ever stopped being true.
-  std::vector<AsyncWorker> finished;
+bool Gateway::TryStartPlanWorker(std::function<void()> op) {
+  // Reap workers that already finished, so the list holds only live plans.
+  // The joins run with the gateway mutex RELEASED: a finished worker's
+  // epilogue is trivial, but holding mutex_ across any join would stall
+  // every frame on every endpoint if that ever stopped being true. The
+  // count check and the start share one critical section, so concurrent
+  // callers can never overshoot the cap.
+  std::vector<PlanWorker> finished;
+  bool started = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = async_workers_.begin(); it != async_workers_.end();) {
+    for (auto it = plan_workers_.begin(); it != plan_workers_.end();) {
       if (it->done->load()) {
         finished.push_back(std::move(*it));
-        it = async_workers_.erase(it);
+        it = plan_workers_.erase(it);
       } else {
         ++it;
       }
     }
-    async_workers_.push_back({std::move(thread), std::move(done)});
+    if (plan_workers_.size() < kMaxPlanWorkers) {
+      auto done = std::make_shared<std::atomic<bool>>(false);
+      try {
+        std::thread thread([op = std::move(op), done] {
+          op();
+          done->store(true);
+        });
+        plan_workers_.push_back({std::move(thread), std::move(done)});
+        started = true;
+      } catch (const std::system_error&) {
+        // The OS refused a thread: answered like the cap, as a shed.
+      }
+    }
   }
-  for (AsyncWorker& worker : finished) {
-    if (worker.thread.joinable()) worker.thread.join();
-  }
+  for (PlanWorker& worker : finished) worker.thread.join();
+  return started;
 }
 
 bool Gateway::Undeploy(const std::string& endpoint, std::string* error) {
@@ -406,53 +409,6 @@ bool Gateway::ShapeForOverload(Deployment& deployment,
   return true;
 }
 
-std::future<eval::RecommendResponse> Gateway::Submit(
-    const std::string& endpoint, const eval::RecommendRequest& request) {
-  return Submit(endpoint, request, AdmissionClass{});
-}
-
-std::future<eval::RecommendResponse> Gateway::Submit(
-    const std::string& endpoint, const eval::RecommendRequest& request,
-    const AdmissionClass& admission) {
-  // The copied shared_ptr pins this deployment generation for the duration
-  // of the call: a concurrent Swap/Undeploy cannot destroy the engine
-  // while it is accepting this request.
-  std::shared_ptr<Deployment> deployment = CurrentDeployment(endpoint);
-  if (deployment == nullptr) {
-    return BrokenFuture("no endpoint '" + endpoint + "' is deployed");
-  }
-  const std::string invalid =
-      ValidateRequest(*deployment->config.dataset, request);
-  if (!invalid.empty()) {
-    return BrokenFuture("invalid request for endpoint '" + endpoint +
-                        "': " + invalid);
-  }
-  eval::RecommendRequest shaped = request;
-  if (!ShapeForOverload(*deployment, &shaped, admission.priority)) {
-    std::promise<eval::RecommendResponse> shed;
-    shed.set_exception(std::make_exception_ptr(ShedError(
-        ShedReason::kCapacity,
-        "request shed (kCapacity): endpoint '" + endpoint +
-            "' is degraded and sheds " +
-            std::string(PriorityName(admission.priority)) + " traffic")));
-    return shed.get_future();
-  }
-  return deployment->engine->Submit(shaped, admission);
-}
-
-bool Gateway::PlanItinerary(const std::string& endpoint,
-                            const plan::ItineraryRequest& request,
-                            plan::ItineraryResponse* out, std::string* error) {
-  // Pinning the generation keeps model + engine + planner alive for the
-  // whole (blocking) search, exactly like Submit does for one request.
-  std::shared_ptr<Deployment> deployment = CurrentDeployment(endpoint);
-  if (deployment == nullptr) {
-    SetError(error, "no endpoint '" + endpoint + "' is deployed");
-    return false;
-  }
-  return deployment->planner->Plan(request, out, error);
-}
-
 std::vector<uint8_t> Gateway::ServeItineraryFrame(
     const std::vector<uint8_t>& frame) {
   std::string endpoint;
@@ -463,17 +419,19 @@ std::vector<uint8_t> Gateway::ServeItineraryFrame(
                                 DecodeStatusName(status),
                             ErrorCode::kBadFrame);
   }
+  // Pinning the generation keeps model + engine + planner alive for the
+  // whole (blocking) search.
+  std::shared_ptr<Deployment> deployment = CurrentDeployment(endpoint);
+  if (deployment == nullptr) {
+    return EncodeErrorFrame("no endpoint '" + endpoint + "' is deployed",
+                            ErrorCode::kUnknownEndpoint);
+  }
   try {
     plan::ItineraryResponse response;
     std::string error;
-    if (!PlanItinerary(endpoint, request, &response, &error)) {
-      ErrorCode code = ErrorCode::kModelFailure;
-      if (error.rfind("no endpoint", 0) == 0) {
-        code = ErrorCode::kUnknownEndpoint;
-      } else if (error.rfind("invalid request", 0) == 0) {
-        code = ErrorCode::kInvalidRequest;
-      }
-      return EncodeErrorFrame(error, code);
+    // Plan refuses only requests that fail its validation.
+    if (!deployment->planner->Plan(request, &response, &error)) {
+      return EncodeErrorFrame(error, ErrorCode::kInvalidRequest);
     }
     return EncodeItineraryResponse(response);
   } catch (const ShedError& e) {
@@ -513,25 +471,30 @@ std::vector<uint8_t> Gateway::ServeFrame(const std::vector<uint8_t>& request_fra
   // serving worker after get() has woken this thread.
   auto reply = std::make_shared<std::promise<std::vector<uint8_t>>>();
   std::future<std::vector<uint8_t>> future = reply->get_future();
-  ServeFrameAsync(request_frame, [reply](std::vector<uint8_t> frame) {
+  HandleFrameAsync(request_frame, [reply](std::vector<uint8_t> frame) {
     reply->set_value(std::move(frame));
   });
   return future.get();
 }
 
-void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
-                              FrameCallback done) {
+void Gateway::HandleFrameAsync(const std::vector<uint8_t>& request_frame,
+                               FrameCallback done) {
   FrameType frame_type = FrameType::kRequest;
   if (PeekFrameType(request_frame, &frame_type) == DecodeStatus::kOk &&
       frame_type != FrameType::kRequest) {
     if (frame_type == FrameType::kItineraryRequest) {
       // A plan blocks across several rollout waves — far too heavy for the
-      // transport thread. A reaped background worker runs it (itineraries
-      // are low-QPS by construction); the gateway destructor joins every
-      // worker, so `done` always fires.
-      StartAsyncOp([this, frame = request_frame, done = std::move(done)] {
-        done(ServeItineraryFrame(frame));
-      });
+      // transport thread. A plan worker runs it; the gateway destructor
+      // joins every worker, so `done` always fires. `done` is copied into
+      // the worker: when none can start, it still answers the shed here.
+      if (!TryStartPlanWorker([this, frame = request_frame, done] {
+            done(ServeItineraryFrame(frame));
+          })) {
+        done(EncodeErrorFrame("itinerary shed (kCapacity): " +
+                                  std::to_string(kMaxPlanWorkers) +
+                                  " plans already running",
+                              ErrorCode::kShedCapacity));
+      }
       return;
     }
     // Control frames are cheap (a nonce echo, a stats scrape) — answering
@@ -575,10 +538,10 @@ void Gateway::ServeFrameAsync(const std::vector<uint8_t>& request_frame,
   // The continuation deliberately does NOT capture the deployment: it does
   // not need it (the response is fully computed before the callback runs,
   // and ~Deployment's drain guarantees every queued continuation runs
-  // before the engine/model die — the same contract the future-based
-  // Submit relies on), and owning it would be a self-join hazard — the
-  // callback runs on the deployment's own engine worker, so dropping the
-  // last reference there would make the worker join itself in Shutdown.
+  // before the engine/model die), and owning it would be a self-join
+  // hazard — the callback runs on the deployment's own engine worker, so
+  // dropping the last reference there would make the worker join itself in
+  // Shutdown.
   // `done` is copied (not moved) into the continuation because a rejected
   // submit never runs it — the overload error below still needs the
   // original.
@@ -702,7 +665,7 @@ bool Gateway::GetEndpointStats(const std::string& endpoint,
 
 GatewayStats Gateway::Snapshot() const {
   // Copy the endpoint table under the lock, compute per-endpoint stats off
-  // it: a monitoring scrape must not block Submit/ServeFrame on any
+  // it: a monitoring scrape must not block frame serving on any
   // endpoint while engines sort their latency rings. The shared_ptrs pin
   // each deployment exactly like an in-flight submit does.
   std::vector<EndpointSnapshot> entries;
@@ -765,15 +728,13 @@ WireStatsSnapshot Gateway::WireSnapshot() const {
 Gateway::~Gateway() {
   // Itinerary workers first: joining them before the endpoint teardown
   // guarantees no plan runs against a half-destroyed gateway.
-  std::vector<AsyncWorker> workers;
+  std::vector<PlanWorker> workers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    workers = std::move(async_workers_);
-    async_workers_.clear();
+    workers = std::move(plan_workers_);
+    plan_workers_.clear();
   }
-  for (AsyncWorker& worker : workers) {
-    if (worker.thread.joinable()) worker.thread.join();
-  }
+  for (PlanWorker& worker : workers) worker.thread.join();
   std::map<std::string, Endpoint> endpoints;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -168,19 +167,18 @@ struct GatewayStats {
 /// hot-reloads a new checkpoint with zero downtime; Undeploy() drains and
 /// tears down. Each lifecycle call blocks only its caller until the
 /// operation has landed or failed; a caller that must not block runs it on
-/// its own thread. Submit() routes a structured request to the endpoint's
-/// engine; ServeFrame() does the same for a wire-encoded frame
-/// (serve/codec.h) — the seam a socket front-end plugs into.
+/// its own thread. Requests enter only as wire frames (serve/codec.h),
+/// through HandleFrameAsync — the seam a socket front-end plugs into.
 ///
 /// Hot-swap semantics (epoch via shared_ptr): each endpoint holds its
 /// current deployment behind a shared_ptr that submitters copy under the
 /// gateway mutex. Swap() builds the replacement *outside* the lock, then
 /// publishes it with one pointer swap — new submits instantly land on the
 /// new model while in-flight requests finish on the old deployment, which
-/// is destroyed (draining its queue first, so no future is ever dropped)
-/// when the last submitter releases it. A swap to the same checkpoint is
-/// response-bit-identical: the registry rebuilds the same weights from the
-/// same options and checkpoint bytes.
+/// is destroyed (draining its queue first, so no accepted request is ever
+/// dropped) when the last submitter releases it. A swap to the same
+/// checkpoint is response-bit-identical: the registry rebuilds the same
+/// weights from the same options and checkpoint bytes.
 class Gateway : public FrameHandler {
  public:
   Gateway() = default;
@@ -204,59 +202,32 @@ class Gateway : public FrameHandler {
             std::string* error = nullptr);
 
   /// Removes the endpoint, serving everything already queued before the
-  /// teardown completes. Subsequent submits to the name fail.
+  /// teardown completes. Later frames addressed to the name get a
+  /// kUnknownEndpoint error frame.
   bool Undeploy(const std::string& endpoint, std::string* error = nullptr);
 
-  /// Routes the request to the endpoint's engine at the default admission
-  /// class. Unknown endpoints yield a future holding std::runtime_error
-  /// (never a crash).
-  std::future<eval::RecommendResponse> Submit(
-      const std::string& endpoint, const eval::RecommendRequest& request);
+  /// Live itinerary plan workers are capped here: a plan blocks one thread
+  /// across its rollout waves, and a client pipelining itinerary frames
+  /// must not make the gateway start a thread per frame. At the cap an
+  /// itinerary frame is answered kShedCapacity without starting a thread.
+  static constexpr size_t kMaxPlanWorkers = 16;
 
-  /// Class-aware submit: applies the endpoint's overload policy (degraded
-  /// shaping, class shedding) and the engine's admission control. Shed
-  /// requests yield a future holding ShedError.
-  std::future<eval::RecommendResponse> Submit(
-      const std::string& endpoint, const eval::RecommendRequest& request,
-      const AdmissionClass& admission);
-
-  /// Plans a constrained k-stop itinerary on the endpoint's model
-  /// (docs/itinerary.md). Blocking — each beam/MCTS expansion wave rides
-  /// the endpoint's engine, so rollouts coalesce with live traffic and
-  /// respect its backpressure. False with *error set on an unknown
-  /// endpoint or an invalid request ("invalid request: ..." prefix).
-  bool PlanItinerary(const std::string& endpoint,
-                     const plan::ItineraryRequest& request,
-                     plan::ItineraryResponse* out,
-                     std::string* error = nullptr);
-
-  /// Blocking form of ServeFrameAsync: returns the reply frame it hands to
-  /// its callback, parking the calling thread until then. Socket-facing
-  /// code goes through serve::FrameServer, which calls ServeFrameAsync
-  /// directly.
-  std::vector<uint8_t> ServeFrame(const std::vector<uint8_t>& request_frame);
-
-  /// A reply frame handed to the continuation of ServeFrameAsync: a
-  /// response frame on success, an error frame otherwise.
-  using FrameCallback = FrameHandler::FrameCallback;
-
-  /// Non-blocking wire entry point — what FrameServer drives. Decodes and
-  /// validates on the calling thread, then submits through the endpoint
-  /// engine's callback hook; `done` is invoked exactly once with the reply
-  /// frame, either synchronously (decode error, unknown endpoint, invalid
-  /// request, overloaded queue — all encoded as error frames) or later on a
-  /// serving worker thread. A concurrent Swap/Undeploy cannot strand the
-  /// request: a deployment drains its queue — running every accepted
-  /// continuation — before it is torn down. Never throws, never blocks.
-  void ServeFrameAsync(const std::vector<uint8_t>& request_frame,
-                       FrameCallback done);
-
-  /// FrameHandler: a gateway fronted by a FrameServer serves frames
-  /// directly (the single-process deployment shape).
+  /// The wire entry point, what FrameServer drives. Decodes and validates
+  /// on the calling thread, then hands the request to the endpoint engine's
+  /// continuation submit; `done` is invoked exactly once with the reply
+  /// frame: synchronously for control frames (pong, stats) and refusals
+  /// (decode error, unknown endpoint, invalid request, overload — error
+  /// frames), otherwise later on a serving worker or a plan worker. A
+  /// concurrent Swap/Undeploy cannot strand the request: a deployment
+  /// drains its queue — running every accepted continuation — before it is
+  /// torn down. Never throws, never blocks.
   void HandleFrameAsync(const std::vector<uint8_t>& frame,
-                        FrameCallback done) override {
-    ServeFrameAsync(frame, std::move(done));
-  }
+                        FrameCallback done) override;
+
+  /// Blocking form of HandleFrameAsync for tests and demos: returns the
+  /// reply frame it hands to its callback, parking the calling thread until
+  /// then.
+  std::vector<uint8_t> ServeFrame(const std::vector<uint8_t>& request_frame);
 
   bool Has(const std::string& endpoint) const;
 
@@ -398,24 +369,24 @@ class Gateway : public FrameHandler {
   static void InstallLocked(Endpoint& entry,
                             std::shared_ptr<Deployment> deployment);
 
-  /// Runs a blocking itinerary frame on a background worker thread,
-  /// reaping finished predecessors.
-  void StartAsyncOp(std::function<void()> op);
+  /// Runs `op` on a new plan worker thread, reaping finished predecessors.
+  /// False, with no thread started, when kMaxPlanWorkers are still running.
+  bool TryStartPlanWorker(std::function<void()> op);
 
   /// Queries one deployment's engine; called with the gateway mutex
   /// released (the shared_ptrs keep the deployment alive).
   static EndpointStats StatsOf(const EndpointSnapshot& snapshot);
 
-  /// Serves the non-request frames ServeFrameAsync dispatches to: pings
+  /// Serves the non-request frames HandleFrameAsync dispatches to: pings
   /// come back as pongs, stats requests as a stats snapshot, anything else
   /// (a response/error/pong frame aimed at a server) as a kBadFrame error.
   std::vector<uint8_t> ServeControlFrame(FrameType type,
                                          const std::vector<uint8_t>& frame);
 
-  /// Serves one kItineraryRequest frame end to end (decode, validate,
-  /// plan, encode): a kItineraryResponse frame on success, an error frame
-  /// otherwise. Blocking — the async wire path runs it on a background
-  /// worker (StartAsyncOp), never on the transport thread.
+  /// Serves one kItineraryRequest frame end to end (decode, resolve the
+  /// endpoint, plan, encode): a kItineraryResponse frame on success, an
+  /// error frame otherwise. Blocking — HandleFrameAsync runs it on a plan
+  /// worker (TryStartPlanWorker), never on the transport thread.
   std::vector<uint8_t> ServeItineraryFrame(const std::vector<uint8_t>& frame);
 
   /// The endpoint's trainer provider (copied under the mutex, invoked with
@@ -426,14 +397,14 @@ class Gateway : public FrameHandler {
   std::map<std::string, Endpoint> endpoints_;
   std::map<std::string, TrainerTelemetryFn> trainer_providers_;
 
-  /// Background itinerary-frame workers (ServeFrameAsync). Finished ones
-  /// are reaped when the next one starts; the destructor joins whatever
+  /// Itinerary plan workers, at most kMaxPlanWorkers. Finished ones are
+  /// reaped when the next one starts; the destructor joins whatever
   /// remains.
-  struct AsyncWorker {
+  struct PlanWorker {
     std::thread thread;
     std::shared_ptr<std::atomic<bool>> done;
   };
-  std::vector<AsyncWorker> async_workers_;
+  std::vector<PlanWorker> plan_workers_;
 };
 
 }  // namespace tspn::serve

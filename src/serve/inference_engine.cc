@@ -94,24 +94,32 @@ InferenceEngine::Queue::iterator InferenceEngine::EvictableLocked(
 }
 
 void InferenceEngine::CompleteShed(Request&& entry, ShedReason reason) {
-  auto error = std::make_exception_ptr(
-      ShedError(reason, std::string("request shed (") +
-                            ShedReasonName(reason) + ")"));
-  if (entry.callback) {
-    entry.callback(eval::RecommendResponse{}, error);
-  } else {
-    entry.promise.set_exception(error);
-  }
+  entry.callback(eval::RecommendResponse{},
+                 std::make_exception_ptr(ShedError(
+                     reason, std::string("request shed (") +
+                                 ShedReasonName(reason) + ")")));
 }
 
 ShedReason InferenceEngine::EnqueueEntry(Request& entry,
                                          const AdmissionClass& admission,
                                          std::unique_lock<std::mutex>& lock) {
+  if (stopping_) {
+    lock.unlock();
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return ShedReason::kShutdown;
+  }
   entry.enqueue_time = Clock::now();
   entry.priority = admission.priority;
-  const int64_t deadline_ms = admission.deadline_ms > 0
-                                  ? admission.deadline_ms
-                                  : options_.default_deadline_ms;
+  int64_t deadline_ms = admission.deadline_ms > 0
+                            ? admission.deadline_ms
+                            : options_.default_deadline_ms;
+  // A budget that ends past the latest time point Clock can represent is no
+  // deadline at all; converting it to Clock's nanoseconds would overflow.
+  if (deadline_ms >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                         Clock::time_point::max() - entry.enqueue_time)
+                         .count()) {
+    deadline_ms = 0;
+  }
   entry.deadline = deadline_ms > 0
                        ? entry.enqueue_time +
                              std::chrono::milliseconds(deadline_ms)
@@ -161,67 +169,30 @@ ShedReason InferenceEngine::EnqueueEntry(Request& entry,
 }
 
 std::future<eval::RecommendResponse> InferenceEngine::Submit(
-    const eval::RecommendRequest& request) {
-  return Submit(request, AdmissionClass{});
-}
-
-std::future<eval::RecommendResponse> InferenceEngine::Submit(
     const eval::RecommendRequest& request, const AdmissionClass& admission) {
+  // Shared: the callback must be copyable, and it may still be returning
+  // on a worker after get() has woken the caller.
+  auto promise = std::make_shared<std::promise<eval::RecommendResponse>>();
+  std::future<eval::RecommendResponse> future = promise->get_future();
   Request entry;
   entry.request = request;
-  std::future<eval::RecommendResponse> future = entry.promise.get_future();
+  entry.callback = [promise](eval::RecommendResponse response,
+                             std::exception_ptr error) {
+    if (error != nullptr) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(response));
+    }
+  };
   std::unique_lock<std::mutex> lock(mutex_);
   not_full_.wait(lock, [&] {
     return stopping_ ||
            static_cast<int64_t>(queue_.size()) < options_.max_queue_depth ||
            EvictableLocked(admission.priority) != queue_.end();
   });
-  if (stopping_) {
-    lock.unlock();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    entry.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("InferenceEngine is shut down")));
-    return future;
-  }
   const ShedReason reason = EnqueueEntry(entry, admission, lock);
-  if (reason != ShedReason::kNone) {
-    entry.promise.set_exception(std::make_exception_ptr(ShedError(
-        reason,
-        std::string("request shed (") + ShedReasonName(reason) + ")")));
-  }
+  if (reason != ShedReason::kNone) CompleteShed(std::move(entry), reason);
   return future;
-}
-
-std::future<eval::RecommendResponse> InferenceEngine::Submit(
-    const data::SampleRef& sample, int64_t top_n) {
-  eval::RecommendRequest request;
-  request.sample = sample;
-  request.top_n = top_n;
-  return Submit(request);
-}
-
-bool InferenceEngine::TrySubmit(const eval::RecommendRequest& request,
-                                std::future<eval::RecommendResponse>* out) {
-  Request entry;
-  entry.request = request;
-  std::future<eval::RecommendResponse> future = entry.promise.get_future();
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (stopping_) {
-    lock.unlock();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (EnqueueEntry(entry, AdmissionClass{}, lock) != ShedReason::kNone) {
-    return false;
-  }
-  *out = std::move(future);
-  return true;
-}
-
-bool InferenceEngine::TrySubmitAsync(const eval::RecommendRequest& request,
-                                     ResponseCallback callback) {
-  return TrySubmitAsync(request, AdmissionClass{}, std::move(callback),
-                        nullptr);
 }
 
 bool InferenceEngine::TrySubmitAsync(const eval::RecommendRequest& request,
@@ -232,20 +203,12 @@ bool InferenceEngine::TrySubmitAsync(const eval::RecommendRequest& request,
   entry.request = request;
   entry.callback = std::move(callback);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (stopping_) {
-    lock.unlock();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (shed_reason != nullptr) *shed_reason = ShedReason::kShutdown;
-    return false;
-  }
   const ShedReason reason = EnqueueEntry(entry, admission, lock);
-  if (reason != ShedReason::kNone) {
-    // Contract: the callback is NOT invoked on refusal — the caller turns
-    // the reason into its own immediate error reply.
-    if (shed_reason != nullptr) *shed_reason = reason;
-    return false;
-  }
-  return true;
+  if (reason == ShedReason::kNone) return true;
+  // Contract: the callback is NOT invoked on refusal — the caller turns
+  // the reason into its own immediate error reply.
+  if (shed_reason != nullptr) *shed_reason = reason;
+  return false;
 }
 
 void InferenceEngine::WorkerLoop() {
@@ -337,7 +300,7 @@ void InferenceEngine::ServeBatch(WorkerScratch& scratch) {
     requests.push_back(std::move(r.request));
   }
   // A throwing model must not escape the worker thread (std::terminate) or
-  // strand the batch's futures; the failure is confined to these requests.
+  // strand the batch's callbacks; the failure is confined to these requests.
   const auto serve_start = Clock::now();
   std::vector<eval::RecommendResponse> results;
   std::exception_ptr error;
@@ -354,9 +317,9 @@ void InferenceEngine::ServeBatch(WorkerScratch& scratch) {
         " responses for a batch of " + std::to_string(batch.size())));
   }
   const auto done = Clock::now();
-  // Record the batch in the stats BEFORE fulfilling any promise: a client
-  // that calls GetStats() right after future.get() must see its own request
-  // counted.
+  // Record the batch in the stats BEFORE running any callback: a client
+  // that calls GetStats() right after its completion must see its own
+  // request counted.
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++batches_;
@@ -391,28 +354,20 @@ void InferenceEngine::ServeBatch(WorkerScratch& scratch) {
     batch_p95_ms_.store(common::PercentileOf(batch_ms_, 0.95),
                         std::memory_order_relaxed);
   }
+  // The completions run right here on the serving worker: no other thread
+  // sits parked waiting for this moment.
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].callback) {
-      // Continuation path: the completion runs right here on the serving
-      // worker — the whole point of TrySubmitAsync is that no other thread
-      // sits parked on a future waiting for this moment.
-      if (error != nullptr) {
-        batch[i].callback(eval::RecommendResponse{}, error);
-      } else {
-        batch[i].callback(std::move(results[i]), nullptr);
-      }
-    } else if (error != nullptr) {
-      batch[i].promise.set_exception(error);
+    if (error != nullptr) {
+      batch[i].callback(eval::RecommendResponse{}, error);
     } else {
-      batch[i].promise.set_value(std::move(results[i]));
+      batch[i].callback(std::move(results[i]), nullptr);
     }
   }
-  // Drop the served entries now, not at the next batch fill: a gateway
-  // continuation holds a shared_ptr to its own deployment, so parking it in
-  // the scratch would keep a swapped-out deployment (and these workers)
-  // alive until this worker happens to serve again — a reference cycle on
-  // an idle engine. clear() keeps the vector's capacity, so the scratch
-  // reuse this struct exists for is unaffected.
+  // Drop the served entries now, not at the next batch fill: a callback may
+  // own resources (a FrameServer connection and its reply slot, a Submit
+  // promise), and parking it in the scratch would hold them until this
+  // worker happens to serve again. clear() keeps the vector's capacity, so
+  // the scratch reuse this struct exists for is unaffected.
   batch.clear();
 }
 

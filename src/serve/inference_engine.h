@@ -13,7 +13,6 @@
 #include <tuple>
 #include <vector>
 
-#include "data/trajectory.h"
 #include "eval/model_api.h"
 #include "eval/recommend.h"
 #include "serve/admission.h"
@@ -40,7 +39,7 @@ struct EngineOptions {
 struct EngineStats {
   int64_t submitted = 0;   ///< accepted requests
   int64_t rejected = 0;    ///< submit-time refusals (full, infeasible, shutdown)
-  int64_t completed = 0;   ///< promises fulfilled by serving a batch
+  int64_t completed = 0;   ///< requests answered by serving a batch
   int64_t batches = 0;     ///< RecommendBatch invocations
   int64_t max_batch_observed = 0;
   double mean_batch_size = 0.0;
@@ -90,8 +89,8 @@ struct EngineStats {
 /// nearest-deadline entry of the lowest queued class; otherwise the arrival
 /// is refused. At dequeue, entries whose deadline has already passed are
 /// dropped without occupying a batch slot. Every shed path completes the
-/// request's future/continuation with a ShedError carrying the reason — no
-/// caller ever hangs.
+/// request's continuation with a ShedError carrying the reason — no caller
+/// ever hangs.
 ///
 /// Requests are structured eval::RecommendRequests, and a coalesced batch
 /// may mix top_n values and constraints freely: the v2 model contract
@@ -114,53 +113,33 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Enqueues a structured request at the default admission class
-  /// (interactive, no explicit deadline), blocking while the queue is at
-  /// capacity (backpressure). After Shutdown() the returned future holds a
-  /// std::runtime_error.
-  std::future<eval::RecommendResponse> Submit(
-      const eval::RecommendRequest& request);
-
-  /// Class-aware blocking submit. The returned future holds a ShedError
-  /// when the request is refused (infeasible deadline, full queue with
-  /// nothing evictable), evicted, or expires in the queue.
-  std::future<eval::RecommendResponse> Submit(
-      const eval::RecommendRequest& request, const AdmissionClass& admission);
-
-  /// Convenience overload for unconstrained queries.
-  std::future<eval::RecommendResponse> Submit(const data::SampleRef& sample,
-                                              int64_t top_n);
-
-  /// Non-blocking variant: returns false (and counts a rejection) when the
-  /// queue is full or the engine is shut down.
-  bool TrySubmit(const eval::RecommendRequest& request,
-                 std::future<eval::RecommendResponse>* out);
-
-  /// Completion continuation for the callback submit path. Invoked exactly
-  /// once per accepted request: with the response and a null error on
-  /// success, or with a default-constructed response and an exception on
-  /// failure (the model's, or a ShedError for evicted/expired requests).
-  /// Runs on the worker thread that served (or expired) the batch — except
-  /// for eviction, which runs it on the submitter thread whose arrival
-  /// displaced the request.
+  /// Completion continuation of an accepted request. Invoked exactly once:
+  /// with the response and a null error on success, or with a
+  /// default-constructed response and an exception on failure (the model's,
+  /// or a ShedError for evicted/expired requests). Runs on the worker thread
+  /// that served (or expired) the batch — except for eviction, which runs it
+  /// on the submitter thread whose arrival displaced the request.
   using ResponseCallback =
       std::function<void(eval::RecommendResponse response,
                          std::exception_ptr error)>;
 
-  /// Continuation-style submit — the async front-end hook. Instead of
-  /// parking a thread on a future, the caller hands over a callback that
-  /// runs after the batch completes; no thread is ever blocked per
-  /// in-flight request. Returns false (counting a rejection, callback NOT
-  /// invoked) when the request is refused at submit, so an event loop can
-  /// convert overload into an immediate error reply. The callback must be
-  /// quick and must not throw: it runs on a serving worker, so heavy work
-  /// in it stalls batch formation.
-  bool TrySubmitAsync(const eval::RecommendRequest& request,
-                      ResponseCallback callback);
+  /// Blocking submit: waits while the queue is at capacity with nothing
+  /// evictable (backpressure), then enqueues. The returned future holds a
+  /// ShedError when the request is refused (infeasible deadline, engine
+  /// shut down), evicted, or expires in the queue. A thin wrapper over the
+  /// continuation path whose callback fulfils the future.
+  std::future<eval::RecommendResponse> Submit(
+      const eval::RecommendRequest& request,
+      const AdmissionClass& admission = {});
 
-  /// Class-aware continuation submit. On refusal, *shed_reason (when
-  /// non-null) reports why — kDeadlineUnmeetable, kCapacity or kShutdown —
-  /// so the gateway can emit a typed error frame.
+  /// Non-blocking continuation submit — the wire front-end's hook. No
+  /// thread is parked per in-flight request: `callback` runs once the
+  /// request completes. Returns false (counting a rejection, callback NOT
+  /// invoked) when the request is refused at submit, with *shed_reason
+  /// (when non-null) set to kDeadlineUnmeetable, kCapacity or kShutdown, so
+  /// an event loop can turn overload into an immediate typed error reply.
+  /// The callback must be quick and must not throw: it runs on a serving
+  /// worker, so heavy work in it stalls batch formation.
   bool TrySubmitAsync(const eval::RecommendRequest& request,
                       const AdmissionClass& admission,
                       ResponseCallback callback,
@@ -185,10 +164,7 @@ class InferenceEngine {
 
   struct Request {
     eval::RecommendRequest request;
-    /// Exactly one completion channel is armed per request: the promise for
-    /// the future-returning submits, the callback for TrySubmitAsync.
-    std::promise<eval::RecommendResponse> promise;
-    ResponseCallback callback;
+    ResponseCallback callback;  ///< the request's only completion channel
     Clock::time_point enqueue_time;
     /// Absolute completion deadline; time_point::max() when none applies.
     Clock::time_point deadline = Clock::time_point::max();
@@ -213,12 +189,13 @@ class InferenceEngine {
     std::vector<eval::RecommendRequest> requests;
   };
 
-  /// Shared tail of every submit: stamps the entry's times and class, runs
+  /// Shared tail of both submits: stamps the entry's times and class, runs
   /// admission, and on success publishes it and wakes a worker (releasing
   /// `lock`, which must hold mutex_ on entry — it is released on every
-  /// path). On refusal the entry is left untouched for the caller to
-  /// complete; an evicted victim is completed here, after the unlock. The
-  /// caller must have checked stopping_ already.
+  /// path). On refusal (kShutdown included) the entry is left untouched for
+  /// the caller to complete; an evicted victim is completed here, after the
+  /// unlock. A deadline too far ahead for Clock to represent counts as no
+  /// deadline.
   ShedReason EnqueueEntry(Request& entry, const AdmissionClass& admission,
                           std::unique_lock<std::mutex>& lock);
 
@@ -239,7 +216,7 @@ class InferenceEngine {
   /// is strictly below `incoming`; queue_.end() when nothing is evictable.
   Queue::iterator EvictableLocked(Priority incoming);
 
-  /// Completes a shed request outside the queue lock: the future/callback
+  /// Completes a shed request outside the queue lock: its callback
   /// receives a ShedError carrying `reason`.
   static void CompleteShed(Request&& entry, ShedReason reason);
 
@@ -267,8 +244,8 @@ class InferenceEngine {
   /// estimate; small so the p95 tracks load shifts quickly.
   static constexpr size_t kMaxBatchSamples = 64;
 
-  /// Submit-path counters are atomics, not stats_mutex_-guarded: Submit and
-  /// TrySubmit touch no lock beyond the queue mutex they already hold.
+  /// Submit-path counters are atomics, not stats_mutex_-guarded: the
+  /// submits touch no lock beyond the queue mutex they already hold.
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> rejected_{0};
   std::atomic<int64_t> shed_deadline_{0};

@@ -1,15 +1,19 @@
 // Gateway tests: endpoint lifecycle (deploy/swap/undeploy with loud
 // failures), routing parity with direct model calls, hot-swap
-// bit-identical responses under concurrent submitters, lifetime stats that
-// survive swaps, wire-frame serving, and a deploy/swap/undeploy-vs-submit
-// race that the TSan CI job runs.
+// bit-identical responses under concurrent clients, lifetime stats that
+// survive swaps, wire-frame serving, the plan-worker cap, and a
+// deploy/swap/undeploy-vs-request race that the TSan CI job runs. Every
+// request enters the gateway as a wire frame, as it does in production.
 
 #include "serve/gateway.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -27,6 +31,52 @@ EngineOptions SmallEngine(int threads) {
   options.coalesce_window_us = 200;
   return options;
 }
+
+/// Holds every inference of a GatedModel until Open().
+class Gate {
+ public:
+  void Close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// The gate registry-built GatedModels wait on; it outlives every gateway.
+Gate& PlanGate() {
+  static Gate gate;
+  return gate;
+}
+
+/// A model whose inference blocks on PlanGate(), so a test can hold plans
+/// inside their first rollout wave.
+class GatedModel : public eval::NextPoiModel {
+ public:
+  std::string name() const override { return "Gated"; }
+  void Train(const eval::TrainOptions&) override {}
+
+ protected:
+  eval::RecommendResponse RecommendImpl(
+      const eval::RecommendRequest&) const override {
+    PlanGate().Wait();
+    return {};
+  }
+};
 
 /// Shared fixture state: one tiny city, one trained TSPN-RA checkpoint and
 /// one trained MC checkpoint — training runs once for the whole suite.
@@ -102,6 +152,45 @@ class GatewayTest : public ::testing::Test {
     EXPECT_EQ(a.tiles_screened, b.tiles_screened);
   }
 
+  /// A recommend reply frame as a client sees it.
+  struct Reply {
+    bool ok = false;  ///< a response frame came back
+    eval::RecommendResponse response;
+    ErrorCode code = ErrorCode::kGeneric;  ///< the error frame's, when !ok
+    std::string message;
+  };
+
+  static Reply Decode(const std::vector<uint8_t>& frame) {
+    Reply reply;
+    reply.ok =
+        DecodeRecommendResponse(frame, &reply.response) == DecodeStatus::kOk;
+    if (!reply.ok) {
+      EXPECT_EQ(DecodeErrorFrame(frame, &reply.message, &reply.code),
+                DecodeStatus::kOk)
+          << "reply is neither a response nor an error frame";
+    }
+    return reply;
+  }
+
+  /// One request through the wire path: encode, ServeFrame, decode.
+  static Reply Serve(Gateway& gateway, const std::string& endpoint,
+                     const eval::RecommendRequest& request,
+                     const AdmissionClass& admission = {}) {
+    return Decode(gateway.ServeFrame(
+        EncodeRecommendRequest(endpoint, request, admission)));
+  }
+
+  /// Serve() for a request that must be answered: an error frame fails the
+  /// test (and yields an empty response).
+  static eval::RecommendResponse Served(Gateway& gateway,
+                                        const std::string& endpoint,
+                                        const eval::RecommendRequest& request,
+                                        const AdmissionClass& admission = {}) {
+    Reply reply = Serve(gateway, endpoint, request, admission);
+    EXPECT_TRUE(reply.ok) << reply.message;
+    return std::move(reply.response);
+  }
+
   /// Serves `count` top-5 requests one at a time; returns how many came
   /// back with 5 items.
   static int64_t ServeRound(Gateway& gateway, const std::string& endpoint,
@@ -112,7 +201,7 @@ class GatewayTest : public ::testing::Test {
       eval::RecommendRequest request;
       request.sample = samples[i % samples.size()];
       request.top_n = 5;
-      if (gateway.Submit(endpoint, request).get().items.size() == 5) ++served;
+      if (Served(gateway, endpoint, request).items.size() == 5) ++served;
     }
     return served;
   }
@@ -166,8 +255,9 @@ TEST_F(GatewayTest, DeployFailuresAreLoudAndLeaveNoEndpoint) {
   EXPECT_NE(error.find("exceeds"), std::string::npos);
 
   EXPECT_TRUE(gateway.Endpoints().empty());
-  EXPECT_THROW(gateway.Submit("a", eval::RecommendRequest{}).get(),
-               std::runtime_error);
+  const Reply absent = Serve(gateway, "a", eval::RecommendRequest{});
+  EXPECT_FALSE(absent.ok);
+  EXPECT_EQ(absent.code, ErrorCode::kUnknownEndpoint);
 }
 
 TEST_F(GatewayTest, OptionsRoundTripThroughDeploy) {
@@ -215,10 +305,9 @@ TEST_F(GatewayTest, TwoEndpointsRouteToTheirOwnModels) {
     request.sample = samples[i];
     request.top_n = 10;
     if (i % 2 == 1) request.constraints.exclude_visited = true;
-    ExpectBitIdentical(gateway.Submit("tspn", request).get(),
+    ExpectBitIdentical(Served(gateway, "tspn", request),
                        reference_->Recommend(request));
-    ExpectBitIdentical(gateway.Submit("mc", request).get(),
-                       mc->Recommend(request));
+    ExpectBitIdentical(Served(gateway, "mc", request), mc->Recommend(request));
   }
 
   GatewayStats snapshot = gateway.Snapshot();
@@ -239,8 +328,8 @@ TEST_F(GatewayTest, TwoEndpointsRouteToTheirOwnModels) {
 
 TEST_F(GatewayTest, HotSwapSameCheckpointIsBitIdenticalUnderLoad) {
   // The acceptance criterion: swapping an endpoint to the same checkpoint
-  // while submitters hammer it yields bit-identical rankings before/during/
-  // after the swap, with zero dropped or errored futures.
+  // while clients hammer it yields bit-identical rankings before/during/
+  // after the swap, with zero dropped or errored requests.
   Gateway gateway;
   std::string error;
   ASSERT_TRUE(gateway.Deploy("live", TspnConfig(4), &error)) << error;
@@ -267,23 +356,23 @@ TEST_F(GatewayTest, HotSwapSameCheckpointIsBitIdenticalUnderLoad) {
           request.constraints.geo_center = dataset_->profile().bbox.Center();
           request.constraints.geo_radius_km = 3.0;
         }
-        try {
-          const eval::RecommendResponse served =
-              gateway.Submit("live", request).get();
-          const eval::RecommendResponse direct = reference_->Recommend(request);
-          if (served.items.size() != direct.items.size()) {
-            mismatches.fetch_add(1);
-            continue;
-          }
-          for (size_t r = 0; r < served.items.size(); ++r) {
-            if (served.items[r].poi_id != direct.items[r].poi_id ||
-                served.items[r].score != direct.items[r].score) {
-              mismatches.fetch_add(1);
-              break;
-            }
-          }
-        } catch (...) {
+        const Reply reply = Serve(gateway, "live", request);
+        if (!reply.ok) {
           errored.fetch_add(1);
+          continue;
+        }
+        const eval::RecommendResponse& served = reply.response;
+        const eval::RecommendResponse direct = reference_->Recommend(request);
+        if (served.items.size() != direct.items.size()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t r = 0; r < served.items.size(); ++r) {
+          if (served.items[r].poi_id != direct.items[r].poi_id ||
+              served.items[r].score != direct.items[r].score) {
+            mismatches.fetch_add(1);
+            break;
+          }
         }
       }
     });
@@ -304,7 +393,7 @@ TEST_F(GatewayTest, HotSwapSameCheckpointIsBitIdenticalUnderLoad) {
 
   EXPECT_TRUE(swap_done.load());
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(errored.load(), 0) << "hot swap dropped or errored futures";
+  EXPECT_EQ(errored.load(), 0) << "hot swap dropped or errored requests";
 
   EndpointStats stats;
   ASSERT_TRUE(gateway.GetEndpointStats("live", &stats));
@@ -331,7 +420,7 @@ TEST_F(GatewayTest, SwapFailuresKeepTheOldDeploymentServing) {
   eval::RecommendRequest request;
   request.sample = samples[0];
   request.top_n = 5;
-  ExpectBitIdentical(gateway.Submit("live", request).get(),
+  ExpectBitIdentical(Served(gateway, "live", request),
                      reference_->Recommend(request));
   EndpointStats stats;
   ASSERT_TRUE(gateway.GetEndpointStats("live", &stats));
@@ -347,13 +436,21 @@ TEST_F(GatewayTest, UndeployDrainsAndRefusesNewTraffic) {
   eval::RecommendRequest request;
   request.sample = samples[0];
   request.top_n = 5;
-  auto pending = gateway.Submit("gone-soon", request);
+  std::promise<std::vector<uint8_t>> pending;
+  gateway.HandleFrameAsync(EncodeRecommendRequest("gone-soon", request),
+                           [&pending](std::vector<uint8_t> reply) {
+                             pending.set_value(std::move(reply));
+                           });
   ASSERT_TRUE(gateway.Undeploy("gone-soon", &error)) << error;
 
   // The queued request was served before teardown finished.
-  ExpectBitIdentical(pending.get(), reference_->Recommend(request));
+  const Reply drained = Decode(pending.get_future().get());
+  ASSERT_TRUE(drained.ok) << drained.message;
+  ExpectBitIdentical(drained.response, reference_->Recommend(request));
   EXPECT_FALSE(gateway.Has("gone-soon"));
-  EXPECT_THROW(gateway.Submit("gone-soon", request).get(), std::runtime_error);
+  const Reply refused = Serve(gateway, "gone-soon", request);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrorCode::kUnknownEndpoint);
   EXPECT_FALSE(gateway.Undeploy("gone-soon", &error));
 }
 
@@ -440,6 +537,26 @@ TEST_F(GatewayTest, ServeFrameRoundTripsTheWireProtocol) {
             DecodeStatus::kOk);
 }
 
+TEST_F(GatewayTest, DeadlineBeyondTheClockIsServedNotShed) {
+  // The codec accepts any non-negative deadline_ms; one too far ahead for
+  // the serving clock to represent is no deadline, not an instant expiry.
+  Gateway gateway;
+  std::string error;
+  ASSERT_TRUE(gateway.Deploy("wire", TspnConfig(1), &error)) << error;
+  eval::RecommendRequest request;
+  request.sample = dataset_->Samples(data::Split::kTest).at(0);
+  request.top_n = 5;
+  for (const int64_t deadline_ms :
+       {std::numeric_limits<int64_t>::max(), int64_t{1} << 62}) {
+    AdmissionClass admission;
+    admission.deadline_ms = deadline_ms;
+    const Reply reply = Serve(gateway, "wire", request, admission);
+    ASSERT_TRUE(reply.ok) << "deadline_ms " << deadline_ms << ": "
+                          << reply.message;
+    ExpectBitIdentical(reply.response, reference_->Recommend(request));
+  }
+}
+
 TEST_F(GatewayTest, NonFiniteFenceGetsInvalidRequestFrame) {
   // The codec accepts any double for the fence fields; a NaN center or an
   // infinite radius must come back as a typed invalid-request error frame
@@ -498,10 +615,10 @@ TEST_F(GatewayTest, NonFiniteFenceGetsInvalidRequestFrame) {
 }
 
 TEST_F(GatewayTest, LifecycleRacesSubmittersWithoutCrashOrHang) {
-  // Deploy/swap/undeploy cycling on two endpoints while submitter threads
-  // fire at both names the whole time: every future must resolve (value or
-  // clean error), the gateway must never crash. This is the TSan-gated
-  // concurrency test.
+  // Deploy/swap/undeploy cycling on two endpoints while client threads
+  // fire at both names the whole time: every request must be answered
+  // (response or typed error frame), the gateway must never crash. This is
+  // the TSan-gated concurrency test.
   Gateway gateway;
   std::string error;
   ASSERT_TRUE(gateway.Deploy("a", TspnConfig(2), &error)) << error;
@@ -521,10 +638,9 @@ TEST_F(GatewayTest, LifecycleRacesSubmittersWithoutCrashOrHang) {
         request.sample = samples[static_cast<size_t>(i++) % samples.size()];
         request.top_n = 5;
         const char* endpoint = (c + i) % 2 == 0 ? "a" : "b";
-        try {
-          gateway.Submit(endpoint, request).get();
+        if (Serve(gateway, endpoint, request).ok) {
           resolved.fetch_add(1);
-        } catch (const std::runtime_error&) {
+        } else {
           clean_errors.fetch_add(1);  // undeployed window: acceptable
         }
       }
@@ -545,8 +661,8 @@ TEST_F(GatewayTest, LifecycleRacesSubmittersWithoutCrashOrHang) {
   for (std::thread& t : submitters) t.join();
 
   EXPECT_GT(resolved.load(), 0);
-  // Undeploy drains accepted requests, so errors can only come from submits
-  // that arrived while "b" was absent — never from dropped futures.
+  // Undeploy drains accepted requests, so errors can only come from frames
+  // that arrived while "b" was absent — never from dropped requests.
   GatewayStats snapshot = gateway.Snapshot();
   EXPECT_EQ(snapshot.endpoints, 2);
 }
@@ -566,7 +682,7 @@ TEST_F(GatewayTest, SwapFoldsRetiringCountersExactlyOnce) {
       eval::RecommendRequest request;
       request.sample = samples[static_cast<size_t>(i) % samples.size()];
       request.top_n = 5;
-      gateway.Submit("fold", request).get();
+      Served(gateway, "fold", request);
     }
   };
 
@@ -659,23 +775,20 @@ TEST_F(GatewayTest, DegradedEndpointShedsLowClassesAndServesShallower) {
 
   AdmissionClass background;
   background.priority = Priority::kBackground;
-  try {
-    gateway.Submit("hot", request, background).get();
-    FAIL() << "background request served on a degraded endpoint";
-  } catch (const ShedError& e) {
-    EXPECT_EQ(e.reason(), ShedReason::kCapacity);
-    EXPECT_NE(std::string(e.what()).find("degraded"), std::string::npos);
-  }
+  const Reply shed = Serve(gateway, "hot", request, background);
+  EXPECT_FALSE(shed.ok) << "background request served on a degraded endpoint";
+  EXPECT_EQ(shed.code, ErrorCode::kShedCapacity);
+  EXPECT_NE(shed.message.find("degraded"), std::string::npos);
 
   const eval::RecommendResponse shallow =
-      gateway.Submit("hot", request, AdmissionClass{}).get();
+      Served(gateway, "hot", request, AdmissionClass{});
   EXPECT_LE(shallow.items.size(), 2u) << "degraded top_n clamp not applied";
   EXPECT_LE(shallow.tiles_screened, 4) << "degraded stage-1 cap not applied";
 
   // Bulk sits above the shed threshold: shaped, not shed.
   AdmissionClass bulk;
   bulk.priority = Priority::kBulk;
-  EXPECT_LE(gateway.Submit("hot", request, bulk).get().items.size(), 2u);
+  EXPECT_LE(Served(gateway, "hot", request, bulk).items.size(), 2u);
 
   EndpointStats stats;
   ASSERT_TRUE(gateway.GetEndpointStats("hot", &stats));
@@ -739,14 +852,6 @@ TEST_F(GatewayTest, ItineraryFramesServeEndToEnd) {
     async_reply.set_value(std::move(bytes));
   });
   EXPECT_EQ(async_reply.get_future().get(), reply);
-
-  // The direct API agrees with the wire path.
-  plan::ItineraryResponse direct;
-  ASSERT_TRUE(gateway.PlanItinerary("wire", request, &direct, &error)) << error;
-  ASSERT_EQ(direct.plans.size(), wired.plans.size());
-  for (size_t p = 0; p < direct.plans.size(); ++p) {
-    EXPECT_EQ(direct.plans[p].total_score, wired.plans[p].total_score);
-  }
 }
 
 TEST_F(GatewayTest, ItineraryFrameErrorsCarryTypedCodes) {
@@ -807,6 +912,93 @@ TEST_F(GatewayTest, ItineraryFrameErrorsCarryTypedCodes) {
           &message, &code),
       DecodeStatus::kOk);
   EXPECT_EQ(code, ErrorCode::kUnknownEndpoint);
+}
+
+TEST_F(GatewayTest, ItineraryPlanWorkersAreCapped) {
+  // Each itinerary frame holds a plan worker thread until its plan ends. A
+  // client pipelining itinerary frames must meet a shed at the cap instead
+  // of making the gateway start a thread per frame. The gated model holds
+  // every plan in its first rollout wave; this test makes the gateway start
+  // kMaxPlanWorkers + 1 plan threads in all.
+  PlanGate().Close();
+  eval::ModelRegistry::Global().Register(
+      "GatewayTestGated",
+      [](std::shared_ptr<const data::CityDataset>, const eval::ModelOptions&) {
+        return std::make_unique<GatedModel>();
+      });
+  Gateway gateway;
+  DeployConfig config;
+  config.model_name = "GatewayTestGated";
+  config.dataset = dataset_;
+  config.engine_options = SmallEngine(1);
+  std::string error;
+  ASSERT_TRUE(gateway.Deploy("gated", config, &error)) << error;
+  // Destroyed before the gateway: a failed assertion must not leave its
+  // destructor joining plans that wait on a closed gate.
+  struct OpenGateOnExit {
+    ~OpenGateOnExit() { PlanGate().Open(); }
+  } open_gate_on_exit;
+
+  plan::ItineraryRequest request;
+  request.start = dataset_->Samples(data::Split::kTest).at(0);
+  request.k_stops = 2;
+  request.time_budget_hours = 12.0;
+  const std::vector<uint8_t> frame = EncodeItineraryRequest("gated", request);
+
+  auto mutex = std::make_shared<std::mutex>();
+  auto replies = std::make_shared<std::vector<std::vector<uint8_t>>>();
+  auto replied = std::make_shared<std::condition_variable>();
+  for (size_t i = 0; i < Gateway::kMaxPlanWorkers; ++i) {
+    gateway.HandleFrameAsync(frame, [=](std::vector<uint8_t> reply) {
+      std::lock_guard<std::mutex> lock(*mutex);
+      replies->push_back(std::move(reply));
+      replied->notify_all();
+    });
+  }
+
+  // At the cap: the next frame is shed on the calling thread.
+  std::vector<uint8_t> shed_reply;
+  gateway.HandleFrameAsync(frame, [&shed_reply](std::vector<uint8_t> reply) {
+    shed_reply = std::move(reply);
+  });
+  std::string message;
+  ErrorCode code = ErrorCode::kGeneric;
+  ASSERT_EQ(DecodeErrorFrame(shed_reply, &message, &code), DecodeStatus::kOk)
+      << "the frame past the cap was not shed synchronously";
+  EXPECT_EQ(code, ErrorCode::kShedCapacity);
+  {
+    std::lock_guard<std::mutex> lock(*mutex);
+    EXPECT_TRUE(replies->empty()) << "a gated plan finished early";
+  }
+
+  PlanGate().Open();
+  {
+    std::unique_lock<std::mutex> lock(*mutex);
+    ASSERT_TRUE(replied->wait_for(lock, std::chrono::seconds(60), [&] {
+      return replies->size() == Gateway::kMaxPlanWorkers;
+    }));
+    for (const std::vector<uint8_t>& reply : *replies) {
+      FrameType type = FrameType::kRequest;
+      ASSERT_EQ(PeekFrameType(reply, &type), DecodeStatus::kOk);
+      EXPECT_EQ(type, FrameType::kItineraryResponse);
+    }
+  }
+
+  // Released, the same frame is planned again. A worker marks itself
+  // finished just after its reply, so a shed here can only mean the
+  // workers are still returning: retry (a shed starts no thread).
+  FrameType type = FrameType::kError;
+  for (int attempt = 0; attempt < 5000 && type != FrameType::kItineraryResponse;
+       ++attempt) {
+    const std::vector<uint8_t> reply = gateway.ServeFrame(frame);
+    ASSERT_EQ(PeekFrameType(reply, &type), DecodeStatus::kOk);
+    if (type == FrameType::kError) {
+      ASSERT_EQ(DecodeErrorFrame(reply, &message, &code), DecodeStatus::kOk);
+      ASSERT_EQ(code, ErrorCode::kShedCapacity) << message;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(type, FrameType::kItineraryResponse);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,13 +25,18 @@
 namespace tspn::serve {
 namespace {
 
-/// Ranked POI ids of an unconstrained top-`top_n` request.
-std::vector<int64_t> TopIds(const eval::NextPoiModel& model,
-                            const data::SampleRef& sample, int64_t top_n) {
+/// An unconstrained top-`top_n` request.
+eval::RecommendRequest Query(const data::SampleRef& sample, int64_t top_n) {
   eval::RecommendRequest request;
   request.sample = sample;
   request.top_n = top_n;
-  return model.Recommend(request).PoiIds();
+  return request;
+}
+
+/// Ranked POI ids of an unconstrained top-`top_n` request.
+std::vector<int64_t> TopIds(const eval::NextPoiModel& model,
+                            const data::SampleRef& sample, int64_t top_n) {
+  return model.Recommend(Query(sample, top_n)).PoiIds();
 }
 
 core::TspnRaConfig TinyConfig() {
@@ -85,12 +91,9 @@ TEST_F(InferenceEngineTest, TrySubmitAsyncRunsContinuationsWithoutWaiters) {
   std::vector<eval::RecommendResponse> responses(count);
   std::vector<std::exception_ptr> errors(count);
   for (size_t i = 0; i < count; ++i) {
-    eval::RecommendRequest request;
-    request.sample = samples[i];
-    request.top_n = 10;
     const bool accepted = engine.TrySubmitAsync(
-        request, [&, i](eval::RecommendResponse response,
-                        std::exception_ptr error) {
+        Query(samples[i], 10), AdmissionClass{},
+        [&, i](eval::RecommendResponse response, std::exception_ptr error) {
           std::lock_guard<std::mutex> lock(mutex);
           responses[i] = std::move(response);
           errors[i] = error;
@@ -118,15 +121,14 @@ TEST_F(InferenceEngineTest, TrySubmitAsyncRejectsAfterShutdownWithoutCallback) {
   ASSERT_FALSE(samples.empty());
   InferenceEngine engine(*model_, TestOptions(1));
   engine.Shutdown();
-  eval::RecommendRequest request;
-  request.sample = samples[0];
-  request.top_n = 5;
   std::atomic<bool> ran{false};
+  ShedReason reason = ShedReason::kNone;
   EXPECT_FALSE(engine.TrySubmitAsync(
-      request, [&](eval::RecommendResponse, std::exception_ptr) {
-        ran.store(true);
-      }));
+      Query(samples[0], 5), AdmissionClass{},
+      [&](eval::RecommendResponse, std::exception_ptr) { ran.store(true); },
+      &reason));
   EXPECT_FALSE(ran.load());
+  EXPECT_EQ(reason, ShedReason::kShutdown);
   EXPECT_GE(engine.GetStats().rejected, 1);
 }
 
@@ -138,7 +140,7 @@ TEST_F(InferenceEngineTest, ServedAnswersMatchDirectRecommend) {
   const size_t count = std::min<size_t>(24, samples.size());
   futures.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    futures.push_back(engine.Submit(samples[i], 10));
+    futures.push_back(engine.Submit(Query(samples[i], 10)));
   }
   for (size_t i = 0; i < count; ++i) {
     EXPECT_EQ(futures[i].get().PoiIds(), TopIds(*model_, samples[i], 10))
@@ -154,8 +156,8 @@ TEST_F(InferenceEngineTest, ServedAnswersMatchDirectRecommend) {
 TEST_F(InferenceEngineTest, MixedTopNRequestsAreServedPerRequest) {
   auto samples = dataset_->Samples(data::Split::kTest);
   InferenceEngine engine(*model_, TestOptions(1));
-  auto short_future = engine.Submit(samples[0], 3);
-  auto long_future = engine.Submit(samples[0], 15);
+  auto short_future = engine.Submit(Query(samples[0], 3));
+  auto long_future = engine.Submit(Query(samples[0], 15));
   std::vector<int64_t> short_ranked = short_future.get().PoiIds();
   std::vector<int64_t> long_ranked = long_future.get().PoiIds();
   EXPECT_EQ(short_ranked, TopIds(*model_, samples[0], 3));
@@ -254,7 +256,8 @@ TEST_F(InferenceEngineTest, ConcurrentSubmittersStressParity) {
       for (int i = 0; i < kPerClient; ++i) {
         const data::SampleRef& sample =
             samples[static_cast<size_t>(c * kPerClient + i) % samples.size()];
-        std::vector<int64_t> served = engine.Submit(sample, 10).get().PoiIds();
+        std::vector<int64_t> served =
+            engine.Submit(Query(sample, 10)).get().PoiIds();
         if (served != TopIds(fresh, sample, 10)) mismatches.fetch_add(1);
       }
     });
@@ -268,19 +271,37 @@ TEST_F(InferenceEngineTest, ConcurrentSubmittersStressParity) {
 TEST_F(InferenceEngineTest, ShutdownServesQueuedThenRejects) {
   auto samples = dataset_->Samples(data::Split::kTest);
   auto engine = std::make_unique<InferenceEngine>(*model_, TestOptions(1));
-  auto pending = engine->Submit(samples[0], 5);
+  auto pending = engine->Submit(Query(samples[0], 5));
   engine->Shutdown();
   // Queued work was served before the workers exited.
   EXPECT_EQ(pending.get().PoiIds(), TopIds(*model_, samples[0], 5));
-  // New submissions are refused.
-  auto refused = engine->Submit(samples[0], 5);
+  // New submissions are refused, blocking or not.
+  auto refused = engine->Submit(Query(samples[0], 5));
   EXPECT_THROW(refused.get(), std::runtime_error);
-  eval::RecommendRequest request;
-  request.sample = samples[0];
-  request.top_n = 5;
-  std::future<eval::RecommendResponse> unused;
-  EXPECT_FALSE(engine->TrySubmit(request, &unused));
+  EXPECT_FALSE(engine->TrySubmitAsync(
+      Query(samples[0], 5), AdmissionClass{},
+      [](eval::RecommendResponse, std::exception_ptr) {}));
   EXPECT_GE(engine->GetStats().rejected, 2);
+}
+
+TEST_F(InferenceEngineTest, DeadlineBeyondTheClockIsNoDeadline) {
+  // The wire codec accepts any non-negative deadline_ms. A budget too far
+  // ahead for the clock to represent must serve as if it had none, not
+  // overflow into the past and expire in the queue.
+  auto samples = dataset_->Samples(data::Split::kTest);
+  ASSERT_FALSE(samples.empty());
+  InferenceEngine engine(*model_, TestOptions(1));
+  for (const int64_t deadline_ms :
+       {std::numeric_limits<int64_t>::max(), int64_t{1} << 62}) {
+    AdmissionClass admission;
+    admission.deadline_ms = deadline_ms;
+    auto future = engine.Submit(Query(samples[0], 5), admission);
+    EXPECT_EQ(future.get().PoiIds(), TopIds(*model_, samples[0], 5))
+        << "deadline_ms " << deadline_ms;
+  }
+  const EngineStats stats = engine.GetStats();
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.expired_in_queue, 0);
 }
 
 TEST_F(InferenceEngineTest, DefaultSerialFallbackServesBaselines) {
@@ -339,11 +360,11 @@ TEST(InferenceEngineErrorTest, ThrowingModelFailsFuturesNotTheEngine) {
   InferenceEngine engine(model, options);
   data::SampleRef sample;
   sample.prefix_len = 1;
-  auto first = engine.Submit(sample, 5);
+  auto first = engine.Submit(Query(sample, 5));
   EXPECT_THROW(first.get(), std::runtime_error);
   // Workers survived; later requests still get (failed) answers and stats
   // keep accounting.
-  auto second = engine.Submit(sample, 5);
+  auto second = engine.Submit(Query(sample, 5));
   EXPECT_THROW(second.get(), std::runtime_error);
   EngineStats stats = engine.GetStats();
   EXPECT_EQ(stats.completed, 2);
@@ -643,6 +664,44 @@ TEST(InferenceEngineErrorTest, ShortBatchResultFailsTheBatchNotTheEngine) {
   const EngineStats stats = engine.GetStats();
   EXPECT_EQ(stats.batches, 2);
   EXPECT_EQ(stats.completed, 3);
+}
+
+TEST(InferenceEngineErrorTest, ModelFailuresReachContinuationsOnce) {
+  // Wire traffic completes through continuations, not futures: a throwing
+  // model and a short batch result must each run the callback exactly once
+  // with the error, and the engine still counts the request as completed.
+  ThrowingModel throwing;
+  ShortBatchModel short_batch;
+  const std::vector<const eval::NextPoiModel*> models = {&throwing,
+                                                         &short_batch};
+  for (const eval::NextPoiModel* model : models) {
+    std::mutex mutex;
+    std::condition_variable called;
+    int calls = 0;
+    std::exception_ptr error;
+    size_t items = 1;
+    InferenceEngine engine(*model, AdmissionOptions(16, 8));
+    ASSERT_TRUE(engine.TrySubmitAsync(
+        TrivialRequest(), AdmissionClass{},
+        [&](eval::RecommendResponse response, std::exception_ptr e) {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++calls;
+          error = e;
+          items = response.items.size();
+          called.notify_one();
+        }));
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      ASSERT_TRUE(called.wait_for(lock, std::chrono::seconds(30),
+                                  [&] { return calls > 0; }));
+    }
+    engine.Shutdown();  // drained: no second call can still be pending
+    EXPECT_EQ(calls, 1) << model->name();
+    ASSERT_NE(error, nullptr) << model->name();
+    EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+    EXPECT_EQ(items, 0u) << model->name();
+    EXPECT_EQ(engine.GetStats().completed, 1) << model->name();
+  }
 }
 
 /// Records every batch it serves (requests tagged by top_n) and holds each
