@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -442,7 +443,7 @@ int main() {
                        }});
     tracked.push_back({"segment_attention_fwd_32x8", {}, [&] {
                          nn::NoGradGuard guard;
-                         nn::SegmentAttention(seg_q, seg_k, seg_v, seg_offsets,
+                         nn::SegmentAttention(seg_q, {seg_k}, {seg_v}, seg_offsets,
                                               seg_offsets, /*causal=*/true,
                                               seg_scale);
                        }});
@@ -474,6 +475,49 @@ int main() {
       std::snprintf(ns_s, sizeof(ns_s), "%.0f", ns);
       tracked_table.AddRow({c.name, ns_s});
       reporter.Add(c.name, {{"ns_per_op", ns}});
+    }
+    // nn::Linear at the fusion's shape (16 rows at dm 32, with bias): the
+    // one nn::Affine op, timed next to the MatMul(x, Transpose(W)) + Add(b)
+    // chain it replaced. The train rows run forward + backward. Each row
+    // records the core count it ran on.
+    nn::Linear linear(32, 32, rng);
+    Tensor lin_x = Tensor::RandomUniform({16, 32}, 1.0f, rng, /*requires_grad=*/true);
+    auto composed = [&] {
+      return nn::Add(nn::MatMul(lin_x, nn::Transpose(linear.weight())),
+                     linear.bias());
+    };
+    auto train = [&](const std::function<Tensor()>& forward) {
+      nn::SumAll(forward()).Backward();
+      lin_x.ZeroGrad();
+      for (Tensor p : linear.Parameters()) p.ZeroGrad();
+    };
+    struct LinearCase {
+      const char* name;
+      std::function<void()> op, composed_op;
+    };
+    const LinearCase linear_cases[] = {
+        {"linear_fwd_16x32",
+         [&] {
+           nn::NoGradGuard guard;
+           linear.Forward(lin_x);
+         },
+         [&] {
+           nn::NoGradGuard guard;
+           composed();
+         }},
+        {"linear_train_16x32", [&] { train([&] { return linear.Forward(lin_x); }); },
+         [&] { train(composed); }},
+    };
+    const double nproc = static_cast<double>(std::thread::hardware_concurrency());
+    for (const LinearCase& c : linear_cases) {
+      const double ns = TimeNs(c.op);
+      const double composed_ns = TimeNs(c.composed_op);
+      char ns_s[64];
+      std::snprintf(ns_s, sizeof(ns_s), "%.0f (composed %.0f)", ns, composed_ns);
+      tracked_table.AddRow({c.name, ns_s});
+      reporter.Add(c.name, {{"ns_per_op", ns},
+                            {"ns_per_op_composed", composed_ns},
+                            {"nproc", nproc}});
     }
     table.Print();
     tracked_table.Print();

@@ -27,7 +27,7 @@ HistoryKv AttentionBlock::ProjectHistory(const nn::Tensor& history) const {
 
 nn::Tensor AttentionBlock::Forward(const nn::Tensor& sequence,
                                    const std::vector<int64_t>& offsets,
-                                   const HistoryKv& history,
+                                   const std::vector<HistoryKv>& history,
                                    const std::vector<int64_t>& hist_offsets,
                                    common::Rng* rng, float dropout,
                                    bool last_rows_only) const {
@@ -50,15 +50,23 @@ nn::Tensor AttentionBlock::Forward(const nn::Tensor& sequence,
   // 1. Masked sequential self-attention (inverted-triangle mask): one GEMM
   // per projection over the pack, then each segment attends to itself only.
   nn::Tensor z_m = nn::SegmentAttention(
-      self_attention_->ProjectQuery(rows), self_attention_->ProjectKey(sequence),
-      self_attention_->ProjectValue(sequence), row_offsets, offsets,
+      self_attention_->ProjectQuery(rows), {self_attention_->ProjectKey(sequence)},
+      {self_attention_->ProjectValue(sequence)}, row_offsets, offsets,
       /*causal=*/true, self_attention_->scale());
   if (training()) z_m = nn::Dropout(z_m, dropout, *rng, /*training=*/true);
   // 2. Add & normalize (row-wise, safe over the pack).
   nn::Tensor h1 = norm1_->Forward(nn::Add(rows, z_m));
-  // 3. Cross attention over each segment's own historical knowledge.
+  // 3. Cross attention over each segment's own historical knowledge, its
+  // K/V read in place from the parts.
+  std::vector<nn::Tensor> hist_k, hist_v;
+  hist_k.reserve(history.size());
+  hist_v.reserve(history.size());
+  for (const HistoryKv& kv : history) {
+    hist_k.push_back(kv.k);
+    hist_v.push_back(kv.v);
+  }
   nn::Tensor z_h = nn::SegmentAttention(
-      cross_attention_->ProjectQuery(h1), history.k, history.v, row_offsets,
+      cross_attention_->ProjectQuery(h1), hist_k, hist_v, row_offsets,
       hist_offsets, /*causal=*/false, cross_attention_->scale());
   if (training()) z_h = nn::Dropout(z_h, dropout, *rng, /*training=*/true);
   nn::Tensor h2 = norm2_->Forward(nn::Add(h1, z_h));
@@ -85,18 +93,22 @@ std::vector<HistoryKv> FusionModule::ProjectHistory(
 
 nn::Tensor FusionModule::Forward(const nn::Tensor& sequence,
                                  const std::vector<int64_t>& offsets,
-                                 const std::vector<HistoryKv>& history,
+                                 const std::vector<std::vector<HistoryKv>>& history,
                                  const std::vector<int64_t>& hist_offsets,
                                  common::Rng* rng) const {
-  TSPN_CHECK_EQ(history.size(), blocks_.size());
+  for (const std::vector<HistoryKv>& part : history) {
+    TSPN_CHECK_EQ(part.size(), blocks_.size());
+  }
   // Only h_out leaves the module. At inference the final block therefore
   // computes just each segment's last row; training keeps every row, so
   // its dropout draws (which share the rng with negative sampling) and the
   // checkpoint stay as they are.
   const bool last_rows_only = !training();
   nn::Tensor h = sequence;
+  std::vector<HistoryKv> block_history(history.size());
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->Forward(h, offsets, history[i], hist_offsets, rng,
+    for (size_t p = 0; p < history.size(); ++p) block_history[p] = history[p][i];
+    h = blocks_[i]->Forward(h, offsets, block_history, hist_offsets, rng,
                             config_.dropout,
                             last_rows_only && i + 1 == blocks_.size());
   }

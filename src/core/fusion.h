@@ -33,21 +33,24 @@ class AttentionBlock : public nn::Module {
 
   /// Forward over a pack of B variable-length segments. `sequence` holds
   /// the segments concatenated row-wise ([total, dm], boundaries in
-  /// `offsets`, size B+1); `history` likewise holds each segment's
-  /// ProjectHistory pair ([total_h, dm], `hist_offsets`, every segment at
-  /// least one row). The projections, norms and feed-forward run as single
-  /// GEMMs over the whole pack, and both attentions are one
-  /// nn::SegmentAttention each. Every packed op is row-wise with a per-row
-  /// accumulation order independent of the number of rows, so a segment's
-  /// rows do not depend on what else is in the pack. In training mode
-  /// dropout (rate `dropout`, drawn from `rng`) is applied to the packed
-  /// sublayer outputs z_m and z_h; `rng` may be null only when !training().
-  /// Returns [total, dm], or with `last_rows_only` just each segment's last
-  /// position ([B, dm]): its query, and everything after the self-attention,
-  /// then run on B rows while the keys and values still cover all rows.
+  /// `offsets`, size B+1). `history` holds the cross-attention K/V as parts
+  /// ([rows, dm] each, ProjectHistory pairs) read in place: the parts
+  /// concatenated row-wise hold each segment's history at `hist_offsets`,
+  /// every segment has at least one row, and no segment straddles two
+  /// parts. One packed part and one part per segment give the same bits.
+  /// The projections, norms and feed-forward run as single GEMMs over the
+  /// whole pack, and both attentions are one nn::SegmentAttention each.
+  /// Every packed op is row-wise with a per-row accumulation order
+  /// independent of the number of rows, so a segment's rows do not depend
+  /// on what else is in the pack. In training mode dropout (rate `dropout`,
+  /// drawn from `rng`) is applied to the packed sublayer outputs z_m and
+  /// z_h; `rng` may be null only when !training(). Returns [total, dm], or
+  /// with `last_rows_only` just each segment's last position ([B, dm]): its
+  /// query, and everything after the self-attention, then run on B rows
+  /// while the keys and values still cover all rows.
   nn::Tensor Forward(const nn::Tensor& sequence,
                      const std::vector<int64_t>& offsets,
-                     const HistoryKv& history,
+                     const std::vector<HistoryKv>& history,
                      const std::vector<int64_t>& hist_offsets,
                      common::Rng* rng, float dropout,
                      bool last_rows_only = false) const;
@@ -72,13 +75,15 @@ class FusionModule : public nn::Module {
   std::vector<HistoryKv> ProjectHistory(const nn::Tensor& history) const;
 
   /// Forward over a pack of B segments (see AttentionBlock::Forward for
-  /// the packing contract and the dropout rule); `history` holds one packed
-  /// pair per block. Returns h_out = H_out[-1] per segment: [B, dm], row b
-  /// the last position of segment b after the final block. In eval mode the
-  /// final block computes only those rows (bitwise the same values).
+  /// the packing contract and the dropout rule). `history` holds the K/V
+  /// parts, each one ProjectHistory result (one pair per block): a single
+  /// packed part, or one per segment. Returns h_out = H_out[-1] per
+  /// segment: [B, dm], row b the last position of segment b after the
+  /// final block. In eval mode the final block computes only those rows
+  /// (bitwise the same values).
   nn::Tensor Forward(const nn::Tensor& sequence,
                      const std::vector<int64_t>& offsets,
-                     const std::vector<HistoryKv>& history,
+                     const std::vector<std::vector<HistoryKv>>& history,
                      const std::vector<int64_t>& hist_offsets,
                      common::Rng* rng) const;
 

@@ -45,30 +45,6 @@ int64_t HistoryKey(int32_t user, int32_t traj) {
          static_cast<int64_t>(static_cast<uint32_t>(traj));
 }
 
-/// Packs each sample's per-block K/V row-wise: block i of the result holds
-/// every sample's block i in sample order. A pack of one is the sample's own
-/// tensors (ConcatRows of one part). Writes the per-sample row offsets.
-std::vector<HistoryKv> PackHistoryKv(
-    const std::vector<std::vector<HistoryKv>>& per_sample,
-    std::vector<int64_t>* offsets) {
-  offsets->assign(per_sample.size() + 1, 0);
-  for (size_t b = 0; b < per_sample.size(); ++b) {
-    (*offsets)[b + 1] = (*offsets)[b] + per_sample[b].front().k.dim(0);
-  }
-  std::vector<HistoryKv> packed(per_sample.front().size());
-  std::vector<nn::Tensor> ks, vs;
-  for (size_t i = 0; i < packed.size(); ++i) {
-    ks.clear();
-    vs.clear();
-    for (const std::vector<HistoryKv>& kv : per_sample) {
-      ks.push_back(kv[i].k);
-      vs.push_back(kv[i].v);
-    }
-    packed[i] = {nn::ConcatRows(ks), nn::ConcatRows(vs)};
-  }
-  return packed;
-}
-
 template <typename T>
 int64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(T));
@@ -317,9 +293,10 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
   }
   // Historical knowledge (Sec. IV-C) stays per sample — each history graph
   // has its own structure — and enters fusion as every block's
-  // cross-attention K/V, packed row-wise. Inference takes the K/V its history
-  // entry carries. Training encodes the graph and projects the knowledge, or
-  // the learned null-history row when there is no graph.
+  // cross-attention K/V, one part per sample, read in place. Inference takes
+  // the K/V its history entry carries. Training encodes the graph and
+  // projects the knowledge, or the learned null-history row when there is
+  // no graph.
   std::vector<std::vector<HistoryKv>> tile_kvs, poi_kvs;
   tile_kvs.reserve(batch);
   poi_kvs.reserve(batch);
@@ -341,17 +318,19 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
     tile_kvs.push_back(net_->mp1.ProjectHistory(tile_history));
     poi_kvs.push_back(net_->mp2.ProjectHistory(poi_history));
   }
-  std::vector<int64_t> tile_hist_offsets, poi_hist_offsets;
-  const std::vector<HistoryKv> tile_kv = PackHistoryKv(tile_kvs, &tile_hist_offsets);
-  const std::vector<HistoryKv> poi_kv = PackHistoryKv(poi_kvs, &poi_hist_offsets);
+  std::vector<int64_t> tile_hist_offsets(batch + 1, 0);
+  std::vector<int64_t> poi_hist_offsets(batch + 1, 0);
+  for (size_t b = 0; b < batch; ++b) {
+    tile_hist_offsets[b + 1] = tile_hist_offsets[b] + tile_kvs[b].front().k.dim(0);
+    poi_hist_offsets[b + 1] = poi_hist_offsets[b] + poi_kvs[b].front().k.dim(0);
+  }
   // Attention fusion (Sec. V-A) over the pack: projections, norms and
   // feed-forward as single GEMMs, one segmented attention per sublayer.
   // Training passes the dropout rng; inference passes null.
   BatchForwardOut out;
-  out.h_tile = net_->mp1.Forward(tile_seq, offsets, tile_kv,
-                                 tile_hist_offsets, rng);
-  out.h_poi =
-      net_->mp2.Forward(poi_seq, offsets, poi_kv, poi_hist_offsets, rng);
+  out.h_tile =
+      net_->mp1.Forward(tile_seq, offsets, tile_kvs, tile_hist_offsets, rng);
+  out.h_poi = net_->mp2.Forward(poi_seq, offsets, poi_kvs, poi_hist_offsets, rng);
   return out;
 }
 
@@ -509,7 +488,6 @@ TspnRa::BatchScores TspnRa::ScoreBatch(
   const int64_t batch = static_cast<int64_t>(samples.size());
   const int64_t dm = config_.dm;
   const int64_t num_tiles = NumCandidateTiles();
-  const int64_t num_pois = static_cast<int64_t>(dataset_->pois().size());
 
   // One packed encoder forward for the whole batch: the B query sequences
   // ride a single [total_len, dm] tensor through the projections, norms and
@@ -547,23 +525,20 @@ TspnRa::BatchScores TspnRa::ScoreBatch(
   BatchForwardOut fwd =
       ForwardBatch(common::Span<Features>(features), et_cache_, nullptr);
   nn::Tensor h_tiles = nn::L2Normalize(fwd.h_tile);
-  nn::Tensor h_pois = nn::L2Normalize(fwd.h_poi);
 
-  // Then score every query against the cached normalized tile and POI
-  // matrices with one GEMM per prediction stage. The kernel reduces every
-  // element in the same order whatever the batch size, so row b depends on
-  // samples[b] alone.
+  // Stage 1 scores every query against the cached normalized tile matrix
+  // with one GEMM. The kernel reduces every element in the same order
+  // whatever the batch size, so row b depends on samples[b] alone. Stage 2
+  // needs only the screened candidates: the normalized h_poi rows go back,
+  // for RecommendScored to score against those candidates' rows alone.
   BatchScores scores;
   scores.num_tiles = num_tiles;
-  scores.num_pois = num_pois;
   scores.cos_tiles.resize(static_cast<size_t>(batch * num_tiles));
   nn::kernels::DotProductGemm(h_tiles.data(), leaf_et_cache_.data(),
                               scores.cos_tiles.data(), batch, num_tiles, dm,
                               /*accumulate=*/false);
-  scores.cos_pois.resize(static_cast<size_t>(batch * num_pois));
-  nn::kernels::DotProductGemm(h_pois.data(), poi_et_cache_.data(),
-                              scores.cos_pois.data(), batch, num_pois, dm,
-                              /*accumulate=*/false);
+  scores.h_pois = nn::L2Normalize(fwd.h_poi);
+  scores.poi_et = poi_et_cache_;
   return scores;
 }
 
@@ -577,7 +552,9 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendScored(
   }
   const BatchScores scores = ScoreBatch(common::Span<data::SampleRef>(samples));
 
-  // Constraints and top_n apply per request, after the shared GEMMs.
+  // Constraints and top_n apply per request, after the shared encoder pass
+  // and stage-1 GEMM.
+  const int64_t dm = config_.dm;
   const float gamma = net_->tile_prior_weight.at(0);
   std::vector<eval::RecommendResponse> responses(requests.size());
   for (size_t b = 0; b < requests.size(); ++b) {
@@ -599,16 +576,20 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendScored(
     }
     if (candidates.empty()) continue;
 
-    // Hierarchical score fusion, as in training: with the two-step screen
-    // each candidate also carries its tile's stage-1 cosine as a
-    // gamma-weighted prior.
-    const float* pc = scores.Pois(b);
+    // Stage 2 scores the candidates alone: each cosine is one DotRow of
+    // h_poi against the candidate's cached row, bitwise the element a GEMM
+    // over every POI would give. Hierarchical score fusion, as in training:
+    // with the two-step screen each candidate also carries its tile's
+    // stage-1 cosine as a gamma-weighted prior.
+    const float* hp = scores.h_pois.data() + static_cast<int64_t>(b) * dm;
+    const float* poi_rows = scores.poi_et.data();
     std::vector<float> fused(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
+      const float cosine =
+          nn::kernels::DotRow(hp, poi_rows + candidates[i] * dm, dm);
       fused[i] = config_.use_two_step
-                     ? pc[candidates[i]] +
-                           gamma * tc[CandidateTileOfPoi(candidates[i])]
-                     : pc[candidates[i]];
+                     ? cosine + gamma * tc[CandidateTileOfPoi(candidates[i])]
+                     : cosine;
     }
     // Only the top-N ordering is returned: select instead of sorting all
     // candidates.

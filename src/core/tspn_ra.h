@@ -218,33 +218,34 @@ class TspnRa : public eval::NextPoiModel {
   std::vector<int64_t> GatherCandidates(const std::vector<int64_t>& ranked_tiles,
                                         int32_t top_k) const;
 
-  /// Cosine scores of a batch against the cached normalized leaf-tile and
-  /// POI matrices: rows of [B, num_tiles] and [B, num_pois].
+  /// A scored batch: stage-1 cosines of every query against the cached
+  /// normalized leaf-tile matrix (rows of [B, num_tiles]), and for stage 2
+  /// the normalized h_poi rows ([B, dm]) with the POI matrix they were
+  /// encoded under, so a caller scores only the candidates its screen keeps.
   struct BatchScores {
     int64_t num_tiles = 0;
-    int64_t num_pois = 0;
     std::vector<float> cos_tiles;
-    std::vector<float> cos_pois;
+    nn::Tensor h_pois;  // [B, dm], rows L2-normalized
+    nn::Tensor poi_et;  // poi_et_cache_ as of ScoreBatch
     const float* Tiles(size_t b) const {
       return cos_tiles.data() + static_cast<int64_t>(b) * num_tiles;
-    }
-    const float* Pois(size_t b) const {
-      return cos_pois.data() + static_cast<int64_t>(b) * num_pois;
     }
   };
 
   /// The one inference scoring core: ForwardBatch over the samples, then
-  /// one GEMM per prediction stage. Every inference entry point (single
-  /// query, batch, RecommendWithK, RankTiles) runs through it. It attaches
-  /// each sample's history K/V from the history cache, encoding (once per
-  /// distinct key in the batch) and caching what is missing or stale.
+  /// the stage-1 GEMM against every candidate tile. Every inference entry
+  /// point (single query, batch, RecommendWithK, RankTiles) runs through
+  /// it. It attaches each sample's history K/V from the history cache,
+  /// encoding (once per distinct key in the batch) and caching what is
+  /// missing or stale.
   BatchScores ScoreBatch(common::Span<data::SampleRef> samples) const;
 
   /// ScoreBatch, then per request: the constraint-aware stage-1 screen over
-  /// `top_k` tiles and the fused stage-2 ranking. The single-query paths
-  /// call it directly, not through the virtual RecommendBatchImpl, so a
-  /// subclass that overrides RecommendBatchImpl (e.g. to time batches)
-  /// sees only real batches.
+  /// `top_k` tiles and the fused stage-2 ranking, which scores the screened
+  /// candidates alone (kernels::DotRow against their POI rows). The
+  /// single-query paths call it directly, not through the virtual
+  /// RecommendBatchImpl, so a subclass that overrides RecommendBatchImpl
+  /// (e.g. to time batches) sees only real batches.
   std::vector<eval::RecommendResponse> RecommendScored(
       common::Span<eval::RecommendRequest> requests, int32_t top_k) const;
 

@@ -105,10 +105,10 @@ class NextPoiModel {
   virtual RecommendResponse RecommendImpl(const RecommendRequest& request) const = 0;
 
   /// Default: the serial per-query loop, so every model supports the batched
-  /// API. Models whose scoring amortizes across queries (TSPN-RA stacks the
-  /// batch into one GEMM per prediction stage) override this with a true
-  /// batched path; overrides must preserve per-request parity with
-  /// RecommendImpl().
+  /// API. Models whose scoring amortizes across queries (TSPN-RA runs the
+  /// batch through one packed encoder pass and one stage-1 GEMM) override
+  /// this with a true batched path; overrides must preserve per-request
+  /// parity with RecommendImpl().
   virtual std::vector<RecommendResponse> RecommendBatchImpl(
       common::Span<RecommendRequest> requests) const;
 

@@ -116,7 +116,7 @@ inline void DotTile4x4(const float* y0, const float* y1, const float* y2,
   }
 }
 
-inline float DotRow(const float* y, const float* z, int64_t r_len) {
+inline float DotRowInline(const float* y, const float* z, int64_t r_len) {
   __m256 acc = _mm256_setzero_ps();
   int64_t r = 0;
   for (; r + 8 <= r_len; r += 8) {
@@ -144,7 +144,7 @@ inline void DotTile4x4(const float* y0, const float* y1, const float* y2,
   }
 }
 
-inline float DotRow(const float* y, const float* z, int64_t r_len) {
+inline float DotRowInline(const float* y, const float* z, int64_t r_len) {
   float s = 0.0f;
   for (int64_t r = 0; r < r_len; ++r) s += y[r] * z[r];
   return s;
@@ -155,6 +155,10 @@ inline float DotRow(const float* y, const float* z, int64_t r_len) {
 }  // namespace
 
 int NumThreads() { return 1; }
+
+float DotRow(const float* y, const float* z, int64_t r_len) {
+  return DotRowInline(y, z, r_len);
+}
 
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate) {
@@ -190,7 +194,7 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
         const float* zq = z + q * r_len;
         const float* ys[4] = {y0, y1, y2, y3};
         for (int i = 0; i < 4; ++i) {
-          float s = DotRow(ys[i], zq, r_len);
+          float s = DotRowInline(ys[i], zq, r_len);
           float* dst = c + (p + i) * q_rows + q;
           if (accumulate) {
             *dst += s;
@@ -203,7 +207,7 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
     for (; p < p_rows; ++p) {
       const float* yp = y + p * r_len;
       for (int64_t q = qb; q < qe; ++q) {
-        float s = DotRow(yp, z + q * r_len, r_len);
+        float s = DotRowInline(yp, z + q * r_len, r_len);
         float* dst = c + p * q_rows + q;
         if (accumulate) {
           *dst += s;

@@ -31,6 +31,11 @@ int NumThreads();
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate);
 
+/// One element of DotProductGemm: sum_r y[r] * z[r] over one Y row and one
+/// Z row, bitwise what DotProductGemm writes for that pair whatever the
+/// shape of the call. Scores a few rows of a large Z without the rest.
+float DotRow(const float* y, const float* z, int64_t r_len);
+
 /// Row-major transpose into a fresh buffer: src [rows, cols] -> [cols, rows].
 /// O(rows*cols); used to feed DotProductGemm operands that are needed
 /// column-major (B in the forward pass, A and dOut in the dB pass).

@@ -59,8 +59,7 @@ Tensor Linear::Forward(const Tensor& x) const {
   bool vector_input = x.rank() == 1;
   Tensor x2 = vector_input ? Reshape(x, {1, in_features_}) : x;
   TSPN_CHECK_EQ(x2.dim(1), in_features_);
-  Tensor y = MatMul(x2, Transpose(weight_));
-  if (bias_.defined()) y = Add(y, bias_);
+  Tensor y = Affine(x2, weight_, bias_);
   return vector_input ? Reshape(y, {out_features_}) : y;
 }
 
@@ -109,8 +108,8 @@ Tensor Attention::Forward(const Tensor& query_in, const Tensor& key_value_in,
                           bool causal) const {
   TSPN_CHECK_EQ(query_in.rank(), 2);
   TSPN_CHECK_EQ(key_value_in.rank(), 2);
-  return SegmentAttention(wq_.Forward(query_in), wk_.Forward(key_value_in),
-                          wv_.Forward(key_value_in), {0, query_in.dim(0)},
+  return SegmentAttention(wq_.Forward(query_in), {wk_.Forward(key_value_in)},
+                          {wv_.Forward(key_value_in)}, {0, query_in.dim(0)},
                           {0, key_value_in.dim(0)}, causal, scale());
 }
 

@@ -614,6 +614,62 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return MakeOp({m, n}, std::move(out), {a, b}, std::move(backward), "matmul");
 }
 
+Tensor Affine(const Tensor& x, const Tensor& weight, const Tensor& bias) {
+  TSPN_CHECK_EQ(x.rank(), 2);
+  TSPN_CHECK_EQ(weight.rank(), 2);
+  const int64_t m = x.dim(0), k = x.dim(1), n = weight.dim(0);
+  TSPN_CHECK_EQ(weight.dim(1), k) << "affine inner dims";
+  const bool with_bias = bias.defined();
+  if (with_bias) {
+    TSPN_CHECK_EQ(bias.numel(), n);
+  }
+  // W's rows are the columns of W^T, so y = x W^T is C = Y Z^T with Y = x
+  // and Z = W as stored: no transpose. The bias adds in place, as the
+  // broadcast Add it replaces does.
+  std::vector<float> out(static_cast<size_t>(m * n));
+  kernels::DotProductGemm(x.data(), weight.data(), out.data(), m, n, k,
+                          /*accumulate=*/false);
+  if (with_bias) {
+    const float* pb = bias.data();
+    for (int64_t p = 0; p < m; ++p) {
+      float* row = out.data() + p * n;
+      for (int64_t j = 0; j < n; ++j) row[j] += pb[j];
+    }
+  }
+  // Backward computes MatMul's products on W^T, element for element:
+  //   dx = dy (W^T)^T  -> Y = dy,   Z = W^T, MatMul's dA call
+  //   dW = (x^T dy)^T  -> Y = dy^T, Z = x^T: MatMul's dB call with Y and Z
+  //                       swapped, so dW lands in W's layout with no
+  //                       transposed copy (each element is one dot product
+  //                       whatever operand is Y)
+  //   db = column sums of dy, row by row as in Add's broadcast backward.
+  auto backward = [m, k, n, with_bias](TensorNode& node) {
+    const auto& x_node = node.parents[0];
+    const auto& w_node = node.parents[1];
+    const float* g = node.grad.data();
+    if (float* gx = GradPtr(x_node)) {
+      const float* wt = kernels::TransposeScratch(w_node->data.data(), n, k, 0);
+      kernels::DotProductGemm(g, wt, gx, m, k, n, /*accumulate=*/true);
+    }
+    if (float* gw = GradPtr(w_node)) {
+      const float* gt = kernels::TransposeScratch(g, m, n, 0);
+      const float* xt = kernels::TransposeScratch(x_node->data.data(), m, k, 1);
+      kernels::DotProductGemm(gt, xt, gw, n, k, m, /*accumulate=*/true);
+    }
+    if (!with_bias) return;
+    if (float* gb = GradPtr(node.parents[2])) {
+      for (int64_t p = 0; p < m; ++p) {
+        const float* row = g + p * n;
+        for (int64_t j = 0; j < n; ++j) gb[j] += row[j];
+      }
+    }
+  };
+  std::vector<Tensor> parents = {x, weight};
+  if (with_bias) parents.push_back(bias);
+  return MakeOp({m, n}, std::move(out), std::move(parents), std::move(backward),
+                "affine");
+}
+
 Tensor MatVec(const Tensor& a, const Tensor& v) {
   TSPN_CHECK_EQ(a.rank(), 2);
   TSPN_CHECK_EQ(v.rank(), 1);
@@ -771,28 +827,46 @@ void SoftmaxRow(const float* x, float* y, int64_t cols, bool log_space) {
 
 }  // namespace
 
-Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+Tensor SegmentAttention(const Tensor& q, const std::vector<Tensor>& k_parts,
+                        const std::vector<Tensor>& v_parts,
                         const std::vector<int64_t>& q_offsets,
                         const std::vector<int64_t>& k_offsets, bool causal,
                         float scale) {
   TSPN_CHECK_EQ(q.rank(), 2);
-  TSPN_CHECK_EQ(k.rank(), 2);
-  TSPN_CHECK_EQ(v.rank(), 2);
-  const int64_t d = q.dim(1), dv = v.dim(1);
-  TSPN_CHECK_EQ(k.dim(1), d);
-  TSPN_CHECK_EQ(v.dim(0), k.dim(0));
+  TSPN_CHECK(!k_parts.empty());
+  TSPN_CHECK_EQ(k_parts.size(), v_parts.size());
+  const size_t num_parts = k_parts.size();
+  const int64_t d = q.dim(1), dv = v_parts.front().dim(1);
+  int64_t k_rows = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    TSPN_CHECK_EQ(k_parts[p].rank(), 2);
+    TSPN_CHECK_EQ(v_parts[p].rank(), 2);
+    TSPN_CHECK_EQ(k_parts[p].dim(1), d);
+    TSPN_CHECK_EQ(v_parts[p].dim(1), dv);
+    TSPN_CHECK_EQ(v_parts[p].dim(0), k_parts[p].dim(0));
+    k_rows += k_parts[p].dim(0);
+  }
   TSPN_CHECK_EQ(q_offsets.size(), k_offsets.size());
   TSPN_CHECK_GE(q_offsets.size(), 2u);
   TSPN_CHECK_EQ(q_offsets.front(), 0);
   TSPN_CHECK_EQ(k_offsets.front(), 0);
   TSPN_CHECK_EQ(q_offsets.back(), q.dim(0));
-  TSPN_CHECK_EQ(k_offsets.back(), k.dim(0));
+  TSPN_CHECK_EQ(k_offsets.back(), k_rows);
   const size_t batch = q_offsets.size() - 1;
+  bool any_requires = q.requires_grad();
+  for (size_t p = 0; p < num_parts; ++p) {
+    any_requires = any_requires || k_parts[p].requires_grad() ||
+                   v_parts[p].requires_grad();
+  }
   // Every segment's [lq, lk] attention weights are kept for backward while a
   // graph is recorded; otherwise one buffer serves each segment in turn.
-  const bool keep = NoGradGuard::GradEnabled() &&
-                    (q.requires_grad() || k.requires_grad() || v.requires_grad());
+  const bool keep = NoGradGuard::GradEnabled() && any_requires;
   std::vector<int64_t> w_offsets(batch + 1, 0);
+  // Each segment's keys lie inside one part: its index and first local row.
+  std::vector<size_t> seg_part(batch, 0);
+  std::vector<int64_t> seg_row(batch, 0);
+  size_t part = 0;
+  int64_t part_begin = 0;
   int64_t max_w = 0;
   for (size_t s = 0; s < batch; ++s) {
     const int64_t lq = q_offsets[s + 1] - q_offsets[s];
@@ -802,6 +876,16 @@ Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
     TSPN_CHECK(lq == 0 || lk > 0) << "segment " << s << " has queries but no keys";
     TSPN_CHECK(!causal || lq <= lk) << "causal segment " << s << ": " << lq
                                     << " queries over " << lk << " keys";
+    if (lk > 0) {
+      while (k_offsets[s] >= part_begin + k_parts[part].dim(0)) {
+        part_begin += k_parts[part].dim(0);
+        ++part;
+      }
+      TSPN_CHECK_LE(k_offsets[s + 1], part_begin + k_parts[part].dim(0))
+          << "segment " << s << " straddles two K/V parts";
+      seg_part[s] = part;
+      seg_row[s] = k_offsets[s] - part_begin;
+    }
     w_offsets[s + 1] = w_offsets[s] + lq * lk;
     max_w = std::max(max_w, lq * lk);
   }
@@ -812,11 +896,13 @@ Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
     const int64_t lk = k_offsets[s + 1] - k_offsets[s];
     if (lq == 0) continue;
     float* w = weights.data() + (keep ? w_offsets[s] : 0);
+    const float* ks = k_parts[seg_part[s]].data() + seg_row[s] * d;
+    const float* vs = v_parts[seg_part[s]].data() + seg_row[s] * dv;
     // Scores straight from the contiguous q and k rows: C = Y Z^T needs no
     // transpose. A causal row softmaxes its visible keys only; the rest get
     // weight 0, exactly what a -1e9 mask leaves after exp.
-    kernels::DotProductGemm(q.data() + q_offsets[s] * d, k.data() + k_offsets[s] * d,
-                            w, lq, lk, d, /*accumulate=*/false);
+    kernels::DotProductGemm(q.data() + q_offsets[s] * d, ks, w, lq, lk, d,
+                            /*accumulate=*/false);
     for (int64_t i = 0; i < lq; ++i) {
       float* row = w + i * lk;
       const int64_t visible = causal ? i + (lk - lq) + 1 : lk;
@@ -824,33 +910,45 @@ Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       SoftmaxRow(row, row, visible, /*log_space=*/false);
       std::fill(row + visible, row + lk, 0.0f);
     }
-    const float* vt = kernels::TransposeScratch(v.data() + k_offsets[s] * dv, lk, dv, 0);
+    const float* vt = kernels::TransposeScratch(vs, lk, dv, 0);
     kernels::DotProductGemm(w, vt, out.data() + q_offsets[s] * dv, lq, dv, lk,
                             /*accumulate=*/false);
   }
 
+  std::vector<Tensor> parents;
+  parents.reserve(1 + 2 * num_parts);
+  parents.push_back(q);
+  parents.insert(parents.end(), k_parts.begin(), k_parts.end());
+  parents.insert(parents.end(), v_parts.begin(), v_parts.end());
   std::function<void(TensorNode&)> backward;
   if (keep) {
     backward = [q_offsets, k_offsets, w_offsets = std::move(w_offsets),
-                weights = std::move(weights), d, dv, causal,
+                weights = std::move(weights), seg_part = std::move(seg_part),
+                seg_row = std::move(seg_row), num_parts, d, dv, causal,
                 scale](TensorNode& node) {
       const float* g = node.grad.data();
       const float* qd = node.parents[0]->data.data();
-      const float* kd = node.parents[1]->data.data();
-      const float* vd = node.parents[2]->data.data();
       float* gq = GradPtr(node.parents[0]);
-      float* gk = GradPtr(node.parents[1]);
-      float* gv = GradPtr(node.parents[2]);
+      // Parents are q, then the K parts, then the V parts.
+      std::vector<float*> gks(num_parts), gvs(num_parts);
+      for (size_t p = 0; p < num_parts; ++p) {
+        gks[p] = GradPtr(node.parents[1 + p]);
+        gvs[p] = GradPtr(node.parents[1 + num_parts + p]);
+      }
       std::vector<float> gw;  // one segment's dL/dweights, then dL/dscores
       for (size_t s = 0; s + 1 < q_offsets.size(); ++s) {
         const int64_t lq = q_offsets[s + 1] - q_offsets[s];
         const int64_t lk = k_offsets[s + 1] - k_offsets[s];
         if (lq == 0) continue;
+        const size_t part = seg_part[s];
         const float* w = weights.data() + w_offsets[s];
         const float* go = g + q_offsets[s] * dv;
         const float* qs = qd + q_offsets[s] * d;
-        const float* ks = kd + k_offsets[s] * d;
-        const float* vs = vd + k_offsets[s] * dv;
+        const float* ks = node.parents[1 + part]->data.data() + seg_row[s] * d;
+        const float* vs =
+            node.parents[1 + num_parts + part]->data.data() + seg_row[s] * dv;
+        float* gk = gks[part] != nullptr ? gks[part] + seg_row[s] * d : nullptr;
+        float* gv = gvs[part] != nullptr ? gvs[part] + seg_row[s] * dv : nullptr;
         // out = w v: dL/dw = g v^T and dL/dv = w^T g.
         if (gq != nullptr || gk != nullptr) {
           gw.resize(static_cast<size_t>(lq * lk));
@@ -859,8 +957,7 @@ Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
         if (gv != nullptr) {
           const float* wt = kernels::TransposeScratch(w, lq, lk, 0);
           const float* gt = kernels::TransposeScratch(go, lq, dv, 1);
-          kernels::DotProductGemm(wt, gt, gv + k_offsets[s] * dv, lk, dv, lq,
-                                  /*accumulate=*/true);
+          kernels::DotProductGemm(wt, gt, gv, lk, dv, lq, /*accumulate=*/true);
         }
         if (gq == nullptr && gk == nullptr) continue;
         // Softmax backward over the visible keys, then the scale. A hidden
@@ -888,14 +985,13 @@ Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
         if (gk != nullptr) {
           const float* gst = kernels::TransposeScratch(gw.data(), lq, lk, 0);
           const float* qt = kernels::TransposeScratch(qs, lq, d, 1);
-          kernels::DotProductGemm(gst, qt, gk + k_offsets[s] * d, lk, d, lq,
-                                  /*accumulate=*/true);
+          kernels::DotProductGemm(gst, qt, gk, lk, d, lq, /*accumulate=*/true);
         }
       }
     };
   }
-  return MakeOp({q.dim(0), dv}, std::move(out), {q, k, v}, std::move(backward),
-                "segment_attention");
+  return MakeOp({q.dim(0), dv}, std::move(out), std::move(parents),
+                std::move(backward), "segment_attention");
 }
 
 namespace {
@@ -910,7 +1006,8 @@ Tensor SoftmaxImpl(const Tensor& a, bool log_space) {
   for (int64_t r = 0; r < rows; ++r) {
     SoftmaxRow(pa + r * cols, out.data() + r * cols, cols, log_space);
   }
-  std::vector<float> saved = out;
+  std::vector<float> saved;  // the output, kept only while a graph is recorded
+  if (NoGradGuard::GradEnabled() && a.requires_grad()) saved = out;
   auto backward = [rows, cols, log_space, saved = std::move(saved)](TensorNode& node) {
     const auto& parent = node.parents[0];
     float* pg = GradPtr(parent);
@@ -950,14 +1047,16 @@ Tensor L2Normalize(const Tensor& a, float eps) {
   int64_t rows = a.rank() == 1 ? 1 : a.dim(0);
   int64_t cols = a.rank() == 1 ? a.dim(0) : a.dim(1);
   std::vector<float> out(static_cast<size_t>(rows * cols));
-  std::vector<float> norms(static_cast<size_t>(rows));
+  // Row norms, kept for backward only while a graph is recorded.
+  const bool track = NoGradGuard::GradEnabled() && a.requires_grad();
+  std::vector<float> norms(static_cast<size_t>(track ? rows : 0));
   const float* pa = a.data();
   for (int64_t r = 0; r < rows; ++r) {
     const float* x = pa + r * cols;
     double sq = 0.0;
     for (int64_t c = 0; c < cols; ++c) sq += static_cast<double>(x[c]) * x[c];
     float norm = std::max(static_cast<float>(std::sqrt(sq)), eps);
-    norms[static_cast<size_t>(r)] = norm;
+    if (track) norms[static_cast<size_t>(r)] = norm;
     for (int64_t c = 0; c < cols; ++c) out[static_cast<size_t>(r * cols + c)] = x[c] / norm;
   }
   auto backward = [rows, cols, norms = std::move(norms)](TensorNode& node) {
@@ -988,8 +1087,12 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float
   TSPN_CHECK_EQ(gamma.numel(), cols);
   TSPN_CHECK_EQ(beta.numel(), cols);
   std::vector<float> out(static_cast<size_t>(rows * cols));
-  std::vector<float> xhat(static_cast<size_t>(rows * cols));
-  std::vector<float> inv_std(static_cast<size_t>(rows));
+  // xhat and 1/std, kept for backward only while a graph is recorded.
+  const bool track =
+      NoGradGuard::GradEnabled() &&
+      (x.requires_grad() || gamma.requires_grad() || beta.requires_grad());
+  std::vector<float> xhat(static_cast<size_t>(track ? rows * cols : 0));
+  std::vector<float> inv_std(static_cast<size_t>(track ? rows : 0));
   const float* px = x.data();
   const float* pg = gamma.data();
   const float* pb = beta.data();
@@ -1005,10 +1108,10 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float
     }
     var /= static_cast<double>(cols);
     float istd = 1.0f / static_cast<float>(std::sqrt(var + eps));
-    inv_std[static_cast<size_t>(r)] = istd;
+    if (track) inv_std[static_cast<size_t>(r)] = istd;
     for (int64_t c = 0; c < cols; ++c) {
       float h = (xr[c] - static_cast<float>(mean)) * istd;
-      xhat[static_cast<size_t>(r * cols + c)] = h;
+      if (track) xhat[static_cast<size_t>(r * cols + c)] = h;
       out[static_cast<size_t>(r * cols + c)] = h * pg[c] + pb[c];
     }
   }

@@ -80,6 +80,14 @@ Tensor SumRows(const Tensor& a);  ///< [N, D] -> [D], sum over rows
 /// Matrix product of [M, K] x [K, N] -> [M, N].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Affine map x W^T + b: x [M, K], weight [N, K] (one row per output),
+/// bias [N] or undefined for none -> [M, N]. One op: the GEMM reads W's
+/// rows as stored, with no transpose node, and the bias add is fused.
+/// Values and gradients of x, weight and bias are bitwise those of
+/// Add(MatMul(x, Transpose(weight)), bias): every element is the same
+/// DotProductGemm dot product or the same row-by-row bias sum.
+Tensor Affine(const Tensor& x, const Tensor& weight, const Tensor& bias);
+
 /// [N, D] x [D] -> [N].
 Tensor MatVec(const Tensor& a, const Tensor& v);
 
@@ -110,20 +118,27 @@ Tensor SparseGraphAttention(const Tensor& hk, const Tensor& a_src,
 /// Scaled dot-product attention over a pack of B segments:
 ///   out_s = softmax(q_s k_s^T * scale) v_s
 /// per segment s, where q_s is rows [q_offsets[s], q_offsets[s + 1]) of q
-/// and k_s, v_s are rows [k_offsets[s], k_offsets[s + 1]) of k and v. With
+/// and k_s, v_s are rows [k_offsets[s], k_offsets[s + 1]) of K and V.
+/// K and V are given as parts, read in place: K is k_parts concatenated
+/// row-wise (V likewise, part for part), and every segment with keys lies
+/// inside one part. Self-attention passes one packed part; a batch whose
+/// segments attend to separately stored keys (cached per-history K/V)
+/// passes each segment's own tensors, with no copy into a pack. With
 /// `causal`, query i of a segment with lq queries over lk keys sees only
 /// keys j <= i + (lk - lq): lq == lk is the usual triangle, and lq == 1 is
-/// the segment's last position, which sees every key. q, k: [*, d]; v:
-/// [*, dv]; both offset lists have B + 1 entries, and every segment with a
-/// query has a key (causal also needs lq <= lk). Returns [q.dim(0), dv],
-/// differentiable in q, k and v.
+/// the segment's last position, which sees every key. q: [*, d]; each K
+/// part [*, d] and its V part [same rows, dv]; both offset lists have B + 1
+/// entries, and every segment with a query has a key (causal also needs
+/// lq <= lk). Returns [q.dim(0), dv], differentiable in q and every part.
 ///
 /// Row i of out_s depends only on query row i and its segment's keys and
-/// values, never on the rest of the pack. Values and gradients are bitwise
-/// those of the composed MatMul / MulScalar / -1e9-mask Add / Softmax /
-/// MatMul chain on each segment alone: masked keys get a weight of exactly
-/// zero, and every product runs through the same DotProductGemm calls.
-Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+/// values, never on the rest of the pack or on how K/V is split into parts.
+/// Values and gradients are bitwise those of the composed MatMul /
+/// MulScalar / -1e9-mask Add / Softmax / MatMul chain on each segment
+/// alone: masked keys get a weight of exactly zero, and every product runs
+/// through the same DotProductGemm calls.
+Tensor SegmentAttention(const Tensor& q, const std::vector<Tensor>& k_parts,
+                        const std::vector<Tensor>& v_parts,
                         const std::vector<int64_t>& q_offsets,
                         const std::vector<int64_t>& k_offsets, bool causal,
                         float scale);

@@ -547,7 +547,7 @@ void Gateway::HandleFrameAsync(const std::vector<uint8_t>& request_frame,
   // original.
   ShedReason shed_reason = ShedReason::kNone;
   const bool accepted = deployment->engine->TrySubmitAsync(
-      request, admission,
+      std::move(request), admission,
       [done](eval::RecommendResponse response, std::exception_ptr error) {
         if (error != nullptr) {
           try {

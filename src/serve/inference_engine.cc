@@ -169,13 +169,13 @@ ShedReason InferenceEngine::EnqueueEntry(Request& entry,
 }
 
 std::future<eval::RecommendResponse> InferenceEngine::Submit(
-    const eval::RecommendRequest& request, const AdmissionClass& admission) {
+    eval::RecommendRequest request, const AdmissionClass& admission) {
   // Shared: the callback must be copyable, and it may still be returning
   // on a worker after get() has woken the caller.
   auto promise = std::make_shared<std::promise<eval::RecommendResponse>>();
   std::future<eval::RecommendResponse> future = promise->get_future();
   Request entry;
-  entry.request = request;
+  entry.request = std::move(request);
   entry.callback = [promise](eval::RecommendResponse response,
                              std::exception_ptr error) {
     if (error != nullptr) {
@@ -195,12 +195,12 @@ std::future<eval::RecommendResponse> InferenceEngine::Submit(
   return future;
 }
 
-bool InferenceEngine::TrySubmitAsync(const eval::RecommendRequest& request,
+bool InferenceEngine::TrySubmitAsync(eval::RecommendRequest request,
                                      const AdmissionClass& admission,
                                      ResponseCallback callback,
                                      ShedReason* shed_reason) {
   Request entry;
-  entry.request = request;
+  entry.request = std::move(request);
   entry.callback = std::move(callback);
   std::unique_lock<std::mutex> lock(mutex_);
   const ShedReason reason = EnqueueEntry(entry, admission, lock);

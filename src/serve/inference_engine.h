@@ -129,7 +129,7 @@ class InferenceEngine {
   /// shut down), evicted, or expires in the queue. A thin wrapper over the
   /// continuation path whose callback fulfils the future.
   std::future<eval::RecommendResponse> Submit(
-      const eval::RecommendRequest& request,
+      eval::RecommendRequest request,
       const AdmissionClass& admission = {});
 
   /// Non-blocking continuation submit — the wire front-end's hook. No
@@ -139,8 +139,10 @@ class InferenceEngine {
   /// (when non-null) set to kDeadlineUnmeetable, kCapacity or kShutdown, so
   /// an event loop can turn overload into an immediate typed error reply.
   /// The callback must be quick and must not throw: it runs on a serving
-  /// worker, so heavy work in it stalls batch formation.
-  bool TrySubmitAsync(const eval::RecommendRequest& request,
+  /// worker, so heavy work in it stalls batch formation. Both entry points
+  /// move `request` into the queue entry: a caller done with it passes it
+  /// with std::move, constraint vectors and all, and copies nothing.
+  bool TrySubmitAsync(eval::RecommendRequest request,
                       const AdmissionClass& admission,
                       ResponseCallback callback,
                       ShedReason* shed_reason = nullptr);

@@ -28,7 +28,7 @@ TEST(AttentionBlockTest, OutputShape) {
   block.SetTraining(false);
   nn::Tensor seq = nn::Tensor::RandomUniform({5, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
-  nn::Tensor out = block.Forward(seq, One(5), block.ProjectHistory(hist), One(3),
+  nn::Tensor out = block.Forward(seq, One(5), {block.ProjectHistory(hist)}, One(3),
                                  nullptr, 0.0f);
   EXPECT_EQ(out.shape(), nn::Shape({5, 16}));
 }
@@ -42,9 +42,9 @@ TEST(AttentionBlockTest, CausalMaskHoldsThroughBlock) {
   std::vector<float> v = seq1.ToVector();
   for (int i = 0; i < 16; ++i) v[3 * 16 + i] += 5.0f;  // perturb last element
   nn::Tensor seq2 = nn::Tensor::FromVector({4, 16}, v);
-  nn::Tensor out1 = block.Forward(seq1, One(4), block.ProjectHistory(hist),
+  nn::Tensor out1 = block.Forward(seq1, One(4), {block.ProjectHistory(hist)},
                                   One(2), nullptr, 0.0f);
-  nn::Tensor out2 = block.Forward(seq2, One(4), block.ProjectHistory(hist),
+  nn::Tensor out2 = block.Forward(seq2, One(4), {block.ProjectHistory(hist)},
                                   One(2), nullptr, 0.0f);
   // Rows 0..2 must be unaffected by the change at position 3.
   for (int r = 0; r < 3; ++r) {
@@ -61,9 +61,9 @@ TEST(AttentionBlockTest, HistoryInfluencesOutput) {
   nn::Tensor seq = nn::Tensor::RandomUniform({4, 16}, 1.0f, rng);
   nn::Tensor hist1 = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
   nn::Tensor hist2 = nn::Tensor::RandomUniform({3, 16}, 1.0f, rng);
-  nn::Tensor out1 = block.Forward(seq, One(4), block.ProjectHistory(hist1),
+  nn::Tensor out1 = block.Forward(seq, One(4), {block.ProjectHistory(hist1)},
                                   One(3), nullptr, 0.0f);
-  nn::Tensor out2 = block.Forward(seq, One(4), block.ProjectHistory(hist2),
+  nn::Tensor out2 = block.Forward(seq, One(4), {block.ProjectHistory(hist2)},
                                   One(3), nullptr, 0.0f);
   double diff = 0.0;
   for (int64_t i = 0; i < out1.numel(); ++i) diff += std::abs(out1.at(i) - out2.at(i));
@@ -78,7 +78,7 @@ TEST(FusionModuleTest, ReturnsLastPositionVector) {
   nn::Tensor seq = nn::Tensor::RandomUniform({6, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({2, 16}, 1.0f, rng);
   nn::Tensor h_out = fusion.Forward(seq, One(6),
-                                    fusion.ProjectHistory(hist), One(2), nullptr);
+                                    {fusion.ProjectHistory(hist)}, One(2), nullptr);
   EXPECT_EQ(h_out.shape(), nn::Shape({1, 16}));
 }
 
@@ -90,7 +90,7 @@ TEST(FusionModuleTest, SingleElementSequenceWorks) {
   nn::Tensor seq = nn::Tensor::RandomUniform({1, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({1, 16}, 1.0f, rng);
   nn::Tensor h_out = fusion.Forward(seq, One(1),
-                                    fusion.ProjectHistory(hist), One(1), nullptr);
+                                    {fusion.ProjectHistory(hist)}, One(1), nullptr);
   EXPECT_EQ(h_out.shape(), nn::Shape({1, 16}));
 }
 
@@ -102,7 +102,7 @@ TEST(FusionModuleTest, GradientsReachAllBlocks) {
   nn::Tensor seq = nn::Tensor::RandomUniform({4, 16}, 1.0f, rng);
   nn::Tensor hist = nn::Tensor::RandomUniform({2, 16}, 1.0f, rng);
   nn::Tensor h_out = fusion.Forward(seq, One(4),
-                                    fusion.ProjectHistory(hist), One(2), &rng);
+                                    {fusion.ProjectHistory(hist)}, One(2), &rng);
   nn::SumAll(nn::Mul(h_out, h_out)).Backward();
   int64_t with_grad = 0, total = 0;
   for (const nn::Tensor& p : fusion.Parameters()) {
@@ -147,7 +147,7 @@ TEST(FusionModuleTest, PackOfThreeMatchesThreeSingleCalls) {
   common::Rng dropout_rng(9);
   nn::Tensor packed =
       packed_fusion.Forward(nn::ConcatRows(seqs), offsets,
-                            packed_fusion.ProjectHistory(nn::ConcatRows(hists)),
+                            {packed_fusion.ProjectHistory(nn::ConcatRows(hists))},
                             hist_offsets, &dropout_rng);
   ASSERT_EQ(packed.shape(), nn::Shape({3, 16}));
   nn::SumAll(nn::Mul(packed, packed)).Backward();
@@ -163,7 +163,7 @@ TEST(FusionModuleTest, PackOfThreeMatchesThreeSingleCalls) {
   for (size_t b = 0; b < seqs.size(); ++b) {
     nn::Tensor single =
         single_fusion.Forward(seqs[b], One(lengths[b]),
-                              single_fusion.ProjectHistory(hists[b]),
+                              {single_fusion.ProjectHistory(hists[b])},
                               One(hist_lengths[b]), &dropout_rng);
     ASSERT_EQ(single.shape(), nn::Shape({1, 16}));
     for (int64_t j = 0; j < 16; ++j) {
@@ -215,10 +215,10 @@ TEST(FusionModuleTest, EvalFinalBlockMatchesAllRows) {
 
   fusion.SetTraining(true);
   common::Rng dropout_rng(12);
-  nn::Tensor all_rows = fusion.Forward(seq, offsets, fusion.ProjectHistory(hist),
+  nn::Tensor all_rows = fusion.Forward(seq, offsets, {fusion.ProjectHistory(hist)},
                                        hist_offsets, &dropout_rng);
   fusion.SetTraining(false);
-  nn::Tensor last_rows = fusion.Forward(seq, offsets, fusion.ProjectHistory(hist),
+  nn::Tensor last_rows = fusion.Forward(seq, offsets, {fusion.ProjectHistory(hist)},
                                         hist_offsets, nullptr);
   ASSERT_EQ(all_rows.shape(), nn::Shape({4, 16}));
   ASSERT_EQ(last_rows.shape(), nn::Shape({4, 16}));

@@ -342,14 +342,16 @@ TEST_F(TspnRaTest, ParameterCountPositiveAndStable) {
 }
 
 TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
-  // Batch composition, bitwise: the packed encoder forward and the scoring
-  // GEMMs must give each request of a batch its batch-of-one scores, for
-  // plain and constrained requests alike, at batch sizes straddling the
-  // 4-row GEMM tile, on fresh and trained weights, and with the two-step
-  // screen ablated. The history cache must not show either: every reply
-  // also equals a cold model's (same weights, empty caches) on the first
-  // batch, where every history key misses, on later batches and single
-  // queries, which hit, and on a batch that repeats one key.
+  // Batch composition, bitwise: the packed encoder forward, the stage-1
+  // GEMM and the stage-2 scoring of the screened candidates must give each
+  // request of a batch its batch-of-one scores, for plain and constrained
+  // requests alike (a fence that forces the screen to widen, novelty, a
+  // category allow-list, a degraded-mode screen cap), at batch sizes
+  // straddling the 4-row GEMM tile, on fresh and trained weights, and with
+  // the two-step screen ablated. The history cache must not show either:
+  // every reply also equals a cold model's (same weights, empty caches) on
+  // the first batch, where every history key misses, on later batches and
+  // single queries, which hit, and on a batch that repeats one key.
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 24;
@@ -366,10 +368,29 @@ TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
   for (size_t i = 0; i < kMaxBatch; ++i) {
     requests[i].sample = spread[i];
     requests[i].top_n = 5 + static_cast<int64_t>(i % 3) * 5;  // mixed
-    if (i % 2 == 1) {
-      requests[i].constraints.geo_center = dataset_->profile().bbox.Center();
-      requests[i].constraints.geo_radius_km = 5.0;
-      requests[i].constraints.exclude_visited = true;
+    eval::CandidateConstraints& c = requests[i].constraints;
+    switch (i % 5) {
+      case 1:  // a wide fence and novelty
+        c.geo_center = dataset_->profile().bbox.Center();
+        c.geo_radius_km = 5.0;
+        c.exclude_visited = true;
+        break;
+      case 2: {  // a tight fence around the last stop: the screen widens
+        const data::Trajectory& traj = dataset_->trajectory(spread[i]);
+        c.geo_center =
+            dataset_->poi(traj.checkins[spread[i].prefix_len - 1].poi_id).loc;
+        c.geo_radius_km = 1.0;
+        break;
+      }
+      case 3:  // a category allow-list
+        c.allowed_categories = {0, 2};
+        break;
+      case 4:  // novelty under a degraded-mode screen cap
+        c.exclude_visited = true;
+        requests[i].max_tiles_screened = 2;
+        break;
+      default:
+        break;
     }
   }
   // One history key several times: three prefixes of samples[0]'s
@@ -396,6 +417,12 @@ TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
       std::vector<eval::RecommendResponse> cold;
       for (const eval::RecommendRequest& request : requests) {
         cold.push_back(ColdReply(config, checkpoint, request));
+      }
+      if (config.use_two_step) {
+        // The constrained paths really run: the tight fence widens the
+        // screen past top_k, and the cap holds it to two tiles.
+        EXPECT_GT(cold[2].tiles_screened, config.top_k_tiles) << what;
+        EXPECT_EQ(cold[4].tiles_screened, 2) << what;
       }
       for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
                            kMaxBatch}) {

@@ -120,6 +120,20 @@ TEST(GradCheckTest, MatMul) {
   });
 }
 
+TEST(GradCheckTest, Affine) {
+  Tensor x = RandomInput({3, 4}, 40);
+  Tensor w = RandomInput({5, 4}, 41);
+  Tensor b = RandomInput({5}, 42);
+  CheckGradients({x, w, b}, [&] {
+    Tensor y = Affine(x, w, b);
+    return SumAll(Mul(y, y));
+  });
+  CheckGradients({x, w}, [&] {
+    Tensor y = Affine(x, w, Tensor());
+    return SumAll(Mul(y, y));
+  });
+}
+
 TEST(GradCheckTest, MatVecDot) {
   Tensor a = RandomInput({3, 4}, 20);
   Tensor v = RandomInput({4}, 21);

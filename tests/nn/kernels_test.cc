@@ -55,5 +55,37 @@ TEST(DotProductGemmTest, EachRowBitwiseMatchesOneRowCall) {
   }
 }
 
+TEST(DotProductGemmTest, EveryElementIsOneDotRowEitherWay) {
+  // Each element is DotRow of its Y row and Z row, whether it came out of a
+  // 4x4 tile or a leftover row or column, and whichever operand is Y:
+  // stage-2 scoring of a few candidates and the transpose-free backward
+  // passes both rest on this.
+  common::Rng rng(9);
+  for (int64_t r_len : {5, 13, 32, 64}) {
+    for (int64_t p_rows : {1, 4, 7}) {
+      for (int64_t q_rows : {1, 4, 9, 70}) {
+        const std::vector<float> y = RandomVector(p_rows * r_len, rng);
+        const std::vector<float> z = RandomVector(q_rows * r_len, rng);
+        std::vector<float> c(static_cast<size_t>(p_rows * q_rows));
+        std::vector<float> ct(c.size());
+        DotProductGemm(y.data(), z.data(), c.data(), p_rows, q_rows, r_len,
+                       /*accumulate=*/false);
+        DotProductGemm(z.data(), y.data(), ct.data(), q_rows, p_rows, r_len,
+                       /*accumulate=*/false);
+        for (int64_t p = 0; p < p_rows; ++p) {
+          for (int64_t q = 0; q < q_rows; ++q) {
+            const float dot =
+                DotRow(y.data() + p * r_len, z.data() + q * r_len, r_len);
+            ASSERT_EQ(c[static_cast<size_t>(p * q_rows + q)], dot)
+                << "r_len=" << r_len << " [" << p << ", " << q << "]";
+            ASSERT_EQ(ct[static_cast<size_t>(q * p_rows + p)], dot)
+                << "r_len=" << r_len << " transposed [" << q << ", " << p << "]";
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tspn::nn::kernels

@@ -2,11 +2,13 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nn/layers.h"
 #include "nn/tensor.h"
 #include "tests/nn/grad_check.h"
 
@@ -635,7 +637,7 @@ void ExpectSegmentAttentionMatchesComposed(const std::vector<int64_t>& q_lengths
   // A random linear read-out, so every output element has its own gradient.
   Tensor readout = Tensor::RandomUniform({q_offsets.back(), dv}, 1.0f, rng);
 
-  Tensor got = SegmentAttention(q, k, v, q_offsets, k_offsets, causal, scale);
+  Tensor got = SegmentAttention(q, {k}, {v}, q_offsets, k_offsets, causal, scale);
   SumAll(Mul(got, readout)).Backward();
   const std::vector<std::vector<float>> got_grads = {
       q.GradToVector(), k.GradToVector(), v.GradToVector()};
@@ -690,7 +692,7 @@ TEST(SegmentAttentionTest, GradientsMatchFiniteDifferences) {
   for (bool causal : {false, true}) {
     testing::CheckGradients({q, k, v}, [&] {
       // Segments of (lq, lk) = (1, 2), (3, 3) and (0, 1).
-      return SumAll(Mul(SegmentAttention(q, k, v, {0, 1, 4, 4}, {0, 2, 5, 6},
+      return SumAll(Mul(SegmentAttention(q, {k}, {v}, {0, 1, 4, 4}, {0, 2, 5, 6},
                                          causal, 0.7f),
                         readout));
     });
@@ -701,11 +703,143 @@ TEST(SegmentAttentionTest, RejectsBadOffsets) {
   Tensor q = Tensor::Zeros({2, 4});
   Tensor k = Tensor::Zeros({3, 4});
   // A query segment without keys, and a causal segment with lq > lk.
-  EXPECT_DEATH(SegmentAttention(q, k, k, {0, 1, 2}, {0, 3, 3}, false, 1.0f)
+  EXPECT_DEATH(SegmentAttention(q, {k}, {k}, {0, 1, 2}, {0, 3, 3}, false, 1.0f)
                    .ToVector(),
                "no keys");
-  EXPECT_DEATH(SegmentAttention(k, q, q, {0, 3}, {0, 2}, true, 1.0f).ToVector(),
+  EXPECT_DEATH(SegmentAttention(k, {q}, {q}, {0, 3}, {0, 2}, true, 1.0f).ToVector(),
                "causal");
+}
+
+TEST(SegmentAttentionTest, SplitKvPartsMatchConcatenatedBitwise) {
+  // K/V read in place from several parts (an empty one among them) gives
+  // the bits of the same K/V as one tensor: outputs and the gradients of q
+  // and of every part's rows.
+  const int64_t d = 12, dv = 20;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const std::vector<int64_t> part_rows = {3, 18, 0, 2};
+  // Segment key lengths 3 | 1 + 17 | 2: the second part holds two segments.
+  const std::vector<int64_t> k_offsets = OffsetsOf({3, 1, 17, 2});
+  const std::vector<int64_t> q_offsets = OffsetsOf({2, 1, 5, 2});
+  for (bool causal : {false, true}) {
+    common::Rng rng(causal ? 21 : 22);
+    Tensor q = Tensor::RandomUniform({q_offsets.back(), d}, 1.5f, rng, true);
+    std::vector<Tensor> k_parts, v_parts;
+    std::vector<float> k_all, v_all;
+    for (int64_t rows : part_rows) {
+      k_parts.push_back(Tensor::RandomUniform({rows, d}, 1.5f, rng, true));
+      v_parts.push_back(Tensor::RandomUniform({rows, dv}, 1.0f, rng, true));
+      const std::vector<float> kv = k_parts.back().ToVector();
+      const std::vector<float> vv = v_parts.back().ToVector();
+      k_all.insert(k_all.end(), kv.begin(), kv.end());
+      v_all.insert(v_all.end(), vv.begin(), vv.end());
+    }
+    Tensor k = Tensor::FromVector({k_offsets.back(), d}, k_all, true);
+    Tensor v = Tensor::FromVector({k_offsets.back(), dv}, v_all, true);
+    Tensor readout = Tensor::RandomUniform({q_offsets.back(), dv}, 1.0f, rng);
+
+    Tensor got =
+        SegmentAttention(q, k_parts, v_parts, q_offsets, k_offsets, causal, scale);
+    SumAll(Mul(got, readout)).Backward();
+    const std::vector<float> got_gq = q.GradToVector();
+    q.ZeroGrad();
+    Tensor want = SegmentAttention(q, {k}, {v}, q_offsets, k_offsets, causal, scale);
+    SumAll(Mul(want, readout)).Backward();
+
+    EXPECT_EQ(got.ToVector(), want.ToVector());
+    EXPECT_EQ(got_gq, q.GradToVector());
+    std::vector<float> got_gk, got_gv;
+    for (size_t p = 0; p < part_rows.size(); ++p) {
+      const std::vector<float> gk = k_parts[p].GradToVector();
+      const std::vector<float> gv = v_parts[p].GradToVector();
+      got_gk.insert(got_gk.end(), gk.begin(), gk.end());
+      got_gv.insert(got_gv.end(), gv.begin(), gv.end());
+    }
+    EXPECT_EQ(got_gk, k.GradToVector());
+    EXPECT_EQ(got_gv, v.GradToVector());
+  }
+}
+
+TEST(SegmentAttentionTest, RejectsSegmentStraddlingParts) {
+  Tensor q = Tensor::Zeros({2, 4});
+  Tensor part = Tensor::Zeros({2, 4});
+  // Segment 1 takes rows 1..3: the end of the first part and the second.
+  EXPECT_DEATH(SegmentAttention(q, {part, part}, {part, part}, {0, 1, 2},
+                                {0, 1, 4}, false, 1.0f)
+                   .ToVector(),
+               "straddles");
+}
+
+// --- Affine -------------------------------------------------------------------
+
+/// Runs Affine and the Add(MatMul(x, Transpose(w)), b) chain it replaces on
+/// the same inputs and demands bitwise-equal outputs and x, w and b
+/// gradients.
+void ExpectAffineMatchesComposed(int64_t rows, int64_t in, int64_t out,
+                                 bool with_bias, uint64_t seed) {
+  common::Rng rng(seed);
+  Tensor x = Tensor::RandomUniform({rows, in}, 1.5f, rng, true);
+  Tensor w = Tensor::RandomUniform({out, in}, 1.0f, rng, true);
+  Tensor b = with_bias ? Tensor::RandomUniform({out}, 1.0f, rng, true) : Tensor();
+  Tensor readout = Tensor::RandomUniform({rows, out}, 1.0f, rng);
+  std::vector<Tensor> inputs = {x, w};
+  if (with_bias) inputs.push_back(b);
+
+  Tensor got = Affine(x, w, b);
+  SumAll(Mul(got, readout)).Backward();
+  std::vector<std::vector<float>> got_grads;
+  for (Tensor& t : inputs) {
+    got_grads.push_back(t.GradToVector());
+    t.ZeroGrad();
+  }
+  Tensor want = MatMul(x, Transpose(w));
+  if (with_bias) want = Add(want, b);
+  SumAll(Mul(want, readout)).Backward();
+
+  const std::string where = "rows=" + std::to_string(rows) + " in=" +
+                            std::to_string(in) + " out=" + std::to_string(out) +
+                            " bias=" + std::to_string(with_bias);
+  EXPECT_EQ(got.shape(), want.shape()) << where;
+  EXPECT_EQ(got.ToVector(), want.ToVector()) << where;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(got_grads[i], inputs[i].GradToVector()) << where << " input " << i;
+  }
+}
+
+TEST(AffineTest, MatchesComposedChainBitwise) {
+  uint64_t seed = 30;
+  for (int64_t rows : {1, 4, 17}) {
+    for (bool with_bias : {false, true}) {
+      // The model's shape, and one with tails in every GEMM dimension.
+      ExpectAffineMatchesComposed(rows, 32, 32, with_bias, ++seed);
+      ExpectAffineMatchesComposed(rows, 13, 7, with_bias, ++seed);
+    }
+  }
+}
+
+TEST(AffineTest, LinearOnRankOneInputMatchesComposedChainBitwise) {
+  common::Rng rng(40);
+  Linear linear(13, 7, rng);
+  Tensor x = Tensor::RandomUniform({13}, 1.5f, rng, true);
+  Tensor readout = Tensor::RandomUniform({7}, 1.0f, rng);
+  std::vector<Tensor> inputs = {x, linear.weight(), linear.bias()};
+
+  Tensor got = linear.Forward(x);
+  SumAll(Mul(got, readout)).Backward();
+  std::vector<std::vector<float>> got_grads;
+  for (Tensor& t : inputs) {
+    got_grads.push_back(t.GradToVector());
+    t.ZeroGrad();
+  }
+  Tensor want = Reshape(
+      Add(MatMul(Reshape(x, {1, 13}), Transpose(linear.weight())), linear.bias()),
+      {7});
+  SumAll(Mul(want, readout)).Backward();
+
+  EXPECT_EQ(got.shape(), Shape({7}));
+  EXPECT_EQ(got.ToVector(), want.ToVector());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(got_grads[i], inputs[i].GradToVector()) << "input " << i;
+  }
 }
 
 }  // namespace
