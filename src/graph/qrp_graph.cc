@@ -1,8 +1,7 @@
 #include "graph/qrp_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
 
 #include "common/check.h"
 
@@ -10,6 +9,7 @@ namespace tspn::graph {
 
 void FillNeighbourLists(QrpGraph& graph) {
   const int64_t n = graph.NumNodes();
+  std::vector<int32_t> fill;
   for (int type = 0; type < QrpGraph::kNumEdgeTypes; ++type) {
     const auto& edges = graph.edges(type);
     NeighbourList& list = graph.neighbours[static_cast<size_t>(type)];
@@ -24,20 +24,44 @@ void FillNeighbourLists(QrpGraph& graph) {
       list.offsets[static_cast<size_t>(i + 1)] += list.offsets[static_cast<size_t>(i)];
     }
     list.cols.resize(2 * edges.size());
-    std::vector<int32_t> fill(list.offsets.begin(), list.offsets.end() - 1);
+    fill.assign(list.offsets.begin(), list.offsets.end() - 1);
     for (const auto& [a, b] : edges) {
       list.cols[static_cast<size_t>(fill[static_cast<size_t>(a)]++)] = b;
       list.cols[static_cast<size_t>(fill[static_cast<size_t>(b)]++)] = a;
     }
+    // The builders list edges so that every row comes out strictly
+    // ascending; only a row that is not gets sorted and checked.
     for (int64_t i = 0; i < n; ++i) {
       auto begin = list.cols.begin() + list.offsets[static_cast<size_t>(i)];
       auto end = list.cols.begin() + list.offsets[static_cast<size_t>(i + 1)];
+      if (std::adjacent_find(begin, end, std::greater_equal<int32_t>()) == end) {
+        continue;
+      }
       std::sort(begin, end);
       TSPN_CHECK(std::adjacent_find(begin, end) == end)
           << "duplicate QR-P edge of type " << type << " at node " << i;
     }
   }
 }
+
+namespace {
+
+/// Appends each visited POI id once, in first-visit order, to `poi_ids`.
+void UniquePoisInVisitOrder(const std::vector<data::Poi>& pois,
+                            const std::vector<int64_t>& visited_poi_ids,
+                            std::vector<int64_t>* poi_ids) {
+  std::vector<uint8_t> seen(pois.size(), 0);
+  for (int64_t pid : visited_poi_ids) {
+    TSPN_CHECK_GE(pid, 0);
+    TSPN_CHECK_LT(pid, static_cast<int64_t>(pois.size()));
+    if (!seen[static_cast<size_t>(pid)]) {
+      seen[static_cast<size_t>(pid)] = 1;
+      poi_ids->push_back(pid);
+    }
+  }
+}
+
+}  // namespace
 
 QrpGraph BuildQrpGraph(const spatial::QuadTree& tree,
                        const roadnet::TileAdjacency& leaf_adjacency,
@@ -47,58 +71,57 @@ QrpGraph BuildQrpGraph(const spatial::QuadTree& tree,
   if (visited_poi_ids.empty()) return graph;
 
   // Unique POIs in first-visit order, and their leaf tiles.
-  std::unordered_set<int64_t> seen;
+  UniquePoisInVisitOrder(pois, visited_poi_ids, &graph.poi_ids);
   std::vector<int32_t> leaves;
-  for (int64_t pid : visited_poi_ids) {
-    TSPN_CHECK_GE(pid, 0);
-    TSPN_CHECK_LT(pid, static_cast<int64_t>(pois.size()));
-    if (seen.insert(pid).second) {
-      graph.poi_ids.push_back(pid);
-      leaves.push_back(tree.LocateLeaf(pois[static_cast<size_t>(pid)].loc));
-    }
+  leaves.reserve(graph.poi_ids.size());
+  for (int64_t pid : graph.poi_ids) {
+    leaves.push_back(tree.LocateLeaf(pois[static_cast<size_t>(pid)].loc));
   }
 
   // Step 1: minimal sub-tree covering the visited leaves.
-  std::vector<int32_t> unique_leaves = leaves;
-  std::sort(unique_leaves.begin(), unique_leaves.end());
-  unique_leaves.erase(std::unique(unique_leaves.begin(), unique_leaves.end()),
-                      unique_leaves.end());
-  graph.tile_ids = tree.MinimalSubtree(unique_leaves);
+  graph.tile_ids = tree.MinimalSubtree(leaves);
 
-  std::unordered_map<int32_t, int32_t> tile_local;
+  // Local node index by quad-tree node id, -1 outside the sub-tree.
+  std::vector<int32_t> tile_local(static_cast<size_t>(tree.NumNodes()), -1);
   for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
-    tile_local[graph.tile_ids[i]] = static_cast<int32_t>(i);
+    tile_local[static_cast<size_t>(graph.tile_ids[i])] = static_cast<int32_t>(i);
   }
 
   // Branch edges: parent-child pairs inside the sub-tree.
   for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
-    int32_t parent = tree.node(graph.tile_ids[i]).parent;
-    auto it = parent >= 0 ? tile_local.find(parent) : tile_local.end();
-    if (it != tile_local.end()) {
-      graph.branch_edges.emplace_back(it->second, static_cast<int32_t>(i));
+    const int32_t parent = tree.node(graph.tile_ids[i]).parent;
+    if (parent >= 0 && tile_local[static_cast<size_t>(parent)] >= 0) {
+      graph.branch_edges.emplace_back(tile_local[static_cast<size_t>(parent)],
+                                      static_cast<int32_t>(i));
     }
   }
 
-  // Step 2: road edges between leaf tiles of the sub-tree.
-  for (size_t i = 0; i < unique_leaves.size(); ++i) {
-    for (size_t j = i + 1; j < unique_leaves.size(); ++j) {
-      int64_t leaf_i = tree.LeafIndexOf(unique_leaves[i]);
-      int64_t leaf_j = tree.LeafIndexOf(unique_leaves[j]);
-      if (leaf_adjacency.Connected(leaf_i, leaf_j)) {
-        graph.road_edges.emplace_back(tile_local.at(unique_leaves[i]),
-                                      tile_local.at(unique_leaves[j]));
-      }
+  // Step 2: road edges between leaf tiles of the sub-tree, each pair once
+  // from its lower node. Dense leaf indices ascend with node ids, so walking
+  // the sorted tile nodes and each leaf's sorted neighbour list lists the
+  // pairs in the order of a scan over all leaf pairs.
+  const std::vector<int32_t>& leaf_nodes = tree.LeafNodes();
+  const int64_t num_leaves =
+      std::min(leaf_adjacency.NumTiles(), static_cast<int64_t>(leaf_nodes.size()));
+  for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
+    const int64_t leaf = tree.LeafIndexOf(graph.tile_ids[i]);
+    if (leaf < 0 || leaf >= num_leaves) continue;
+    const std::vector<int64_t>& neighbours = leaf_adjacency.Neighbors(leaf);
+    for (auto it = std::upper_bound(neighbours.begin(), neighbours.end(), leaf);
+         it != neighbours.end() && *it < num_leaves; ++it) {
+      const int32_t j =
+          tile_local[static_cast<size_t>(leaf_nodes[static_cast<size_t>(*it)])];
+      if (j >= 0) graph.road_edges.emplace_back(static_cast<int32_t>(i), j);
     }
   }
 
   // Step 3: contain edges (leaf tile -> POI node). POI local indices start
   // after the tile nodes.
   for (size_t p = 0; p < graph.poi_ids.size(); ++p) {
-    int32_t leaf = leaves[p];
-    auto it = tile_local.find(leaf);
-    TSPN_CHECK(it != tile_local.end()) << "leaf missing from minimal subtree";
+    const int32_t tile = tile_local[static_cast<size_t>(leaves[p])];
+    TSPN_CHECK_GE(tile, 0) << "leaf missing from minimal subtree";
     graph.contain_edges.emplace_back(
-        it->second, static_cast<int32_t>(graph.tile_ids.size() + p));
+        tile, static_cast<int32_t>(graph.tile_ids.size() + p));
   }
   FillNeighbourLists(graph);
   return graph;
@@ -111,39 +134,43 @@ QrpGraph BuildQrpGraphFromGrid(const spatial::GridIndex& grid,
   QrpGraph graph;
   if (visited_poi_ids.empty()) return graph;
 
-  std::unordered_set<int64_t> seen;
+  UniquePoisInVisitOrder(pois, visited_poi_ids, &graph.poi_ids);
   std::vector<int64_t> cells;
-  for (int64_t pid : visited_poi_ids) {
-    TSPN_CHECK_GE(pid, 0);
-    TSPN_CHECK_LT(pid, static_cast<int64_t>(pois.size()));
-    if (seen.insert(pid).second) {
-      graph.poi_ids.push_back(pid);
-      cells.push_back(grid.TileOf(pois[static_cast<size_t>(pid)].loc));
+  cells.reserve(graph.poi_ids.size());
+  for (int64_t pid : graph.poi_ids) {
+    cells.push_back(grid.TileOf(pois[static_cast<size_t>(pid)].loc));
+  }
+
+  // Tile nodes: the distinct cells, ascending; local index by cell id.
+  std::vector<int32_t> cell_local(static_cast<size_t>(grid.NumTiles()), -1);
+  for (int64_t cell : cells) {
+    if (cell_local[static_cast<size_t>(cell)] < 0) {
+      cell_local[static_cast<size_t>(cell)] = 0;
+      graph.tile_ids.push_back(static_cast<int32_t>(cell));
     }
   }
-
-  std::vector<int64_t> unique_cells = cells;
-  std::sort(unique_cells.begin(), unique_cells.end());
-  unique_cells.erase(std::unique(unique_cells.begin(), unique_cells.end()),
-                     unique_cells.end());
-  std::unordered_map<int64_t, int32_t> cell_local;
-  for (size_t i = 0; i < unique_cells.size(); ++i) {
-    graph.tile_ids.push_back(static_cast<int32_t>(unique_cells[i]));
-    cell_local[unique_cells[i]] = static_cast<int32_t>(i);
+  std::sort(graph.tile_ids.begin(), graph.tile_ids.end());
+  for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
+    cell_local[static_cast<size_t>(graph.tile_ids[i])] = static_cast<int32_t>(i);
   }
 
-  for (size_t i = 0; i < unique_cells.size(); ++i) {
-    for (size_t j = i + 1; j < unique_cells.size(); ++j) {
-      if (cell_adjacency.Connected(unique_cells[i], unique_cells[j])) {
-        graph.road_edges.emplace_back(cell_local.at(unique_cells[i]),
-                                      cell_local.at(unique_cells[j]));
-      }
+  // Road edges, each pair once from its lower cell, in the order of a scan
+  // over all cell pairs.
+  const int64_t num_cells = std::min(cell_adjacency.NumTiles(), grid.NumTiles());
+  for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
+    const int64_t cell = graph.tile_ids[i];
+    if (cell >= num_cells) continue;
+    const std::vector<int64_t>& neighbours = cell_adjacency.Neighbors(cell);
+    for (auto it = std::upper_bound(neighbours.begin(), neighbours.end(), cell);
+         it != neighbours.end() && *it < num_cells; ++it) {
+      const int32_t j = cell_local[static_cast<size_t>(*it)];
+      if (j >= 0) graph.road_edges.emplace_back(static_cast<int32_t>(i), j);
     }
   }
 
   for (size_t p = 0; p < graph.poi_ids.size(); ++p) {
     graph.contain_edges.emplace_back(
-        cell_local.at(cells[p]),
+        cell_local[static_cast<size_t>(cells[p])],
         static_cast<int32_t>(graph.tile_ids.size() + p));
   }
   FillNeighbourLists(graph);

@@ -26,6 +26,22 @@ inline float HorizontalSum(__m256 v) {
   return _mm_cvtss_f32(lo);
 }
 
+/// HorizontalSum of four accumulators at once, lane j holding a_j's sum.
+/// It is the same addition tree per accumulator: its two halves are added,
+/// then the first hadd adds neighbouring lanes and the second adds those
+/// pair sums. So every lane is bitwise HorizontalSum(a_j).
+inline __m128 HorizontalSum4(__m256 a0, __m256 a1, __m256 a2, __m256 a3) {
+  const __m128 s0 =
+      _mm_add_ps(_mm256_castps256_ps128(a0), _mm256_extractf128_ps(a0, 1));
+  const __m128 s1 =
+      _mm_add_ps(_mm256_castps256_ps128(a1), _mm256_extractf128_ps(a1, 1));
+  const __m128 s2 =
+      _mm_add_ps(_mm256_castps256_ps128(a2), _mm256_extractf128_ps(a2, 1));
+  const __m128 s3 =
+      _mm_add_ps(_mm256_castps256_ps128(a3), _mm256_extractf128_ps(a3, 1));
+  return _mm_hadd_ps(_mm_hadd_ps(s0, s1), _mm_hadd_ps(s2, s3));
+}
+
 /// 4x4 register tile: 16 vector accumulators, each operand load shared by
 /// four FMAs. The r loop is unrolled x2 to thin out loop overhead.
 inline void DotTile4x4(const float* y0, const float* y1, const float* y2,
@@ -91,22 +107,10 @@ inline void DotTile4x4(const float* y0, const float* y1, const float* y2,
     a32 = _mm256_fmadd_ps(v, w2, a32);
     a33 = _mm256_fmadd_ps(v, w3, a33);
   }
-  out[0][0] = HorizontalSum(a00);
-  out[0][1] = HorizontalSum(a01);
-  out[0][2] = HorizontalSum(a02);
-  out[0][3] = HorizontalSum(a03);
-  out[1][0] = HorizontalSum(a10);
-  out[1][1] = HorizontalSum(a11);
-  out[1][2] = HorizontalSum(a12);
-  out[1][3] = HorizontalSum(a13);
-  out[2][0] = HorizontalSum(a20);
-  out[2][1] = HorizontalSum(a21);
-  out[2][2] = HorizontalSum(a22);
-  out[2][3] = HorizontalSum(a23);
-  out[3][0] = HorizontalSum(a30);
-  out[3][1] = HorizontalSum(a31);
-  out[3][2] = HorizontalSum(a32);
-  out[3][3] = HorizontalSum(a33);
+  _mm_storeu_ps(out[0], HorizontalSum4(a00, a01, a02, a03));
+  _mm_storeu_ps(out[1], HorizontalSum4(a10, a11, a12, a13));
+  _mm_storeu_ps(out[2], HorizontalSum4(a20, a21, a22, a23));
+  _mm_storeu_ps(out[3], HorizontalSum4(a30, a31, a32, a33));
   for (; r < r_len; ++r) {
     const float w[4] = {z0[r], z1[r], z2[r], z3[r]};
     const float v[4] = {y0[r], y1[r], y2[r], y3[r]};

@@ -18,9 +18,13 @@ int NumThreads();
 ///
 /// with Y [p_rows, r_len], Z [q_rows, r_len] and C [p_rows, q_rows], all
 /// row-major and dense. Rows of both operands are contiguous, so the inner
-/// reduction runs on SIMD FMA accumulators (AVX2/AVX-512 when compiled in),
-/// and a 4x4 register tile amortizes each operand load across four partial
-/// products. Blocking over q keeps the active Z rows in L1.
+/// reduction runs on 8-wide FMA accumulators when compiled with AVX2 and
+/// FMA (a portable scalar loop otherwise), and a 4x4 register tile
+/// amortizes each operand load across four partial products. The tile
+/// reduces its 16 accumulators four at a time (add each one's 128-bit
+/// halves, then two `hadd` levels across four of them): per element that
+/// is the addition tree of a one-accumulator reduction, so every element
+/// keeps its bits. Blocking over q keeps the active Z rows in L1.
 ///
 /// With `accumulate` false C is overwritten, otherwise the products are
 /// added into C (the gradient-accumulation mode).

@@ -1,7 +1,6 @@
 #include "spatial/quadtree.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.h"
 
@@ -118,15 +117,15 @@ int32_t QuadTree::LeafOfPoint(int64_t point_index) const {
 std::vector<int32_t> QuadTree::MinimalSubtree(
     const std::vector<int32_t>& leaf_node_ids) const {
   if (leaf_node_ids.empty()) return {};
-  // Mark every ancestor of each target leaf, counting coverage.
-  std::unordered_set<int32_t> unique_leaves(leaf_node_ids.begin(), leaf_node_ids.end());
-  std::unordered_set<int32_t> on_path;
-  for (int32_t leaf : unique_leaves) {
+  // Mark the union of the leaf-to-root paths. A walk stops at the first node
+  // an earlier walk marked (everything above it is marked too), so each
+  // node is visited once.
+  std::vector<uint8_t> on_path(nodes_.size(), 0);
+  for (int32_t leaf : leaf_node_ids) {
     TSPN_CHECK(node(leaf).is_leaf()) << "MinimalSubtree expects leaf ids";
-    int32_t cur = leaf;
-    while (cur >= 0) {
-      on_path.insert(cur);
-      cur = nodes_[static_cast<size_t>(cur)].parent;
+    for (int32_t cur = leaf; cur >= 0 && !on_path[static_cast<size_t>(cur)];
+         cur = nodes_[static_cast<size_t>(cur)].parent) {
+      on_path[static_cast<size_t>(cur)] = 1;
     }
   }
   // The minimal root is the deepest node that is an ancestor of all target
@@ -138,7 +137,7 @@ std::vector<int32_t> QuadTree::MinimalSubtree(
     int32_t next = -1;
     int children_on_path = 0;
     for (int32_t child : n.children) {
-      if (on_path.count(child) > 0) {
+      if (on_path[static_cast<size_t>(child)]) {
         ++children_on_path;
         next = child;
       }
@@ -146,22 +145,15 @@ std::vector<int32_t> QuadTree::MinimalSubtree(
     if (children_on_path != 1) break;
     subtree_root = next;
   }
-  // Collect nodes on paths from subtree_root down to the target leaves.
+  // A child's id is above its parent's (Split appends children). Every
+  // marked node, like subtree_root, is an ancestor of some target leaf, so
+  // it is either a strict ancestor of subtree_root (a lower id) or inside
+  // the sub-tree: scanning the marks up from subtree_root lists the sub-tree
+  // in ascending order.
   std::vector<int32_t> result;
-  for (int32_t id : on_path) {
-    // Keep ids that are within the subtree rooted at subtree_root.
-    int32_t cur = id;
-    bool inside = false;
-    while (cur >= 0) {
-      if (cur == subtree_root) {
-        inside = true;
-        break;
-      }
-      cur = nodes_[static_cast<size_t>(cur)].parent;
-    }
-    if (inside) result.push_back(id);
+  for (size_t id = static_cast<size_t>(subtree_root); id < nodes_.size(); ++id) {
+    if (on_path[id]) result.push_back(static_cast<int32_t>(id));
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 

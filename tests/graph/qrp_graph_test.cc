@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "data/checkin_generator.h"
 #include "data/dataset.h"
 
 namespace tspn::graph {
@@ -182,6 +186,236 @@ TEST_F(QrpGraphTest, NeighbourListsHoldEdgeInvariantsOnRealHistories) {
     }
   }
   EXPECT_GT(graphs, 10);
+}
+
+// --- Reference builders -------------------------------------------------------
+//
+// The QR-P builders as first written: hash-set dedupe, a hash map from tile
+// id to local index, and road edges from a scan over every pair of tiles.
+// The flat-array builders must give the same graph, edge order included.
+
+void ReferenceFillNeighbourLists(QrpGraph& graph) {
+  const int64_t n = graph.NumNodes();
+  for (int type = 0; type < QrpGraph::kNumEdgeTypes; ++type) {
+    const auto& edges = graph.edges(type);
+    NeighbourList& list = graph.neighbours[static_cast<size_t>(type)];
+    list.offsets.assign(static_cast<size_t>(n + 1), 0);
+    for (const auto& [a, b] : edges) {
+      ++list.offsets[static_cast<size_t>(a) + 1];
+      ++list.offsets[static_cast<size_t>(b) + 1];
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      list.offsets[static_cast<size_t>(i + 1)] += list.offsets[static_cast<size_t>(i)];
+    }
+    list.cols.resize(2 * edges.size());
+    std::vector<int32_t> fill(list.offsets.begin(), list.offsets.end() - 1);
+    for (const auto& [a, b] : edges) {
+      list.cols[static_cast<size_t>(fill[static_cast<size_t>(a)]++)] = b;
+      list.cols[static_cast<size_t>(fill[static_cast<size_t>(b)]++)] = a;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      std::sort(list.cols.begin() + list.offsets[static_cast<size_t>(i)],
+                list.cols.begin() + list.offsets[static_cast<size_t>(i + 1)]);
+    }
+  }
+}
+
+QrpGraph ReferenceBuildQrpGraph(const spatial::QuadTree& tree,
+                                const roadnet::TileAdjacency& leaf_adjacency,
+                                const std::vector<data::Poi>& pois,
+                                const std::vector<int64_t>& visited_poi_ids) {
+  QrpGraph graph;
+  if (visited_poi_ids.empty()) return graph;
+  std::unordered_set<int64_t> seen;
+  std::vector<int32_t> leaves;
+  for (int64_t pid : visited_poi_ids) {
+    if (seen.insert(pid).second) {
+      graph.poi_ids.push_back(pid);
+      leaves.push_back(tree.LocateLeaf(pois[static_cast<size_t>(pid)].loc));
+    }
+  }
+  std::vector<int32_t> unique_leaves = leaves;
+  std::sort(unique_leaves.begin(), unique_leaves.end());
+  unique_leaves.erase(std::unique(unique_leaves.begin(), unique_leaves.end()),
+                      unique_leaves.end());
+  graph.tile_ids = tree.MinimalSubtree(unique_leaves);
+  std::unordered_map<int32_t, int32_t> tile_local;
+  for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
+    tile_local[graph.tile_ids[i]] = static_cast<int32_t>(i);
+  }
+  for (size_t i = 0; i < graph.tile_ids.size(); ++i) {
+    int32_t parent = tree.node(graph.tile_ids[i]).parent;
+    auto it = parent >= 0 ? tile_local.find(parent) : tile_local.end();
+    if (it != tile_local.end()) {
+      graph.branch_edges.emplace_back(it->second, static_cast<int32_t>(i));
+    }
+  }
+  for (size_t i = 0; i < unique_leaves.size(); ++i) {
+    for (size_t j = i + 1; j < unique_leaves.size(); ++j) {
+      int64_t leaf_i = tree.LeafIndexOf(unique_leaves[i]);
+      int64_t leaf_j = tree.LeafIndexOf(unique_leaves[j]);
+      if (leaf_adjacency.Connected(leaf_i, leaf_j)) {
+        graph.road_edges.emplace_back(tile_local.at(unique_leaves[i]),
+                                      tile_local.at(unique_leaves[j]));
+      }
+    }
+  }
+  for (size_t p = 0; p < graph.poi_ids.size(); ++p) {
+    graph.contain_edges.emplace_back(
+        tile_local.at(leaves[p]), static_cast<int32_t>(graph.tile_ids.size() + p));
+  }
+  ReferenceFillNeighbourLists(graph);
+  return graph;
+}
+
+QrpGraph ReferenceBuildQrpGraphFromGrid(const spatial::GridIndex& grid,
+                                        const roadnet::TileAdjacency& cell_adjacency,
+                                        const std::vector<data::Poi>& pois,
+                                        const std::vector<int64_t>& visited_poi_ids) {
+  QrpGraph graph;
+  if (visited_poi_ids.empty()) return graph;
+  std::unordered_set<int64_t> seen;
+  std::vector<int64_t> cells;
+  for (int64_t pid : visited_poi_ids) {
+    if (seen.insert(pid).second) {
+      graph.poi_ids.push_back(pid);
+      cells.push_back(grid.TileOf(pois[static_cast<size_t>(pid)].loc));
+    }
+  }
+  std::vector<int64_t> unique_cells = cells;
+  std::sort(unique_cells.begin(), unique_cells.end());
+  unique_cells.erase(std::unique(unique_cells.begin(), unique_cells.end()),
+                     unique_cells.end());
+  std::unordered_map<int64_t, int32_t> cell_local;
+  for (size_t i = 0; i < unique_cells.size(); ++i) {
+    graph.tile_ids.push_back(static_cast<int32_t>(unique_cells[i]));
+    cell_local[unique_cells[i]] = static_cast<int32_t>(i);
+  }
+  for (size_t i = 0; i < unique_cells.size(); ++i) {
+    for (size_t j = i + 1; j < unique_cells.size(); ++j) {
+      if (cell_adjacency.Connected(unique_cells[i], unique_cells[j])) {
+        graph.road_edges.emplace_back(cell_local.at(unique_cells[i]),
+                                      cell_local.at(unique_cells[j]));
+      }
+    }
+  }
+  for (size_t p = 0; p < graph.poi_ids.size(); ++p) {
+    graph.contain_edges.emplace_back(
+        cell_local.at(cells[p]), static_cast<int32_t>(graph.tile_ids.size() + p));
+  }
+  ReferenceFillNeighbourLists(graph);
+  return graph;
+}
+
+void ExpectSameGraph(const QrpGraph& got, const QrpGraph& want) {
+  EXPECT_EQ(got.tile_ids, want.tile_ids);
+  EXPECT_EQ(got.poi_ids, want.poi_ids);
+  EXPECT_EQ(got.branch_edges, want.branch_edges);
+  EXPECT_EQ(got.road_edges, want.road_edges);
+  EXPECT_EQ(got.contain_edges, want.contain_edges);
+  for (int type = 0; type < QrpGraph::kNumEdgeTypes; ++type) {
+    EXPECT_EQ(got.neighbours[static_cast<size_t>(type)].offsets,
+              want.neighbours[static_cast<size_t>(type)].offsets)
+        << "edge type " << type;
+    EXPECT_EQ(got.neighbours[static_cast<size_t>(type)].cols,
+              want.neighbours[static_cast<size_t>(type)].cols)
+        << "edge type " << type;
+  }
+}
+
+/// Seeded visit lists over a city's POIs: single POIs, a few POIs visited
+/// over and over, every POI of one leaf, uniform draws up to 150 visits, and
+/// 150-visit walks along road-adjacent leaves (dense road edges).
+std::vector<std::vector<int64_t>> VisitLists(const spatial::QuadTree& tree,
+                                             const roadnet::TileAdjacency& adjacency,
+                                             int64_t num_pois, uint64_t seed) {
+  common::Rng rng(seed);
+  auto poi_in_leaf = [&](int64_t leaf) {
+    const std::vector<int64_t>& ids =
+        tree.node(tree.LeafNodes()[static_cast<size_t>(leaf)]).point_ids;
+    return ids[static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(ids.size())))];
+  };
+  std::vector<std::vector<int64_t>> lists;
+  for (int trial = 0; trial < 6; ++trial) {
+    lists.push_back({rng.UniformInt(num_pois)});
+
+    std::vector<int64_t> pool;
+    for (int i = 0; i < 4; ++i) pool.push_back(rng.UniformInt(num_pois));
+    std::vector<int64_t> repeats;
+    for (int i = 0; i < 40; ++i) repeats.push_back(pool[static_cast<size_t>(rng.UniformInt(4))]);
+    lists.push_back(repeats);
+
+    int64_t leaf = rng.UniformInt(tree.NumTiles());
+    while (tree.node(tree.LeafNodes()[static_cast<size_t>(leaf)]).point_ids.empty()) {
+      leaf = rng.UniformInt(tree.NumTiles());
+    }
+    std::vector<int64_t> one_leaf =
+        tree.node(tree.LeafNodes()[static_cast<size_t>(leaf)]).point_ids;
+    one_leaf.insert(one_leaf.end(), one_leaf.begin(), one_leaf.end());
+    rng.Shuffle(one_leaf);
+    lists.push_back(one_leaf);
+
+    for (int64_t length : {2, 17, 60, 150}) {
+      std::vector<int64_t> uniform;
+      for (int64_t i = 0; i < length; ++i) uniform.push_back(rng.UniformInt(num_pois));
+      lists.push_back(uniform);
+    }
+
+    std::vector<int64_t> walk;
+    for (int i = 0; i < 150; ++i) {
+      if (tree.node(tree.LeafNodes()[static_cast<size_t>(leaf)]).point_ids.empty()) {
+        leaf = rng.UniformInt(tree.NumTiles());
+        continue;
+      }
+      walk.push_back(poi_in_leaf(leaf));
+      const std::vector<int64_t>& next = adjacency.Neighbors(leaf);
+      if (!next.empty() && rng.Bernoulli(0.5)) {
+        leaf = next[static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(next.size())))];
+      }
+    }
+    lists.push_back(walk);
+  }
+  return lists;
+}
+
+TEST(QrpGraphReferenceTest, FlatBuildersMatchReferenceOnCityTrees) {
+  data::CityProfile metro = data::CityProfile::FoursquareTky();
+  metro.num_pois *= 8;
+  metro.num_users *= 8;
+  for (const data::CityProfile& profile :
+       {data::CityProfile::FoursquareNyc(), data::CityProfile::FoursquareTky(),
+        metro}) {
+    SCOPED_TRACE(profile.name + " x" + std::to_string(profile.num_pois));
+    const data::World world = data::BuildWorld(profile);
+    std::vector<geo::GeoPoint> points;
+    for (const data::Poi& poi : world.pois) points.push_back(poi.loc);
+    const spatial::QuadTree tree = spatial::QuadTree::Build(
+        profile.bbox, points,
+        {.max_depth = profile.quadtree_max_depth,
+         .leaf_capacity = profile.quadtree_leaf_capacity});
+    const roadnet::TileAdjacency leaf_adjacency =
+        roadnet::TileAdjacency::Build(world.roads, tree);
+    const spatial::GridIndex grid(profile.bbox, 32);
+    const roadnet::TileAdjacency cell_adjacency =
+        roadnet::TileAdjacency::Build(world.roads, grid);
+    const std::vector<std::vector<int64_t>> lists =
+        VisitLists(tree, leaf_adjacency, static_cast<int64_t>(world.pois.size()),
+                   profile.seed);
+    int64_t road_edges = 0;
+    for (const std::vector<int64_t>& visits : lists) {
+      SCOPED_TRACE(std::to_string(visits.size()) + " visits");
+      const QrpGraph got =
+          BuildQrpGraph(tree, leaf_adjacency, world.pois, visits);
+      ExpectSameGraph(got, ReferenceBuildQrpGraph(tree, leaf_adjacency,
+                                                  world.pois, visits));
+      ExpectSameGraph(
+          BuildQrpGraphFromGrid(grid, cell_adjacency, world.pois, visits),
+          ReferenceBuildQrpGraphFromGrid(grid, cell_adjacency, world.pois,
+                                         visits));
+      road_edges += static_cast<int64_t>(got.road_edges.size());
+    }
+    EXPECT_GT(road_edges, 0);
+  }
 }
 
 TEST(FillNeighbourListsTest, SortsRowsFromUnorderedEdges) {

@@ -57,29 +57,48 @@ TEST(DotProductGemmTest, EachRowBitwiseMatchesOneRowCall) {
 
 TEST(DotProductGemmTest, EveryElementIsOneDotRowEitherWay) {
   // Each element is DotRow of its Y row and Z row, whether it came out of a
-  // 4x4 tile or a leftover row or column, and whichever operand is Y:
-  // stage-2 scoring of a few candidates and the transpose-free backward
-  // passes both rest on this.
+  // 4x4 tile (reduced four accumulators at a time) or a leftover row or
+  // column, and whichever operand is Y: stage-2 scoring of a few candidates
+  // and the transpose-free backward passes both rest on this. r_len covers
+  // every tail of the 16-wide, 8-wide and scalar steps; p_rows and q_rows
+  // every tile remainder and the 64-row Z stripe; accumulate adds the dot
+  // product into what C held.
   common::Rng rng(9);
-  for (int64_t r_len : {5, 13, 32, 64}) {
-    for (int64_t p_rows : {1, 4, 7}) {
-      for (int64_t q_rows : {1, 4, 9, 70}) {
+  for (int64_t r_len : {1, 7, 8, 9, 16, 17, 24, 31, 32, 33, 96, 128}) {
+    for (int64_t p_rows = 1; p_rows <= 9; ++p_rows) {
+      for (int64_t q_rows : {1, 3, 4, 5, 63, 64, 65, 130}) {
         const std::vector<float> y = RandomVector(p_rows * r_len, rng);
         const std::vector<float> z = RandomVector(q_rows * r_len, rng);
-        std::vector<float> c(static_cast<size_t>(p_rows * q_rows));
-        std::vector<float> ct(c.size());
-        DotProductGemm(y.data(), z.data(), c.data(), p_rows, q_rows, r_len,
-                       /*accumulate=*/false);
-        DotProductGemm(z.data(), y.data(), ct.data(), q_rows, p_rows, r_len,
-                       /*accumulate=*/false);
-        for (int64_t p = 0; p < p_rows; ++p) {
-          for (int64_t q = 0; q < q_rows; ++q) {
-            const float dot =
-                DotRow(y.data() + p * r_len, z.data() + q * r_len, r_len);
-            ASSERT_EQ(c[static_cast<size_t>(p * q_rows + q)], dot)
-                << "r_len=" << r_len << " [" << p << ", " << q << "]";
-            ASSERT_EQ(ct[static_cast<size_t>(q * p_rows + p)], dot)
-                << "r_len=" << r_len << " transposed [" << q << ", " << p << "]";
+        const std::vector<float> c0 = RandomVector(p_rows * q_rows, rng);
+        for (bool accumulate : {false, true}) {
+          std::vector<float> c = c0;
+          std::vector<float> ct(c.size());
+          for (int64_t p = 0; p < p_rows; ++p) {
+            for (int64_t q = 0; q < q_rows; ++q) {
+              ct[static_cast<size_t>(q * p_rows + p)] =
+                  c0[static_cast<size_t>(p * q_rows + q)];
+            }
+          }
+          DotProductGemm(y.data(), z.data(), c.data(), p_rows, q_rows, r_len,
+                         accumulate);
+          DotProductGemm(z.data(), y.data(), ct.data(), q_rows, p_rows, r_len,
+                         accumulate);
+          for (int64_t p = 0; p < p_rows; ++p) {
+            for (int64_t q = 0; q < q_rows; ++q) {
+              const float dot =
+                  DotRow(y.data() + p * r_len, z.data() + q * r_len, r_len);
+              const float want =
+                  accumulate ? c0[static_cast<size_t>(p * q_rows + q)] + dot
+                             : dot;
+              ASSERT_EQ(c[static_cast<size_t>(p * q_rows + q)], want)
+                  << "r_len=" << r_len << " p_rows=" << p_rows
+                  << " q_rows=" << q_rows << " accumulate=" << accumulate
+                  << " [" << p << ", " << q << "]";
+              ASSERT_EQ(ct[static_cast<size_t>(q * p_rows + p)], want)
+                  << "r_len=" << r_len << " p_rows=" << p_rows
+                  << " q_rows=" << q_rows << " accumulate=" << accumulate
+                  << " transposed [" << q << ", " << p << "]";
+            }
           }
         }
       }

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/checkin_generator.h"
+#include "data/city_profile.h"
 
 namespace tspn::spatial {
 namespace {
@@ -195,6 +199,108 @@ TEST(QuadTreeTest, MinimalSubtreeIsMinimal) {
   std::vector<int32_t> subtree = tree.MinimalSubtree(targets);
   EXPECT_EQ(std::count(subtree.begin(), subtree.end(), tree.root()), 0)
       << "subtree should be rooted below the global root";
+}
+
+/// MinimalSubtree as first written (hash-set ancestor marks, a walk to the
+/// root for every marked node), kept as the reference the flat-array
+/// version must match id for id.
+std::vector<int32_t> ReferenceMinimalSubtree(
+    const QuadTree& tree, const std::vector<int32_t>& leaf_node_ids) {
+  if (leaf_node_ids.empty()) return {};
+  std::unordered_set<int32_t> unique_leaves(leaf_node_ids.begin(),
+                                            leaf_node_ids.end());
+  std::unordered_set<int32_t> on_path;
+  for (int32_t leaf : unique_leaves) {
+    int32_t cur = leaf;
+    while (cur >= 0) {
+      on_path.insert(cur);
+      cur = tree.node(cur).parent;
+    }
+  }
+  int32_t subtree_root = 0;
+  while (true) {
+    const QuadTreeNode& n = tree.node(subtree_root);
+    if (n.is_leaf()) break;
+    int32_t next = -1;
+    int children_on_path = 0;
+    for (int32_t child : n.children) {
+      if (on_path.count(child) > 0) {
+        ++children_on_path;
+        next = child;
+      }
+    }
+    if (children_on_path != 1) break;
+    subtree_root = next;
+  }
+  std::vector<int32_t> result;
+  for (int32_t id : on_path) {
+    int32_t cur = id;
+    bool inside = false;
+    while (cur >= 0) {
+      if (cur == subtree_root) {
+        inside = true;
+        break;
+      }
+      cur = tree.node(cur).parent;
+    }
+    if (inside) result.push_back(id);
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+/// The quad-tree a city profile's dataset builds over its POIs.
+QuadTree CityTree(const data::CityProfile& profile) {
+  const data::World world = data::BuildWorld(profile);
+  std::vector<geo::GeoPoint> points;
+  for (const data::Poi& poi : world.pois) points.push_back(poi.loc);
+  return QuadTree::Build(profile.bbox, points,
+                         {.max_depth = profile.quadtree_max_depth,
+                          .leaf_capacity = profile.quadtree_leaf_capacity});
+}
+
+TEST(QuadTreeTest, MinimalSubtreeMatchesReferenceOnCityTrees) {
+  data::CityProfile metro = data::CityProfile::FoursquareTky();
+  metro.num_pois *= 8;
+  metro.num_users *= 8;
+  for (const data::CityProfile& profile :
+       {data::CityProfile::FoursquareNyc(), data::CityProfile::FoursquareTky(),
+        metro}) {
+    SCOPED_TRACE(profile.name + " x" + std::to_string(profile.num_pois));
+    const QuadTree tree = CityTree(profile);
+    const std::vector<int32_t>& leaves = tree.LeafNodes();
+    const int64_t num_leaves = static_cast<int64_t>(leaves.size());
+    common::Rng rng(static_cast<uint64_t>(profile.num_pois));
+    std::vector<std::vector<int32_t>> cases = {{leaves.front()},
+                                               {leaves.back()},
+                                               leaves};
+    // Leaves drawn with repeats from the whole tree, and from under one
+    // random internal node (a sub-tree rooted below the global root).
+    for (int64_t size : {1, 2, 3, 5, 20, 60, 150}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<int32_t> drawn;
+        for (int64_t i = 0; i < size; ++i) {
+          drawn.push_back(leaves[static_cast<size_t>(rng.UniformInt(num_leaves))]);
+        }
+        cases.push_back(drawn);
+        int32_t top = static_cast<int32_t>(rng.UniformInt(tree.NumNodes()));
+        while (tree.node(top).is_leaf()) top = tree.node(top).parent;
+        std::vector<int32_t> under;
+        for (int32_t leaf : leaves) {
+          int32_t cur = leaf;
+          while (cur >= 0 && cur != top) cur = tree.node(cur).parent;
+          if (cur == top) under.push_back(leaf);
+        }
+        rng.Shuffle(under);
+        under.resize(std::min<size_t>(under.size(), static_cast<size_t>(size)));
+        cases.push_back(under);
+      }
+    }
+    for (const std::vector<int32_t>& targets : cases) {
+      ASSERT_EQ(tree.MinimalSubtree(targets), ReferenceMinimalSubtree(tree, targets))
+          << targets.size() << " target leaves";
+    }
+  }
 }
 
 TEST(QuadTreeTest, TilePartitionInterface) {
