@@ -648,17 +648,23 @@ std::vector<int64_t> TspnRa::GatherAllowedCandidates(
       max_tiles > 0 ? std::min<int64_t>(max_tiles, num_tiles) : num_tiles;
   std::vector<int64_t> candidates;
   // Gathers tiles order[consumed, limit) into `candidates`, through the
-  // constraint filter when one is active.
+  // constraint filter when one is active. Each tile is classified against
+  // the geo fence once: an outside tile is skipped whole, and only the POIs
+  // of a boundary tile pay for a distance test.
   auto gather = [&](const std::vector<int64_t>& order, int64_t consumed,
                     int64_t limit) {
     for (int64_t i = consumed; i < limit; ++i) {
       const int64_t tile = order[static_cast<size_t>(i)];
-      if (filter != nullptr &&
-          !filter->BoundsMayIntersectFence(CandidateTileBounds(tile))) {
-        continue;  // the whole tile lies outside the geo fence
+      const std::vector<int64_t>& pois = tile_pois_[static_cast<size_t>(tile)];
+      if (filter == nullptr) {
+        candidates.insert(candidates.end(), pois.begin(), pois.end());
+        continue;
       }
-      for (int64_t pid : tile_pois_[static_cast<size_t>(tile)]) {
-        if (filter == nullptr || filter->Allows(pid)) candidates.push_back(pid);
+      const eval::FenceRelation relation =
+          filter->TileRelation(CandidateTileBounds(tile));
+      if (relation == eval::FenceRelation::kOutside) continue;
+      for (int64_t pid : pois) {
+        if (filter->AllowsInTile(pid, relation)) candidates.push_back(pid);
       }
     }
   };

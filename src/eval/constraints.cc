@@ -1,161 +1,10 @@
 #include "eval/constraints.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <cmath>
-#include <cstring>
-
-#include "common/check.h"
-#include "common/lru_cache.h"
-#include "spatial/grid_index.h"
 
 namespace tspn::eval {
 
-/// See constraints.h: one fence circle compiled against the prefilter grid.
-struct FenceClassification {
-  /// Classification of one prefilter grid cell.
-  enum CellState : uint8_t { kOutside = 0, kBoundary = 1, kInside = 2 };
-
-  explicit FenceClassification(const geo::BoundingBox& region, int32_t cells)
-      : grid(region, cells) {}
-
-  spatial::GridIndex grid;
-  std::vector<uint8_t> cell_state;
-};
-
-namespace {
-
-/// Cells per side of the geo-fence prefilter grid. 32x32 keeps the one-off
-/// classification cheap (only cells inside the fence's bounding box are
-/// visited) while making boundary cells — the only ones that still need a
-/// per-POI haversine — a thin ring around the fence circle.
-constexpr int32_t kFenceGridCells = 32;
-
-/// Degrees of latitude per kilometre (and of longitude at the equator).
-constexpr double kDegPerKm = 1.0 / 111.19;
-
-/// Compiles one fence circle: classify every grid cell the fence's bounding
-/// box can reach as outside/boundary/inside the circle.
-std::shared_ptr<const FenceClassification> CompileFence(
-    const geo::BoundingBox& region, const geo::GeoPoint& center,
-    double radius_km) {
-  auto fence = std::make_shared<FenceClassification>(region, kFenceGridCells);
-  fence->cell_state.assign(static_cast<size_t>(fence->grid.NumTiles()),
-                           FenceClassification::kOutside);
-  // Classify only the cells the fence's bounding box can reach; everything
-  // else stays kOutside.
-  // 10% slack on the box so spherical-vs-planar drift can never leave a
-  // fence-reaching cell unclassified (unvisited cells read as kOutside).
-  const double dlat = 1.1 * radius_km * kDegPerKm;
-  const double dlon = 1.1 * radius_km * kDegPerKm /
-                      std::max(0.1, std::cos(center.lat * M_PI / 180.0));
-  geo::BoundingBox fence_box{center.lat - dlat, center.lon - dlon,
-                             center.lat + dlat, center.lon + dlon};
-  int32_t row0, row1, col0, col1;
-  if (fence->grid.TileSpan(fence_box, &row0, &row1, &col0, &col1)) {
-    for (int32_t row = row0; row <= row1; ++row) {
-      for (int32_t col = col0; col <= col1; ++col) {
-        const int64_t cell = static_cast<int64_t>(row) * kFenceGridCells + col;
-        const geo::BoundingBox bounds = fence->grid.TileBounds(cell);
-        if (geo::MinDistanceKm(bounds, center) > radius_km) {
-          continue;  // stays kOutside
-        }
-        fence->cell_state[static_cast<size_t>(cell)] =
-            geo::MaxCornerDistanceKm(bounds, center) <= radius_km
-                ? FenceClassification::kInside
-                : FenceClassification::kBoundary;
-      }
-    }
-  }
-  return fence;
-}
-
-/// Bytes one compiled fence holds: every one has the same grid.
-constexpr int64_t kFenceBytes = static_cast<int64_t>(
-    sizeof(FenceClassification) + kFenceGridCells * kFenceGridCells);
-
-/// Byte bound of the classification cache: 128 compiled fences.
-constexpr int64_t kFenceCacheBytes = 128 * kFenceBytes;
-
-/// Process-wide classification cache. The classification is a pure function
-/// of (region, center, radius) — nothing dataset-lifetime-bound is stored —
-/// so the key is the exact bit patterns of those seven doubles: any change
-/// of fence or region recompiles, identical recurring fences share one
-/// immutable compiled entry. A bounded LRU, so a scan over many distinct
-/// fences cannot grow it without bound.
-class FenceCache {
- public:
-  using Key = std::array<uint64_t, 7>;
-
-  /// std::array has no std::hash: a hash_combine over the seven words.
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      uint64_t h = 0;
-      for (uint64_t word : key) {
-        h ^= word + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  static Key MakeKey(const geo::BoundingBox& region, const geo::GeoPoint& center,
-                     double radius_km) {
-    const double values[7] = {region.min_lat, region.min_lon, region.max_lat,
-                              region.max_lon, center.lat,     center.lon,
-                              radius_km};
-    Key key;
-    std::memcpy(key.data(), values, sizeof(values));
-    return key;
-  }
-
-  std::shared_ptr<const FenceClassification> Get(const geo::BoundingBox& region,
-                                                 const geo::GeoPoint& center,
-                                                 double radius_km) {
-    const Key key = MakeKey(region, center, radius_km);
-    if (std::shared_ptr<const FenceClassification> fence = entries_.Get(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return fence;
-    }
-    // Compile outside the cache's lock: concurrent first-seen fences build
-    // in parallel. A racing duplicate replaces an identical compilation.
-    std::shared_ptr<const FenceClassification> fence =
-        CompileFence(region, center, radius_km);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    entries_.Put(key, fence, kFenceBytes);
-    return fence;
-  }
-
-  FenceCacheStats Stats() const {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed)};
-  }
-
-  void Clear() {
-    entries_.Clear();
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-  }
-
-  static FenceCache& Global() {
-    static FenceCache* cache = new FenceCache();
-    return *cache;
-  }
-
- private:
-  common::LruCache<Key, FenceClassification, KeyHash> entries_{
-      kFenceCacheBytes};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-};
-
-}  // namespace
-
-FenceCacheStats FenceClassificationCacheStats() {
-  return FenceCache::Global().Stats();
-}
-
-void ClearFenceClassificationCache() { FenceCache::Global().Clear(); }
+FenceCacheStats FenceClassificationCacheStats() { return {}; }
 
 ConstraintEvaluator::ConstraintEvaluator(const data::CityDataset& dataset,
                                          const CandidateConstraints& constraints,
@@ -201,15 +50,18 @@ ConstraintEvaluator::ConstraintEvaluator(const data::CityDataset& dataset,
 
   if (constraints.exclude_visited) {
     const data::Trajectory& traj = dataset.trajectory(sample);
+    visited_.reserve(static_cast<size_t>(sample.prefix_len));
     for (int32_t i = 0; i < sample.prefix_len; ++i) {
-      visited_.insert(traj.checkins[static_cast<size_t>(i)].poi_id);
+      visited_.push_back(traj.checkins[static_cast<size_t>(i)].poi_id);
     }
+    std::sort(visited_.begin(), visited_.end());
+    visited_.erase(std::unique(visited_.begin(), visited_.end()),
+                   visited_.end());
   }
 
   if (constraints.geo_radius_km > 0.0) {
-    fence_ = FenceCache::Global().Get(dataset.profile().bbox,
-                                      constraints.geo_center,
-                                      constraints.geo_radius_km);
+    fence_center_ = constraints.geo_center;
+    fence_radius_km_ = constraints.geo_radius_km;
   }
 }
 
@@ -218,6 +70,29 @@ bool ConstraintEvaluator::Allows(int64_t poi_id) const {
 }
 
 bool ConstraintEvaluator::AllowsAt(int64_t poi_id, int64_t timestamp) const {
+  return AllowsIgnoringFence(poi_id, timestamp) && WithinFence(poi_id);
+}
+
+FenceRelation ConstraintEvaluator::TileRelation(
+    const geo::BoundingBox& bounds) const {
+  if (fence_radius_km_ == 0.0) return FenceRelation::kInside;
+  if (!(geo::MinDistanceKm(bounds, fence_center_) <= fence_radius_km_)) {
+    return FenceRelation::kOutside;
+  }
+  return geo::MaxCornerDistanceKm(bounds, fence_center_) <= fence_radius_km_
+             ? FenceRelation::kInside
+             : FenceRelation::kBoundary;
+}
+
+bool ConstraintEvaluator::AllowsInTile(int64_t poi_id,
+                                       FenceRelation relation) const {
+  if (relation == FenceRelation::kOutside) return false;
+  return AllowsIgnoringFence(poi_id, constraints_.open_at) &&
+         (relation == FenceRelation::kInside || WithinFence(poi_id));
+}
+
+bool ConstraintEvaluator::AllowsIgnoringFence(int64_t poi_id,
+                                              int64_t timestamp) const {
   if (!active_) return true;
   const data::Poi& poi = dataset_.poi(poi_id);
   if (!category_allowed_.empty()) {
@@ -233,30 +108,13 @@ bool ConstraintEvaluator::AllowsAt(int64_t poi_id, int64_t timestamp) const {
       return false;
     }
   }
-  if (!visited_.empty() && visited_.count(poi_id) > 0) return false;
-  if (fence_ != nullptr) {
-    switch (
-        fence_->cell_state[static_cast<size_t>(fence_->grid.TileOf(poi.loc))]) {
-      case FenceClassification::kOutside:
-        return false;
-      case FenceClassification::kInside:
-        break;
-      case FenceClassification::kBoundary:
-        if (geo::HaversineKm(poi.loc, constraints_.geo_center) >
-            constraints_.geo_radius_km) {
-          return false;
-        }
-        break;
-    }
-  }
-  return true;
+  return !std::binary_search(visited_.begin(), visited_.end(), poi_id);
 }
 
-bool ConstraintEvaluator::BoundsMayIntersectFence(
-    const geo::BoundingBox& bounds) const {
-  if (fence_ == nullptr) return true;
-  return geo::MinDistanceKm(bounds, constraints_.geo_center) <=
-         constraints_.geo_radius_km;
+bool ConstraintEvaluator::WithinFence(int64_t poi_id) const {
+  return fence_radius_km_ == 0.0 ||
+         geo::HaversineKm(dataset_.poi(poi_id).loc, fence_center_) <=
+             fence_radius_km_;
 }
 
 std::unique_ptr<ConstraintEvaluator> MakeConstraintFilter(

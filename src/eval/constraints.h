@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "data/dataset.h"
@@ -11,23 +10,30 @@
 
 namespace tspn::eval {
 
-/// A compiled geo-fence: every cell of a fixed grid over the dataset
-/// region classified against the fence circle (outside/boundary/inside).
-/// Immutable once built, so recurring fences are shared across evaluators
-/// through the process-wide classification cache below.
-struct FenceClassification;
+/// Where a tile lies relative to a geo fence.
+enum class FenceRelation {
+  kOutside,   ///< no point of the tile is within the fence
+  kBoundary,  ///< the fence circle crosses the tile
+  kInside,    ///< every point of the tile is within the fence
+};
 
 /// Binds a request's CandidateConstraints to the dataset and sample so
 /// models can test candidates with one Allows() call. Construction is
 /// per-request: category sets become a bitmask over category ids, the
-/// observed prefix becomes a visited set, and the geo fence is compiled
-/// into a coarse spatial::GridIndex cell classification (outside /
-/// boundary / inside) so most POIs resolve without a distance computation.
+/// observed prefix becomes a sorted visited list, and the geo fence stays
+/// a centre and a radius.
 ///
-/// Fence compilation is cached per (dataset region, center, radius): a
-/// recurring fence — e.g. one fixed city-center fence across millions of
-/// queries — classifies its grid once and every later evaluator reuses the
-/// shared immutable classification (see FenceClassificationCacheStats).
+/// The fence is tested on the tiles the caller already screens, as in the
+/// paper's two-step prediction: TileRelation() classifies a tile's bounds
+/// as outside, boundary or inside, and AllowsInTile() then skips the whole
+/// of an outside tile and the distance test of an inside tile's POIs, so
+/// only the POIs of boundary tiles pay for a haversine. Allows() and
+/// AllowsAt(), for callers without tiles, test the fence with a plain
+/// haversine per POI.
+///
+/// A POI or tile passes the fence only when its distance d satisfies
+/// d <= radius, never by d > radius failing: a NaN centre gives a NaN d
+/// (geo::HaversineKm), so it rejects every POI and every tile.
 ///
 /// The referenced dataset and constraints must outlive the evaluator.
 class ConstraintEvaluator {
@@ -53,12 +59,26 @@ class ConstraintEvaluator {
   /// open-time constraint (open_at < 0).
   bool AllowsAt(int64_t poi_id, int64_t timestamp) const;
 
-  /// Conservative tile-level prune: false only when no point of `bounds`
-  /// can lie inside the geo fence, so an entire candidate tile can be
-  /// skipped before its POIs are gathered. Always true without a fence.
-  bool BoundsMayIntersectFence(const geo::BoundingBox& bounds) const;
+  /// Relation of a tile's `bounds` to the geo fence, from the distance to
+  /// its nearest point (kOutside when not within the radius) and to its
+  /// farthest corner (kInside when within it); kInside without a fence.
+  /// The POI-level shortcuts this licenses hold only for POIs that lie
+  /// inside `bounds`, at city scale (see geo::MinDistanceKm).
+  FenceRelation TileRelation(const geo::BoundingBox& bounds) const;
+
+  /// Allows() for a POI of a tile whose TileRelation() is `relation`:
+  /// false for kOutside, no distance test for kInside, the haversine for
+  /// kBoundary.
+  bool AllowsInTile(int64_t poi_id, FenceRelation relation) const;
 
  private:
+  /// Every constraint but the fence, the open-time window at `timestamp`
+  /// (negative skips it).
+  bool AllowsIgnoringFence(int64_t poi_id, int64_t timestamp) const;
+
+  /// The per-POI fence test: a haversine against the radius.
+  bool WithinFence(int64_t poi_id) const;
+
   const data::CityDataset& dataset_;
   const CandidateConstraints& constraints_;
   bool active_ = false;
@@ -72,24 +92,27 @@ class ConstraintEvaluator {
   /// Day-part-resolved open-time mask, [part * num_categories + cat] ->
   /// open, for all data::kNumDayParts parts. Empty when open_at < 0.
   std::vector<char> open_allowed_;
-  std::unordered_set<int64_t> visited_;
 
-  /// Geo-fence prefilter (only when the fence is active): the shared
-  /// immutable cell classification, from the cache or freshly compiled;
-  /// Allows() then needs a haversine only for boundary cells.
-  std::shared_ptr<const FenceClassification> fence_;
+  /// The prefix's POI ids, sorted and de-duplicated (exclude_visited).
+  std::vector<int64_t> visited_;
+
+  /// The geo fence; a radius of 0 means none.
+  geo::GeoPoint fence_center_;
+  double fence_radius_km_ = 0.0;
 };
 
-/// Hit/miss counters of the process-wide fence-classification cache.
+/// Fence-cache hit/miss counters; both always read 0, because fences are
+/// tested on the candidate tiles and nothing is cached. Kept only because
+/// wirebench reads them for its traced `constraints.fence_hit_frac`; delete
+/// this and FenceClassificationCacheStats() with the next change to
+/// wirebench.
 struct FenceCacheStats {
   int64_t hits = 0;
-  int64_t misses = 0;  ///< compilations
+  int64_t misses = 0;
 };
 
+/// Always {0, 0}; see FenceCacheStats.
 FenceCacheStats FenceClassificationCacheStats();
-
-/// Drops every cached classification and zeroes the counters (tests).
-void ClearFenceClassificationCache();
 
 /// Evaluator bound to a request's constraints, or null when none are
 /// active — the one idiom every model uses to go from request to filter.

@@ -18,7 +18,9 @@ double HaversineKm(const GeoPoint& a, const GeoPoint& b) {
   double dlon = (b.lon - a.lon) * kDegToRad;
   double s = std::sin(dlat / 2.0), t = std::sin(dlon / 2.0);
   double h = s * s + std::cos(lat1) * std::cos(lat2) * t * t;
-  return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(1.0, h)));
+  // min(h, 1) rather than min(1, h): a NaN coordinate then yields NaN, not
+  // half the Earth's circumference, so NaN fails every fence test.
+  return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(h, 1.0)));
 }
 
 double EquirectangularKm(const GeoPoint& a, const GeoPoint& b) {

@@ -12,7 +12,8 @@ struct GeoPoint {
   double lon = 0.0;
 };
 
-/// Great-circle distance in kilometres (haversine formula).
+/// Great-circle distance in kilometres (haversine formula); NaN when a
+/// coordinate is NaN.
 double HaversineKm(const GeoPoint& a, const GeoPoint& b);
 
 /// Fast equirectangular-approximation distance in kilometres; accurate for

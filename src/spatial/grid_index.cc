@@ -1,7 +1,6 @@
 #include "spatial/grid_index.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -44,31 +43,6 @@ void GridIndex::TileRowCol(int64_t tile, int32_t* row, int32_t* col) const {
   TSPN_CHECK_LT(tile, NumTiles());
   *row = static_cast<int32_t>(tile / cells_per_side_);
   *col = static_cast<int32_t>(tile % cells_per_side_);
-}
-
-bool GridIndex::TileSpan(const geo::BoundingBox& box, int32_t* row_begin,
-                         int32_t* row_end, int32_t* col_begin,
-                         int32_t* col_end) const {
-  // Written as "overlaps" rather than "disjoint" so a NaN coordinate, which
-  // fails every comparison, also counts as no overlap.
-  if (!(box.max_lat >= region_.min_lat && box.min_lat < region_.max_lat &&
-        box.max_lon >= region_.min_lon && box.min_lon < region_.max_lon)) {
-    return false;
-  }
-  double lat_step = region_.LatSpan() / cells_per_side_;
-  double lon_step = region_.LonSpan() / cells_per_side_;
-  // Clamp in double before the cast: the cell offset of a huge or infinite
-  // box does not fit in int32_t, and casting it would be undefined.
-  auto clamp_cell = [this](double offset, double step) {
-    const double last = static_cast<double>(cells_per_side_ - 1);
-    return static_cast<int32_t>(
-        std::clamp(std::floor(offset / step), 0.0, last));
-  };
-  *row_begin = clamp_cell(box.min_lat - region_.min_lat, lat_step);
-  *row_end = clamp_cell(box.max_lat - region_.min_lat, lat_step);
-  *col_begin = clamp_cell(box.min_lon - region_.min_lon, lon_step);
-  *col_end = clamp_cell(box.max_lon - region_.min_lon, lon_step);
-  return true;
 }
 
 }  // namespace tspn::spatial

@@ -25,13 +25,6 @@ class GridIndex : public TilePartition {
   /// (row, col) of a tile index.
   void TileRowCol(int64_t tile, int32_t* row, int32_t* col) const;
 
-  /// Inclusive (row, col) ranges of the cells overlapping `box`, clamped to
-  /// the grid, for any box size, infinite edges included. Returns false when
-  /// the box misses the region entirely or has a NaN coordinate — geo-fenced
-  /// queries use this to touch only the cells a fence can reach.
-  bool TileSpan(const geo::BoundingBox& box, int32_t* row_begin,
-                int32_t* row_end, int32_t* col_begin, int32_t* col_end) const;
-
  private:
   geo::BoundingBox region_;
   int32_t cells_per_side_;

@@ -1,10 +1,11 @@
 // Tests of the v2 recommendation API surface: constraint evaluation
-// (including the GridIndex-backed geo prefilter) against brute force, the
+// (including the tile-level geo-fence relation) against brute force, the
 // scored single-stage ranking helper, v1/v2 order consistency and
 // constraint satisfaction for every registry model, and the registry
 // itself.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "eval/constraints.h"
 #include "eval/model_registry.h"
 #include "eval/recommend.h"
+#include "spatial/grid_index.h"
 
 namespace tspn::eval {
 namespace {
@@ -61,21 +63,66 @@ bool ReferenceAllows(const data::CityDataset& dataset,
   return true;
 }
 
-TEST_F(RecommendApiTest, GeoFenceMatchesBruteForceAtManyRadii) {
-  // The grid-prefilter fast path (outside / inside cells skip the haversine)
-  // must agree with the per-POI brute force everywhere, including fence
-  // centres near the region edge and radii around cell boundaries.
-  const auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_FALSE(samples.empty());
-  const geo::BoundingBox& bbox = dataset_->profile().bbox;
-  const std::vector<geo::GeoPoint> centers = {
+/// Fence centres of the fence tests: the region's centre, points near two
+/// of its corners, and a POI.
+std::vector<geo::GeoPoint> FenceCenters(const data::CityDataset& dataset) {
+  const geo::BoundingBox& bbox = dataset.profile().bbox;
+  return {
       bbox.Center(),
       {bbox.min_lat + 0.01 * bbox.LatSpan(), bbox.min_lon + 0.01 * bbox.LonSpan()},
       {bbox.max_lat - 0.001, bbox.max_lon - 0.001},
-      dataset_->poi(0).loc,
+      dataset.poi(0).loc,
   };
-  for (const geo::GeoPoint& center : centers) {
-    for (double radius_km : {0.3, 1.0, 2.7, 6.0, 40.0}) {
+}
+
+constexpr double kFenceRadiiKm[] = {0.3, 1.0, 2.7, 6.0, 40.0};
+
+/// Candidate tiles with the POIs TSPN-RA gathers from each.
+struct Tiles {
+  std::vector<geo::BoundingBox> bounds;
+  std::vector<std::vector<int64_t>> pois;
+};
+
+/// The tiles of `partition`, each POI in the tile `tile_of` assigns it.
+template <typename TileOf>
+Tiles MakeTiles(const spatial::TilePartition& partition,
+                const data::CityDataset& dataset, TileOf tile_of) {
+  Tiles tiles;
+  tiles.pois.resize(static_cast<size_t>(partition.NumTiles()));
+  for (int64_t tile = 0; tile < partition.NumTiles(); ++tile) {
+    tiles.bounds.push_back(partition.TileBounds(tile));
+  }
+  for (const data::Poi& poi : dataset.pois()) {
+    tiles.pois[static_cast<size_t>(tile_of(poi))].push_back(poi.id);
+  }
+  return tiles;
+}
+
+/// Every partition the fence tests run on, assigned as TSPN-RA assigns
+/// POIs: the quad-tree leaves (by the POI's dataset leaf) and the grid
+/// ablation at the sizes the model tests use.
+std::vector<Tiles> AllTilings(const data::CityDataset& dataset) {
+  const spatial::QuadTree& tree = dataset.quadtree();
+  std::vector<Tiles> tilings = {
+      MakeTiles(tree, dataset, [&](const data::Poi& poi) {
+        return tree.LeafIndexOf(dataset.LeafNodeOfPoi(poi.id));
+      })};
+  for (int32_t cells : {6, 12}) {
+    const spatial::GridIndex grid(dataset.profile().bbox, cells);
+    tilings.push_back(MakeTiles(grid, dataset, [&](const data::Poi& poi) {
+      return grid.TileOf(poi.loc);
+    }));
+  }
+  return tilings;
+}
+
+TEST_F(RecommendApiTest, GeoFenceMatchesBruteForceAtManyRadii) {
+  // Allows() (a plain haversine per POI) must agree with the per-POI brute
+  // force everywhere, including fence centres near the region edge.
+  const auto samples = dataset_->Samples(data::Split::kTest);
+  ASSERT_FALSE(samples.empty());
+  for (const geo::GeoPoint& center : FenceCenters(*dataset_)) {
+    for (double radius_km : kFenceRadiiKm) {
       CandidateConstraints c;
       c.geo_center = center;
       c.geo_radius_km = radius_km;
@@ -86,6 +133,104 @@ TEST_F(RecommendApiTest, GeoFenceMatchesBruteForceAtManyRadii) {
             << "poi " << poi.id << " center (" << center.lat << "," << center.lon
             << ") radius " << radius_km;
       }
+    }
+  }
+}
+
+TEST_F(RecommendApiTest, TileRelationIsExactForTheTilesPois) {
+  // The tile-level shortcuts (skip an outside tile, no distance test in an
+  // inside one) hold only if each tile's POIs lie inside its bounds, every
+  // POI of an outside tile is beyond the fence and every POI of an inside
+  // tile within it. AllowsInTile() must then agree with the brute force,
+  // with and without the other constraints alongside the fence.
+  const auto samples = dataset_->Samples(data::Split::kTest);
+  ASSERT_FALSE(samples.empty());
+  const data::SampleRef& sample = samples[samples.size() / 2];
+  int64_t relations[3] = {0, 0, 0};
+  for (const Tiles& tiles : AllTilings(*dataset_)) {
+    for (size_t tile = 0; tile < tiles.bounds.size(); ++tile) {
+      const geo::BoundingBox& b = tiles.bounds[tile];
+      for (int64_t pid : tiles.pois[tile]) {
+        const geo::GeoPoint& loc = dataset_->poi(pid).loc;
+        ASSERT_TRUE(loc.lat >= b.min_lat && loc.lat <= b.max_lat &&
+                    loc.lon >= b.min_lon && loc.lon <= b.max_lon)
+            << "poi " << pid << " outside tile " << tile;
+      }
+    }
+    for (const geo::GeoPoint& center : FenceCenters(*dataset_)) {
+      for (double radius_km : kFenceRadiiKm) {
+        for (bool others : {false, true}) {
+          CandidateConstraints c;
+          c.geo_center = center;
+          c.geo_radius_km = radius_km;
+          if (others) {
+            c.blocked_categories = {1};
+            c.exclude_visited = true;
+          }
+          ConstraintEvaluator evaluator(*dataset_, c, sample);
+          for (size_t tile = 0; tile < tiles.bounds.size(); ++tile) {
+            const FenceRelation relation =
+                evaluator.TileRelation(tiles.bounds[tile]);
+            ++relations[static_cast<int>(relation)];
+            for (int64_t pid : tiles.pois[tile]) {
+              const double d =
+                  geo::HaversineKm(dataset_->poi(pid).loc, center);
+              if (relation == FenceRelation::kOutside) {
+                EXPECT_GT(d, radius_km) << "poi " << pid;
+              } else if (relation == FenceRelation::kInside) {
+                EXPECT_LE(d, radius_km) << "poi " << pid;
+              }
+              EXPECT_EQ(evaluator.AllowsInTile(pid, relation),
+                        ReferenceAllows(*dataset_, c, sample, pid))
+                  << "poi " << pid << " center (" << center.lat << ","
+                  << center.lon << ") radius " << radius_km;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The cases exercise all three relations.
+  EXPECT_GT(relations[static_cast<int>(FenceRelation::kOutside)], 0);
+  EXPECT_GT(relations[static_cast<int>(FenceRelation::kBoundary)], 0);
+  EXPECT_GT(relations[static_cast<int>(FenceRelation::kInside)], 0);
+}
+
+TEST_F(RecommendApiTest, NonFiniteFenceAllowsAllOrNone) {
+  // The gateway rejects such fences before they reach a model; the library
+  // still gives them a defined meaning. A radius beyond any distance allows
+  // every POI and puts every tile inside; a NaN centre allows no POI and
+  // puts every tile outside.
+  const data::SampleRef sample = dataset_->Samples(data::Split::kTest)[0];
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const geo::GeoPoint center = dataset_->profile().bbox.Center();
+  struct Case {
+    geo::GeoPoint center;
+    double radius_km;
+    bool allows;
+  };
+  for (const Case& fence : {Case{center, 1e300, true}, Case{center, inf, true},
+                            Case{{nan, center.lon}, 2.0, false},
+                            Case{{center.lat, nan}, 2.0, false},
+                            Case{{nan, center.lon}, inf, false}}) {
+    CandidateConstraints c;
+    c.geo_center = fence.center;
+    c.geo_radius_km = fence.radius_km;
+    ConstraintEvaluator evaluator(*dataset_, c, sample);
+    const FenceRelation expected =
+        fence.allows ? FenceRelation::kInside : FenceRelation::kOutside;
+    for (const Tiles& tiles : AllTilings(*dataset_)) {
+      for (const geo::BoundingBox& bounds : tiles.bounds) {
+        EXPECT_EQ(evaluator.TileRelation(bounds), expected)
+            << "radius " << fence.radius_km;
+      }
+    }
+    for (const data::Poi& poi : dataset_->pois()) {
+      EXPECT_EQ(evaluator.Allows(poi.id), fence.allows)
+          << "poi " << poi.id << " radius " << fence.radius_km;
+      EXPECT_EQ(evaluator.AllowsAt(poi.id, 12 * 3600), fence.allows)
+          << "poi " << poi.id << " radius " << fence.radius_km;
     }
   }
 }

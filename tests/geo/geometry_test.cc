@@ -23,6 +23,13 @@ TEST(GeometryTest, HaversineSymmetric) {
   EXPECT_NEAR(HaversineKm(a, b), HaversineKm(b, a), 1e-9);
 }
 
+TEST(GeometryTest, HaversineOfNanCoordinateIsNan) {
+  const double nan = std::nan("");
+  EXPECT_TRUE(std::isnan(HaversineKm({nan, 1.0}, {2.0, 1.0})));
+  EXPECT_TRUE(std::isnan(HaversineKm({2.0, 1.0}, {2.0, nan})));
+  EXPECT_TRUE(std::isnan(MinDistanceKm({0.0, 0.0, 1.0, 1.0}, {nan, 0.5})));
+}
+
 TEST(GeometryTest, EquirectangularMatchesHaversineLocally) {
   GeoPoint a{40.70, -74.00}, b{40.75, -73.95};
   EXPECT_NEAR(EquirectangularKm(a, b), HaversineKm(a, b), 0.05);

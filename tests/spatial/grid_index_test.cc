@@ -1,7 +1,5 @@
 #include "spatial/grid_index.h"
 
-#include <limits>
-
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -77,35 +75,6 @@ TEST(GridIndexTest, UnevenDensityYieldsUnevenOccupancy) {
   }
   EXPECT_GT(max_count, 500);  // heavy clustering in one cell
   EXPECT_LT(occupied, 8);     // almost all cells empty
-}
-
-TEST(GridIndexTest, TileSpanOfHugeBoxCoversWholeGrid) {
-  // A box far larger than the region (a fence with a huge or infinite
-  // radius) spans every cell: the cell offsets are clamped before they are
-  // narrowed to int32_t.
-  GridIndex grid({10, 20, 11, 22}, 8);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (double half : {1e300, inf}) {
-    int32_t row0 = -1, row1 = -1, col0 = -1, col1 = -1;
-    ASSERT_TRUE(grid.TileSpan({10.5 - half, 21.0 - half, 10.5 + half,
-                               21.0 + half},
-                              &row0, &row1, &col0, &col1))
-        << "half=" << half;
-    EXPECT_EQ(row0, 0) << "half=" << half;
-    EXPECT_EQ(row1, 7) << "half=" << half;
-    EXPECT_EQ(col0, 0) << "half=" << half;
-    EXPECT_EQ(col1, 7) << "half=" << half;
-  }
-}
-
-TEST(GridIndexTest, TileSpanOfNanBoxIsEmpty) {
-  GridIndex grid({10, 20, 11, 22}, 8);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  int32_t row0, row1, col0, col1;
-  EXPECT_FALSE(grid.TileSpan({nan, 20.5, 10.5, 21.0}, &row0, &row1, &col0,
-                             &col1));
-  EXPECT_FALSE(grid.TileSpan({10.2, 20.5, 10.5, nan}, &row0, &row1, &col0,
-                             &col1));
 }
 
 }  // namespace
