@@ -1,9 +1,15 @@
 #include "serve/cluster/shard_router.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
+#include <cstring>
+#include <deque>
+#include <future>
+#include <limits>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unordered_map>
-
+#include <utility>
 
 namespace tspn::serve::cluster {
 
@@ -11,10 +17,63 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Largest reply frame a shard connection accepts; a longer declared
+/// length cannot be framed and fails the connection.
+constexpr uint32_t kMaxReplyBytes = 1u << 20;
+
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
 int64_t ElapsedMs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                since)
       .count();
+}
+
+int64_t ToNs(Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             t.time_since_epoch())
+      .count();
+}
+
+/// The length-prefixed bytes one frame occupies on a shard connection.
+std::vector<uint8_t> Wrap(const std::vector<uint8_t>& frame) {
+  std::vector<uint8_t> wire(sizeof(uint32_t) + frame.size());
+  common::StoreU32Le(static_cast<uint32_t>(frame.size()), wire.data());
+  std::memcpy(wire.data() + sizeof(uint32_t), frame.data(), frame.size());
+  return wire;
+}
+
+/// Endpoint roll-up over per-shard snapshots (unreachable shards are
+/// empty): counters and qps sum; percentiles take the max (the
+/// conservative "worst shard" cluster latency).
+std::vector<WireEndpointStats> MergeEndpoints(
+    const std::vector<WireStatsSnapshot>& snapshots) {
+  std::vector<WireEndpointStats> rows;
+  std::unordered_map<std::string, size_t> row_index;
+  for (const WireStatsSnapshot& snapshot : snapshots) {
+    for (const WireEndpointStats& row : snapshot.endpoints) {
+      auto [it, inserted] = row_index.emplace(row.endpoint, rows.size());
+      if (inserted) {
+        rows.push_back(row);
+        continue;
+      }
+      WireEndpointStats& merged = rows[it->second];
+      merged.queue_depth += row.queue_depth;
+      merged.lifetime_submitted += row.lifetime_submitted;
+      merged.lifetime_completed += row.lifetime_completed;
+      merged.lifetime_rejected += row.lifetime_rejected;
+      merged.shed_deadline += row.shed_deadline;
+      merged.shed_capacity += row.shed_capacity;
+      merged.expired_in_queue += row.expired_in_queue;
+      merged.degraded += row.degraded;
+      merged.swaps += row.swaps;
+      merged.degraded_now = merged.degraded_now || row.degraded_now;
+      merged.qps += row.qps;
+      merged.p50_latency_ms = std::max(merged.p50_latency_ms, row.p50_latency_ms);
+      merged.p95_latency_ms = std::max(merged.p95_latency_ms, row.p95_latency_ms);
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -22,6 +81,100 @@ int64_t ElapsedMs(Clock::time_point since) {
 std::string RoutingKey(const std::string& endpoint, int32_t user) {
   return endpoint + "|" + std::to_string(user);
 }
+
+/// One frame on its way through the router: a client frame walking its
+/// replicas, or a router-originated ping or stats poll for one shard.
+struct ShardRouter::Call {
+  enum class Kind : uint8_t { kForward, kPing, kStats };
+  Kind kind = Kind::kForward;
+  /// The frame as received (forwarded verbatim) or the control frame.
+  std::vector<uint8_t> frame;
+  /// Re-encodes a deadline-carrying frame with a hop's budget; null
+  /// forwards `frame` verbatim.
+  std::function<std::vector<uint8_t>(int64_t)> rewrite;
+  int64_t deadline_ms = 0;  ///< client budget; 0 = call_timeout_ms per hop
+  Clock::time_point start = Clock::now();
+  std::string endpoint;
+  std::vector<Shard*> replicas;
+  size_t replica = 0;      ///< the replica being tried
+  bool attempted = false;  ///< a replica was attempted (failover count)
+  bool resent = false;     ///< already moved to a fresh connection once
+  bool held = false;       ///< holds one of queue_depth's slots
+  bool itinerary = false;  ///< replies take its frame type's longer time
+  uint64_t nonce = 0;      ///< kPing: the pong must echo it
+  std::string last_error = "no replica attempted";
+  FrameCallback done;
+};
+
+/// One multiplexed connection to a shard. Any thread queues and writes
+/// frames; the owning loop alone dials, reads, matches replies and closes.
+struct ShardRouter::Conn {
+  /// A frame written, or waiting to be written, on this connection.
+  struct Pending {
+    std::unique_ptr<Call> call;
+    Clock::time_point deadline;  ///< this attempt's timeout
+    std::vector<uint8_t> wire;   ///< length prefix + frame
+    size_t sent = 0;             ///< bytes of `wire` written
+    Clock::time_point queued_at = Clock::now();
+    int64_t weight_us = 1;  ///< what it added to `load`
+  };
+
+  Shard* shard = nullptr;
+  Loop* loop = nullptr;
+  /// The pending frames' expected reply times in µs, each its frame type's
+  /// measured time + 1 (so unmeasured frames count one each): the pick's
+  /// estimate of how long a new frame would wait behind them.
+  std::atomic<int64_t> load{0};
+
+  std::mutex mutex;  ///< guards everything down to `stopped`
+  common::UniqueFd fd;            ///< valid while connected
+  std::deque<Pending> pending;    ///< write order == reply order
+  size_t unsent = 0;              ///< first entry not fully written
+  bool broken = false;            ///< a send failed; the loop fails it
+  bool stopped = false;           ///< Stop() drained it for good
+
+  // Loop-thread only.
+  std::vector<uint8_t> inbox;
+  int failed_dials = 0;  ///< in the current dial series
+  Clock::time_point next_dial{};
+  Clock::time_point last_reply{};
+};
+
+/// Everything the router keeps per shard.
+struct ShardRouter::Shard {
+  ShardConfig config;
+  CircuitBreaker breaker;
+  std::vector<std::unique_ptr<Conn>> conns;
+  std::atomic<int64_t> requests_ok{0};
+  std::atomic<int64_t> requests_failed{0};
+  std::atomic<int64_t> pings_ok{0};
+  std::atomic<int64_t> pings_failed{0};
+
+  Shard(ShardConfig c, const CircuitBreakerOptions& b)
+      : config(std::move(c)), breaker(b) {}
+
+  Conn& LeastLoaded() {
+    Conn* best = conns.front().get();
+    for (const std::unique_ptr<Conn>& conn : conns) {
+      if (conn->load.load(std::memory_order_relaxed) <
+          best->load.load(std::memory_order_relaxed)) {
+        best = conn.get();
+      }
+    }
+    return *best;
+  }
+};
+
+/// One router poll loop: the wake pipe, the connections it owns, and when
+/// its poll times out. While it scans, sleep_until reads kNever, so every
+/// frame queued meanwhile wakes it.
+struct ShardRouter::Loop {
+  common::WakePipe wake;
+  std::vector<Conn*> conns;
+  std::atomic<bool> stopping{false};
+  std::atomic<int64_t> sleep_until{kNever};
+  std::thread thread;
+};
 
 ShardRouter::ShardRouter(RouterOptions options)
     : options_(std::move(options)),
@@ -52,15 +205,33 @@ bool ShardRouter::Start(std::string* error) {
     shards_.push_back(std::move(shard));
     ring_.AddShard(config.id);
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = false;
+  const int loops = std::clamp(options_.worker_threads, 1, 64);
+  for (int i = 0; i < loops; ++i) {
+    auto loop = std::make_unique<Loop>();
+    if (!loop->wake.valid()) {
+      if (error) *error = "router wake pipe failed";
+      loops_.clear();
+      return false;
+    }
+    loops_.push_back(std::move(loop));
+  }
+  // Connections are dealt round-robin across the loops, so a shard's pool
+  // spreads over them the way FrameServer deals clients to its IO threads.
+  const int64_t pool = std::clamp<int64_t>(options_.pool_size_per_shard, 1, 64);
+  size_t next_loop = 0;
+  for (auto& shard : shards_) {
+    for (int64_t i = 0; i < pool; ++i) {
+      auto conn = std::make_unique<Conn>();
+      conn->shard = shard.get();
+      conn->loop = loops_[next_loop++ % loops_.size()].get();
+      conn->loop->conns.push_back(conn.get());
+      shard->conns.push_back(std::move(conn));
+    }
   }
   running_.store(true);
-  const int workers = std::clamp(options_.worker_threads, 1, 64);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { RunWorker(); });
+  for (auto& loop : loops_) {
+    Loop* raw = loop.get();
+    loop->thread = std::thread([this, raw] { RunLoop(*raw); });
   }
   if (options_.ping_interval_ms > 0) {
     pinger_ = std::thread([this] { RunPinger(); });
@@ -70,335 +241,561 @@ bool ShardRouter::Start(std::string* error) {
 
 void ShardRouter::Stop() {
   if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
+  { std::lock_guard<std::mutex> lock(pinger_mutex_); }
   pinger_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
   if (pinger_.joinable()) pinger_.join();
-
-  // Anything still queued gets a definitive answer — no caller may hang on
-  // a frame the workers will never pick up.
-  std::deque<Job> orphans;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    orphans.swap(queue_);
+  for (auto& loop : loops_) {
+    loop->stopping.store(true);
+    loop->wake.Notify();
   }
-  for (Job& job : orphans) {
-    router_errors_.fetch_add(1);
-    job.done(EncodeErrorFrame("router stopping", ErrorCode::kShardUnavailable));
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
 
+  // Every frame still queued or in flight gets a definitive answer — no
+  // caller may hang on a connection nobody reads any more.
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->pool_mutex);
-    shard->idle.clear();
+    for (auto& conn : shard->conns) {
+      std::deque<Conn::Pending> orphans;
+      {
+        std::lock_guard<std::mutex> lock(conn->mutex);
+        conn->stopped = true;
+        conn->fd.Reset();
+        orphans.swap(conn->pending);
+        conn->unsent = 0;
+        conn->load.store(0);
+      }
+      for (Conn::Pending& orphan : orphans) AnswerStopped(*orphan.call);
+    }
   }
+}
+
+std::vector<uint8_t> ShardRouter::RouterError(const std::string& message,
+                                              ErrorCode code) {
+  router_errors_.fetch_add(1);
+  return EncodeErrorFrame(message, code);
+}
+
+void ShardRouter::Finish(Call& call, std::vector<uint8_t> reply) {
+  if (call.held) held_.fetch_sub(1);
+  call.done(std::move(reply));
+}
+
+void ShardRouter::AnswerStopped(Call& call) {
+  const std::string message = "router stopping";
+  Finish(call, call.kind == Call::Kind::kForward
+                   ? RouterError(message, ErrorCode::kShardUnavailable)
+                   : EncodeErrorFrame(message, ErrorCode::kShardUnavailable));
 }
 
 void ShardRouter::HandleFrameAsync(const std::vector<uint8_t>& frame,
                                    FrameCallback done) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!stopping_ && running_.load() &&
-        static_cast<int64_t>(queue_.size()) < options_.queue_depth) {
-      queue_.push_back(Job{frame, std::move(done)});
-      queue_cv_.notify_one();
-      return;
-    }
-  }
   if (!running_.load()) {
-    router_errors_.fetch_add(1);
-    done(EncodeErrorFrame("router is stopped", ErrorCode::kShardUnavailable));
+    done(RouterError("router is stopped", ErrorCode::kShardUnavailable));
     return;
   }
-  router_errors_.fetch_add(1);
-  done(EncodeErrorFrame("router queue full", ErrorCode::kShedCapacity));
-}
-
-void ShardRouter::RunWorker() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job.done(Route(job.frame));
-  }
-}
-
-std::vector<uint8_t> ShardRouter::Route(const std::vector<uint8_t>& frame) {
   FrameType type = FrameType::kRequest;
   if (PeekFrameType(frame, &type) != DecodeStatus::kOk) {
-    router_errors_.fetch_add(1);
-    return EncodeErrorFrame("malformed frame", ErrorCode::kBadFrame);
+    done(RouterError("malformed frame", ErrorCode::kBadFrame));
+    return;
   }
 
   // Control frames the router answers itself.
   if (type == FrameType::kPing) {
     uint64_t nonce = 0;
     if (DecodePingFrame(frame, &nonce) != DecodeStatus::kOk) {
-      router_errors_.fetch_add(1);
-      return EncodeErrorFrame("malformed ping frame", ErrorCode::kBadFrame);
+      done(RouterError("malformed ping frame", ErrorCode::kBadFrame));
+      return;
     }
-    return EncodePongFrame(nonce);
+    done(EncodePongFrame(nonce));
+    return;
   }
+
+  auto call = std::make_unique<Call>();
+  std::string key;
   if (type == FrameType::kStatsRequest) {
     if (DecodeStatsRequest(frame) != DecodeStatus::kOk) {
-      router_errors_.fetch_add(1);
-      return EncodeErrorFrame("malformed stats frame", ErrorCode::kBadFrame);
+      done(RouterError("malformed stats frame", ErrorCode::kBadFrame));
+      return;
     }
-    WireStatsSnapshot rollup;
-    rollup.endpoints = Snapshot().endpoints;
-    return EncodeStatsResponse(rollup);
-  }
-  if (type == FrameType::kItineraryRequest) {
+  } else if (type == FrameType::kItineraryRequest) {
     // Itinerary queries route exactly like recommendations: same
     // (endpoint, user) key — a user's plans land on the shard that holds
     // their cache — same rate limit, same breaker/failover walk. No
     // deadline to rewrite, so the frame always forwards verbatim.
-    std::string endpoint;
     plan::ItineraryRequest request;
     const DecodeStatus status =
-        DecodeItineraryRequest(frame, &endpoint, &request);
+        DecodeItineraryRequest(frame, &call->endpoint, &request);
     if (status != DecodeStatus::kOk) {
-      router_errors_.fetch_add(1);
-      return EncodeErrorFrame(std::string("itinerary frame rejected: ") +
-                                  DecodeStatusName(status),
-                              ErrorCode::kBadFrame);
+      done(RouterError(std::string("itinerary frame rejected: ") +
+                           DecodeStatusName(status),
+                       ErrorCode::kBadFrame));
+      return;
     }
-    frames_routed_.fetch_add(1);
-    if (!BucketFor(endpoint).TryAcquire()) {
-      rate_limited_.fetch_add(1);
-      router_errors_.fetch_add(1);
-      return EncodeErrorFrame("rate limited: endpoint '" + endpoint + "'",
-                              ErrorCode::kRateLimited);
+    key = RoutingKey(call->endpoint, request.start.user);
+    call->itinerary = true;
+  } else if (type == FrameType::kRequest) {
+    eval::RecommendRequest request;
+    AdmissionClass admission;
+    const DecodeStatus status =
+        DecodeRecommendRequest(frame, &call->endpoint, &request, &admission);
+    if (status != DecodeStatus::kOk) {
+      done(RouterError(std::string("request frame rejected: ") +
+                           DecodeStatusName(status),
+                       ErrorCode::kBadFrame));
+      return;
     }
-    return ForwardWithFailover(frame, endpoint,
-                               RoutingKey(endpoint, request.start.user),
-                               /*deadline_ms=*/0, /*rewrite=*/nullptr);
+    // Key on (endpoint, user): every request of a user hits the same
+    // shard, keeping its inference cache hot there.
+    key = RoutingKey(call->endpoint, request.sample.user);
+    if (admission.deadline_ms > 0) {
+      // A deadline must be rewritten to the REMAINING budget so the shard
+      // never believes it has time the router already spent.
+      call->deadline_ms = admission.deadline_ms;
+      call->rewrite = [endpoint = call->endpoint, request,
+                       admission](int64_t remaining) {
+        AdmissionClass forwarded = admission;
+        forwarded.deadline_ms = remaining;
+        return EncodeRecommendRequest(endpoint, request, forwarded);
+      };
+    }
+  } else {
+    done(RouterError("frame type not servable by this endpoint",
+                     ErrorCode::kBadFrame));
+    return;
   }
 
-  if (type != FrameType::kRequest) {
-    router_errors_.fetch_add(1);
-    return EncodeErrorFrame("frame type not servable by this endpoint",
-                            ErrorCode::kBadFrame);
+  if (held_.fetch_add(1) >= options_.queue_depth) {
+    held_.fetch_sub(1);
+    done(RouterError("router full: queue_depth frames held",
+                     ErrorCode::kShedCapacity));
+    return;
   }
+  call->held = true;
+  call->done = std::move(done);
 
-  std::string endpoint;
-  eval::RecommendRequest request;
-  AdmissionClass admission;
-  const DecodeStatus status =
-      DecodeRecommendRequest(frame, &endpoint, &request, &admission);
-  if (status != DecodeStatus::kOk) {
-    router_errors_.fetch_add(1);
-    return EncodeErrorFrame(std::string("request frame rejected: ") +
-                                DecodeStatusName(status),
-                            ErrorCode::kBadFrame);
+  if (type == FrameType::kStatsRequest) {
+    // The cluster roll-up, answered once every reachable shard replied.
+    std::shared_ptr<Call> pending(std::move(call));
+    PollEndpoints([this, pending](std::vector<WireEndpointStats> rows) {
+      WireStatsSnapshot rollup;
+      rollup.endpoints = std::move(rows);
+      Finish(*pending, EncodeStatsResponse(rollup));
+    });
+    return;
   }
 
   frames_routed_.fetch_add(1);
-
-  if (!BucketFor(endpoint).TryAcquire()) {
+  if (!BucketFor(call->endpoint).TryAcquire()) {
     rate_limited_.fetch_add(1);
-    router_errors_.fetch_add(1);
-    return EncodeErrorFrame("rate limited: endpoint '" + endpoint + "'",
-                            ErrorCode::kRateLimited);
+    Finish(*call, RouterError("rate limited: endpoint '" + call->endpoint + "'",
+                              ErrorCode::kRateLimited));
+    return;
   }
-
-  return RouteRequest(frame, endpoint, request, admission);
+  for (const std::string& id :
+       ring_.ShardsFor(key, std::max(1, options_.replication))) {
+    call->replicas.push_back(shards_by_id_.at(id));
+  }
+  call->frame = frame;
+  Dispatch(std::move(call));
 }
 
-std::vector<uint8_t> ShardRouter::RouteRequest(
-    const std::vector<uint8_t>& frame, const std::string& endpoint,
-    const eval::RecommendRequest& request, const AdmissionClass& admission) {
-  // Key on (endpoint, user): every request of a user hits the same shard,
-  // keeping its inference cache hot there.
-  const std::string key = RoutingKey(endpoint, request.sample.user);
-  const bool has_deadline = admission.deadline_ms > 0;
-  std::function<std::vector<uint8_t>(int64_t)> rewrite;
-  if (has_deadline) {
-    // A deadline must be rewritten to the REMAINING budget so the shard
-    // never believes it has time the router already spent.
-    rewrite = [&endpoint, &request, &admission](int64_t remaining) {
-      AdmissionClass forwarded = admission;
-      forwarded.deadline_ms = remaining;
-      return EncodeRecommendRequest(endpoint, request, forwarded);
-    };
-  }
-  return ForwardWithFailover(frame, endpoint, key,
-                             has_deadline ? admission.deadline_ms : 0, rewrite);
-}
-
-std::vector<uint8_t> ShardRouter::ForwardWithFailover(
-    const std::vector<uint8_t>& frame, const std::string& endpoint,
-    const std::string& key, int64_t deadline_ms,
-    const std::function<std::vector<uint8_t>(int64_t)>& rewrite) {
-  const std::vector<std::string> replicas =
-      ring_.ShardsFor(key, std::max(1, options_.replication));
-  if (replicas.empty()) {
-    shard_unavailable_.fetch_add(1);
-    router_errors_.fetch_add(1);
-    return EncodeErrorFrame("no shards configured",
-                            ErrorCode::kShardUnavailable);
-  }
-
-  const Clock::time_point start = Clock::now();
-  const bool has_deadline = deadline_ms > 0;
-  std::string last_error = "no replica attempted";
-  bool attempted = false;
-
-  for (const std::string& replica_id : replicas) {
-    Shard& shard = *shards_by_id_.at(replica_id);
-
-    int64_t remaining = options_.call_timeout_ms;
-    if (has_deadline) {
-      remaining = deadline_ms - ElapsedMs(start);
+void ShardRouter::Dispatch(std::unique_ptr<Call> call) {
+  for (; call->replica < call->replicas.size(); ++call->replica) {
+    Shard& shard = *call->replicas[call->replica];
+    int64_t budget = options_.call_timeout_ms;
+    if (call->deadline_ms > 0) {
+      const int64_t remaining = call->deadline_ms - ElapsedMs(call->start);
       if (remaining <= 0) {
         deadline_exhausted_.fetch_add(1);
-        router_errors_.fetch_add(1);
-        return EncodeErrorFrame("deadline exhausted at router after failover",
-                                ErrorCode::kShedDeadline);
+        Finish(*call, RouterError("deadline exhausted at router after failover",
+                                  ErrorCode::kShedDeadline));
+        return;
       }
-      remaining = std::min(remaining, options_.call_timeout_ms);
+      budget = std::min(remaining, budget);
     }
-
     if (!shard.breaker.Allow()) {
-      last_error = "shard '" + replica_id + "' circuit open";
+      call->last_error = "shard '" + shard.config.id + "' circuit open";
       continue;
     }
-    if (attempted) failovers_.fetch_add(1);
-    attempted = true;
-
-    std::unique_ptr<FrameClient> client = Checkout(shard);
-    if (!client) {
-      shard.breaker.RecordFailure();
-      shard.requests_failed.fetch_add(1);
-      last_error = "shard '" + replica_id + "' unreachable";
-      continue;
-    }
-
-    // Forward the original bytes verbatim whenever the frame carries no
-    // deadline — bit-identical to direct shard access.
-    const std::vector<uint8_t>* forward = &frame;
-    std::vector<uint8_t> rewritten;
-    if (has_deadline) {
-      rewritten = rewrite(remaining);
-      forward = &rewritten;
-    }
-
-    client->set_recv_timeout_ms(std::max<int64_t>(1, remaining));
-    FrameClient::Reply reply = client->CallTyped(*forward);
-    switch (reply.kind) {
-      case FrameClient::Reply::Kind::kResponse:
-        shard.breaker.RecordSuccess();
-        shard.requests_ok.fetch_add(1);
-        Checkin(shard, std::move(client));
-        responses_ok_.fetch_add(1);
-        return std::move(reply.frame);
-      case FrameClient::Reply::Kind::kServerError:
-        // The shard ANSWERED — its admission decision (shed, unknown
-        // endpoint, ...) passes through verbatim and is never failed over:
-        // retrying a deliberate shed elsewhere would defeat load shedding.
-        shard.breaker.RecordSuccess();
-        shard.requests_ok.fetch_add(1);
-        Checkin(shard, std::move(client));
-        shard_errors_.fetch_add(1);
-        return std::move(reply.frame);
-      case FrameClient::Reply::Kind::kTimeout:
-        // The reply may still arrive later and would desync the pooled
-        // connection's request/reply pairing — drop it, don't check in.
-        client->Close();
-        shard.breaker.RecordFailure();
-        shard.requests_failed.fetch_add(1);
-        last_error = "shard '" + replica_id + "' timed out";
-        continue;
-      case FrameClient::Reply::Kind::kTransport:
-        shard.breaker.RecordFailure();
-        shard.requests_failed.fetch_add(1);
-        last_error = "shard '" + replica_id + "' transport failure";
-        continue;
-    }
+    if (call->attempted) failovers_.fetch_add(1);
+    call->attempted = true;
+    // Without a deadline the original bytes go out verbatim — bit-identical
+    // to direct shard access.
+    std::vector<uint8_t> wire =
+        Wrap(call->rewrite ? call->rewrite(budget) : call->frame);
+    Enqueue(shard.LeastLoaded(), std::move(call),
+            Clock::now() + std::chrono::milliseconds(std::max<int64_t>(1, budget)),
+            std::move(wire));
+    return;
   }
-
   shard_unavailable_.fetch_add(1);
-  router_errors_.fetch_add(1);
-  return EncodeErrorFrame("all replicas unavailable for endpoint '" +
-                              endpoint + "': " + last_error,
-                          ErrorCode::kShardUnavailable);
+  const std::string message =
+      call->replicas.empty()
+          ? "no shards configured"
+          : "all replicas unavailable for endpoint '" + call->endpoint +
+                "': " + call->last_error;
+  Finish(*call, RouterError(message, ErrorCode::kShardUnavailable));
 }
 
-std::unique_ptr<FrameClient> ShardRouter::Checkout(Shard& shard) {
+void ShardRouter::Failover(std::unique_ptr<Call> call, const std::string& why) {
+  if (call->kind != Call::Kind::kForward) {
+    Finish(*call, EncodeErrorFrame(why, ErrorCode::kShardUnavailable));
+    return;
+  }
+  call->last_error = why;
+  ++call->replica;
+  Dispatch(std::move(call));
+}
+
+void ShardRouter::SendControl(Shard& shard, std::unique_ptr<Call> call,
+                              int64_t timeout_ms) {
+  std::vector<uint8_t> wire = Wrap(call->frame);
+  Enqueue(shard.LeastLoaded(), std::move(call),
+          Clock::now() + std::chrono::milliseconds(std::max<int64_t>(1, timeout_ms)),
+          std::move(wire));
+}
+
+void ShardRouter::Enqueue(Conn& conn, std::unique_ptr<Call> call,
+                          Clock::time_point deadline,
+                          std::vector<uint8_t> wire) {
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(shard.pool_mutex);
-    while (!shard.idle.empty()) {
-      std::unique_ptr<FrameClient> client = std::move(shard.idle.back());
-      shard.idle.pop_back();
-      if (client->connected()) return client;
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    if (!conn.stopped) {
+      const int64_t weight = reply_us_[call->itinerary ? 1 : 0].load() + 1;
+      conn.pending.push_back(Conn::Pending{std::move(call), deadline,
+                                           std::move(wire), 0, Clock::now(),
+                                           weight});
+      conn.load.fetch_add(weight);
+      if (conn.fd.valid() && !conn.broken) FlushLocked(conn);
+      // The loop must act when the connection needs a dial, a send failed,
+      // the socket would block, or this frame times out before the loop's
+      // planned wake-up.
+      wake = !conn.fd.valid() || conn.broken ||
+             conn.unsent < conn.pending.size() ||
+             ToNs(deadline) < conn.loop->sleep_until.load();
     }
   }
-  auto client = std::make_unique<FrameClient>();
-  client->set_auto_reconnect(options_.reconnect_attempts,
-                             options_.reconnect_backoff_ms);
-  if (!client->Connect(shard.config.address)) return nullptr;
-  return client;
+  if (call) {  // the router stopped: the connection was drained for good
+    AnswerStopped(*call);
+    return;
+  }
+  if (wake) conn.loop->wake.Notify();
 }
 
-void ShardRouter::Checkin(Shard& shard, std::unique_ptr<FrameClient> client) {
-  if (!client || !client->connected()) return;
-  std::lock_guard<std::mutex> lock(shard.pool_mutex);
-  if (static_cast<int64_t>(shard.idle.size()) < options_.pool_size_per_shard) {
-    shard.idle.push_back(std::move(client));
+void ShardRouter::FlushLocked(Conn& conn) {
+  while (conn.unsent < conn.pending.size()) {
+    Conn::Pending& entry = conn.pending[conn.unsent];
+    while (entry.sent < entry.wire.size()) {
+      const ssize_t n =
+          ::send(conn.fd.get(), entry.wire.data() + entry.sent,
+                 entry.wire.size() - entry.sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        entry.sent += static_cast<size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      conn.broken = true;
+      return;
+    }
+    ++conn.unsent;
   }
 }
 
-bool ShardRouter::PingShard(Shard& shard) {
-  std::unique_ptr<FrameClient> client = Checkout(shard);
-  if (!client) {
-    shard.breaker.RecordFailure();
-    shard.pings_failed.fetch_add(1);
+void ShardRouter::FailConn(Conn& conn, const std::string& why,
+                           bool resend_unwritten) {
+  std::deque<Conn::Pending> orphans;
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    conn.fd.Reset();
+    conn.broken = false;
+    orphans.swap(conn.pending);
+    conn.unsent = 0;
+    conn.load.store(0);
+  }
+  conn.inbox.clear();
+  if (orphans.empty()) return;  // an idle connection closing fails nothing
+
+  Shard& shard = *conn.shard;
+  shard.breaker.RecordFailure();  // once per connection, not per frame
+  const std::string error = "shard '" + shard.config.id + "' " + why;
+  for (Conn::Pending& orphan : orphans) {
+    std::unique_ptr<Call> call = std::move(orphan.call);
+    if (resend_unwritten && orphan.sent == 0 && !call->resent) {
+      // No byte reached the shard, so it cannot have served the frame:
+      // the same attempt moves to a fresh connection.
+      call->resent = true;
+      Enqueue(shard.LeastLoaded(), std::move(call), orphan.deadline,
+              std::move(orphan.wire));
+      continue;
+    }
+    if (call->kind == Call::Kind::kForward) shard.requests_failed.fetch_add(1);
+    if (call->kind == Call::Kind::kPing) shard.pings_failed.fetch_add(1);
+    Failover(std::move(call), error);
+  }
+}
+
+void ShardRouter::Dial(Conn& conn, Clock::time_point now) {
+  common::UniqueFd fd = common::ConnectTo(conn.shard->config.address);
+  if (fd.valid() && common::SetNonBlocking(fd.get())) {
+    conn.failed_dials = 0;
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    conn.fd = std::move(fd);
+    FlushLocked(conn);
+    return;
+  }
+  if (++conn.failed_dials < std::max(1, options_.reconnect_attempts)) {
+    const int doublings = std::min(conn.failed_dials - 1, 16);
+    conn.next_dial =
+        now + std::chrono::milliseconds(
+                  std::max<int64_t>(0, options_.reconnect_backoff_ms)
+                  << doublings);
+    return;
+  }
+  conn.failed_dials = 0;
+  FailConn(conn, "unreachable", /*resend_unwritten=*/false);
+}
+
+void ShardRouter::ReadReplies(Conn& conn) {
+  bool eof = false;
+  for (;;) {
+    uint8_t buffer[16384];
+    const ssize_t n = ::recv(conn.fd.get(), buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      conn.inbox.insert(conn.inbox.end(), buffer, buffer + n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    eof = true;  // peer closed, or the socket failed
+    break;
+  }
+
+  size_t offset = 0;
+  while (conn.inbox.size() - offset >= sizeof(uint32_t)) {
+    const uint32_t length = common::LoadU32Le(conn.inbox.data() + offset);
+    if (length > kMaxReplyBytes) {
+      FailConn(conn, "sent an unframeable reply", /*resend_unwritten=*/false);
+      return;
+    }
+    if (conn.inbox.size() - offset < sizeof(uint32_t) + length) break;
+    const auto begin =
+        conn.inbox.begin() + static_cast<ptrdiff_t>(offset + sizeof(uint32_t));
+    std::vector<uint8_t> reply(begin, begin + length);
+    offset += sizeof(uint32_t) + length;
+    if (!CompleteHead(conn, std::move(reply))) return;  // inbox is cleared
+  }
+  conn.inbox.erase(conn.inbox.begin(),
+                   conn.inbox.begin() + static_cast<ptrdiff_t>(offset));
+
+  if (!eof) return;
+  {
+    // An idle connection the shard closed (restart, idle reap) just goes
+    // down quietly; the next frame that needs it dials again.
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    if (conn.pending.empty()) {
+      conn.fd.Reset();
+      conn.broken = false;
+      conn.inbox.clear();
+      return;
+    }
+  }
+  FailConn(conn, "closed the connection", /*resend_unwritten=*/true);
+}
+
+bool ShardRouter::CompleteHead(Conn& conn, std::vector<uint8_t> reply) {
+  // Only this loop pops, so the head seen here is the head popped below.
+  Call::Kind kind = Call::Kind::kForward;
+  uint64_t nonce = 0;
+  bool has_head = false;
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    if (conn.unsent > 0) {  // the head was fully written
+      has_head = true;
+      kind = conn.pending.front().call->kind;
+      nonce = conn.pending.front().call->nonce;
+    }
+  }
+  FrameType type = FrameType::kRequest;
+  bool expected = has_head && PeekFrameType(reply, &type) == DecodeStatus::kOk;
+  bool shard_error = false;
+  if (expected) {
+    switch (kind) {
+      case Call::Kind::kForward:
+        if (type == FrameType::kError) {
+          std::string message;
+          ErrorCode code = ErrorCode::kGeneric;
+          expected =
+              DecodeErrorFrame(reply, &message, &code) == DecodeStatus::kOk;
+          shard_error = true;
+        } else {
+          // Both reply-shaped frame types are successful replies.
+          expected = type == FrameType::kResponse ||
+                     type == FrameType::kItineraryResponse;
+        }
+        break;
+      case Call::Kind::kPing: {
+        uint64_t echoed = 0;
+        expected = DecodePongFrame(reply, &echoed) == DecodeStatus::kOk &&
+                   echoed == nonce;
+        break;
+      }
+      case Call::Kind::kStats:
+        expected = type == FrameType::kStatsResponse;
+        break;
+    }
+  }
+  if (!expected) {
+    FailConn(conn, "sent an unexpected reply", /*resend_unwritten=*/false);
     return false;
   }
-  const uint64_t nonce = ping_nonce_.fetch_add(1);
-  client->set_recv_timeout_ms(
-      std::max<int64_t>(1, std::min(options_.call_timeout_ms,
-                                    std::max<int64_t>(
-                                        options_.ping_interval_ms, 1))));
-  bool ok = client->SendFrame(EncodePingFrame(nonce));
-  if (ok) {
-    std::vector<uint8_t> reply;
-    uint64_t echoed = 0;
-    ok = client->RecvFrameTimed(&reply) == FrameClient::RecvStatus::kOk &&
-         DecodePongFrame(reply, &echoed) == DecodeStatus::kOk &&
-         echoed == nonce;
+
+  std::unique_ptr<Call> call;
+  Clock::time_point queued_at;
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    Conn::Pending& head = conn.pending.front();
+    call = std::move(head.call);
+    queued_at = head.queued_at;
+    conn.load.fetch_sub(head.weight_us);
+    conn.pending.pop_front();
+    --conn.unsent;
   }
-  if (ok) {
-    shard.breaker.RecordSuccess();
-    shard.pings_ok.fetch_add(1);
-    Checkin(shard, std::move(client));
-  } else {
-    client->Close();  // a late pong must not desync a pooled connection
-    shard.breaker.RecordFailure();
-    shard.pings_failed.fetch_add(1);
+  // How long this reply held up the connection's FIFO: from when it was
+  // queued, or from the reply before it, whichever came later. Batched
+  // recommends cost next to nothing past the first; an itinerary costs its
+  // whole plan, so the pick steers other frames off its connection.
+  const Clock::time_point now = Clock::now();
+  const int64_t held_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              now - std::max(queued_at, conn.last_reply))
+                              .count();
+  conn.last_reply = now;
+  std::atomic<int64_t>& estimate = reply_us_[call->itinerary ? 1 : 0];
+  const int64_t before = estimate.load();
+  estimate.store(before + (held_us - before) / 8);
+  Shard& shard = *conn.shard;
+  shard.breaker.RecordSuccess();
+  switch (call->kind) {
+    case Call::Kind::kForward:
+      // A shard error frame is its admission decision (shed, unknown
+      // endpoint, ...): it passes through verbatim and is never failed
+      // over — retrying a deliberate shed elsewhere would defeat shedding.
+      shard.requests_ok.fetch_add(1);
+      (shard_error ? shard_errors_ : responses_ok_).fetch_add(1);
+      break;
+    case Call::Kind::kPing:
+      shard.pings_ok.fetch_add(1);
+      break;
+    case Call::Kind::kStats:
+      break;
   }
-  return ok;
+  Finish(*call, std::move(reply));
+  return true;
+}
+
+void ShardRouter::RunLoop(Loop& loop) {
+  std::vector<pollfd> fds;
+  std::vector<Conn*> polled;
+  while (!loop.stopping.load()) {
+    loop.sleep_until.store(kNever);
+    const Clock::time_point now = Clock::now();
+    // Even with nothing due the loop wakes once per call_timeout_ms: a frame
+    // queued without a deadline is then never due before the loop's wake-up,
+    // so queuing one needs no wake-up of its own.
+    Clock::time_point wake_at =
+        now + std::chrono::milliseconds(
+                  std::max<int64_t>(1, options_.call_timeout_ms));
+    fds.assign(1, pollfd{loop.wake.read_fd(), POLLIN, 0});
+    polled.clear();
+    bool acted = false;
+    for (Conn* conn : loop.conns) {
+      Clock::time_point earliest = Clock::time_point::max();
+      bool broken = false;
+      bool want_out = false;
+      bool has_pending = false;
+      int fd = -1;
+      {
+        std::lock_guard<std::mutex> lock(conn->mutex);
+        for (const Conn::Pending& entry : conn->pending) {
+          earliest = std::min(earliest, entry.deadline);
+        }
+        broken = conn->broken;
+        fd = conn->fd.get();
+        has_pending = !conn->pending.empty();
+        want_out = conn->unsent < conn->pending.size();
+      }
+      if (broken) {
+        FailConn(*conn, "connection failed", /*resend_unwritten=*/true);
+        acted = true;
+        continue;
+      }
+      if (earliest <= now) {
+        // A late reply would shift the FIFO: the connection goes, and every
+        // frame on it moves on with its own remaining budget.
+        FailConn(*conn, "timed out", /*resend_unwritten=*/false);
+        acted = true;
+        continue;
+      }
+      wake_at = std::min(wake_at, earliest);
+      if (fd < 0) {
+        if (!has_pending) continue;
+        if (conn->next_dial <= now) {
+          Dial(*conn, now);
+          acted = true;
+        } else {
+          wake_at = std::min(wake_at, conn->next_dial);
+        }
+        continue;
+      }
+      fds.push_back(pollfd{
+          fd, static_cast<short>(POLLIN | (want_out ? POLLOUT : 0)), 0});
+      polled.push_back(conn);
+    }
+    if (acted) continue;  // state moved on: scan again before sleeping
+
+    loop.sleep_until.store(ToNs(wake_at));
+    // Rounded up, so the loop never wakes just short of a deadline.
+    const int64_t timeout_ms = std::clamp<int64_t>(
+        std::chrono::ceil<std::chrono::milliseconds>(wake_at - now).count(), 0,
+        std::numeric_limits<int>::max());
+    const int rc =
+        ::poll(fds.data(), fds.size(), static_cast<int>(timeout_ms));
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if ((fds[0].revents & POLLIN) != 0) loop.wake.Drain();
+    for (size_t i = 0; i < polled.size(); ++i) {
+      Conn& conn = *polled[i];
+      const short revents = fds[i + 1].revents;
+      if ((revents & POLLOUT) != 0) {
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        FlushLocked(conn);
+      }
+      if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+        ReadReplies(conn);
+      }
+    }
+  }
 }
 
 void ShardRouter::RunPinger() {
+  const int64_t timeout_ms =
+      std::min(options_.call_timeout_ms, options_.ping_interval_ms);
   while (running_.load()) {
     for (auto& shard : shards_) {
       if (!running_.load()) return;
       // The probe rides the breaker like traffic does: an open breaker
       // refuses until its cooldown, then the ping IS the half-open probe.
       if (!shard->breaker.Allow()) continue;
-      PingShard(*shard);
+      auto call = std::make_unique<Call>();
+      call->kind = Call::Kind::kPing;
+      call->nonce = ping_nonce_.fetch_add(1);
+      call->frame = EncodePingFrame(call->nonce);
+      call->done = [](std::vector<uint8_t>) {};  // counted where it lands
+      SendControl(*shard, std::move(call), timeout_ms);
     }
     std::unique_lock<std::mutex> lock(pinger_mutex_);
     pinger_cv_.wait_for(lock,
@@ -407,28 +804,46 @@ void ShardRouter::RunPinger() {
   }
 }
 
-bool ShardRouter::PollShardStats(Shard& shard, WireStatsSnapshot* out) {
-  if (!shard.breaker.Allow()) return false;
-  std::unique_ptr<FrameClient> client = Checkout(shard);
-  if (!client) {
-    shard.breaker.RecordFailure();
-    return false;
+void ShardRouter::PollEndpoints(
+    std::function<void(std::vector<WireEndpointStats>)> done) {
+  struct Gather {
+    std::mutex mutex;
+    size_t left = 0;
+    std::vector<WireStatsSnapshot> snapshots;  ///< empty when unreachable
+    std::function<void(std::vector<WireEndpointStats>)> done;
+  };
+  if (shards_.empty()) {
+    done({});
+    return;
   }
-  client->set_recv_timeout_ms(std::max<int64_t>(1, options_.call_timeout_ms));
-  bool ok = client->SendFrame(EncodeStatsRequest());
-  if (ok) {
-    std::vector<uint8_t> reply;
-    ok = client->RecvFrameTimed(&reply) == FrameClient::RecvStatus::kOk &&
-         DecodeStatsResponse(reply, out) == DecodeStatus::kOk;
+  auto gather = std::make_shared<Gather>();
+  gather->left = shards_.size();
+  gather->snapshots.resize(shards_.size());
+  gather->done = std::move(done);
+  auto arrive = [gather](size_t index, const std::vector<uint8_t>& reply) {
+    WireStatsSnapshot snapshot;
+    const bool ok = DecodeStatsResponse(reply, &snapshot) == DecodeStatus::kOk;
+    bool last = false;
+    {
+      std::lock_guard<std::mutex> lock(gather->mutex);
+      if (ok) gather->snapshots[index] = std::move(snapshot);
+      last = --gather->left == 0;
+    }
+    // Merged in shard order, however the polls returned.
+    if (last) gather->done(MergeEndpoints(gather->snapshots));
+  };
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    if (!shard.breaker.Allow()) {
+      arrive(i, {});
+      continue;
+    }
+    auto call = std::make_unique<Call>();
+    call->kind = Call::Kind::kStats;
+    call->frame = EncodeStatsRequest();
+    call->done = [arrive, i](std::vector<uint8_t> reply) { arrive(i, reply); };
+    SendControl(shard, std::move(call), options_.call_timeout_ms);
   }
-  if (ok) {
-    shard.breaker.RecordSuccess();
-    Checkin(shard, std::move(client));
-  } else {
-    client->Close();
-    shard.breaker.RecordFailure();
-  }
-  return ok;
 }
 
 ClusterStats ShardRouter::Snapshot() {
@@ -441,10 +856,6 @@ ClusterStats ShardRouter::Snapshot() {
   stats.rate_limited = rate_limited_.load();
   stats.shard_unavailable = shard_unavailable_.load();
   stats.deadline_exhausted = deadline_exhausted_.load();
-
-  // Endpoint roll-up: sum counters and qps across shards; take the max of
-  // the percentiles (the conservative "worst shard" cluster latency).
-  std::unordered_map<std::string, size_t> row_index;
   for (auto& shard : shards_) {
     ShardHealth health;
     health.id = shard->config.id;
@@ -456,32 +867,13 @@ ClusterStats ShardRouter::Snapshot() {
     health.pings_ok = shard->pings_ok.load();
     health.pings_failed = shard->pings_failed.load();
     stats.shards.push_back(std::move(health));
-
-    WireStatsSnapshot snapshot;
-    if (!PollShardStats(*shard, &snapshot)) continue;
-    for (const WireEndpointStats& row : snapshot.endpoints) {
-      auto [it, inserted] =
-          row_index.emplace(row.endpoint, stats.endpoints.size());
-      if (inserted) {
-        stats.endpoints.push_back(row);
-        continue;
-      }
-      WireEndpointStats& merged = stats.endpoints[it->second];
-      merged.queue_depth += row.queue_depth;
-      merged.lifetime_submitted += row.lifetime_submitted;
-      merged.lifetime_completed += row.lifetime_completed;
-      merged.lifetime_rejected += row.lifetime_rejected;
-      merged.shed_deadline += row.shed_deadline;
-      merged.shed_capacity += row.shed_capacity;
-      merged.expired_in_queue += row.expired_in_queue;
-      merged.degraded += row.degraded;
-      merged.swaps += row.swaps;
-      merged.degraded_now = merged.degraded_now || row.degraded_now;
-      merged.qps += row.qps;
-      merged.p50_latency_ms = std::max(merged.p50_latency_ms, row.p50_latency_ms);
-      merged.p95_latency_ms = std::max(merged.p95_latency_ms, row.p95_latency_ms);
-    }
   }
+  auto rows = std::make_shared<std::promise<std::vector<WireEndpointStats>>>();
+  std::future<std::vector<WireEndpointStats>> ready = rows->get_future();
+  PollEndpoints([rows](std::vector<WireEndpointStats> merged) {
+    rows->set_value(std::move(merged));
+  });
+  stats.endpoints = ready.get();
   return stats;
 }
 

@@ -2,16 +2,15 @@
 #define TSPN_SERVE_CLUSTER_SHARD_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/net.h"
@@ -19,7 +18,6 @@
 #include "serve/cluster/hash_ring.h"
 #include "serve/cluster/token_bucket.h"
 #include "serve/codec.h"
-#include "serve/frame_client.h"
 #include "serve/frame_handler.h"
 
 namespace tspn::serve::cluster {
@@ -49,12 +47,20 @@ struct RouterOptions {
   /// the key, and gives failover somewhere to go.
   int replication = 1;
 
-  int worker_threads = 4;          ///< routing worker threads
-  int64_t queue_depth = 256;       ///< bounded routing queue
+  /// Router poll loops. Each owns a share of the shard connections (dealt
+  /// round-robin), reads their replies and runs the frames' callbacks.
+  int worker_threads = 4;
+  /// Frames the router holds at once, queued for a connection or in flight
+  /// on one (client frames only: pings it answers itself are not held). A
+  /// frame past it is answered kShedCapacity on the calling thread.
+  int64_t queue_depth = 256;
   int64_t ping_interval_ms = 250;  ///< health ping interval; 0 disables
   /// Per-shard call timeout when the request carries no deadline.
   int64_t call_timeout_ms = 2000;
-  int64_t pool_size_per_shard = 2;  ///< pooled connections per shard
+  /// Multiplexed connections per shard, each carrying many frames in
+  /// flight; a frame goes to the one with the least pending work (frames
+  /// weighted by their type's measured reply time).
+  int64_t pool_size_per_shard = 2;
   CircuitBreakerOptions breaker;
 
   /// Per-endpoint token-bucket rate limit; <= 0 disables. Every endpoint
@@ -62,7 +68,9 @@ struct RouterOptions {
   double rate_limit_qps = 0.0;
   double rate_limit_burst = 16.0;
 
-  /// FrameClient auto-reconnect budget for pooled shard connections.
+  /// Dials a shard connection makes, when it is down and a frame needs it,
+  /// before its waiting frames fail over: max(1, reconnect_attempts), the
+  /// n-th retry reconnect_backoff_ms x 2^(n-1) after the previous dial.
   int reconnect_attempts = 2;
   int64_t reconnect_backoff_ms = 20;
 };
@@ -96,7 +104,7 @@ struct ClusterStats {
 };
 
 /// The router tier: a FrameHandler that forwards TSWP request frames to
-/// shard processes over serve::FrameClient connections, so a FrameServer
+/// shard processes over multiplexed shard connections, so a FrameServer
 /// constructed over a ShardRouter IS the cluster front-end.
 ///
 /// Routing: a request's key is (endpoint, user_id) — every trajectory of a
@@ -112,16 +120,30 @@ struct ClusterStats {
 /// the caller gets a typed kShardUnavailable error; when the per-endpoint
 /// token bucket is empty, kRateLimited.
 ///
-/// Health: a pinger thread probes every shard each ping_interval_ms with a
-/// kPing frame through the same circuit breaker traffic uses; the breaker
-/// (closed -> open -> half-open) makes a dead shard cost nothing after
-/// `failure_threshold` failures and auto-recovers via single probes.
+/// Forwarding is asynchronous. HandleFrameAsync decodes, rate-limits, looks
+/// up the ring and gates on the breaker on the calling thread, then writes
+/// the frame to the shard connection it expects to answer soonest (its
+/// pending frames weighted by the measured reply time of their frame type,
+/// so a slow itinerary steers recommends elsewhere) and returns. Each
+/// connection carries many frames in flight; the shard's FrameServer
+/// answers strictly in order per connection, so the poll loop owning the
+/// connection matches each reply to the head of its FIFO of pending frames
+/// and runs that frame's callback. No thread waits on a
+/// reply. A frame that times out closes its connection (a late reply would
+/// shift the FIFO): every frame pending there fails over with its own
+/// remaining budget, and the breaker records one failure for the
+/// connection. A frame none of whose bytes reached a connection that was
+/// lost is resent once on a fresh one; a written frame never goes to the
+/// same shard twice.
 ///
-/// Threading: HandleFrameAsync enqueues into a bounded queue drained by
-/// `worker_threads` routing workers (a full queue sheds with
-/// kShedCapacity, mirroring engine admission). Forwarding is synchronous
-/// inside a worker — bounded by the deadline/timeout — so one slow shard
-/// can stall at most `worker_threads` frames, not the IO loops.
+/// Health: a pinger thread sends every shard a kPing frame each
+/// ping_interval_ms through the same connections and circuit breaker
+/// traffic uses; the breaker (closed -> open -> half-open) makes a dead
+/// shard cost nothing after `failure_threshold` failed connections and
+/// auto-recovers via single probes.
+///
+/// Threads: `worker_threads` poll loops plus the pinger, however many
+/// frames are in flight.
 class ShardRouter : public FrameHandler {
  public:
   explicit ShardRouter(RouterOptions options);
@@ -130,108 +152,114 @@ class ShardRouter : public FrameHandler {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Builds the ring, spawns workers + the health pinger. False with
-  /// *error set on empty/duplicate shard config. Does NOT require shards
-  /// to be up — the breaker discovers liveness.
+  /// Builds the ring and the shard connections, spawns the poll loops + the
+  /// health pinger. False with *error set on empty/duplicate shard config.
+  /// Does NOT require shards to be up — connections dial on first use and
+  /// the breaker discovers liveness.
   bool Start(std::string* error = nullptr);
 
-  /// Refuses new frames, completes everything queued with a typed error,
-  /// joins workers/pinger, closes every pooled connection. Idempotent.
+  /// Refuses new frames, joins the poll loops and the pinger, closes every
+  /// shard connection and answers every frame still queued or in flight
+  /// with a typed kShardUnavailable error. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(); }
 
-  /// FrameHandler: enqueue for the routing workers; `done` runs exactly
-  /// once (synchronously only when shedding or stopped).
+  /// FrameHandler: request and itinerary frames are forwarded with
+  /// failover, pings answered locally, stats requests answered with the
+  /// cluster roll-up once every reachable shard has answered its poll.
+  /// Never blocks; `done` runs exactly once, on the calling thread when the
+  /// router answers at once (malformed, ping, rate limited, shed, stopped)
+  /// and otherwise on a poll loop.
   void HandleFrameAsync(const std::vector<uint8_t>& frame,
                         FrameCallback done) override;
 
-  /// Synchronous routing core (what the workers run): request frames are
-  /// forwarded with failover, pings answered locally, stats requests
-  /// answered with the aggregated cluster view. Blocking — bounded by the
-  /// deadline budget / call timeout; callers wanting the async path go
-  /// through HandleFrameAsync.
-  std::vector<uint8_t> Route(const std::vector<uint8_t>& frame);
-
   /// Router counters + shard health (cheap, local) plus the per-endpoint
-  /// roll-up polled from every reachable shard (one stats call each).
+  /// roll-up polled from every reachable shard. Blocks until those polls
+  /// answer (each bounded by call_timeout_ms); for in-process callers, not
+  /// a poll loop.
   ClusterStats Snapshot();
 
   const RouterOptions& options() const { return options_; }
 
  private:
-  /// Everything the router keeps per shard. The connection pool hands out
-  /// exclusive FrameClients (they are not thread-safe); a client is
-  /// returned only when still connected, so the pool never caches a
-  /// poisoned connection.
-  struct Shard {
-    ShardConfig config;
-    CircuitBreaker breaker;
-    std::mutex pool_mutex;
-    std::vector<std::unique_ptr<FrameClient>> idle;
-    std::atomic<int64_t> requests_ok{0};
-    std::atomic<int64_t> requests_failed{0};
-    std::atomic<int64_t> pings_ok{0};
-    std::atomic<int64_t> pings_failed{0};
+  struct Call;
+  struct Conn;
+  struct Loop;
+  struct Shard;
+  using Clock = std::chrono::steady_clock;
 
-    explicit Shard(ShardConfig c, const CircuitBreakerOptions& b)
-        : config(std::move(c)), breaker(b) {}
-  };
+  /// Walks a client frame's replicas from `call->replica`: budget check,
+  /// breaker gate, then onto the shard's least-loaded connection. Answers
+  /// the frame with a typed error when the walk runs out.
+  void Dispatch(std::unique_ptr<Call> call);
 
-  struct Job {
-    std::vector<uint8_t> frame;
-    FrameCallback done;
-  };
+  /// Moves a call past the shard that failed it: the next replica for a
+  /// client frame, a failure reply for a ping or a stats poll.
+  void Failover(std::unique_ptr<Call> call, const std::string& why);
 
-  std::unique_ptr<FrameClient> Checkout(Shard& shard);
-  void Checkin(Shard& shard, std::unique_ptr<FrameClient> client);
+  /// Queues the call on the connection and writes what the socket takes,
+  /// waking the connection's loop when it must dial, poll for POLLOUT or
+  /// time the call out sooner than it planned. Runs on any thread; answers
+  /// the call at once when the router has stopped.
+  void Enqueue(Conn& conn, std::unique_ptr<Call> call,
+               Clock::time_point deadline, std::vector<uint8_t> wire);
 
-  /// One forwarded request with ring lookup, budget accounting, breaker
-  /// checks and replica failover.
-  std::vector<uint8_t> RouteRequest(const std::vector<uint8_t>& frame,
-                                    const std::string& endpoint,
-                                    const eval::RecommendRequest& request,
-                                    const AdmissionClass& admission);
+  /// Writes pending bytes until the socket would block. Requires the
+  /// connection's mutex; a send error marks the connection broken for its
+  /// loop to fail.
+  void FlushLocked(Conn& conn);
 
-  /// The shared forwarding core under RouteRequest and the itinerary
-  /// path: walks `key`'s replicas on the ring (breaker gate, pooled
-  /// checkout, timed call), passing shard answers — responses AND error
-  /// frames — through verbatim, failing over only on timeout/transport
-  /// trouble. `deadline_ms > 0` budgets the walk and `rewrite(remaining)`
-  /// re-encodes the frame with the remaining budget before each send;
-  /// `deadline_ms <= 0` forwards the original bytes verbatim (`rewrite`
-  /// may be null then).
-  std::vector<uint8_t> ForwardWithFailover(
-      const std::vector<uint8_t>& frame, const std::string& endpoint,
-      const std::string& key, int64_t deadline_ms,
-      const std::function<std::vector<uint8_t>(int64_t)>& rewrite);
+  /// Sends a router-originated control frame (ping, stats poll) to a shard
+  /// whose breaker already admitted it; no failover.
+  void SendControl(Shard& shard, std::unique_ptr<Call> call,
+                   int64_t timeout_ms);
 
-  /// Sends one ping on a pooled connection; updates breaker + counters.
-  bool PingShard(Shard& shard);
+  /// Closes the connection and moves every frame pending on it on: unwritten
+  /// ones back onto the shard when `resend_unwritten`, the rest to Failover.
+  /// One breaker failure when anything was pending. Loop thread only.
+  void FailConn(Conn& conn, const std::string& why, bool resend_unwritten);
 
-  /// Polls one shard's stats; false when unreachable.
-  bool PollShardStats(Shard& shard, WireStatsSnapshot* out);
+  /// Loop-thread halves of the connection: dial, read replies and match
+  /// each to the head of the FIFO (false when the reply failed the
+  /// connection).
+  void Dial(Conn& conn, Clock::time_point now);
+  void ReadReplies(Conn& conn);
+  bool CompleteHead(Conn& conn, std::vector<uint8_t> reply);
+
+  /// Answers a call with its final reply and releases its queue_depth slot.
+  void Finish(Call& call, std::vector<uint8_t> reply);
+
+  /// Finishes a call the stopped router will never send.
+  void AnswerStopped(Call& call);
+
+  /// Polls every reachable shard's stats (async) and hands the endpoint
+  /// roll-up to `done` once all polls answered.
+  void PollEndpoints(
+      std::function<void(std::vector<WireEndpointStats>)> done);
+
+  /// A router-produced error reply for a client frame (counted).
+  std::vector<uint8_t> RouterError(const std::string& message, ErrorCode code);
 
   TokenBucket& BucketFor(const std::string& endpoint);
 
-  void RunWorker();
+  void RunLoop(Loop& loop);
   void RunPinger();
 
   const RouterOptions options_;
   HashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<std::string, Shard*> shards_by_id_;
+  std::vector<std::unique_ptr<Loop>> loops_;
 
   std::mutex buckets_mutex_;
   std::map<std::string, std::unique_ptr<TokenBucket>> buckets_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-
   std::atomic<bool> running_{false};
-  std::vector<std::thread> workers_;
+  std::atomic<int64_t> held_{0};  ///< client frames held (queue_depth)
+  /// Moving averages (1/8 weight) of how long a reply holds up its
+  /// connection, in µs: [0] every other frame, [1] itineraries.
+  std::atomic<int64_t> reply_us_[2] = {0, 0};
   std::thread pinger_;
   std::mutex pinger_mutex_;
   std::condition_variable pinger_cv_;

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <poll.h>
 #include <sys/socket.h>
-#include <thread>
 
 namespace tspn::serve {
 
@@ -18,44 +17,11 @@ bool FrameClient::Connect(const std::string& host, uint16_t port,
 
 bool FrameClient::Connect(const common::SocketAddress& address,
                           std::string* error) {
-  address_ = address;
-  has_address_ = true;
-  fd_ = common::ConnectTo(address_, error);
-  return fd_.valid();
-}
-
-bool FrameClient::Redial(std::string* error) {
-  if (!has_address_) return false;
-  int64_t backoff_ms = reconnect_backoff_ms_;
-  for (int attempt = 0; attempt < reconnect_attempts_; ++attempt) {
-    if (attempt > 0 && backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms *= 2;
-    }
-    fd_ = common::ConnectTo(address_, error);
-    if (fd_.valid()) {
-      ++reconnects_;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FrameClient::EnsureConnected(std::string* error) {
-  if (fd_.valid()) return true;
-  if (!has_address_) return false;
-  if (reconnect_attempts_ > 0) return Redial(error);
-  fd_ = common::ConnectTo(address_, error);
+  fd_ = common::ConnectTo(address, error);
   return fd_.valid();
 }
 
 bool FrameClient::SendFrame(const std::vector<uint8_t>& frame) {
-  // A previous transport error (or an idle server closing the connection)
-  // left the client disconnected: with auto-reconnect armed, heal here
-  // instead of poisoning every later call.
-  if (!fd_.valid() && reconnect_attempts_ > 0 && !Redial(nullptr)) {
-    return false;
-  }
   if (!fd_.valid()) return false;
   uint8_t prefix[4];
   common::StoreU32Le(static_cast<uint32_t>(frame.size()), prefix);
@@ -64,16 +30,6 @@ bool FrameClient::SendFrame(const std::vector<uint8_t>& frame) {
     return true;
   }
   Close();
-  // The send failed, so the peer cannot have processed this frame; retrying
-  // it whole on a fresh connection is safe. One retry only — a second
-  // failure means the server is really gone.
-  if (reconnect_attempts_ > 0 && Redial(nullptr)) {
-    if (common::WriteAll(fd_.get(), prefix, sizeof(prefix)) &&
-        common::WriteAll(fd_.get(), frame.data(), frame.size())) {
-      return true;
-    }
-    Close();
-  }
   return false;
 }
 
@@ -188,9 +144,7 @@ FrameClient::Reply FrameClient::ReceiveTyped() {
     reply.frame = std::move(frame);
     return reply;
   }
-  // Both reply-shaped frame types are successful replies; the router's
-  // failover logic must never mistake an itinerary reply for transport
-  // trouble.
+  // Both reply-shaped frame types are successful replies.
   if (type != FrameType::kResponse && type != FrameType::kItineraryResponse) {
     return reply;
   }

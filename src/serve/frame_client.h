@@ -30,33 +30,12 @@ class FrameClient {
                std::string* error = nullptr);
 
   /// Transport-generic connect: TCP or unix-domain (the co-located-shard
-  /// fast path). The address is remembered for reconnects.
+  /// fast path).
   bool Connect(const common::SocketAddress& address,
                std::string* error = nullptr);
 
   bool connected() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
-
-  /// Arms transport-error recovery: after a send failure or a closed
-  /// socket, SendFrame re-dials the remembered address up to `max_attempts`
-  /// times with exponential backoff starting at `initial_backoff_ms`
-  /// (doubling per attempt) and retries the frame once on the fresh
-  /// connection. Replies owed on the dead connection are gone — reconnect
-  /// heals the *client* (no longer poisoned), not in-flight pipelines, so
-  /// pipelining callers must reconcile unanswered requests themselves.
-  /// 0 attempts (the default) disables reconnection.
-  void set_auto_reconnect(int max_attempts, int64_t initial_backoff_ms = 50) {
-    reconnect_attempts_ = max_attempts;
-    reconnect_backoff_ms_ = initial_backoff_ms;
-  }
-
-  /// Dials the remembered address if the connection is down, honouring the
-  /// auto-reconnect budget (or a single attempt when disarmed). True when
-  /// the client ends up connected.
-  bool EnsureConnected(std::string* error = nullptr);
-
-  /// Reconnects performed so far (successful re-dials), for tests/stats.
-  int64_t reconnects() const { return reconnects_; }
 
   /// Bounds every subsequent receive: a reply not arriving within this many
   /// milliseconds turns into kTimeout instead of an indefinite block.
@@ -130,17 +109,8 @@ class FrameClient {
                        std::chrono::steady_clock::time_point deadline,
                        bool* any_byte);
 
-  /// One reconnect pass: up to reconnect_attempts_ dials with exponential
-  /// backoff. False leaves the client disconnected.
-  bool Redial(std::string* error);
-
   common::UniqueFd fd_;
   int64_t recv_timeout_ms_ = 0;
-  common::SocketAddress address_;
-  bool has_address_ = false;
-  int reconnect_attempts_ = 0;
-  int64_t reconnect_backoff_ms_ = 50;
-  int64_t reconnects_ = 0;
 };
 
 }  // namespace tspn::serve
