@@ -177,6 +177,58 @@ UniqueFd ConnectTo(const SocketAddress& address, std::string* error) {
   return ConnectTcp(address.host, address.port, error);
 }
 
+UniqueFd StartConnect(const SocketAddress& address, bool* in_progress,
+                      std::string* error) {
+  *in_progress = false;
+  sockaddr_storage storage;
+  std::memset(&storage, 0, sizeof(storage));
+  socklen_t length = 0;
+  const bool unix_domain = address.kind == SocketAddress::Kind::kUnix;
+  if (unix_domain) {
+    if (!FillUnixAddr(address.path, reinterpret_cast<sockaddr_un*>(&storage),
+                      error)) {
+      return UniqueFd();
+    }
+    length = sizeof(sockaddr_un);
+  } else {
+    const std::string host = address.host.empty() ? "127.0.0.1" : address.host;
+    if (!FillAddr(host, address.port, reinterpret_cast<sockaddr_in*>(&storage),
+                  error)) {
+      return UniqueFd();
+    }
+    length = sizeof(sockaddr_in);
+  }
+  UniqueFd fd(::socket(unix_domain ? AF_UNIX : AF_INET,
+                       SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.valid()) {
+    SetError(error, "socket");
+    return UniqueFd();
+  }
+  if (!unix_domain) {
+    const int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&storage),
+                length) == 0) {
+    return fd;
+  }
+  // An interrupted non-blocking connect carries on in the background, as
+  // one that reported EINPROGRESS does.
+  if (errno == EINPROGRESS || errno == EINTR) {
+    *in_progress = true;
+    return fd;
+  }
+  SetError(error, "connect " + address.ToString());
+  return UniqueFd();
+}
+
+int ConnectResult(int fd) {
+  int result = 0;
+  socklen_t size = sizeof(result);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &result, &size) < 0) return errno;
+  return result;
+}
+
 void UniqueFd::Reset(int fd) {
   if (fd_ >= 0) ::close(fd_);
   fd_ = fd;

@@ -92,6 +92,20 @@ UniqueFd ListenOn(const SocketAddress& address, int backlog,
 /// in blocking mode either way.
 UniqueFd ConnectTo(const SocketAddress& address, std::string* error = nullptr);
 
+/// Starts a connect to the address (either kind) on a non-blocking socket,
+/// so the call never waits on the peer. When the connect is still under
+/// way (TCP's EINPROGRESS) *in_progress is set: poll the socket for
+/// POLLOUT, then ConnectResult says how it ended. Invalid UniqueFd with
+/// *error on immediate failure (a full unix-domain backlog included). TCP
+/// sockets get TCP_NODELAY.
+UniqueFd StartConnect(const SocketAddress& address, bool* in_progress,
+                      std::string* error = nullptr);
+
+/// The outcome of a StartConnect that was in progress, once its socket
+/// polled writable or errored: 0 when connected, else the errno it failed
+/// with.
+int ConnectResult(int fd);
+
 /// TCP-only convenience over ListenOn: listener bound to host:port (port 0
 /// picks an ephemeral port; the actual one is written to *bound_port).
 /// Returns an invalid UniqueFd with *error set on failure. The socket is

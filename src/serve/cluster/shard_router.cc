@@ -100,7 +100,7 @@ struct ShardRouter::Call {
   bool attempted = false;  ///< a replica was attempted (failover count)
   bool resent = false;     ///< already moved to a fresh connection once
   bool held = false;       ///< holds one of queue_depth's slots
-  bool itinerary = false;  ///< replies take its frame type's longer time
+  bool itinerary = false;  ///< an itinerary request (a slow reply)
   uint64_t nonce = 0;      ///< kPing: the pong must echo it
   std::string last_error = "no replica attempted";
   FrameCallback done;
@@ -115,29 +115,53 @@ struct ShardRouter::Conn {
     Clock::time_point deadline;  ///< this attempt's timeout
     std::vector<uint8_t> wire;   ///< length prefix + frame
     size_t sent = 0;             ///< bytes of `wire` written
-    Clock::time_point queued_at = Clock::now();
-    int64_t weight_us = 1;  ///< what it added to `load`
   };
 
   Shard* shard = nullptr;
   Loop* loop = nullptr;
-  /// The pending frames' expected reply times in µs, each its frame type's
-  /// measured time + 1 (so unmeasured frames count one each): the pick's
-  /// estimate of how long a new frame would wait behind them.
-  std::atomic<int64_t> load{0};
+  /// The frames pending and the itineraries among them, kept with
+  /// `pending` under the mutex and read without it by Shard::Pick.
+  std::atomic<int64_t> frames{0};
+  std::atomic<int64_t> itineraries{0};
 
   std::mutex mutex;  ///< guards everything down to `stopped`
-  common::UniqueFd fd;            ///< valid while connected
+  common::UniqueFd fd;            ///< valid while dialing or connected
+  bool connecting = false;        ///< the dial's connect is under way
   std::deque<Pending> pending;    ///< write order == reply order
   size_t unsent = 0;              ///< first entry not fully written
   bool broken = false;            ///< a send failed; the loop fails it
   bool stopped = false;           ///< Stop() drained it for good
 
+  void Push(Pending entry) {
+    frames.fetch_add(1);
+    if (entry.call->itinerary) itineraries.fetch_add(1);
+    pending.push_back(std::move(entry));
+  }
+  std::unique_ptr<Call> PopHead() {
+    std::unique_ptr<Call> call = std::move(pending.front().call);
+    pending.pop_front();
+    --unsent;
+    frames.fetch_sub(1);
+    if (call->itinerary) itineraries.fetch_sub(1);
+    return call;
+  }
+  /// Empties the connection: closes the socket, hands back every frame.
+  std::deque<Pending> TakeAll() {
+    std::deque<Pending> taken;
+    taken.swap(pending);
+    fd.Reset();
+    connecting = false;
+    broken = false;
+    unsent = 0;
+    frames.store(0);
+    itineraries.store(0);
+    return taken;
+  }
+
   // Loop-thread only.
   std::vector<uint8_t> inbox;
   int failed_dials = 0;  ///< in the current dial series
   Clock::time_point next_dial{};
-  Clock::time_point last_reply{};
 };
 
 /// Everything the router keeps per shard.
@@ -153,15 +177,30 @@ struct ShardRouter::Shard {
   Shard(ShardConfig c, const CircuitBreakerOptions& b)
       : config(std::move(c)), breaker(b) {}
 
-  Conn& LeastLoaded() {
-    Conn* best = conns.front().get();
+  /// The connection a new frame waits least on: the fewest pending frames,
+  /// but one holding an itinerary (milliseconds of planning every frame
+  /// behind it waits out) only when every connection holds one.
+  Conn& Pick() {
+    Conn* best = nullptr;
+    std::pair<bool, int64_t> best_rank;
     for (const std::unique_ptr<Conn>& conn : conns) {
-      if (conn->load.load(std::memory_order_relaxed) <
-          best->load.load(std::memory_order_relaxed)) {
+      const std::pair<bool, int64_t> rank{
+          conn->itineraries.load(std::memory_order_relaxed) > 0,
+          conn->frames.load(std::memory_order_relaxed)};
+      if (best == nullptr || rank < best_rank) {
         best = conn.get();
+        best_rank = rank;
       }
     }
     return *best;
+  }
+
+  /// Whether any of the shard's connections holds a frame.
+  bool Busy() const {
+    for (const std::unique_ptr<Conn>& conn : conns) {
+      if (conn->frames.load(std::memory_order_relaxed) > 0) return true;
+    }
+    return false;
   }
 };
 
@@ -260,10 +299,7 @@ void ShardRouter::Stop() {
       {
         std::lock_guard<std::mutex> lock(conn->mutex);
         conn->stopped = true;
-        conn->fd.Reset();
-        orphans.swap(conn->pending);
-        conn->unsent = 0;
-        conn->load.store(0);
+        orphans = conn->TakeAll();
       }
       for (Conn::Pending& orphan : orphans) AnswerStopped(*orphan.call);
     }
@@ -424,7 +460,7 @@ void ShardRouter::Dispatch(std::unique_ptr<Call> call) {
     // to direct shard access.
     std::vector<uint8_t> wire =
         Wrap(call->rewrite ? call->rewrite(budget) : call->frame);
-    Enqueue(shard.LeastLoaded(), std::move(call),
+    Enqueue(shard.Pick(), std::move(call),
             Clock::now() + std::chrono::milliseconds(std::max<int64_t>(1, budget)),
             std::move(wire));
     return;
@@ -451,7 +487,7 @@ void ShardRouter::Failover(std::unique_ptr<Call> call, const std::string& why) {
 void ShardRouter::SendControl(Shard& shard, std::unique_ptr<Call> call,
                               int64_t timeout_ms) {
   std::vector<uint8_t> wire = Wrap(call->frame);
-  Enqueue(shard.LeastLoaded(), std::move(call),
+  Enqueue(shard.Pick(), std::move(call),
           Clock::now() + std::chrono::milliseconds(std::max<int64_t>(1, timeout_ms)),
           std::move(wire));
 }
@@ -463,12 +499,10 @@ void ShardRouter::Enqueue(Conn& conn, std::unique_ptr<Call> call,
   {
     std::lock_guard<std::mutex> lock(conn.mutex);
     if (!conn.stopped) {
-      const int64_t weight = reply_us_[call->itinerary ? 1 : 0].load() + 1;
-      conn.pending.push_back(Conn::Pending{std::move(call), deadline,
-                                           std::move(wire), 0, Clock::now(),
-                                           weight});
-      conn.load.fetch_add(weight);
-      if (conn.fd.valid() && !conn.broken) FlushLocked(conn);
+      conn.Push(Conn::Pending{std::move(call), deadline, std::move(wire)});
+      if (conn.fd.valid() && !conn.connecting && !conn.broken) {
+        FlushLocked(conn);
+      }
       // The loop must act when the connection needs a dial, a send failed,
       // the socket would block, or this frame times out before the loop's
       // planned wake-up.
@@ -509,13 +543,10 @@ void ShardRouter::FailConn(Conn& conn, const std::string& why,
   std::deque<Conn::Pending> orphans;
   {
     std::lock_guard<std::mutex> lock(conn.mutex);
-    conn.fd.Reset();
-    conn.broken = false;
-    orphans.swap(conn.pending);
-    conn.unsent = 0;
-    conn.load.store(0);
+    orphans = conn.TakeAll();
   }
   conn.inbox.clear();
+  conn.failed_dials = 0;
   if (orphans.empty()) return;  // an idle connection closing fails nothing
 
   Shard& shard = *conn.shard;
@@ -527,7 +558,7 @@ void ShardRouter::FailConn(Conn& conn, const std::string& why,
       // No byte reached the shard, so it cannot have served the frame:
       // the same attempt moves to a fresh connection.
       call->resent = true;
-      Enqueue(shard.LeastLoaded(), std::move(call), orphan.deadline,
+      Enqueue(shard.Pick(), std::move(call), orphan.deadline,
               std::move(orphan.wire));
       continue;
     }
@@ -538,14 +569,26 @@ void ShardRouter::FailConn(Conn& conn, const std::string& why,
 }
 
 void ShardRouter::Dial(Conn& conn, Clock::time_point now) {
-  common::UniqueFd fd = common::ConnectTo(conn.shard->config.address);
-  if (fd.valid() && common::SetNonBlocking(fd.get())) {
-    conn.failed_dials = 0;
-    std::lock_guard<std::mutex> lock(conn.mutex);
-    conn.fd = std::move(fd);
-    FlushLocked(conn);
+  bool in_progress = false;
+  common::UniqueFd fd =
+      common::StartConnect(conn.shard->config.address, &in_progress);
+  if (!fd.valid()) {
+    DialFailed(conn, now);
     return;
   }
+  std::lock_guard<std::mutex> lock(conn.mutex);
+  conn.fd = std::move(fd);
+  conn.connecting = in_progress;
+  if (!in_progress) Connected(conn);
+}
+
+void ShardRouter::Connected(Conn& conn) {
+  conn.connecting = false;
+  conn.failed_dials = 0;
+  FlushLocked(conn);
+}
+
+void ShardRouter::DialFailed(Conn& conn, Clock::time_point now) {
   if (++conn.failed_dials < std::max(1, options_.reconnect_attempts)) {
     const int doublings = std::min(conn.failed_dials - 1, 16);
     conn.next_dial =
@@ -596,8 +639,7 @@ void ShardRouter::ReadReplies(Conn& conn) {
     // down quietly; the next frame that needs it dials again.
     std::lock_guard<std::mutex> lock(conn.mutex);
     if (conn.pending.empty()) {
-      conn.fd.Reset();
-      conn.broken = false;
+      conn.TakeAll();
       conn.inbox.clear();
       return;
     }
@@ -653,28 +695,10 @@ bool ShardRouter::CompleteHead(Conn& conn, std::vector<uint8_t> reply) {
   }
 
   std::unique_ptr<Call> call;
-  Clock::time_point queued_at;
   {
     std::lock_guard<std::mutex> lock(conn.mutex);
-    Conn::Pending& head = conn.pending.front();
-    call = std::move(head.call);
-    queued_at = head.queued_at;
-    conn.load.fetch_sub(head.weight_us);
-    conn.pending.pop_front();
-    --conn.unsent;
+    call = conn.PopHead();
   }
-  // How long this reply held up the connection's FIFO: from when it was
-  // queued, or from the reply before it, whichever came later. Batched
-  // recommends cost next to nothing past the first; an itinerary costs its
-  // whole plan, so the pick steers other frames off its connection.
-  const Clock::time_point now = Clock::now();
-  const int64_t held_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              now - std::max(queued_at, conn.last_reply))
-                              .count();
-  conn.last_reply = now;
-  std::atomic<int64_t>& estimate = reply_us_[call->itinerary ? 1 : 0];
-  const int64_t before = estimate.load();
-  estimate.store(before + (held_us - before) / 8);
   Shard& shard = *conn.shard;
   shard.breaker.RecordSuccess();
   switch (call->kind) {
@@ -713,6 +737,7 @@ void ShardRouter::RunLoop(Loop& loop) {
     for (Conn* conn : loop.conns) {
       Clock::time_point earliest = Clock::time_point::max();
       bool broken = false;
+      bool connecting = false;
       bool want_out = false;
       bool has_pending = false;
       int fd = -1;
@@ -722,6 +747,7 @@ void ShardRouter::RunLoop(Loop& loop) {
           earliest = std::min(earliest, entry.deadline);
         }
         broken = conn->broken;
+        connecting = conn->connecting;
         fd = conn->fd.get();
         has_pending = !conn->pending.empty();
         want_out = conn->unsent < conn->pending.size();
@@ -733,7 +759,8 @@ void ShardRouter::RunLoop(Loop& loop) {
       }
       if (earliest <= now) {
         // A late reply would shift the FIFO: the connection goes, and every
-        // frame on it moves on with its own remaining budget.
+        // frame on it moves on with its own remaining budget. A dial still
+        // under way ends here too, so the frames' deadlines bound it.
         FailConn(*conn, "timed out", /*resend_unwritten=*/false);
         acted = true;
         continue;
@@ -749,8 +776,11 @@ void ShardRouter::RunLoop(Loop& loop) {
         }
         continue;
       }
-      fds.push_back(pollfd{
-          fd, static_cast<short>(POLLIN | (want_out ? POLLOUT : 0)), 0});
+      // A connect under way reports its end as POLLOUT (or an error).
+      const short events =
+          connecting ? POLLOUT
+                     : static_cast<short>(POLLIN | (want_out ? POLLOUT : 0));
+      fds.push_back(pollfd{fd, events, 0});
       polled.push_back(conn);
     }
     if (acted) continue;  // state moved on: scan again before sleeping
@@ -770,6 +800,21 @@ void ShardRouter::RunLoop(Loop& loop) {
     for (size_t i = 0; i < polled.size(); ++i) {
       Conn& conn = *polled[i];
       const short revents = fds[i + 1].revents;
+      if (revents == 0) continue;
+      {
+        std::unique_lock<std::mutex> lock(conn.mutex);
+        if (conn.connecting) {  // the dial's connect ended
+          if (common::ConnectResult(conn.fd.get()) == 0) {
+            Connected(conn);
+            continue;
+          }
+          conn.fd.Reset();
+          conn.connecting = false;
+          lock.unlock();
+          DialFailed(conn, Clock::now());
+          continue;
+        }
+      }
       if ((revents & POLLOUT) != 0) {
         std::lock_guard<std::mutex> lock(conn.mutex);
         FlushLocked(conn);
@@ -782,11 +827,12 @@ void ShardRouter::RunLoop(Loop& loop) {
 }
 
 void ShardRouter::RunPinger() {
-  const int64_t timeout_ms =
-      std::min(options_.call_timeout_ms, options_.ping_interval_ms);
   while (running_.load()) {
     for (auto& shard : shards_) {
       if (!running_.load()) return;
+      // While the shard holds frames, their replies and timeouts are its
+      // health signal; a ping would only queue behind them.
+      if (shard->Busy()) continue;
       // The probe rides the breaker like traffic does: an open breaker
       // refuses until its cooldown, then the ping IS the half-open probe.
       if (!shard->breaker.Allow()) continue;
@@ -795,7 +841,12 @@ void ShardRouter::RunPinger() {
       call->nonce = ping_nonce_.fetch_add(1);
       call->frame = EncodePingFrame(call->nonce);
       call->done = [](std::vector<uint8_t>) {};  // counted where it lands
-      SendControl(*shard, std::move(call), timeout_ms);
+      // The shard was idle, so the ping heads its connection, or follows a
+      // frame that raced it there with an earlier deadline. Gateways answer
+      // pings before queueing, so the ping times out, and fails the frames
+      // behind it, only when the shard has answered nothing for the
+      // timeout of a frame without a deadline.
+      SendControl(*shard, std::move(call), options_.call_timeout_ms);
     }
     std::unique_lock<std::mutex> lock(pinger_mutex_);
     pinger_cv_.wait_for(lock,

@@ -58,8 +58,8 @@ struct RouterOptions {
   /// Per-shard call timeout when the request carries no deadline.
   int64_t call_timeout_ms = 2000;
   /// Multiplexed connections per shard, each carrying many frames in
-  /// flight; a frame goes to the one with the least pending work (frames
-  /// weighted by their type's measured reply time).
+  /// flight; a frame goes to the one with the fewest pending frames, one
+  /// holding an itinerary last.
   int64_t pool_size_per_shard = 2;
   CircuitBreakerOptions breaker;
 
@@ -122,9 +122,9 @@ struct ClusterStats {
 ///
 /// Forwarding is asynchronous. HandleFrameAsync decodes, rate-limits, looks
 /// up the ring and gates on the breaker on the calling thread, then writes
-/// the frame to the shard connection it expects to answer soonest (its
-/// pending frames weighted by the measured reply time of their frame type,
-/// so a slow itinerary steers recommends elsewhere) and returns. Each
+/// the frame to the shard connection with the fewest pending frames (one
+/// holding an itinerary, whose reply takes milliseconds, only when every
+/// connection holds one) and returns. Each
 /// connection carries many frames in flight; the shard's FrameServer
 /// answers strictly in order per connection, so the poll loop owning the
 /// connection matches each reply to the head of its FIFO of pending frames
@@ -136,11 +136,14 @@ struct ClusterStats {
 /// lost is resent once on a fresh one; a written frame never goes to the
 /// same shard twice.
 ///
-/// Health: a pinger thread sends every shard a kPing frame each
-/// ping_interval_ms through the same connections and circuit breaker
-/// traffic uses; the breaker (closed -> open -> half-open) makes a dead
-/// shard cost nothing after `failure_threshold` failed connections and
-/// auto-recovers via single probes.
+/// Health: a pinger thread sends every shard that holds no frames a kPing
+/// frame each ping_interval_ms, through the same connections and circuit
+/// breaker traffic uses, timed out as a frame without a deadline is; a
+/// busy shard's replies are its health signal. The breaker (closed -> open
+/// -> half-open) makes a dead shard cost nothing after `failure_threshold`
+/// failed connections and auto-recovers via single probes. Dials never
+/// block a poll loop: the connect runs on a non-blocking socket, bounded
+/// by the waiting frames' deadlines.
 ///
 /// Threads: `worker_threads` poll loops plus the pinger, however many
 /// frames are in flight.
@@ -190,7 +193,7 @@ class ShardRouter : public FrameHandler {
   using Clock = std::chrono::steady_clock;
 
   /// Walks a client frame's replicas from `call->replica`: budget check,
-  /// breaker gate, then onto the shard's least-loaded connection. Answers
+  /// breaker gate, then onto the connection Shard::Pick chooses. Answers
   /// the frame with a typed error when the walk runs out.
   void Dispatch(std::unique_ptr<Call> call);
 
@@ -220,10 +223,14 @@ class ShardRouter : public FrameHandler {
   /// One breaker failure when anything was pending. Loop thread only.
   void FailConn(Conn& conn, const std::string& why, bool resend_unwritten);
 
-  /// Loop-thread halves of the connection: dial, read replies and match
+  /// Loop-thread halves of the connection: start a non-blocking dial,
+  /// finish one (requires the connection's mutex) or count a failed one
+  /// (backoff, then the waiting frames fail over), read replies and match
   /// each to the head of the FIFO (false when the reply failed the
   /// connection).
   void Dial(Conn& conn, Clock::time_point now);
+  void Connected(Conn& conn);
+  void DialFailed(Conn& conn, Clock::time_point now);
   void ReadReplies(Conn& conn);
   bool CompleteHead(Conn& conn, std::vector<uint8_t> reply);
 
@@ -257,9 +264,6 @@ class ShardRouter : public FrameHandler {
 
   std::atomic<bool> running_{false};
   std::atomic<int64_t> held_{0};  ///< client frames held (queue_depth)
-  /// Moving averages (1/8 weight) of how long a reply holds up its
-  /// connection, in µs: [0] every other frame, [1] itineraries.
-  std::atomic<int64_t> reply_us_[2] = {0, 0};
   std::thread pinger_;
   std::mutex pinger_mutex_;
   std::condition_variable pinger_cv_;

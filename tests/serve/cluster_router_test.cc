@@ -4,8 +4,9 @@
 // onto one shard connection, local ping/stats answering, per-endpoint rate
 // limiting, failover past a dead shard, typed kShardUnavailable when every
 // replica is down, redial after a shard restart, the "no caller ever hangs"
-// suite over a stalled shard, and the shard-death mid-pipeline suite the
-// TSan CI job runs (every caller answered, no hangs).
+// suite over a stalled shard (health pings and a hanging dial included),
+// and the shard-death mid-pipeline suite the TSan CI job runs (every caller
+// answered, no hangs).
 #include "serve/cluster/shard_router.h"
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <poll.h>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -721,6 +723,120 @@ TEST_F(ClusterRouterTest, StalledShardDoesNotDelayAnotherShardsFrames) {
 
   router.Stop();
   EXPECT_EQ(replies.answered(), stuck.size());
+}
+
+TEST_F(ClusterRouterTest, HangingDialDoesNotDelayAnotherShardsFrames) {
+  // A TCP listener that never accepts, its backlog of one already taken: a
+  // connect to it hangs in SYN_SENT for as long as the kernel retries.
+  uint16_t port = 0;
+  common::UniqueFd listener =
+      common::ListenTcp("127.0.0.1", 0, /*backlog=*/0, &port);
+  ASSERT_TRUE(listener.valid());
+  const common::SocketAddress hanging =
+      common::SocketAddress::Tcp("127.0.0.1", port);
+  std::vector<common::UniqueFd> fillers;
+  bool hangs = false;
+  for (int i = 0; i < 8 && !hangs; ++i) {
+    bool in_progress = false;
+    common::UniqueFd fd = common::StartConnect(hanging, &in_progress);
+    ASSERT_TRUE(fd.valid());
+    if (in_progress) {
+      pollfd connect_done{fd.get(), POLLOUT, 0};
+      hangs = ::poll(&connect_done, 1, 200) == 0;
+    }
+    fillers.push_back(std::move(fd));
+  }
+  ASSERT_TRUE(hangs) << "a connect to the full listener did not hang";
+
+  std::vector<std::unique_ptr<Shard>> live = StartShards(1, "dial1");
+  RouterOptions options =
+      RouterFor({hanging, live[0]->server->address()}, 1);
+  options.call_timeout_ms = 2000;
+  options.worker_threads = 1;  // one loop owns both shards' connections
+  options.pool_size_per_shard = 1;
+  ShardRouter router(options);
+  ASSERT_TRUE(router.Start());
+
+  const std::vector<size_t> stuck = SamplesOwnedBy(2, "shard0", 2);
+  const std::vector<size_t> free = SamplesOwnedBy(2, "shard1", 4);
+  std::vector<std::vector<uint8_t>> served;
+  for (size_t index : free) {
+    served.push_back(live[0]->gateway.ServeFrame(RequestFrame(index, 3)));
+  }
+  Replies replies;
+  const Clock::time_point start = Clock::now();
+  for (size_t i = 0; i < stuck.size(); ++i) {
+    router.HandleFrameAsync(RequestFrame(stuck[i], 3), replies.Slot(i));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // dialing
+  for (size_t i = 0; i < free.size(); ++i) {
+    EXPECT_EQ(Route(router, RequestFrame(free[i], 3)), served[i]);
+  }
+  // Served while shard0's dial was still under way.
+  EXPECT_EQ(replies.answered(), 0u);
+  EXPECT_LT(Clock::now() - start,
+            std::chrono::milliseconds(options.call_timeout_ms));
+
+  // The dial is bounded by the frames' own timeout.
+  ASSERT_TRUE(replies.Await(stuck.size(), std::chrono::seconds(20)));
+  EXPECT_LT(Clock::now() - start,
+            std::chrono::milliseconds(options.call_timeout_ms + 1500));
+  for (size_t i = 0; i < stuck.size(); ++i) {
+    EXPECT_EQ(ErrorCodeOf(replies.at(i)), ErrorCode::kShardUnavailable)
+        << "frame " << i;
+  }
+  router.Stop();
+}
+
+TEST_F(ClusterRouterTest, HealthPingsNeverFailABusyShardsFrames) {
+  // A live shard whose engine holds every frame for its coalescing window,
+  // far longer than the ping interval: a ping queued behind those frames
+  // must not time the connection out and fail them.
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.push_back(std::make_unique<Shard>());
+  ASSERT_TRUE(shards[0]->Start(UdsPath("busyping"),
+                               SmallEngine(/*coalesce_window_us=*/400000)));
+  RouterOptions options = RouterFor(shards, 1);
+  options.ping_interval_ms = 20;
+  options.call_timeout_ms = 10000;
+  options.worker_threads = 1;
+  options.pool_size_per_shard = 1;
+  ShardRouter router(options);
+  ASSERT_TRUE(router.Start());
+
+  constexpr size_t kRounds = 3;
+  constexpr size_t kFrames = 4;
+  for (size_t round = 0; round < kRounds; ++round) {
+    Replies replies;
+    for (size_t i = 0; i < kFrames; ++i) {
+      router.HandleFrameAsync(RequestFrame(round * kFrames + i, 5),
+                              replies.Slot(i));
+    }
+    ASSERT_TRUE(replies.Await(kFrames, std::chrono::seconds(20)));
+    for (size_t i = 0; i < kFrames; ++i) {
+      eval::RecommendResponse response;
+      ASSERT_EQ(DecodeRecommendResponse(replies.at(i), &response),
+                DecodeStatus::kOk)
+          << "round " << round << " frame " << i;
+      EXPECT_EQ(response.items.size(), 5u);
+    }
+  }
+  // Idle again, the shard is pinged and answers.
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(10);
+  while (router.Snapshot().shards[0].pings_ok == 0 && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  const ClusterStats stats = router.Snapshot();
+  EXPECT_EQ(stats.responses_ok, static_cast<int64_t>(kRounds * kFrames));
+  EXPECT_EQ(stats.failovers, 0);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].requests_failed, 0);
+  EXPECT_EQ(stats.shards[0].pings_failed, 0);
+  EXPECT_GT(stats.shards[0].pings_ok, 0);
+  EXPECT_EQ(stats.shards[0].breaker, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(stats.shards[0].breaker_trips, 0);
+  router.Stop();
 }
 
 TEST_F(ClusterRouterTest, StopAnswersEveryFrameInFlightWithBoundedThreads) {
